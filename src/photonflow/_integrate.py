@@ -1,20 +1,8 @@
-"""Fixed-step classical RK4 for complex amplitude systems."""
+"""Uniform time grids shared by the propagators."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-Rhs = Callable[[float, np.ndarray], np.ndarray]
-
-
-def rk4_step(rhs: Rhs, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def steps_for(t_final: float, dt: float) -> tuple[int, float]:

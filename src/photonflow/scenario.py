@@ -37,6 +37,7 @@ significant digits, so identical input files give byte-identical CSVs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,9 +157,12 @@ def _need(sc: Scenario, section: str, key: str) -> str:
 
 def _as_float(path: str, raw: str) -> float:
     try:
-        return float(raw)
+        x = float(raw)
     except ValueError:
         raise _err(path, f"not a number: {raw!r}")
+    if not math.isfinite(x):
+        raise _err(path, f"not a finite number: {raw!r}")
+    return x
 
 
 def _as_int(path: str, raw: str) -> int:
@@ -270,19 +274,17 @@ def validate_scenario(sc: Scenario) -> None:
             if required and sc.get(section, key) is None:
                 raise _err(f"{section}.{key}", "required key is missing")
     # value-level checks go through the builders
+    _stride(sc)
     if sc.kind in ("LindbladTransfer", "PurificationMap", "DarkState"):
         _build_lindblad_inputs(sc)
     elif sc.kind in ("MicroscopicDecay", "ZenoScan", "AntiZenoScan", "InterferenceExact"):
-        _build_reservoir(sc)
+        _, t_final, _ = _build_reservoir_run(sc)
         if sc.kind in ("ZenoScan", "AntiZenoScan"):
-            taus = _float_list("zeno.taus", _need(sc, "zeno", "taus"))
-            for tau in taus:
-                _positive("zeno.taus", tau)
+            _build_zeno(sc)
         if sc.kind == "InterferenceExact":
-            state = _need(sc, "initial", "state")
-            if state not in ("antisymmetric", "symmetric", "single"):
-                raise _err("initial.state", f"expected antisymmetric|symmetric|single, got {state!r}")
-        _positive("run.t_final", _as_float("run.t_final", _need(sc, "run", "t_final")))
+            _interference_state(sc)
+        else:
+            _fit_window(sc, t_final)
     elif sc.kind in ("DiodeFull", "DiodeMarkov", "Port2Reflection", "ImpedanceScan"):
         _build_diode_inputs(sc)
 
@@ -343,8 +345,7 @@ def _build_lindblad_inputs(sc: Scenario):
         if raw_tf is not None
         else 30.0 / gamma
     )
-    raw_dt = sc.get("run", "dt")
-    dt = _positive("run.dt", _as_float("run.dt", raw_dt)) if raw_dt is not None else None
+    dt = _optional_dt(sc)
     if sc.kind == "DarkState":
         jump = lindblad.interference_transfer_jump(space, (0, 1), 2)
     else:
@@ -400,6 +401,51 @@ def _build_reservoir(sc: Scenario) -> reservoir.ReservoirSpec:
         raise _err("reservoir", str(exc))
 
 
+def _optional_dt(sc: Scenario) -> Optional[float]:
+    raw = sc.get("run", "dt")
+    return _positive("run.dt", _as_float("run.dt", raw)) if raw is not None else None
+
+
+def _build_reservoir_run(sc: Scenario):
+    """Reservoir, run.t_final and run.dt (the sampling interval) of a reservoir kind."""
+    spec = _build_reservoir(sc)
+    t_final = _positive("run.t_final", _as_float("run.t_final", _need(sc, "run", "t_final")))
+    return spec, t_final, _optional_dt(sc)
+
+
+def _fit_window(sc: Scenario, t_final: float) -> tuple[float, float]:
+    raw = sc.get("fit", "window")
+    if raw is None:
+        return (0.1 * t_final, t_final)
+    w = _float_list("fit.window", raw)
+    if len(w) != 2 or w[0] >= w[1]:
+        raise _err("fit.window", "window is 't_a t_b' with t_a < t_b")
+    return (w[0], w[1])
+
+
+def _build_zeno(sc: Scenario) -> tuple[list, int]:
+    taus = [_positive("zeno.taus", t) for t in _float_list("zeno.taus", _need(sc, "zeno", "taus"))]
+    raw_n = sc.get("zeno", "n_measurements")
+    n_meas = _as_int("zeno.n_measurements", raw_n) if raw_n is not None else 60
+    if n_meas < 10:
+        raise _err("zeno.n_measurements", f"need at least 10 measurements, got {n_meas}")
+    return taus, n_meas
+
+
+_INTERFERENCE_STATES = {
+    "antisymmetric": reservoir.TwoUpperModeState.antisymmetric,
+    "symmetric": reservoir.TwoUpperModeState.symmetric,
+    "single": reservoir.TwoUpperModeState.single,
+}
+
+
+def _interference_state(sc: Scenario) -> str:
+    name = _need(sc, "initial", "state")
+    if name not in _INTERFERENCE_STATES:
+        raise _err("initial.state", f"expected antisymmetric|symmetric|single, got {name!r}")
+    return name
+
+
 def _build_pulse(sc: Scenario) -> dio.Pulse:
     kind = sc.get("pulse", "kind", "gaussian")
     if kind != "gaussian":
@@ -423,8 +469,7 @@ def _build_grid(sc: Scenario, section: str, gamma: float) -> dio.ContinuumGrid:
 
 def _build_diode_inputs(sc: Scenario):
     pulse = _build_pulse(sc)
-    raw_dt = sc.get("run", "dt")
-    dt = _positive("run.dt", _as_float("run.dt", raw_dt)) if raw_dt is not None else None
+    dt = _optional_dt(sc)
 
     if sc.kind == "DiodeMarkov":
         gamma = _positive("diode.gamma", _as_float("diode.gamma", _need(sc, "diode", "gamma")))
@@ -615,10 +660,7 @@ def _microscopic_invariants(outcome: RunOutcome, drift: float, t_final: float) -
 
 
 def _run_microscopic_decay(sc: Scenario) -> RunOutcome:
-    spec = _build_reservoir(sc)
-    t_final = _positive("run.t_final", _as_float("run.t_final", _need(sc, "run", "t_final")))
-    raw_dt = sc.get("run", "dt")
-    dt = _positive("run.dt", _as_float("run.dt", raw_dt)) if raw_dt is not None else None
+    spec, t_final, dt = _build_reservoir_run(sc)
     traj = reservoir.evolve_exact(spec, None, t_final=t_final, dt=dt, snapshot_stride=10**9)
     _, c0_f, c_f = traj.snapshots[-1]
     drift = abs(abs(c0_f) ** 2 + float(np.sum(np.abs(c_f) ** 2)) - 1.0)
@@ -633,15 +675,9 @@ def _run_microscopic_decay(sc: Scenario) -> RunOutcome:
     gamma_markov = (
         reservoir.markov_rate(spec) if spec.spectrum == "equidistant" else float("nan")
     )
-    window_raw = sc.get("fit", "window")
-    if window_raw is not None:
-        w = _float_list("fit.window", window_raw)
-        if len(w) != 2 or w[0] >= w[1]:
-            raise _err("fit.window", "window is 't_a t_b' with t_a < t_b")
-        window = (w[0], w[1])
-    else:
-        window = (0.1 * t_final, t_final)
-    gamma_fit, residual = reservoir.fit_decay_rate(traj.times, traj.survival, window)
+    gamma_fit, residual = reservoir.fit_decay_rate(
+        traj.times, traj.survival, _fit_window(sc, t_final)
+    )
     _microscopic_invariants(out, drift, t_final)
     stride = _stride(sc, 1)
     idx = np.arange(0, traj.times.size, stride)
@@ -660,22 +696,11 @@ def _run_microscopic_decay(sc: Scenario) -> RunOutcome:
 
 
 def _run_zeno_scan(sc: Scenario) -> RunOutcome:
-    spec = _build_reservoir(sc)
-    t_final = _positive("run.t_final", _as_float("run.t_final", _need(sc, "run", "t_final")))
-    raw_dt = sc.get("run", "dt")
-    dt = _positive("run.dt", _as_float("run.dt", raw_dt)) if raw_dt is not None else None
-    taus = _float_list("zeno.taus", _need(sc, "zeno", "taus"))
-    raw_n = sc.get("zeno", "n_measurements")
-    n_meas = _as_int("zeno.n_measurements", raw_n) if raw_n is not None else 60
+    spec, t_final, dt = _build_reservoir_run(sc)
+    taus, n_meas = _build_zeno(sc)
 
     free = reservoir.evolve_exact(spec, None, t_final=t_final, dt=dt)
-    window_raw = sc.get("fit", "window")
-    if window_raw is not None:
-        w = _float_list("fit.window", window_raw)
-        window = (w[0], w[1])
-    else:
-        window = (0.1 * t_final, t_final)
-    gamma_free, _ = reservoir.fit_decay_rate(free.times, free.survival, window)
+    gamma_free, _ = reservoir.fit_decay_rate(free.times, free.survival, _fit_window(sc, t_final))
 
     results = reservoir.zeno_scan(spec, taus, n_measurements=n_meas, dt=dt)
     out = RunOutcome()
@@ -709,16 +734,9 @@ def _run_zeno_scan(sc: Scenario) -> RunOutcome:
 
 
 def _run_interference(sc: Scenario) -> RunOutcome:
-    spec = _build_reservoir(sc)
-    t_final = _positive("run.t_final", _as_float("run.t_final", _need(sc, "run", "t_final")))
-    raw_dt = sc.get("run", "dt")
-    dt = _positive("run.dt", _as_float("run.dt", raw_dt)) if raw_dt is not None else None
-    name = _need(sc, "initial", "state")
-    state0 = {
-        "antisymmetric": reservoir.TwoUpperModeState.antisymmetric,
-        "symmetric": reservoir.TwoUpperModeState.symmetric,
-        "single": reservoir.TwoUpperModeState.single,
-    }[name](spec.f)
+    spec, t_final, dt = _build_reservoir_run(sc)
+    name = _interference_state(sc)
+    state0 = _INTERFERENCE_STATES[name](spec.f)
     traj = reservoir.interference_evolve(spec, state0, t_final, dt=dt)
     surv = traj.survival
     out = RunOutcome()
@@ -796,6 +814,15 @@ def _run_diode_full(sc: Scenario) -> RunOutcome:
     return out
 
 
+def _port_invariants(outcome: RunOutcome, results, leakage, port2_yield) -> None:
+    """Markov port results are finite and leakage plus port-2 yield is at most one photon."""
+    finite = bool(np.all(np.isfinite(results)))
+    _check(outcome, "results_finite", finite, finite)
+    total = float(np.max(np.add(leakage, port2_yield)))
+    # a nan total compares false, so it fails here too
+    _check(outcome, "leakage_plus_yield", total, total <= 1.0 + 1e-6)
+
+
 def _run_diode_markov(sc: Scenario) -> RunOutcome:
     cfg = _build_diode_inputs(sc)
     mk = dio.evolve_markov(
@@ -803,6 +830,12 @@ def _run_diode_markov(sc: Scenario) -> RunOutcome:
     )
     out = RunOutcome()
     out.derived = {"t_final": cfg["t_final"], "dt": cfg["dt"]}
+    out.results = {
+        "leakage": mk.leakage,
+        "port2_yield": mk.yield_convolved,
+        "yield_factorized": mk.yield_factorized,
+    }
+    _port_invariants(out, list(out.results.values()), mk.leakage, mk.yield_convolved)
     stride = _stride(sc, 1)
     idx = np.arange(0, mk.times.size, stride)
     if idx[-1] != mk.times.size - 1:
@@ -820,11 +853,6 @@ def _run_diode_markov(sc: Scenario) -> RunOutcome:
             ),
         )
     )
-    out.results = {
-        "leakage": mk.leakage,
-        "port2_yield": mk.yield_convolved,
-        "yield_factorized": mk.yield_factorized,
-    }
     return out
 
 
@@ -852,6 +880,8 @@ def _run_impedance_scan(sc: Scenario) -> RunOutcome:
     )
     out = RunOutcome()
     out.derived = {"t_final": cfg["t_final"]}
+    table = np.array(rows)
+    _port_invariants(out, table, table[:, 1], table[:, 2])
     out.csv_files.append(
         ("summary.csv", ["gamma1_over_gamma", "leakage", "port2_yield"], rows)
     )
@@ -983,7 +1013,7 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
         float(sc.sections[section][key])
     except ValueError:
         raise ScenarioError(f"axis {axis}: existing value is not a numeric scalar")
-    values = [float(v) for v in values]
+    values = [_as_float(axis, str(v)) for v in values]
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)

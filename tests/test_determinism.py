@@ -1,0 +1,79 @@
+"""CSV bytes and import footprint, each checked in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MICRO = """
+[scenario]
+name = micro
+kind = MicroscopicDecay
+
+[reservoir]
+f = 200
+eps_max = 25.0
+target_gamma = 1.0
+
+[run]
+t_final = 2.0
+
+[output]
+stride = 5
+"""
+
+INTERFERENCE = """
+[scenario]
+name = interference
+kind = InterferenceExact
+
+[reservoir]
+f = 200
+eps_max = 25.0
+target_gamma = 1.0
+
+[initial]
+state = single
+
+[run]
+t_final = 2.0
+
+[output]
+stride = 5
+"""
+
+
+def _python(args, threads=None, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("text", [MICRO, INTERFERENCE], ids=["micro", "interference"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
+    scenario = tmp_path / "sc.ini"
+    scenario.write_text(text)
+    digests = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        proc = _python(["-m", "photonflow.cli", "run", str(scenario), "--out", str(out)], threads)
+        assert proc.returncode == 0, proc.stderr
+        (csv,) = out.rglob("timeseries.csv")
+        digests.append(csv.read_bytes())
+    assert digests[0] == digests[1]
+
+
+def test_import_loads_no_dense_linear_algebra():
+    heavy = ("scipy.linalg", "scipy.signal", "scipy.sparse.linalg", "threadpoolctl")
+    proc = _python(["-c", "import sys, photonflow; print('\\n'.join(sys.modules))"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert [m for m in heavy if m in loaded] == []

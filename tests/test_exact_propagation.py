@@ -1,0 +1,240 @@
+"""Exact reservoir and Markov-port propagation against independent oracles.
+
+The reference paths are the fixed-step RK4 integrators these levels used
+before they were propagated exactly, kept here at reduced size, plus
+numpy.linalg.eigh and closed forms.
+"""
+
+import numpy as np
+import pytest
+
+from photonflow import (
+    ReservoirSpec,
+    SingleExcitationState,
+    TwoUpperModeState,
+    coupling_for_rate,
+    evolve_exact,
+    evolve_markov,
+    gaussian_pulse,
+    interference_evolve,
+    simulation_window,
+    zeno_evolve,
+)
+from photonflow._integrate import steps_for
+from photonflow.reservoir import _ExactPropagator, _block_slices
+
+
+# --- RK4 reference path ----------------------------------------------------------
+
+
+def rk4_step(rhs, t, y, dt):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_trajectory(rhs, y0, t0, nsteps, dt):
+    ys = [np.asarray(y0, dtype=complex)]
+    for step in range(nsteps):
+        ys.append(rk4_step(rhs, t0 + step * dt, ys[-1], dt))
+    return np.array(ys)
+
+
+def single_excitation_rhs(spec, n_upper=1):
+    """Interaction-picture amplitudes: n_upper modes sharing one channel."""
+    om = spec.frequencies()
+    g = complex(spec.coupling)
+
+    def rhs(t, y):
+        out = np.empty_like(y)
+        ph = np.exp(1j * om * t)
+        out[:n_upper] = 1j * g * np.dot(ph, y[n_upper:])
+        out[n_upper:] = (1j * np.conj(g) * np.sum(y[:n_upper])) * ph.conj()
+        return out
+
+    return rhs
+
+
+def markov_rk4(gamma, gamma1, gamma2, pulse, t_final, dt):
+    """Leakage, convolved and factorized yields carried as RK4 components."""
+    nsteps, dt = steps_for(t_final, dt)
+    half_width = 0.5 * (gamma + gamma1)
+
+    def rhs(t, y):
+        f_amp, rho = y[0], y[1]
+        phi = complex(pulse.amplitude(t))
+        return np.array(
+            [
+                phi - half_width * f_amp,
+                -gamma2 * rho + gamma1 * gamma2 * gamma * abs(f_amp) ** 2,
+                abs(phi - gamma1 * f_amp) ** 2,
+                rho.real,
+                gamma1 * gamma * abs(f_amp) ** 2,
+            ],
+            dtype=complex,
+        )
+
+    y = np.zeros(5, dtype=complex)
+    for step in range(nsteps):
+        y = rk4_step(rhs, step * dt, y, dt)
+    return y[2].real, y[3].real, y[4].real
+
+
+def random_state(rng, f, t0):
+    c = 0.1 * (rng.normal(size=f) + 1j * rng.normal(size=f))
+    return SingleExcitationState(0.6 + 0.3j, c, t0)
+
+
+# --- secular eigenpairs -------------------------------------------------------------
+
+
+def arrowhead(spec):
+    om = spec.frequencies()
+    k = np.diag(np.concatenate(([0.0], om)))
+    k[0, 1:] = k[1:, 0] = abs(spec.coupling)
+    return k
+
+
+def secular_eigenvectors(eig):
+    vecs = np.empty((eig.poles.size + 1, eig.roots.size))
+    for ks in _block_slices(eig.roots.size):
+        vecs[0, ks] = eig.inv_norm[ks]
+        vecs[1:, ks] = (eig.z / eig.gaps(ks)).T * eig.inv_norm[ks]
+    return vecs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ReservoirSpec(f=40, eps_max=10.0, coupling=coupling_for_rate(40, 10.0, 1.0)),
+        ReservoirSpec(f=100, eps_max=25.0, coupling=0.3 * np.exp(0.4j)),
+        ReservoirSpec(f=100, eps_max=5.0, coupling=3.0),
+        ReservoirSpec(f=60, eps_max=10.0, coupling=0.2, spectrum="lorentzian",
+                      center=6.0, width=2.0),
+    ],
+)
+def test_secular_eigenpairs_match_eigh(spec):
+    eig = _ExactPropagator(spec.frequencies(), spec.coupling).eig
+    values, vectors = np.linalg.eigh(arrowhead(spec))
+    order = np.argsort(eig.roots)
+    assert np.max(np.abs(eig.roots[order] - values)) <= 1e-12
+    ours = secular_eigenvectors(eig)[:, order]
+    signs = np.sign(np.sum(ours * vectors, axis=0))
+    assert np.max(np.abs(ours - vectors * signs)) <= 1e-12
+    assert np.max(np.abs(ours.T @ ours - np.eye(ours.shape[1]))) <= 1e-12
+
+
+def test_negligible_coupling_is_deflated():
+    spec = ReservoirSpec(f=20, eps_max=5.0, coupling=1e-30)
+    eig = _ExactPropagator(spec.frequencies(), spec.coupling).eig
+    assert eig.poles.size == 0
+    assert np.array_equal(eig.roots, [0.0])
+
+
+# --- reservoir dynamics against RK4 --------------------------------------------------
+
+
+def test_exact_survival_and_final_amplitudes_match_rk4():
+    rng = np.random.default_rng(7)
+    spec = ReservoirSpec(f=60, eps_max=10.0, coupling=coupling_for_rate(60, 10.0, 1.0) * 1j)
+    state = random_state(rng, spec.f, t0=0.37)
+    traj = evolve_exact(spec, state, t_final=2.0, snapshot_stride=10**9)
+    nsteps = traj.times.size - 1
+    ref = rk4_trajectory(
+        single_excitation_rhs(spec), np.concatenate(([state.c0], state.c)), state.t,
+        nsteps, traj.times[1] - traj.times[0],
+    )
+    assert np.max(np.abs(np.abs(ref[:, 0]) ** 2 - traj.survival)) <= 1e-9
+    t_end, c0_end, c_end = traj.snapshots[-1]
+    assert t_end == traj.times[-1]
+    assert abs(c0_end - ref[-1, 0]) <= 1e-9
+    assert np.max(np.abs(c_end - ref[-1, 1:])) <= 1e-9
+
+
+def test_rabi_closed_form_for_one_class():
+    g, w = 0.7, 1.3
+    spec = ReservoirSpec(f=1, eps_max=2.0, coupling=g, spectrum="custom", omegas=(w,))
+    traj = evolve_exact(spec, t_final=20.0, snapshot_stride=250)
+    rabi = np.sqrt(g**2 + 0.25 * w**2)
+    t = traj.times
+    expected = 1.0 - (g / rabi) ** 2 * np.sin(rabi * t) ** 2
+    assert np.max(np.abs(traj.survival - expected)) <= 1e-12
+    for t_s, c0, _ in traj.snapshots:
+        amp = np.exp(0.5j * w * t_s) * (
+            np.cos(rabi * t_s) - 0.5j * w / rabi * np.sin(rabi * t_s)
+        )
+        assert abs(c0 - amp) <= 1e-12
+
+
+def test_duplicate_frequencies_match_rk4():
+    rng = np.random.default_rng(3)
+    omegas = (-2.0, 0.5, 0.5, 0.5, 1.0, -2.0, 3.0)
+    spec = ReservoirSpec(f=7, eps_max=5.0, coupling=0.4, spectrum="custom", omegas=omegas)
+    state = random_state(rng, spec.f, t0=0.1)
+    dt = 0.25 * 0.02 / spec.eps_max
+    traj = evolve_exact(spec, state, t_final=5.0, dt=dt, snapshot_stride=10**9)
+    ref = rk4_trajectory(
+        single_excitation_rhs(spec), np.concatenate(([state.c0], state.c)), state.t,
+        traj.times.size - 1, dt,
+    )
+    assert np.max(np.abs(np.abs(ref[:, 0]) ** 2 - traj.survival)) <= 1e-9
+    assert np.max(np.abs(traj.snapshots[-1][2] - ref[-1, 1:])) <= 1e-9
+
+
+def test_zeno_cumulative_matches_segment_loop():
+    spec = ReservoirSpec(f=60, eps_max=25.0, coupling=coupling_for_rate(60, 25.0, 1.0))
+    rhs = single_excitation_rhs(spec)
+    for tau in (0.04, 0.004):
+        dt = 0.02 / spec.eps_max / 8
+        result = zeno_evolve(spec, None, t_final=20 * tau, tau_m=tau, dt=dt)
+        nsteps, h = steps_for(tau, dt)
+        y = np.concatenate(([1.0], np.zeros(spec.f))).astype(complex)
+        cumulative, t = [1.0], 0.0
+        for _ in range(20):
+            end = rk4_trajectory(rhs, y, t, nsteps, h)[-1]
+            cumulative.append(cumulative[-1] * abs(end[0]) ** 2 / np.sum(np.abs(end) ** 2))
+            y = np.zeros_like(y)
+            y[0] = end[0] / abs(end[0])
+            t += tau
+        assert np.max(np.abs(np.array(cumulative) / result.survival - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("ctor", [TwoUpperModeState.single, TwoUpperModeState.symmetric,
+                                  TwoUpperModeState.antisymmetric])
+def test_interference_matches_two_mode_rk4(ctor):
+    spec = ReservoirSpec(f=80, eps_max=10.0, coupling=coupling_for_rate(80, 10.0, 1.0) * 1j)
+    state = ctor(spec.f)
+    dt = 0.25 * 0.02 / spec.eps_max
+    traj = interference_evolve(spec, state, 2.0, dt=dt)
+    ref = rk4_trajectory(
+        single_excitation_rhs(spec, n_upper=2),
+        np.concatenate(([state.c0, state.c0p], state.c)), state.t, traj.times.size - 1, dt,
+    )
+    assert np.max(np.abs(ref[:, 0] - traj.c0)) <= 1e-9
+    assert np.max(np.abs(ref[:, 1] - traj.c0p)) <= 1e-9
+
+
+# --- Markov ports against RK4 ------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma1, gamma2, duration", [(1.0, 20.0, 8.0), (0.3, 20.0, 8.0),
+                                                      (2.0, 200.0, 10.0)])
+def test_markov_integrals_match_rk4_at_tenth_step(gamma1, gamma2, duration):
+    gamma, dt = 1.0, 0.02
+    pulse = gaussian_pulse(t0=3 * duration, duration=duration)
+    t_final = simulation_window(pulse, gamma, gamma1, gamma2)
+    mk = evolve_markov(gamma, gamma1, gamma2, pulse, t_final, dt)
+    leakage, convolved, factorized = markov_rk4(gamma, gamma1, gamma2, pulse, t_final, dt / 10)
+    assert mk.leakage == pytest.approx(leakage, abs=1e-6)
+    assert mk.yield_convolved == pytest.approx(convolved, abs=1e-6)
+    assert mk.yield_factorized == pytest.approx(factorized, abs=1e-6)
+
+
+def test_markov_is_stable_beyond_the_rk4_limit():
+    # gamma2 * dt = 4 exceeds the RK4 stability limit of about 2.79
+    pulse = gaussian_pulse(t0=30.0, duration=10.0)
+    mk = evolve_markov(1.0, 1.0, 200.0, pulse, simulation_window(pulse, 1.0, 200.0), dt=0.02)
+    assert np.all(np.isfinite(mk.rho_out))
+    assert mk.leakage + mk.yield_convolved == pytest.approx(1.0, abs=1e-4)

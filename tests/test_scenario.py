@@ -349,3 +349,90 @@ def test_cli_invariant_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setitem(sc_mod._RUNNERS, "LindbladTransfer", failing_runner)
     path = write(tmp_path, "sc.ini", LINDBLAD_SCENARIO)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+
+
+# --- exit-code contract on malformed numbers ----------------------------------------
+
+
+def test_cli_zeno_window_needs_two_times(tmp_path, capsys):
+    path = write(tmp_path, "z.ini", ZENO_SCENARIO.replace("window = 0.4 2.5", "window = 0.5"))
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert "fit.window" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_zero_stride(tmp_path, capsys):
+    path = write(tmp_path, "s.ini", LINDBLAD_SCENARIO.replace("stride = 20", "stride = 0"))
+    assert main(["validate", path]) == 2
+    assert "output.stride" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("gamma = 1.0", "gamma = nan", "model.gamma"),
+    ("t_final = 5.0", "t_final = inf", "run.t_final"),
+    ("t_final = 5.0", "t_final = 1e999", "run.t_final"),
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):
+    path = write(tmp_path, "n.ini", LINDBLAD_SCENARIO.replace(old, new))
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_cli_scan_rejects_non_numeric_values(tmp_path, capsys):
+    path = write(tmp_path, "sc.ini", MICRO_SCENARIO.format(coupling=micro_coupling()))
+    rc = main(["scan", path, "--axis", "reservoir.f", "--values", "60,abc",
+               "--out", str(tmp_path / "scan")])
+    assert rc == 2
+    assert "reservoir.f" in capsys.readouterr().err
+
+
+# --- Markov port invariants -------------------------------------------------------------
+
+
+def test_diode_markov_fast_loss_regression(tmp_path, capsys):
+    # gamma2 * dt = 4 diverged under RK4 and wrote port2_yield = nan with all_ok = true
+    text = MARKOV_DIODE_SCENARIO.replace("gamma2 = 20.0", "gamma2 = 200.0")
+    path = write(tmp_path, "m.ini", text.replace("dt = 0.01", "dt = 0.02"))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    outcome = run_scenario(parse_scenario_text(open(path).read()), tmp_path / "again")
+    values = np.array(list(outcome.results.values()))
+    assert np.all(np.isfinite(values))
+    assert outcome.results["leakage"] + outcome.results["port2_yield"] == pytest.approx(1.0, abs=1e-4)
+    manifest = (tmp_path / "out" / "diode-markov" / "manifest.ini").read_text()
+    assert "results_finite = true" in manifest
+    assert "leakage_plus_yield" in manifest
+    assert "all_ok = true" in manifest
+
+
+def test_port_invariants_fail_on_nan_and_excess():
+    from photonflow.scenario import _port_invariants
+
+    out = RunOutcome()
+    _port_invariants(out, [0.1, float("nan")], 0.1, float("nan"))
+    assert out.invariant_failures == ["results_finite", "leakage_plus_yield"]
+    out = RunOutcome()
+    _port_invariants(out, [[1.0, 0.5, 0.6]], [0.5], [0.6])
+    assert out.invariant_failures == ["leakage_plus_yield"]
+
+
+def test_impedance_scan_checks_invariants(tmp_path):
+    text = """
+[scenario]
+name = impedance
+kind = ImpedanceScan
+
+[diode]
+gamma = 1.0
+gamma2 = 20.0
+
+[scan]
+ratios = 0.5 1.0 2.0
+
+[pulse]
+duration = 8.0
+"""
+    outcome = run_scenario(parse_scenario_text(text), tmp_path / "o")
+    assert outcome.invariants["results_finite"] is True
+    assert outcome.invariants["leakage_plus_yield"] <= 1.0 + 1e-6
+    assert outcome.results["best_ratio"] == 1.0
