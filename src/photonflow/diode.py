@@ -205,11 +205,7 @@ def project_pulse(grid: ContinuumGrid, pulse: Pulse, check: bool = True) -> np.n
     are screened by bandwidth <= delta_max / 5, and the projected comb
     must resynthesize the target envelope to 1 percent.
     """
-    if pulse.kind in ("gaussian", "exponential") and pulse.bandwidth > grid.delta_max / 5.0:
-        raise ConfigurationError(
-            f"pulse bandwidth {pulse.bandwidth:.3g} exceeds delta_max/5 = "
-            f"{grid.delta_max / 5.0:.3g}; widen the grid or lengthen the pulse"
-        )
+    _check_bandwidth(grid, pulse)
     amps = np.sqrt(grid.spacing / (2.0 * np.pi)) * pulse.spectrum(grid.detunings())
     norm = np.linalg.norm(amps)
     if norm == 0:
@@ -296,14 +292,6 @@ class DiodeState:
     s: np.ndarray  # shape (f, n_q2)
     t: float
 
-    def norm_sq(self) -> float:
-        return float(
-            np.sum(np.abs(self.p) ** 2)
-            + abs(self.q) ** 2
-            + np.sum(np.abs(self.r) ** 2)
-            + np.sum(np.abs(self.s) ** 2)
-        )
-
 
 @dataclass
 class DiodeTrajectory:
@@ -323,12 +311,26 @@ class DiodeTrajectory:
     norm_drift: float = 0.0
 
 
+def _check_bandwidth(grid: ContinuumGrid, pulse: Pulse) -> None:
+    if pulse.kind in ("gaussian", "exponential") and pulse.bandwidth > grid.delta_max / 5.0:
+        raise ConfigurationError(
+            f"pulse bandwidth {pulse.bandwidth:.3g} exceeds delta_max/5 = "
+            f"{grid.delta_max / 5.0:.3g}; widen the grid or lengthen the pulse"
+        )
+
+
 def _check_window(grid: ContinuumGrid, t_final: float, label: str) -> None:
     if grid.recurrence_time <= t_final:
         raise ConfigurationError(
             f"{label} comb recurrence {grid.recurrence_time:.4g} is inside the "
-            f"simulation window {t_final:.4g}; decrease the mode spacing"
+            f"simulation window {t_final:.4g}; increase n_q or decrease delta_max"
         )
+
+
+def _screen_grid(grid: ContinuumGrid, pulse: Pulse, t_final: float, label: str) -> None:
+    """The comb guards of project_pulse and the propagators, before any propagation."""
+    _check_bandwidth(grid, pulse)
+    _check_window(grid, t_final, label)
 
 
 def _diode_dt(dt: Optional[float], *scales: float) -> float:
@@ -639,7 +641,7 @@ def reflect_port2(
     dt = _diode_dt(dt, grid.delta_max)
     if dt > 0.4 / gamma2:
         dt = 0.4 / gamma2
-    _check_window(grid, t_final, "port-2")
+    _screen_grid(grid, pulse, t_final, "port-2")
     s0 = project_pulse(grid, pulse)
     nsteps, dt = steps_for(t_final, dt)
     det = grid.detunings()

@@ -97,24 +97,6 @@ class SparseOperator:
         if not sp.isspmatrix_csr(m):
             object.__setattr__(self, "matrix", sp.csr_matrix(m))
 
-    @classmethod
-    def from_entries(cls, space: ModeSpace, entries: dict) -> "SparseOperator":
-        """Build from a {(row, col): value} map."""
-        d = space.total_dim
-        rows, cols, vals = [], [], []
-        for (r, c), v in entries.items():
-            if not (0 <= r < d and 0 <= c < d):
-                raise InvalidInput(f"entry index ({r}, {c}) outside [0, {d})")
-            rows.append(r)
-            cols.append(c)
-            vals.append(complex(v))
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=complex)
-        return cls(space, m)
-
-    def entries(self) -> dict:
-        coo = self.matrix.tocoo()
-        return {(int(r), int(c)): complex(v) for r, c, v in zip(coo.row, coo.col, coo.data)}
-
     def adjoint(self) -> "SparseOperator":
         return SparseOperator(self.space, self.matrix.conj().T.tocsr())
 
@@ -128,10 +110,6 @@ class SparseOperator:
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         _check_same_space(self.space, other.space)
         return SparseOperator(self.space, (self.matrix + other.matrix).tocsr())
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        _check_same_space(self.space, other.space)
-        return SparseOperator(self.space, (self.matrix - other.matrix).tocsr())
 
     def __mul__(self, scalar: complex) -> "SparseOperator":
         return SparseOperator(self.space, (self.matrix * complex(scalar)).tocsr())

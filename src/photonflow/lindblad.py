@@ -147,6 +147,20 @@ def stability_limit(model: LindbladModel) -> float:
     return 0.1 / (model.max_rate * n_max**2)
 
 
+def _check_dt(model: LindbladModel, dt: Optional[float]) -> float:
+    """The RK4 step: ``dt``, or half the stability limit when None."""
+    if dt is None:
+        return 0.5 * stability_limit(model)
+    n_max = max(model.space.mode_dims) - 1
+    guard = dt * model.max_rate * n_max**2
+    if guard > 0.1 + 1e-12:
+        raise ConfigurationError(
+            f"dt * max_rate * n_max^2 = {guard:.3g} exceeds the stability guard 0.1 "
+            f"(dt={dt:.3g}, max_rate={model.max_rate:.3g}, n_max={n_max})"
+        )
+    return dt
+
+
 def evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -165,17 +179,7 @@ def evolve(
         raise InvalidInput("initial state lives on a different space than the model")
     if t_final <= 0:
         raise InvalidInput(f"t_final must be positive, got {t_final}")
-    limit = stability_limit(model)
-    if dt is None:
-        dt = 0.5 * limit
-    n_max = max(model.space.mode_dims) - 1
-    guard = dt * model.max_rate * n_max**2
-    if guard > 0.1 + 1e-12:
-        raise ConfigurationError(
-            f"dt * max_rate * n_max^2 = {guard:.3g} exceeds the stability guard 0.1 "
-            f"(dt={dt:.3g}, max_rate={model.max_rate:.3g}, n_max={n_max})"
-        )
-    nsteps, dt = steps_for(t_final, dt)
+    nsteps, dt = steps_for(t_final, _check_dt(model, dt))
 
     gen = _superoperator(model)
     d = model.space.total_dim

@@ -516,6 +516,14 @@ def evolve_exact(
     return DecayTrajectory(times=times, survival=np.abs(upper) ** 2, snapshots=snapshots)
 
 
+def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    t_a, t_b = window
+    mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
+    if np.count_nonzero(mask) < 2:
+        raise InvalidInput(f"fit window [{t_a}, {t_b}] contains fewer than two samples")
+    return mask
+
+
 def fit_decay_rate(
     times: np.ndarray, survival: np.ndarray, window: tuple[float, float]
 ) -> tuple[float, float]:
@@ -526,10 +534,7 @@ def fit_decay_rate(
     """
     times = np.asarray(times, dtype=float)
     survival = np.asarray(survival, dtype=float)
-    t_a, t_b = window
-    mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
-    if np.count_nonzero(mask) < 2:
-        raise InvalidInput(f"fit window [{t_a}, {t_b}] contains fewer than two samples")
+    mask = _window_mask(times, window)
     t = times[mask]
     s = survival[mask]
     if np.any(s <= 0):

@@ -33,21 +33,28 @@ Each run writes ``timeseries.csv`` and/or ``summary.csv`` plus a
 results, and the outcome of the physical invariant checks.  Outputs are
 deterministic: fixed summation orders, floats serialized with 17
 significant digits, so identical input files give byte-identical CSVs.
+
+Every kind is one ``_Kind`` record in ``_KINDS``: its sections and keys,
+a build that parses them into typed inputs and runs every configuration
+check, a runner that works only on those inputs, and its summary fields.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import diode as dio
 from . import fock, lindblad, reservoir
-from .errors import InvalidInput, InvariantViolation, ScenarioError
+from ._integrate import steps_for
+from .errors import ConfigurationError, InvalidInput, InvariantViolation, ScenarioError
 
 __all__ = [
     "Scenario",
@@ -60,20 +67,6 @@ __all__ = [
     "scan_scenario",
     "summary_fields",
 ]
-
-KINDS = (
-    "LindbladTransfer",
-    "PurificationMap",
-    "DarkState",
-    "MicroscopicDecay",
-    "ZenoScan",
-    "AntiZenoScan",
-    "InterferenceExact",
-    "DiodeFull",
-    "DiodeMarkov",
-    "Port2Reflection",
-    "ImpedanceScan",
-)
 
 
 @dataclass
@@ -148,11 +141,26 @@ def _err(path: str, msg: str) -> ScenarioError:
     return ScenarioError(f"{path}: {msg}")
 
 
-def _need(sc: Scenario, section: str, key: str) -> str:
-    val = sc.get(section, key)
-    if val is None:
-        raise _err(f"{section}.{key}", "required key is missing")
-    return val
+def _guard(path: str, check: Callable, *args, **kwargs):
+    """``check(*args, **kwargs)``, its configuration errors re-raised naming ``path``."""
+    try:
+        return check(*args, **kwargs)
+    except (ConfigurationError, InvalidInput) as exc:
+        raise _err(path, str(exc))
+
+
+_REQUIRED = object()
+
+
+def _get(sc: Scenario, path: str, parse: Callable, default=_REQUIRED):
+    """``parse(path, raw)`` of the value at ``section.key``, or ``default`` if absent."""
+    section, key = path.split(".")
+    raw = sc.get(section, key)
+    if raw is not None:
+        return parse(path, raw)
+    if default is _REQUIRED:
+        raise _err(path, "required key is missing")
+    return default
 
 
 def _as_float(path: str, raw: str) -> float:
@@ -163,6 +171,10 @@ def _as_float(path: str, raw: str) -> float:
     if not math.isfinite(x):
         raise _err(path, f"not a finite number: {raw!r}")
     return x
+
+
+def _as_positive(path: str, raw: str) -> float:
+    return _positive(path, _as_float(path, raw))
 
 
 def _as_int(path: str, raw: str) -> int:
@@ -192,136 +204,38 @@ def _positive(path: str, x: float) -> float:
     return x
 
 
-# schema: kind -> {section: {key: required}}
-_COMMON = {
-    "scenario": {"name": True, "kind": True},
-    "output": {"dir": False, "stride": False},
-}
+def _stride(sc: Scenario, default: int = 10) -> int:
+    n = _get(sc, "output.stride", _as_int, default)
+    if n < 1:
+        raise _err("output.stride", f"stride must be >= 1, got {n}")
+    return n
 
 
-def _schema(kind: str) -> dict:
-    s = {k: dict(v) for k, v in _COMMON.items()}
-    if kind in ("LindbladTransfer", "PurificationMap", "DarkState"):
-        s["space"] = {"dims": True}
-        s["model"] = {"gamma": True}
-        s["initial"] = {"state": True}
-        s["run"] = {"t_final": kind != "PurificationMap", "dt": False}
-    elif kind in ("MicroscopicDecay", "InterferenceExact"):
-        s["reservoir"] = _RESERVOIR_KEYS.copy()
-        s["run"] = {"t_final": True, "dt": False}
-        if kind == "MicroscopicDecay":
-            s["fit"] = {"window": False}
-        else:
-            s["initial"] = {"state": True}
-    elif kind in ("ZenoScan", "AntiZenoScan"):
-        s["reservoir"] = _RESERVOIR_KEYS.copy()
-        s["zeno"] = {"taus": True, "n_measurements": False}
-        s["run"] = {"t_final": True, "dt": False}
-        s["fit"] = {"window": False}
-    elif kind == "DiodeFull":
-        s["reservoir"] = _RESERVOIR_KEYS.copy()
-        s["diode"] = {"gamma1": True, "gamma2": True}
-        s["grid1"] = {"n_q": True, "delta_max": True}
-        s["grid2"] = {"n_q": True, "delta_max": True}
-        s["pulse"] = _PULSE_KEYS.copy()
-        s["run"] = {"t_final": False, "dt": False}
-    elif kind == "DiodeMarkov":
-        s["diode"] = {"gamma": True, "gamma1": True, "gamma2": True}
-        s["pulse"] = _PULSE_KEYS.copy()
-        s["run"] = {"t_final": False, "dt": False}
-    elif kind == "Port2Reflection":
-        s["diode"] = {"gamma2": True}
-        s["grid2"] = {"n_q": True, "delta_max": True}
-        s["pulse"] = _PULSE_KEYS.copy()
-        s["run"] = {"t_final": False, "dt": False}
-    elif kind == "ImpedanceScan":
-        s["diode"] = {"gamma": True, "gamma2": True}
-        s["scan"] = {"ratios": True}
-        s["pulse"] = _PULSE_KEYS.copy()
-        s["run"] = {"t_final": False, "dt": False}
-    return s
-
-
-_RESERVOIR_KEYS = {
-    "f": True,
-    "eps_max": True,
-    "spectrum": False,
-    "coupling": False,
-    "target_gamma": False,
-    "center": False,
-    "width": False,
-    "omegas": False,
-}
-
-_PULSE_KEYS = {
-    "kind": False,
-    "duration": True,
-    "t0": False,
-}
-
-
-def validate_scenario(sc: Scenario) -> None:
-    """Structural validation plus re-checks of module preconditions."""
-    schema = _schema(sc.kind)
-    for section, kv in sc.sections.items():
-        if section not in schema:
-            raise _err(section, f"unknown section for kind {sc.kind}")
-        for key in kv:
-            if key not in schema[section]:
-                raise _err(f"{section}.{key}", f"unknown key for kind {sc.kind}")
-    for section, keys in schema.items():
-        for key, required in keys.items():
-            if required and sc.get(section, key) is None:
-                raise _err(f"{section}.{key}", "required key is missing")
-    # value-level checks go through the builders
-    _stride(sc)
-    if sc.kind in ("LindbladTransfer", "PurificationMap", "DarkState"):
-        _build_lindblad_inputs(sc)
-    elif sc.kind in ("MicroscopicDecay", "ZenoScan", "AntiZenoScan", "InterferenceExact"):
-        _, t_final, _ = _build_reservoir_run(sc)
-        if sc.kind in ("ZenoScan", "AntiZenoScan"):
-            _build_zeno(sc)
-        if sc.kind == "InterferenceExact":
-            _interference_state(sc)
-        else:
-            _fit_window(sc, t_final)
-    elif sc.kind in ("DiodeFull", "DiodeMarkov", "Port2Reflection", "ImpedanceScan"):
-        _build_diode_inputs(sc)
+def _run_times(sc: Scenario, t_final=_REQUIRED, dt=None) -> tuple:
+    """run.t_final and run.dt, each falling back to the kind's default."""
+    return _get(sc, "run.t_final", _as_positive, t_final), _get(sc, "run.dt", _as_positive, dt)
 
 
 # ---------------------------------------------------------------------------
-# typed builders (shared between validation and execution)
+# typed builds: every configuration check a run would make, before it runs
 
 
-def _build_lindblad_inputs(sc: Scenario):
-    dims = _int_list("space.dims", _need(sc, "space", "dims"))
-    if sc.kind == "DarkState" and len(dims) != 3:
-        raise _err("space.dims", "DarkState needs exactly three modes (two upper, one target)")
-    if sc.kind in ("LindbladTransfer", "PurificationMap") and len(dims) != 2:
-        raise _err("space.dims", f"{sc.kind} needs exactly two modes")
-    try:
-        space = fock.ModeSpace(dims)
-    except InvalidInput as exc:
-        raise _err("space.dims", str(exc))
-    gamma = _positive("model.gamma", _as_float("model.gamma", _need(sc, "model", "gamma")))
+def _mode_space(sc: Scenario, n_modes: int) -> fock.ModeSpace:
+    dims = _get(sc, "space.dims", _int_list)
+    if len(dims) != n_modes:
+        raise _err("space.dims", f"this kind needs exactly {n_modes} modes, got {len(dims)}")
+    return _guard("space.dims", fock.ModeSpace, dims)
 
-    raw_state = _need(sc, "initial", "state")
-    toks = raw_state.split()
-    if sc.kind == "DarkState":
-        if raw_state not in ("dark", "bright"):
-            raise _err("initial.state", f"expected dark|bright, got {raw_state!r}")
-        sign = -1.0 if raw_state == "dark" else 1.0
-        v = fock.fock_state(space, (0, 1, 0)) + sign * fock.fock_state(space, (1, 0, 0))
-        rho0 = fock.DensityMatrix.from_state_vector(space, v / np.sqrt(2.0))
-    elif toks[0] == "fock":
+
+def _fock_initial(sc: Scenario, space: fock.ModeSpace) -> fock.DensityMatrix:
+    raw = sc.get("initial", "state")
+    toks = raw.split()
+    if toks[:1] == ["fock"]:
         occ = [_as_int("initial.state", t) for t in toks[1:]]
         if len(occ) != space.n_modes:
             raise _err("initial.state", f"fock needs {space.n_modes} occupation numbers")
-        try:
-            rho0 = fock.fock_density(space, occ)
-        except InvalidInput as exc:
-            raise _err("initial.state", str(exc))
-    elif toks[0] == "mixed":
+        return _guard("initial.state", fock.fock_density, space, occ)
+    if toks[:1] == ["mixed"]:
         weights = {}
         for part in " ".join(toks[1:]).split(";"):
             nums = part.split()
@@ -332,104 +246,108 @@ def _build_lindblad_inputs(sc: Scenario):
                 raise _err("initial.state", "weights must be nonnegative")
             occ = tuple(_as_int("initial.state", x) for x in nums[1:])
             weights[occ] = weights.get(occ, 0.0) + w
-        try:
-            rho0 = fock.mixed_fock_density(space, weights)
-        except InvalidInput as exc:
-            raise _err("initial.state", str(exc))
-    else:
-        raise _err("initial.state", f"expected 'fock ...' or 'mixed ...', got {raw_state!r}")
+        return _guard("initial.state", fock.mixed_fock_density, space, weights)
+    raise _err("initial.state", f"expected 'fock ...' or 'mixed ...', got {raw!r}")
 
-    raw_tf = sc.get("run", "t_final")
-    t_final = (
-        _positive("run.t_final", _as_float("run.t_final", raw_tf))
-        if raw_tf is not None
-        else 30.0 / gamma
-    )
-    dt = _optional_dt(sc)
-    if sc.kind == "DarkState":
-        jump = lindblad.interference_transfer_jump(space, (0, 1), 2)
-    else:
-        jump = lindblad.transfer_jump(space, 0, 1)
+
+def _dark_initial(sc: Scenario, space: fock.ModeSpace) -> fock.DensityMatrix:
+    raw = sc.get("initial", "state")
+    if raw not in ("dark", "bright"):
+        raise _err("initial.state", f"expected dark|bright, got {raw!r}")
+    sign = -1.0 if raw == "dark" else 1.0
+    v = fock.fock_state(space, (0, 1, 0)) + sign * fock.fock_state(space, (1, 0, 0))
+    return fock.DensityMatrix.from_state_vector(space, v / np.sqrt(2.0))
+
+
+def _master_inputs(sc: Scenario, space, jump, rho0) -> SimpleNamespace:
+    """Master-equation inputs; run.t_final defaults to 30/gamma."""
+    gamma = _get(sc, "model.gamma", _as_positive)
     model = lindblad.LindbladModel(space, [(jump, gamma)])
-    if dt is not None and dt > lindblad.stability_limit(model) + 1e-15:
-        raise _err(
-            "run.dt",
-            f"dt * gamma * n_max^2 = {dt * gamma * (max(dims) - 1) ** 2:.3g} "
-            "exceeds the stability guard 0.1",
-        )
-    return space, model, rho0, gamma, t_final, dt
+    t_final, dt = _run_times(sc, 30.0 / gamma)
+    return SimpleNamespace(
+        space=space, model=model, rho0=rho0, gamma=gamma, t_final=t_final,
+        dt=_guard("run.dt", lindblad._check_dt, model, dt), stride=_stride(sc),
+    )
 
 
-def _build_reservoir(sc: Scenario) -> reservoir.ReservoirSpec:
-    f = _as_int("reservoir.f", _need(sc, "reservoir", "f"))
+def _build_transfer(sc: Scenario) -> SimpleNamespace:
+    space = _mode_space(sc, 2)
+    return _master_inputs(sc, space, lindblad.transfer_jump(space, 0, 1), _fock_initial(sc, space))
+
+
+def _build_dark_state(sc: Scenario) -> SimpleNamespace:
+    space = _mode_space(sc, 3)
+    jump = lindblad.interference_transfer_jump(space, (0, 1), 2)
+    return _master_inputs(sc, space, jump, _dark_initial(sc, space))
+
+
+def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.ReservoirSpec:
+    """The [reservoir] spec.  ``target_gamma`` is inverted through the golden
+    rule, or through the loss-filtered diode rate when ``gamma2`` is given."""
+    f = _get(sc, "reservoir.f", _as_int)
     if f < 1:
         raise _err("reservoir.f", f"need at least one spectral class, got {f}")
-    eps_max = _positive("reservoir.eps_max", _as_float("reservoir.eps_max", _need(sc, "reservoir", "eps_max")))
+    eps_max = _get(sc, "reservoir.eps_max", _as_positive)
     spectrum = sc.get("reservoir", "spectrum", "equidistant")
     if spectrum not in reservoir.SPECTRA:
         raise _err("reservoir.spectrum", f"expected one of {reservoir.SPECTRA}, got {spectrum!r}")
     kwargs: dict = {}
     if spectrum == "lorentzian":
-        kwargs["center"] = _as_float("reservoir.center", _need(sc, "reservoir", "center"))
-        kwargs["width"] = _positive("reservoir.width", _as_float("reservoir.width", _need(sc, "reservoir", "width")))
+        kwargs["center"] = _get(sc, "reservoir.center", _as_float)
+        kwargs["width"] = _get(sc, "reservoir.width", _as_positive)
     if spectrum == "custom":
-        kwargs["omegas"] = tuple(_float_list("reservoir.omegas", _need(sc, "reservoir", "omegas")))
+        kwargs["omegas"] = tuple(_get(sc, "reservoir.omegas", _float_list))
 
-    raw_coupling = sc.get("reservoir", "coupling")
-    raw_target = sc.get("reservoir", "target_gamma")
-    if raw_coupling is None and raw_target is None:
+    coupling = _get(sc, "reservoir.coupling", _as_positive, None)
+    target = _get(sc, "reservoir.target_gamma", _as_positive, None)
+    if coupling is None and target is None:
         raise _err("reservoir.coupling", "give either coupling or target_gamma")
-    if raw_coupling is not None and raw_target is not None:
+    if coupling is not None and target is not None:
         raise _err("reservoir.coupling", "coupling and target_gamma are mutually exclusive")
-    if raw_coupling is not None:
-        coupling = _as_float("reservoir.coupling", raw_coupling)
-        _positive("reservoir.coupling", coupling)
-    else:
-        target = _positive("reservoir.target_gamma", _as_float("reservoir.target_gamma", raw_target))
-        if sc.kind == "DiodeFull":
-            gamma2 = _positive("diode.gamma2", _as_float("diode.gamma2", _need(sc, "diode", "gamma2")))
-            coupling = dio.coupling_for_diode_rate(f, eps_max, gamma2, target, spectrum, **kwargs)
-        else:
-            if spectrum != "equidistant":
-                raise _err("reservoir.target_gamma", "rate inversion needs the equidistant spectrum")
-            coupling = reservoir.coupling_for_rate(f, eps_max, target)
-    try:
-        return reservoir.ReservoirSpec(
-            f=f, eps_max=eps_max, coupling=coupling, spectrum=spectrum, **kwargs
-        )
-    except InvalidInput as exc:
-        raise _err("reservoir", str(exc))
+    if target is not None and gamma2 is not None:
+        coupling = dio.coupling_for_diode_rate(f, eps_max, gamma2, target, spectrum, **kwargs)
+    elif target is not None:
+        if spectrum != "equidistant":
+            raise _err("reservoir.target_gamma", "rate inversion needs the equidistant spectrum")
+        coupling = reservoir.coupling_for_rate(f, eps_max, target)
+    return _guard(
+        "reservoir", reservoir.ReservoirSpec,
+        f=f, eps_max=eps_max, coupling=coupling, spectrum=spectrum, **kwargs,
+    )
 
 
-def _optional_dt(sc: Scenario) -> Optional[float]:
-    raw = sc.get("run", "dt")
-    return _positive("run.dt", _as_float("run.dt", raw)) if raw is not None else None
-
-
-def _build_reservoir_run(sc: Scenario):
-    """Reservoir, run.t_final and run.dt (the sampling interval) of a reservoir kind."""
+def _reservoir_run(sc: Scenario) -> tuple:
+    """Spec, run.t_final and run.dt (the sampling interval) of a reservoir kind."""
     spec = _build_reservoir(sc)
-    t_final = _positive("run.t_final", _as_float("run.t_final", _need(sc, "run", "t_final")))
-    return spec, t_final, _optional_dt(sc)
+    t_final, dt = _run_times(sc, dt=reservoir._default_dt(spec))
+    _guard("run.dt", reservoir._check_dt, spec, dt)
+    return spec, t_final, dt
 
 
-def _fit_window(sc: Scenario, t_final: float) -> tuple[float, float]:
-    raw = sc.get("fit", "window")
-    if raw is None:
-        return (0.1 * t_final, t_final)
-    w = _float_list("fit.window", raw)
+def _fit_window(sc: Scenario, t_final: float, dt: float) -> tuple[float, float]:
+    """fit.window (default: the last 90% of the run), with two samples on the run's grid."""
+    w = _get(sc, "fit.window", _float_list, [0.1 * t_final, t_final])
     if len(w) != 2 or w[0] >= w[1]:
         raise _err("fit.window", "window is 't_a t_b' with t_a < t_b")
+    n, step = steps_for(t_final, dt)
+    _guard("fit.window", reservoir._window_mask, np.arange(n + 1) * step, w)
     return (w[0], w[1])
 
 
-def _build_zeno(sc: Scenario) -> tuple[list, int]:
-    taus = [_positive("zeno.taus", t) for t in _float_list("zeno.taus", _need(sc, "zeno", "taus"))]
-    raw_n = sc.get("zeno", "n_measurements")
-    n_meas = _as_int("zeno.n_measurements", raw_n) if raw_n is not None else 60
+def _build_decay(sc: Scenario) -> SimpleNamespace:
+    spec, t_final, dt = _reservoir_run(sc)
+    return SimpleNamespace(spec=spec, t_final=t_final, dt=dt,
+                           window=_fit_window(sc, t_final, dt), stride=_stride(sc, 1))
+
+
+def _build_zeno(sc: Scenario) -> SimpleNamespace:
+    spec, t_final, dt = _reservoir_run(sc)
+    taus = [_positive("zeno.taus", t) for t in _get(sc, "zeno.taus", _float_list)]
+    n_meas = _get(sc, "zeno.n_measurements", _as_int, 60)
     if n_meas < 10:
         raise _err("zeno.n_measurements", f"need at least 10 measurements, got {n_meas}")
-    return taus, n_meas
+    return SimpleNamespace(spec=spec, t_final=t_final, dt=dt, window=_fit_window(sc, t_final, dt),
+                           taus=taus, n_meas=n_meas)
 
 
 _INTERFERENCE_STATES = {
@@ -439,101 +357,77 @@ _INTERFERENCE_STATES = {
 }
 
 
-def _interference_state(sc: Scenario) -> str:
-    name = _need(sc, "initial", "state")
+def _build_interference(sc: Scenario) -> SimpleNamespace:
+    spec, t_final, dt = _reservoir_run(sc)
+    name = sc.get("initial", "state")
     if name not in _INTERFERENCE_STATES:
         raise _err("initial.state", f"expected antisymmetric|symmetric|single, got {name!r}")
-    return name
+    return SimpleNamespace(spec=spec, t_final=t_final, dt=dt, state=name, stride=_stride(sc, 1))
 
 
 def _build_pulse(sc: Scenario) -> dio.Pulse:
     kind = sc.get("pulse", "kind", "gaussian")
     if kind != "gaussian":
         raise _err("pulse.kind", f"scenario files support gaussian pulses, got {kind!r}")
-    duration = _positive("pulse.duration", _as_float("pulse.duration", _need(sc, "pulse", "duration")))
-    raw_t0 = sc.get("pulse", "t0")
-    t0 = _as_float("pulse.t0", raw_t0) if raw_t0 is not None else 3.0 * duration
-    return dio.gaussian_pulse(t0=t0, duration=duration)
+    duration = _get(sc, "pulse.duration", _as_positive)
+    return dio.gaussian_pulse(t0=_get(sc, "pulse.t0", _as_float, 3.0 * duration), duration=duration)
 
 
-def _build_grid(sc: Scenario, section: str, gamma: float) -> dio.ContinuumGrid:
-    n_q = _as_int(f"{section}.n_q", _need(sc, section, "n_q"))
-    delta_max = _positive(
-        f"{section}.delta_max", _as_float(f"{section}.delta_max", _need(sc, section, "delta_max"))
-    )
-    try:
-        return dio.ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=gamma)
-    except InvalidInput as exc:
-        raise _err(section, str(exc))
+def _build_grid(
+    sc: Scenario, section: str, port: str, gamma: float, pulse: dio.Pulse, t_final: float
+) -> dio.ContinuumGrid:
+    n_q = _get(sc, f"{section}.n_q", _as_int)
+    delta_max = _get(sc, f"{section}.delta_max", _as_positive)
+    grid = _guard(section, dio.ContinuumGrid, n_q=n_q, delta_max=delta_max, gamma=gamma)
+    _guard(section, dio._screen_grid, grid, pulse, t_final, port)
+    return grid
 
 
-def _build_diode_inputs(sc: Scenario):
+def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
-    dt = _optional_dt(sc)
-
-    if sc.kind == "DiodeMarkov":
-        gamma = _positive("diode.gamma", _as_float("diode.gamma", _need(sc, "diode", "gamma")))
-        gamma1 = _positive("diode.gamma1", _as_float("diode.gamma1", _need(sc, "diode", "gamma1")))
-        gamma2 = _positive("diode.gamma2", _as_float("diode.gamma2", _need(sc, "diode", "gamma2")))
-        t_final = _run_window(sc, pulse, gamma, gamma1, gamma2)
-        return {"gamma": gamma, "gamma1": gamma1, "gamma2": gamma2, "pulse": pulse,
-                "t_final": t_final, "dt": dt if dt is not None else 0.02}
-
-    if sc.kind == "ImpedanceScan":
-        gamma = _positive("diode.gamma", _as_float("diode.gamma", _need(sc, "diode", "gamma")))
-        gamma2 = _positive("diode.gamma2", _as_float("diode.gamma2", _need(sc, "diode", "gamma2")))
-        ratios = _float_list("scan.ratios", _need(sc, "scan", "ratios"))
-        for r in ratios:
-            _positive("scan.ratios", r)
-        t_final = _run_window(sc, pulse, gamma, gamma2)
-        return {"gamma": gamma, "gamma2": gamma2, "ratios": ratios, "pulse": pulse,
-                "t_final": t_final, "dt": dt if dt is not None else 0.02}
-
-    if sc.kind == "Port2Reflection":
-        gamma2 = _positive("diode.gamma2", _as_float("diode.gamma2", _need(sc, "diode", "gamma2")))
-        grid2 = _build_grid(sc, "grid2", gamma2)
-        t_final = _run_window(sc, pulse, gamma2)
-        _precheck_grid(sc, "grid2", grid2, pulse, t_final)
-        return {"gamma2": gamma2, "grid2": grid2, "pulse": pulse, "t_final": t_final, "dt": dt}
-
-    # DiodeFull
-    gamma1 = _positive("diode.gamma1", _as_float("diode.gamma1", _need(sc, "diode", "gamma1")))
-    gamma2 = _positive("diode.gamma2", _as_float("diode.gamma2", _need(sc, "diode", "gamma2")))
-    spec = _build_reservoir(sc)
+    gamma1 = _get(sc, "diode.gamma1", _as_positive)
+    gamma2 = _get(sc, "diode.gamma2", _as_positive)
+    spec = _build_reservoir(sc, gamma2)
     gamma_eff = dio.loaded_transfer_rate(spec, gamma2)
-    grid1 = _build_grid(sc, "grid1", gamma1)
-    grid2 = _build_grid(sc, "grid2", gamma2)
-    t_final = _run_window(sc, pulse, gamma_eff, gamma1, gamma2)
-    _precheck_grid(sc, "grid1", grid1, pulse, t_final)
-    _precheck_grid(sc, "grid2", grid2, pulse, t_final)
-    return {"spec": spec, "gamma_eff": gamma_eff, "gamma1": gamma1, "gamma2": gamma2,
-            "grid1": grid1, "grid2": grid2, "pulse": pulse, "t_final": t_final, "dt": dt}
+    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2))
+    grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
+    grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
+    dt = _guard("run.dt", dio._diode_dt, dt, grid1.delta_max, grid2.delta_max, spec.eps_max)
+    return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
+                           grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
 
 
-def _run_window(sc: Scenario, pulse: dio.Pulse, *rates: float) -> float:
-    raw = sc.get("run", "t_final")
-    if raw is not None:
-        return _positive("run.t_final", _as_float("run.t_final", raw))
-    return dio.simulation_window(pulse, *rates)
+def _build_diode_markov(sc: Scenario) -> SimpleNamespace:
+    pulse = _build_pulse(sc)
+    gamma = _get(sc, "diode.gamma", _as_positive)
+    gamma1 = _get(sc, "diode.gamma1", _as_positive)
+    gamma2 = _get(sc, "diode.gamma2", _as_positive)
+    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma1, gamma2), 0.02)
+    return SimpleNamespace(gamma=gamma, gamma1=gamma1, gamma2=gamma2, pulse=pulse,
+                           t_final=t_final, dt=dt, stride=_stride(sc, 1))
 
 
-def _precheck_grid(sc, section, grid, pulse, t_final):
-    if pulse.bandwidth > grid.delta_max / 5.0:
-        raise _err(
-            f"{section}.delta_max",
-            f"pulse bandwidth {pulse.bandwidth:.3g} exceeds delta_max/5 = "
-            f"{grid.delta_max / 5.0:.3g} (pulse spectrum must fit the grid)",
-        )
-    if grid.recurrence_time <= t_final:
-        raise _err(
-            f"{section}.n_q",
-            f"comb recurrence {grid.recurrence_time:.4g} is inside the simulation "
-            f"window {t_final:.4g}; increase n_q or decrease delta_max",
-        )
+def _build_port2_reflection(sc: Scenario) -> SimpleNamespace:
+    pulse = _build_pulse(sc)
+    gamma2 = _get(sc, "diode.gamma2", _as_positive)
+    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma2))
+    grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
+    dt = _guard("run.dt", dio._diode_dt, dt, grid2.delta_max)
+    return SimpleNamespace(gamma2=gamma2, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
+
+
+def _build_impedance_scan(sc: Scenario) -> SimpleNamespace:
+    pulse = _build_pulse(sc)
+    gamma = _get(sc, "diode.gamma", _as_positive)
+    gamma2 = _get(sc, "diode.gamma2", _as_positive)
+    ratios = [_positive("scan.ratios", r) for r in _get(sc, "scan.ratios", _float_list)]
+    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma2), 0.02)
+    return SimpleNamespace(gamma=gamma, gamma2=gamma2, ratios=ratios, pulse=pulse,
+                           t_final=t_final, dt=dt)
 
 
 # ---------------------------------------------------------------------------
-# execution
+# execution: every runner works on the inputs its kind's build returned
 
 
 @dataclass
@@ -555,20 +449,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _stride(sc: Scenario, default: int = 10) -> int:
-    raw = sc.get("output", "stride")
-    if raw is None:
-        return default
-    n = _as_int("output.stride", raw)
-    if n < 1:
-        raise _err("output.stride", f"stride must be >= 1, got {n}")
-    return n
-
-
 def _check(outcome: RunOutcome, name: str, value: float, ok: bool) -> None:
     outcome.invariants[name] = value
     if not ok:
         outcome.invariant_failures.append(name)
+
+
+def _strided(n: int, stride: int) -> np.ndarray:
+    """Every ``stride``-th of ``n`` sample indices, always ending with the last."""
+    idx = np.arange(0, n, stride)
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
+    return idx
 
 
 def _lindblad_invariants(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
@@ -579,21 +471,21 @@ def _lindblad_invariants(outcome: RunOutcome, res: lindblad.EvolutionResult) -> 
     _check(outcome, "hermiticity_defect", herm, herm <= 1e-12)
 
 
-def _run_lindblad_transfer(sc: Scenario) -> RunOutcome:
-    space, model, rho0, gamma, t_final, dt = _build_lindblad_inputs(sc)
-    res = lindblad.evolve(model, rho0, t_final, dt=dt, snapshot_stride=_stride(sc))
-    out = RunOutcome()
-    out.derived = {"gamma": gamma, "total_dim": space.total_dim}
+def _evolve_master(c: SimpleNamespace) -> lindblad.EvolutionResult:
+    return lindblad.evolve(c.model, c.rho0, c.t_final, dt=c.dt, snapshot_stride=c.stride)
+
+
+def _transfer_timeseries(res: lindblad.EvolutionResult) -> tuple:
+    columns = ["pop_mode1", "pop_mode2", "purity", "trace"]
+    rows = zip(res.times, *(res.observables[k] for k in columns))
+    return ("timeseries.csv", ["t"] + columns, rows)
+
+
+def _run_lindblad_transfer(c: SimpleNamespace) -> RunOutcome:
+    res = _evolve_master(c)
+    out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
     _lindblad_invariants(out, res)
-    header = ["t", "pop_mode1", "pop_mode2", "purity", "trace"]
-    rows = zip(
-        res.times,
-        res.observables["pop_mode1"],
-        res.observables["pop_mode2"],
-        res.observables["purity"],
-        res.observables["trace"],
-    )
-    out.csv_files.append(("timeseries.csv", header, rows))
+    out.csv_files.append(_transfer_timeseries(res))
     out.results = {
         "pop_mode1_final": res.observables["pop_mode1"][-1],
         "pop_mode2_final": res.observables["pop_mode2"][-1],
@@ -602,26 +494,16 @@ def _run_lindblad_transfer(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _run_purification_map(sc: Scenario) -> RunOutcome:
-    space, model, rho0, gamma, t_final, dt = _build_lindblad_inputs(sc)
-    res = lindblad.evolve(model, rho0, t_final, dt=dt, snapshot_stride=_stride(sc))
-    report = lindblad.purification_predicate(rho0)
+def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
+    res = _evolve_master(c)
+    report = lindblad.purification_predicate(c.rho0)
     dist = fock.trace_distance(res.states[-1], report.final_state)
-    out = RunOutcome()
-    out.derived = {"gamma": gamma, "total_dim": space.total_dim}
+    out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
     if report.witness is not None:
         out.derived["witness_abs"] = " ".join(_fmt(a) for a in np.abs(report.witness))
     _lindblad_invariants(out, res)
     _check(out, "evolve_vs_map_distance", dist, dist <= 1e-4)
-    header = ["t", "pop_mode1", "pop_mode2", "purity", "trace"]
-    rows = zip(
-        res.times,
-        res.observables["pop_mode1"],
-        res.observables["pop_mode2"],
-        res.observables["purity"],
-        res.observables["trace"],
-    )
-    out.csv_files.append(("timeseries.csv", header, rows))
+    out.csv_files.append(_transfer_timeseries(res))
     out.results = {
         "map_purity": report.purity,
         "pure": float(report.pure),
@@ -631,15 +513,13 @@ def _run_purification_map(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _run_dark_state(sc: Scenario) -> RunOutcome:
-    space, model, rho0, gamma, t_final, dt = _build_lindblad_inputs(sc)
-    res = lindblad.evolve(model, rho0, t_final, dt=dt, snapshot_stride=_stride(sc))
+def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
+    res = _evolve_master(c)
     # fidelity against the initial pure state
-    vals, vecs = np.linalg.eigh(rho0.matrix)
+    vals, vecs = np.linalg.eigh(c.rho0.matrix)
     psi = vecs[:, -1]
     fid = np.array([np.real(psi.conj() @ dm.matrix @ psi) for dm in res.states])
-    out = RunOutcome()
-    out.derived = {"gamma": gamma}
+    out = RunOutcome(derived={"gamma": c.gamma})
     _lindblad_invariants(out, res)
     rate, residual = reservoir.fit_decay_rate(
         res.times, np.maximum(fid, 1e-300), (res.times[0], res.times[-1])
@@ -654,35 +534,21 @@ def _run_dark_state(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _microscopic_invariants(outcome: RunOutcome, drift: float, t_final: float) -> None:
-    bound = 1e-9 * max(1.0, t_final)
-    _check(outcome, "norm_drift", drift, drift <= bound)
-
-
-def _run_microscopic_decay(sc: Scenario) -> RunOutcome:
-    spec, t_final, dt = _build_reservoir_run(sc)
-    traj = reservoir.evolve_exact(spec, None, t_final=t_final, dt=dt, snapshot_stride=10**9)
+def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
+    spec = c.spec
+    traj = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt, snapshot_stride=10**9)
     _, c0_f, c_f = traj.snapshots[-1]
     drift = abs(abs(c0_f) ** 2 + float(np.sum(np.abs(c_f) ** 2)) - 1.0)
-    out = RunOutcome()
-    out.derived = {
+    equidistant = spec.spectrum == "equidistant"
+    out = RunOutcome(derived={
         "coupling": float(abs(spec.coupling)),
         "spectrum": spec.spectrum,
-        "recurrence_time": (
-            reservoir.recurrence_time(spec) if spec.spectrum == "equidistant" else float("nan")
-        ),
-    }
-    gamma_markov = (
-        reservoir.markov_rate(spec) if spec.spectrum == "equidistant" else float("nan")
-    )
-    gamma_fit, residual = reservoir.fit_decay_rate(
-        traj.times, traj.survival, _fit_window(sc, t_final)
-    )
-    _microscopic_invariants(out, drift, t_final)
-    stride = _stride(sc, 1)
-    idx = np.arange(0, traj.times.size, stride)
-    if idx[-1] != traj.times.size - 1:
-        idx = np.append(idx, traj.times.size - 1)
+        "recurrence_time": reservoir.recurrence_time(spec) if equidistant else float("nan"),
+    })
+    gamma_markov = reservoir.markov_rate(spec) if equidistant else float("nan")
+    gamma_fit, residual = reservoir.fit_decay_rate(traj.times, traj.survival, c.window)
+    _check(out, "norm_drift", drift, drift <= 1e-9 * max(1.0, c.t_final))
+    idx = _strided(traj.times.size, c.stride)
     out.csv_files.append(
         ("timeseries.csv", ["t", "survival"], zip(traj.times[idx], traj.survival[idx]))
     )
@@ -695,17 +561,14 @@ def _run_microscopic_decay(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _run_zeno_scan(sc: Scenario) -> RunOutcome:
-    spec, t_final, dt = _build_reservoir_run(sc)
-    taus, n_meas = _build_zeno(sc)
+def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
+    spec = c.spec
+    free = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt)
+    gamma_free, _ = reservoir.fit_decay_rate(free.times, free.survival, c.window)
 
-    free = reservoir.evolve_exact(spec, None, t_final=t_final, dt=dt)
-    gamma_free, _ = reservoir.fit_decay_rate(free.times, free.survival, _fit_window(sc, t_final))
-
-    results = reservoir.zeno_scan(spec, taus, n_measurements=n_meas, dt=dt)
-    out = RunOutcome()
-    out.derived = {"coupling": float(abs(spec.coupling)), "spectrum": spec.spectrum,
-                   "n_measurements": n_meas}
+    results = reservoir.zeno_scan(spec, c.taus, n_measurements=c.n_meas, dt=c.dt)
+    out = RunOutcome(derived={"coupling": float(abs(spec.coupling)), "spectrum": spec.spectrum,
+                              "n_measurements": c.n_meas})
     rows = []
     for i, r in enumerate(results):
         rows.append((r.tau_m, r.gamma_eff, r.gamma_eff / gamma_free, r.fit_residual))
@@ -733,18 +596,12 @@ def _run_zeno_scan(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _run_interference(sc: Scenario) -> RunOutcome:
-    spec, t_final, dt = _build_reservoir_run(sc)
-    name = _interference_state(sc)
-    state0 = _INTERFERENCE_STATES[name](spec.f)
-    traj = reservoir.interference_evolve(spec, state0, t_final, dt=dt)
+def _run_interference(c: SimpleNamespace) -> RunOutcome:
+    state0 = _INTERFERENCE_STATES[c.state](c.spec.f)
+    traj = reservoir.interference_evolve(c.spec, state0, c.t_final, dt=c.dt)
     surv = traj.survival
-    out = RunOutcome()
-    out.derived = {"coupling": float(abs(spec.coupling)), "initial": name}
-    stride = _stride(sc, 1)
-    idx = np.arange(0, traj.times.size, stride)
-    if idx[-1] != traj.times.size - 1:
-        idx = np.append(idx, traj.times.size - 1)
+    out = RunOutcome(derived={"coupling": float(abs(c.spec.coupling)), "initial": c.state})
+    idx = _strided(traj.times.size, c.stride)
     out.csv_files.append(
         (
             "timeseries.csv",
@@ -761,14 +618,10 @@ def _run_interference(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _run_diode_full(sc: Scenario) -> RunOutcome:
-    cfg = _build_diode_inputs(sc)
-    spec, gamma_eff = cfg["spec"], cfg["gamma_eff"]
-    gamma1, gamma2 = cfg["gamma1"], cfg["gamma2"]
-    grid1, grid2, pulse, t_final = cfg["grid1"], cfg["grid2"], cfg["pulse"], cfg["t_final"]
-    p0 = dio.project_pulse(grid1, pulse)
-    traj = dio.evolve_full(grid1, grid2, spec, p0, t_final, dt=cfg["dt"])
-    mk = dio.evolve_markov(gamma_eff, gamma1, gamma2, pulse, t_final, dt=0.02)
+def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
+    p0 = dio.project_pulse(c.grid1, c.pulse)
+    traj = dio.evolve_full(c.grid1, c.grid2, c.spec, p0, c.t_final, dt=c.dt)
+    mk = dio.evolve_markov(c.gamma_eff, c.gamma1, c.gamma2, c.pulse, c.t_final, dt=0.02)
     dec = dio.port2_output_decomposition(traj)
 
     qf = traj.q_abs2
@@ -781,14 +634,13 @@ def _run_diode_full(sc: Scenario) -> RunOutcome:
     rmask = rho_m > 0.01 * rho_m.max()
     rho_err = float(np.max(np.abs(dec.rho_out[rmask] - rho_m[rmask]) / rho_m[rmask]))
 
-    out = RunOutcome()
-    out.derived = {
-        "coupling": float(abs(spec.coupling)),
-        "gamma_effective": gamma_eff,
-        "kappa1": grid1.kappa,
-        "kappa2": grid2.kappa,
-        "t_final": t_final,
-    }
+    out = RunOutcome(derived={
+        "coupling": float(abs(c.spec.coupling)),
+        "gamma_effective": c.gamma_eff,
+        "kappa1": c.grid1.kappa,
+        "kappa2": c.grid2.kappa,
+        "t_final": c.t_final,
+    })
     _check(out, "norm_drift", traj.norm_drift, traj.norm_drift <= 1e-8)
     energy = traj.port1[-1] + traj.port2[-1] + traj.cavity1[-1] + traj.mode2[-1]
     _check(out, "energy_sum", energy, abs(energy - 1.0) <= 1e-6)
@@ -823,23 +675,16 @@ def _port_invariants(outcome: RunOutcome, results, leakage, port2_yield) -> None
     _check(outcome, "leakage_plus_yield", total, total <= 1.0 + 1e-6)
 
 
-def _run_diode_markov(sc: Scenario) -> RunOutcome:
-    cfg = _build_diode_inputs(sc)
-    mk = dio.evolve_markov(
-        cfg["gamma"], cfg["gamma1"], cfg["gamma2"], cfg["pulse"], cfg["t_final"], cfg["dt"]
-    )
-    out = RunOutcome()
-    out.derived = {"t_final": cfg["t_final"], "dt": cfg["dt"]}
+def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
+    mk = dio.evolve_markov(c.gamma, c.gamma1, c.gamma2, c.pulse, c.t_final, c.dt)
+    out = RunOutcome(derived={"t_final": c.t_final, "dt": c.dt})
     out.results = {
         "leakage": mk.leakage,
         "port2_yield": mk.yield_convolved,
         "yield_factorized": mk.yield_factorized,
     }
     _port_invariants(out, list(out.results.values()), mk.leakage, mk.yield_convolved)
-    stride = _stride(sc, 1)
-    idx = np.arange(0, mk.times.size, stride)
-    if idx[-1] != mk.times.size - 1:
-        idx = np.append(idx, mk.times.size - 1)
+    idx = _strided(mk.times.size, c.stride)
     out.csv_files.append(
         (
             "timeseries.csv",
@@ -856,11 +701,9 @@ def _run_diode_markov(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _run_port2_reflection(sc: Scenario) -> RunOutcome:
-    cfg = _build_diode_inputs(sc)
-    ref = dio.reflect_port2(cfg["grid2"], cfg["pulse"], cfg["gamma2"], cfg["t_final"], cfg["dt"])
-    out = RunOutcome()
-    out.derived = {"t_final": cfg["t_final"], "gamma2": cfg["gamma2"]}
+def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
+    ref = dio.reflect_port2(c.grid2, c.pulse, c.gamma2, c.t_final, c.dt)
+    out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2})
     _check(out, "out_norm", ref.out_norm, abs(ref.out_norm - 1.0) <= 1e-8)
     out.csv_files.append(
         (
@@ -873,13 +716,9 @@ def _run_port2_reflection(sc: Scenario) -> RunOutcome:
     return out
 
 
-def _run_impedance_scan(sc: Scenario) -> RunOutcome:
-    cfg = _build_diode_inputs(sc)
-    rows = dio.impedance_scan(
-        cfg["gamma"], cfg["gamma2"], cfg["pulse"], cfg["ratios"], cfg["t_final"], cfg["dt"]
-    )
-    out = RunOutcome()
-    out.derived = {"t_final": cfg["t_final"]}
+def _run_impedance_scan(c: SimpleNamespace) -> RunOutcome:
+    rows = dio.impedance_scan(c.gamma, c.gamma2, c.pulse, c.ratios, c.t_final, c.dt)
+    out = RunOutcome(derived={"t_final": c.t_final})
     table = np.array(rows)
     _port_invariants(out, table, table[:, 1], table[:, 2])
     out.csv_files.append(
@@ -890,38 +729,122 @@ def _run_impedance_scan(sc: Scenario) -> RunOutcome:
     return out
 
 
-_RUNNERS: dict[str, Callable[[Scenario], RunOutcome]] = {
-    "LindbladTransfer": _run_lindblad_transfer,
-    "PurificationMap": _run_purification_map,
-    "DarkState": _run_dark_state,
-    "MicroscopicDecay": _run_microscopic_decay,
-    "ZenoScan": _run_zeno_scan,
-    "AntiZenoScan": _run_zeno_scan,
-    "InterferenceExact": _run_interference,
-    "DiodeFull": _run_diode_full,
-    "DiodeMarkov": _run_diode_markov,
-    "Port2Reflection": _run_port2_reflection,
-    "ImpedanceScan": _run_impedance_scan,
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+@dataclass
+class _Kind:
+    sections: dict  # section -> {key: required}, besides [scenario] and [output]
+    build: Callable[[Scenario], SimpleNamespace]  # typed parse and every configuration check
+    run: Callable[[SimpleNamespace], RunOutcome]  # sees only what build returned
+    fields: tuple  # results listed by the CLI and by scan summaries
+
+
+_COMMON = {
+    "scenario": {"name": True, "kind": True},
+    "output": {"dir": False, "stride": False},
+}
+_RESERVOIR = {
+    "f": True, "eps_max": True, "spectrum": False, "coupling": False,
+    "target_gamma": False, "center": False, "width": False, "omegas": False,
+}
+_PULSE = {"kind": False, "duration": True, "t0": False}
+_GRID = {"n_q": True, "delta_max": True}
+_RUN = {"t_final": True, "dt": False}
+_RUN_OPTIONAL = {"t_final": False, "dt": False}
+_MASTER = {
+    "space": {"dims": True}, "model": {"gamma": True}, "initial": {"state": True}, "run": _RUN,
+}
+_ZENO = _Kind(
+    {"reservoir": _RESERVOIR, "zeno": {"taus": True, "n_measurements": False}, "run": _RUN,
+     "fit": {"window": False}},
+    _build_zeno, _run_zeno_scan,
+    ("gamma_free", "gamma_eff_min", "gamma_eff_max", "max_ratio_to_free", "monotone_in_tau"),
+)
+
+_KINDS: dict[str, _Kind] = {
+    "LindbladTransfer": _Kind(
+        _MASTER, _build_transfer, _run_lindblad_transfer,
+        ("pop_mode1_final", "pop_mode2_final", "purity_final"),
+    ),
+    "PurificationMap": _Kind(
+        {**_MASTER, "run": _RUN_OPTIONAL}, _build_transfer, _run_purification_map,
+        ("map_purity", "pure", "evolve_vs_map_distance", "purity_final"),
+    ),
+    "DarkState": _Kind(
+        _MASTER, _build_dark_state, _run_dark_state,
+        ("fidelity_final", "fidelity_min", "fitted_rate", "fit_residual"),
+    ),
+    "MicroscopicDecay": _Kind(
+        {"reservoir": _RESERVOIR, "run": _RUN, "fit": {"window": False}},
+        _build_decay, _run_microscopic_decay,
+        ("gamma_markov", "gamma_fit", "fit_residual", "survival_final"),
+    ),
+    "ZenoScan": _ZENO,
+    "AntiZenoScan": _ZENO,
+    "InterferenceExact": _Kind(
+        {"reservoir": _RESERVOIR, "run": _RUN, "initial": {"state": True}},
+        _build_interference, _run_interference,
+        ("survival_final", "survival_min"),
+    ),
+    "DiodeFull": _Kind(
+        {"reservoir": _RESERVOIR, "diode": {"gamma1": True, "gamma2": True}, "grid1": _GRID,
+         "grid2": _GRID, "pulse": _PULSE, "run": _RUN_OPTIONAL},
+        _build_diode_full, _run_diode_full,
+        ("leakage", "port2_yield", "q_match_rel_err", "rho_out_match_rel_err",
+         "min_overlap", "weighted_purity", "norm_drift"),
+    ),
+    "DiodeMarkov": _Kind(
+        {"diode": {"gamma": True, "gamma1": True, "gamma2": True}, "pulse": _PULSE,
+         "run": _RUN_OPTIONAL},
+        _build_diode_markov, _run_diode_markov,
+        ("leakage", "port2_yield", "yield_factorized"),
+    ),
+    "Port2Reflection": _Kind(
+        {"diode": {"gamma2": True}, "grid2": _GRID, "pulse": _PULSE, "run": _RUN_OPTIONAL},
+        _build_port2_reflection, _run_port2_reflection,
+        ("out_norm", "delay"),
+    ),
+    "ImpedanceScan": _Kind(
+        {"diode": {"gamma": True, "gamma2": True}, "scan": {"ratios": True}, "pulse": _PULSE,
+         "run": _RUN_OPTIONAL},
+        _build_impedance_scan, _run_impedance_scan,
+        ("best_ratio", "min_leakage"),
+    ),
 }
 
-_SUMMARY_FIELDS: dict[str, tuple] = {
-    "LindbladTransfer": ("pop_mode1_final", "pop_mode2_final", "purity_final"),
-    "PurificationMap": ("map_purity", "pure", "evolve_vs_map_distance", "purity_final"),
-    "DarkState": ("fidelity_final", "fidelity_min", "fitted_rate", "fit_residual"),
-    "MicroscopicDecay": ("gamma_markov", "gamma_fit", "fit_residual", "survival_final"),
-    "ZenoScan": ("gamma_free", "gamma_eff_min", "gamma_eff_max", "max_ratio_to_free", "monotone_in_tau"),
-    "AntiZenoScan": ("gamma_free", "gamma_eff_min", "gamma_eff_max", "max_ratio_to_free", "monotone_in_tau"),
-    "InterferenceExact": ("survival_final", "survival_min"),
-    "DiodeFull": ("leakage", "port2_yield", "q_match_rel_err", "rho_out_match_rel_err",
-                  "min_overlap", "weighted_purity", "norm_drift"),
-    "DiodeMarkov": ("leakage", "port2_yield", "yield_factorized"),
-    "Port2Reflection": ("out_norm", "delay"),
-    "ImpedanceScan": ("best_ratio", "min_leakage"),
-}
+KINDS = tuple(_KINDS)
+
+
+def validate_scenario(sc: Scenario) -> SimpleNamespace:
+    """Check the sections and keys against the kind's schema, then build.
+
+    The build parses every value and runs every configuration check a
+    run would make; its result is what the kind's runner receives.
+    """
+    kind = _KINDS[sc.kind]
+    schema = {**_COMMON, **kind.sections}
+    for section, kv in sc.sections.items():
+        if section not in schema:
+            raise _err(section, f"unknown section for kind {sc.kind}")
+        for key in kv:
+            if key not in schema[section]:
+                raise _err(f"{section}.{key}", f"unknown key for kind {sc.kind}")
+    for section, keys in schema.items():
+        for key, required in keys.items():
+            if required and sc.get(section, key) is None:
+                raise _err(f"{section}.{key}", "required key is missing")
+    _stride(sc)
+    return kind.build(sc)
 
 
 def summary_fields(kind: str) -> tuple:
-    return _SUMMARY_FIELDS[kind]
+    return _KINDS[kind].fields
+
+
+# ---------------------------------------------------------------------------
+# outputs
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -969,7 +892,7 @@ def run_scenario(sc: Scenario, outdir) -> RunOutcome:
     failures are recorded in it and then raised as InvariantViolation.
     """
     start = time.perf_counter()
-    outcome = _RUNNERS[sc.kind](sc)
+    outcome = _KINDS[sc.kind].run(validate_scenario(sc))
     wall = time.perf_counter() - start
 
     out = Path(outdir)
@@ -988,11 +911,8 @@ def run_scenario(sc: Scenario, outdir) -> RunOutcome:
 
 
 def _scan_point(args):
-    sc, section, key, value, outdir = args
-    mod = sc.with_override(section, key, _fmt(value))
-    mod = Scenario(mod.name, mod.kind, mod.sections)
-    validate_scenario(mod)
-    outcome = run_scenario(mod, outdir)
+    value, sc, outdir = args
+    outcome = run_scenario(sc, outdir)
     return [value] + [outcome.results[f] for f in summary_fields(sc.kind)]
 
 
@@ -1000,9 +920,10 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     """Run one scenario per axis value, collecting a fixed-order summary.
 
     ``axis`` is ``section.key`` and must name a numeric scalar in the
-    scenario.  Rows appear in the order of ``values`` regardless of
-    execution order, and each row is identical to an independent run of
-    the modified scenario.
+    scenario.  Every point is validated before any point runs, so a
+    configuration error leaves nothing written.  Rows appear in the order
+    of ``values`` regardless of execution order, and each row is identical
+    to an independent run of the modified scenario.
     """
     if "." not in axis:
         raise ScenarioError(f"axis must be 'section.key', got {axis!r}")
@@ -1014,13 +935,19 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     except ValueError:
         raise ScenarioError(f"axis {axis}: existing value is not a numeric scalar")
     values = [_as_float(axis, str(v)) for v in values]
+    points = [sc.with_override(section, key, _fmt(v)) for v in values]
+    for value, point in zip(values, points):
+        try:
+            validate_scenario(point)
+        except (ScenarioError, ConfigurationError, InvalidInput) as exc:
+            raise ScenarioError(f"scan point {axis} = {_fmt(value)}: {exc}")
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (sc, section, key, v, out / f"point_{i:03d}") for i, v in enumerate(values)
-    ]
-    if jobs > 1 and len(tasks) > 1:
+    tasks = [(v, p, out / f"point_{i:03d}") for i, (v, p) in enumerate(zip(values, points))]
+    # the default fork start method forks every worker up front
+    jobs = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from photonflow.cli import main
 from photonflow.errors import ScenarioError
 from photonflow.scenario import (
+    KINDS,
     RunOutcome,
+    parse_scenario,
     parse_scenario_text,
     run_scenario,
     scan_scenario,
@@ -89,6 +93,25 @@ duration = 8.0
 [run]
 dt = 0.01
 """
+
+
+PORT2_SCENARIO = """
+[scenario]
+name = refl
+kind = Port2Reflection
+
+[diode]
+gamma2 = 2.0
+
+[grid2]
+n_q = 400
+delta_max = 4.0
+
+[pulse]
+duration = 4.0
+"""
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def micro_coupling():
@@ -235,7 +258,7 @@ def test_invariant_failure_recorded_and_raised(tmp_path, monkeypatch):
         sc_mod._check(out, "trace_drift", 1.0, False)
         return out
 
-    monkeypatch.setitem(sc_mod._RUNNERS, "LindbladTransfer", failing_runner)
+    monkeypatch.setattr(sc_mod._KINDS["LindbladTransfer"], "run", failing_runner)
     sc = parse_scenario_text(LINDBLAD_SCENARIO)
     from photonflow.errors import InvariantViolation
 
@@ -346,7 +369,7 @@ def test_cli_invariant_failure_exit_code(tmp_path, monkeypatch):
         sc_mod._check(out, "norm_drift", 1.0, False)
         return out
 
-    monkeypatch.setitem(sc_mod._RUNNERS, "LindbladTransfer", failing_runner)
+    monkeypatch.setattr(sc_mod._KINDS["LindbladTransfer"], "run", failing_runner)
     path = write(tmp_path, "sc.ini", LINDBLAD_SCENARIO)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
 
@@ -377,6 +400,68 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):
     assert main(["validate", path]) == 2
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    (ZENO_SCENARIO.replace("t_final = 2.5", "t_final = 2.5\ndt = 1.0"), "run.dt"),
+    (MICRO_SCENARIO.format(coupling=micro_coupling())
+     .replace("t_final = 2.5", "t_final = 3").replace("window = 0.4 2.5", "window = 5 6"),
+     "fit.window"),
+    (PORT2_SCENARIO + "\n[run]\ndt = 5.0\n", "run.dt"),
+    (LINDBLAD_SCENARIO.replace("state = fock 1 0", "state ="), "initial.state"),
+], ids=["zeno-dt", "decay-window", "port2-dt", "empty-state"])
+def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, text, key):
+    path = write(tmp_path, "v.ini", text)
+    assert main(["validate", path]) == 2
+    assert key in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_scan_checks_every_point_before_running(tmp_path, capsys):
+    text = MICRO_SCENARIO.format(coupling=micro_coupling()).replace(
+        "t_final = 2.5", "t_final = 2.5\ndt = 0.0005")
+    path = write(tmp_path, "sc.ini", text)
+    rc = main(["scan", path, "--axis", "run.dt", "--values", "0.0005,1.0",
+               "--out", str(tmp_path / "scan")])
+    assert rc == 2
+    assert "run.dt" in capsys.readouterr().err
+    assert not (tmp_path / "scan").exists()
+
+
+@pytest.mark.parametrize("n_points, cpus", [(2, 64), (3, 2)])
+def test_scan_clamps_worker_count(tmp_path, monkeypatch, n_points, cpus):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    sc = parse_scenario_text(MICRO_SCENARIO.format(coupling=micro_coupling()))
+    values = [60, 120, 180][:n_points]
+    rows = scan_scenario(sc, "reservoir.f", values, tmp_path / "scan", jobs=5000)
+    assert started == [2]
+    assert [r[0] for r in rows] == values
+
+
+def test_shipped_scenarios_validate_and_cover_every_kind():
+    paths = sorted(SCENARIO_DIR.glob("*.ini"))
+    assert all(main(["validate", str(p)]) == 0 for p in paths)
+    assert {parse_scenario(p).kind for p in paths} == set(KINDS)
 
 
 def test_cli_scan_rejects_non_numeric_values(tmp_path, capsys):
