@@ -62,6 +62,8 @@ def main(argv=None) -> int:
             return 0
         # scan
         values = [v for v in args.values.split(",") if v.strip() != ""]
+        if not values:
+            raise ScenarioError("--values: no scan values given")
         outdir = _outdir(sc, args.out, suffix="_scan")
         scan_scenario(sc, args.axis, values, outdir, jobs=args.jobs)
         print(f"scan summary written to {outdir / 'scan_summary.csv'}")

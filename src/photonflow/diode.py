@@ -23,6 +23,10 @@ Model conventions
       dR_l/dt = +i conj(g) exp(-i w_l t) Q - i k2 sum_q S_ql
       dS_ql/dt= -i d2_q S_ql - i k2 R_l
 
+  This generator depends on time through exp(+-i w_l t) and is integrated
+  with fixed-step RK4.  The port-2 reflection off the bare cavity has a
+  time-independent arrowhead generator and is propagated exactly through
+  its closed-form eigenpairs (``_integrate._ExactPropagator``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
@@ -62,7 +66,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import steps_for
+from ._integrate import _ExactPropagator, steps_for
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -198,7 +202,7 @@ def custom_pulse(times: Sequence[float], values: Sequence[complex]) -> Pulse:
     return Pulse(kind="custom", sample_times=times, sample_values=values)
 
 
-def project_pulse(grid: ContinuumGrid, pulse: Pulse, check: bool = True) -> np.ndarray:
+def project_pulse(grid: ContinuumGrid, pulse: Pulse) -> np.ndarray:
     """Mode amplitudes of a pulse on the comb, normalized exactly to 1.
 
     Fails if the pulse spectrum does not fit the grid: analytic shapes
@@ -211,7 +215,7 @@ def project_pulse(grid: ContinuumGrid, pulse: Pulse, check: bool = True) -> np.n
     if norm == 0:
         raise ConfigurationError("pulse has no overlap with the grid")
     amps = amps / norm
-    if check and grid.n_q > 2:
+    if grid.n_q > 2:
         lo, hi = pulse.support()
         # the comb is periodic; never compare across more than one period
         span_cap = 0.9 * grid.recurrence_time
@@ -390,12 +394,11 @@ def evolve_full(
     p0: np.ndarray,
     t_final: float,
     dt: Optional[float] = None,
-    sample_stride: Optional[int] = None,
 ) -> DiodeTrajectory:
     """Integrate the full four-port system with RK4, photon in port 1.
 
     The cavity amplitudes start empty.  |Q|^2 is recorded every step;
-    the port and cavity populations every ``sample_stride`` steps.
+    the port and cavity populations every max(1, round(0.1 / dt)) steps.
     """
     n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
     p0 = np.asarray(p0, dtype=complex)
@@ -405,8 +408,7 @@ def evolve_full(
     _check_window(grid1, t_final, "port-1")
     _check_window(grid2, t_final, "port-2")
     nsteps, dt = steps_for(t_final, dt)
-    if sample_stride is None:
-        sample_stride = max(1, int(round(0.1 / dt)))
+    sample_stride = max(1, int(round(0.1 / dt)))
 
     d1 = grid1.detunings()
     d2 = grid2.detunings()
@@ -628,41 +630,32 @@ def reflect_port2(
     pulse: Pulse,
     gamma2: float,
     t_final: float,
-    dt: Optional[float] = None,
 ) -> ReflectionResult:
     """Single photon in port 2 bouncing off the empty cavity.
 
     With the reservoir in its ground state nothing couples mode 2 to
-    mode 1, so the dynamics involves only the port-2 comb and the bare
-    cavity mode.  The output keeps unit norm; the delay is the centroid
-    shift of the reflected intensity against free propagation.
+    mode 1, so the dynamics involves only the port-2 comb S_q and the
+    bare cavity mode C:
+
+        dS_q/dt = -i d_q S_q - i kappa C,   dC/dt = -i kappa sum_q S_q.
+
+    With C -> -C this is dy/dt = i K y for the arrowhead K with poles -d_q
+    and border kappa, so the state at t_final comes from its closed-form
+    eigenpairs without stepping.  The output keeps unit norm; the delay is
+    the centroid shift of the reflected intensity against free propagation.
     """
     grid = ContinuumGrid(n_q=grid2.n_q, delta_max=grid2.delta_max, gamma=gamma2)
-    dt = _diode_dt(dt, grid.delta_max)
-    if dt > 0.4 / gamma2:
-        dt = 0.4 / gamma2
     _screen_grid(grid, pulse, t_final, "port-2")
     s0 = project_pulse(grid, pulse)
-    nsteps, dt = steps_for(t_final, dt)
-    det = grid.detunings()
-    kap = grid.kappa
-    md = -1j * det
-
-    n = grid.n_q
-    y = np.zeros(n + 1, dtype=complex)
-    y[:n] = s0
-
-    def rhs(t, yv, out):
-        np.multiply(yv[:n], md, out=out[:n])
-        out[:n] -= (1j * kap) * yv[n]
-        out[n] = -1j * kap * yv[:n].sum()
-
-    y = _rk4_run(rhs, y, dt, nsteps)
+    prop = _ExactPropagator(-grid.detunings(), grid.kappa)
+    coef, dark = prop.modes(0.0, s0)
+    # at t = 0 the interaction picture is the frame itself: this is S(t_final)
+    s_final = prop.classes_at(coef, dark, t_final, 0.0)
 
     ts = np.arange(0.0, t_final, min(0.05, t_final / 2000.0))
-    out_field = reconstruct_field(grid, y[:n], ts, t_ref=t_final)
+    out_field = reconstruct_field(grid, s_final, ts, t_ref=t_final)
     in_field = reconstruct_field(grid, s0, ts, t_ref=0.0)
-    out_norm = float(np.sum(np.abs(y[:n]) ** 2))
+    out_norm = float(np.sum(np.abs(s_final) ** 2))
     delay = intensity_centroid(ts, out_field) - intensity_centroid(ts, in_field)
     return ReflectionResult(
         times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm, delay=delay

@@ -250,23 +250,24 @@ def _fock_initial(sc: Scenario, space: fock.ModeSpace) -> fock.DensityMatrix:
     raise _err("initial.state", f"expected 'fock ...' or 'mixed ...', got {raw!r}")
 
 
-def _dark_initial(sc: Scenario, space: fock.ModeSpace) -> fock.DensityMatrix:
+def _dark_psi(sc: Scenario, space: fock.ModeSpace) -> np.ndarray:
     raw = sc.get("initial", "state")
     if raw not in ("dark", "bright"):
         raise _err("initial.state", f"expected dark|bright, got {raw!r}")
     sign = -1.0 if raw == "dark" else 1.0
     v = fock.fock_state(space, (0, 1, 0)) + sign * fock.fock_state(space, (1, 0, 0))
-    return fock.DensityMatrix.from_state_vector(space, v / np.sqrt(2.0))
+    return v / np.sqrt(2.0)
 
 
 def _master_inputs(sc: Scenario, space, jump, rho0) -> SimpleNamespace:
-    """Master-equation inputs; run.t_final defaults to 30/gamma."""
+    """Master-equation inputs; run.t_final defaults to 30/gamma, run.dt
+    (the sampling interval) to lindblad's default."""
     gamma = _get(sc, "model.gamma", _as_positive)
     model = lindblad.LindbladModel(space, [(jump, gamma)])
     t_final, dt = _run_times(sc, 30.0 / gamma)
     return SimpleNamespace(
-        space=space, model=model, rho0=rho0, gamma=gamma, t_final=t_final,
-        dt=_guard("run.dt", lindblad._check_dt, model, dt), stride=_stride(sc),
+        space=space, model=model, rho0=rho0, gamma=gamma, t_final=t_final, dt=dt,
+        stride=_stride(sc),
     )
 
 
@@ -278,7 +279,10 @@ def _build_transfer(sc: Scenario) -> SimpleNamespace:
 def _build_dark_state(sc: Scenario) -> SimpleNamespace:
     space = _mode_space(sc, 3)
     jump = lindblad.interference_transfer_jump(space, (0, 1), 2)
-    return _master_inputs(sc, space, jump, _dark_initial(sc, space))
+    psi = _dark_psi(sc, space)
+    inputs = _master_inputs(sc, space, jump, fock.DensityMatrix.from_state_vector(space, psi))
+    inputs.psi = psi
+    return inputs
 
 
 def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.ReservoirSpec:
@@ -410,10 +414,9 @@ def _build_diode_markov(sc: Scenario) -> SimpleNamespace:
 def _build_port2_reflection(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
     gamma2 = _get(sc, "diode.gamma2", _as_positive)
-    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma2))
+    t_final = _get(sc, "run.t_final", _as_positive, dio.simulation_window(pulse, gamma2))
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    dt = _guard("run.dt", dio._diode_dt, dt, grid2.delta_max)
-    return SimpleNamespace(gamma2=gamma2, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
+    return SimpleNamespace(gamma2=gamma2, grid2=grid2, pulse=pulse, t_final=t_final)
 
 
 def _build_impedance_scan(sc: Scenario) -> SimpleNamespace:
@@ -515,10 +518,7 @@ def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
 
 def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
-    # fidelity against the initial pure state
-    vals, vecs = np.linalg.eigh(c.rho0.matrix)
-    psi = vecs[:, -1]
-    fid = np.array([np.real(psi.conj() @ dm.matrix @ psi) for dm in res.states])
+    fid = lindblad.state_fidelity(res.states, c.psi)
     out = RunOutcome(derived={"gamma": c.gamma})
     _lindblad_invariants(out, res)
     rate, residual = reservoir.fit_decay_rate(
@@ -702,7 +702,7 @@ def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
 
 
 def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
-    ref = dio.reflect_port2(c.grid2, c.pulse, c.gamma2, c.t_final, c.dt)
+    ref = dio.reflect_port2(c.grid2, c.pulse, c.gamma2, c.t_final)
     out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2})
     _check(out, "out_norm", ref.out_norm, abs(ref.out_norm - 1.0) <= 1e-8)
     out.csv_files.append(
@@ -802,7 +802,7 @@ _KINDS: dict[str, _Kind] = {
         ("leakage", "port2_yield", "yield_factorized"),
     ),
     "Port2Reflection": _Kind(
-        {"diode": {"gamma2": True}, "grid2": _GRID, "pulse": _PULSE, "run": _RUN_OPTIONAL},
+        {"diode": {"gamma2": True}, "grid2": _GRID, "pulse": _PULSE, "run": {"t_final": False}},
         _build_port2_reflection, _run_port2_reflection,
         ("out_norm", "delay"),
     ),

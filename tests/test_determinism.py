@@ -46,6 +46,43 @@ t_final = 2.0
 stride = 5
 """
 
+LINDBLAD = """
+[scenario]
+name = transfer
+kind = LindbladTransfer
+
+[space]
+dims = 3 4
+
+[model]
+gamma = 1.0
+
+[initial]
+state = mixed 0.5 2 0 ; 0.3 1 1 ; 0.2 0 1
+
+[run]
+t_final = 5.0
+
+[output]
+stride = 20
+"""
+
+PORT2 = """
+[scenario]
+name = reflection
+kind = Port2Reflection
+
+[diode]
+gamma2 = 4.0
+
+[grid2]
+n_q = 400
+delta_max = 10.0
+
+[pulse]
+duration = 10.0
+"""
+
 
 def _python(args, threads=None, cwd=None):
     env = dict(os.environ)
@@ -57,7 +94,8 @@ def _python(args, threads=None, cwd=None):
     )
 
 
-@pytest.mark.parametrize("text", [MICRO, INTERFERENCE], ids=["micro", "interference"])
+@pytest.mark.parametrize("text", [MICRO, INTERFERENCE, LINDBLAD, PORT2],
+                         ids=["micro", "interference", "lindblad-transfer", "port2-reflection"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)

@@ -1,7 +1,8 @@
-"""Exact reservoir and Markov-port propagation against independent oracles.
+"""Exact propagation at every level against independent oracles.
 
-The reference paths are the fixed-step RK4 integrators these levels used
-before they were propagated exactly, kept here at reduced size, plus
+The reference paths are the fixed-step RK4 integrators the reservoir
+level, the Markov ports, the master equation and the port-2 reflection
+used before they were propagated exactly, kept here at reduced size, plus
 numpy.linalg.eigh and closed forms.
 """
 
@@ -9,19 +10,34 @@ import numpy as np
 import pytest
 
 from photonflow import (
+    ContinuumGrid,
+    DensityMatrix,
+    LindbladModel,
+    ModeSpace,
     ReservoirSpec,
     SingleExcitationState,
     TwoUpperModeState,
+    annihilation,
     coupling_for_rate,
+    creation,
+    evolve,
     evolve_exact,
     evolve_markov,
     gaussian_pulse,
     interference_evolve,
+    interference_transfer_jump,
+    number,
+    project_pulse,
+    reconstruct_field,
+    reflect_port2,
     simulation_window,
+    transfer_jump,
     zeno_evolve,
 )
 from photonflow._integrate import steps_for
-from photonflow.reservoir import _ExactPropagator, _block_slices
+from photonflow.diode import intensity_centroid
+from photonflow.lindblad import _superoperator
+from photonflow._integrate import _ExactPropagator, _block_slices
 
 
 # --- RK4 reference path ----------------------------------------------------------
@@ -238,3 +254,80 @@ def test_markov_is_stable_beyond_the_rk4_limit():
     mk = evolve_markov(1.0, 1.0, 200.0, pulse, simulation_window(pulse, 1.0, 200.0), dt=0.02)
     assert np.all(np.isfinite(mk.rho_out))
     assert mk.leakage + mk.yield_convolved == pytest.approx(1.0, abs=1e-4)
+
+
+# --- master equation against RK4 on the same superoperator ---------------------------
+
+
+def random_density(rng, space):
+    d = space.total_dim
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    return DensityMatrix(space, rho / np.trace(rho))
+
+
+def transfer_model():
+    space = ModeSpace([3, 4])
+    return LindbladModel(space, [(transfer_jump(space), 1.3)])
+
+
+def interference_model():
+    space = ModeSpace([2, 2, 2])
+    return LindbladModel(space, [(interference_transfer_jump(space, (0, 1), 2), 0.8)])
+
+
+def hamiltonian_model():
+    space = ModeSpace([2, 3])
+    hop = creation(space, 0) @ annihilation(space, 1)
+    ham = number(space, 0) * 2.5 + number(space, 1) * 0.7 + (hop + hop.adjoint()) * 0.4
+    return LindbladModel(space, [(transfer_jump(space), 1.0)], hamiltonian=ham)
+
+
+@pytest.mark.parametrize("make_model", [transfer_model, interference_model, hamiltonian_model],
+                         ids=["transfer", "interference", "hamiltonian"])
+def test_master_equation_taylor_matches_rk4(make_model):
+    model = make_model()
+    rho0 = random_density(np.random.default_rng(11), model.space)
+    dt, stride, substeps = 0.05, 5, 100
+    res = evolve(model, rho0, 2.0, dt=dt, snapshot_stride=stride)
+    gen = _superoperator(model)
+    ref = rk4_trajectory(lambda t, y: gen @ y, rho0.matrix.reshape(-1), 0.0,
+                         (res.times.size - 1) * stride * substeps, dt / substeps)
+    d = model.space.total_dim
+    for j, dm in enumerate(res.states):
+        assert np.max(np.abs(dm.matrix - ref[j * stride * substeps].reshape(d, d))) <= 1e-9
+
+
+# --- port-2 reflection against RK4 ------------------------------------------------------
+
+
+def reflection_rk4(grid, s0, t_final, dt):
+    """Port-2 comb plus bare cavity, (S_q, C), stepped from (s0, 0)."""
+    det, kap, n = grid.detunings(), grid.kappa, grid.n_q
+
+    def rhs(t, y):
+        out = np.empty_like(y)
+        out[:n] = -1j * det * y[:n] - 1j * kap * y[n]
+        out[n] = -1j * kap * np.sum(y[:n])
+        return out
+
+    nsteps, dt = steps_for(t_final, dt)
+    y = np.concatenate((s0, [0.0])).astype(complex)
+    for step in range(nsteps):
+        y = rk4_step(rhs, step * dt, y, dt)
+    return y[:n]
+
+
+@pytest.mark.parametrize("n_q, delta_max, gamma2, duration", [(400, 10.0, 4.0, 10.0),
+                                                               (700, 20.0, 4.0, 10.0)])
+def test_reflection_matches_rk4(n_q, delta_max, gamma2, duration):
+    pulse = gaussian_pulse(t0=3 * duration, duration=duration)
+    grid = ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=gamma2)
+    t_final = simulation_window(pulse, gamma2)
+    ref = reflect_port2(grid, pulse, gamma2, t_final)
+    s_rk4 = reflection_rk4(grid, project_pulse(grid, pulse), t_final, 0.005)
+    field = reconstruct_field(grid, s_rk4, ref.times, t_ref=t_final)
+    assert np.max(np.abs(ref.out_field - field)) <= 1e-6 * np.max(np.abs(field))
+    delay = intensity_centroid(ref.times, field) - intensity_centroid(ref.times, ref.in_field)
+    assert abs(ref.delay - delay) <= 1e-6
+    assert abs(ref.out_norm - 1.0) <= 1e-10

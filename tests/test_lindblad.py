@@ -21,7 +21,7 @@ from photonflow import (
     trace_distance,
     transfer_jump,
 )
-from photonflow.lindblad import _superoperator, stability_limit
+from photonflow.lindblad import _superoperator
 
 
 def two_mode_model(dims=(2, 2), gamma=1.0):
@@ -149,13 +149,6 @@ def test_evolve_positivity_and_trace():
         assert dm.min_eigenvalue() >= -1e-8
         assert dm.hermiticity_defect() <= 1e-12
     assert res.trace_drift <= 1e-8
-
-
-def test_evolve_stability_guard():
-    sp, model = two_mode_model(dims=(3, 6))
-    limit = stability_limit(model)
-    with pytest.raises(ConfigurationError):
-        evolve(model, fock_density(sp, (0, 0)), 1.0, dt=2.0 * limit)
 
 
 def test_evolve_with_hamiltonian_rotates_coherence():

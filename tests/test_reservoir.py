@@ -19,6 +19,8 @@ from photonflow import (
     zeno_scan,
 )
 
+from photonflow import reservoir
+
 
 def flat_spec(f=200, eps_max=25.0, gamma=1.0):
     return ReservoirSpec(f=f, eps_max=eps_max, coupling=coupling_for_rate(f, eps_max, gamma))
@@ -239,6 +241,24 @@ def test_zeno_requires_enough_measurements():
 
 
 # --- two interfering upper modes ---------------------------------------------
+
+
+def test_free_run_and_zeno_scan_share_one_eigensystem(monkeypatch):
+    built = []
+
+    class CountingPropagator(reservoir._ExactPropagator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(reservoir, "_ExactPropagator", CountingPropagator)
+    reservoir._propagator.cache_clear()
+    spec = flat_spec(f=60)
+    free = evolve_exact(spec, t_final=1.0)
+    scan = zeno_scan(spec, [0.04, 0.02], n_measurements=10)
+    reservoir._propagator.cache_clear()
+    assert len(built) == 1
+    assert free.survival[-1] < 1.0 and len(scan) == 2
 
 
 def test_interference_antisymmetric_state_is_dark():

@@ -472,6 +472,15 @@ def test_cli_scan_rejects_non_numeric_values(tmp_path, capsys):
     assert "reservoir.f" in capsys.readouterr().err
 
 
+def test_cli_scan_rejects_empty_values(tmp_path, capsys):
+    path = write(tmp_path, "sc.ini", LINDBLAD_SCENARIO)
+    rc = main(["scan", path, "--axis", "model.gamma", "--values", ",",
+               "--out", str(tmp_path / "scan")])
+    assert rc == 2
+    assert "--values" in capsys.readouterr().err
+    assert not (tmp_path / "scan").exists()
+
+
 # --- Markov port invariants -------------------------------------------------------------
 
 
