@@ -11,8 +11,12 @@ roundoff, not stepped:
   series in ceil(h ||S||_1) sub-steps (the scaling of Al-Mohy & Higham,
   SIAM J. Sci. Comput. 33, 488, 2011, with the exact 1-norm).  Used by the
   master equation.
+* ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, one block of
+  32 samples at a time.  Every single-field resynthesis goes through it:
+  the reservoir survival and Zeno no-decay probabilities, the comb fields
+  of the router and the spectrum of a sampled pulse.
 
-Both use elementwise operations, numpy reductions and sparse
+All of them use elementwise operations, numpy reductions and sparse
 matrix-vector products only, never BLAS, so their bits do not depend on
 the BLAS thread count.
 """
@@ -24,10 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError, InvalidInput
+
+_MAX_STEPS = 10**7  # the shipped, benchmark and test grids stay near 10^5
+
 
 def steps_for(t_final: float, dt: float) -> tuple[int, float]:
     """Number of equal steps covering [0, t_final] with step <= dt."""
-    n = max(1, int(np.ceil(t_final / dt - 1e-12)))
+    ratio = t_final / dt
+    if not ratio <= _MAX_STEPS:  # also catches an overflow to inf
+        raise ConfigurationError(f"t_final = {t_final:.3g} at dt = {dt:.3g} needs "
+                                 f"{ratio:.3g} steps, more than {_MAX_STEPS:.0e}")
+    n = max(1, int(np.ceil(ratio - 1e-12)))
     return n, t_final / n
 
 
@@ -39,6 +51,23 @@ _MAX_ITER = 100
 def _block_slices(n: int):
     for start in range(0, n, _BLOCK):
         yield slice(start, min(start + _BLOCK, n))
+
+
+def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] exp(i freqs[k] t) at every t of the uniform grid ``times``,
+    in blocks of 32 samples that share one table of in-block phases."""
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    h = float(times[1] - times[0]) if n > 1 else 0.0
+    # every block starts at its own sample time, so only drift within a block counts
+    if np.any(np.abs(np.diff(times) - h) > 1e-9 * abs(h)):
+        raise InvalidInput("exp_sum needs uniformly spaced times")
+    within = np.exp(1j * np.outer(np.arange(min(n, _BLOCK)) * h, freqs))
+    out = np.empty(n, dtype=complex)
+    for js in _block_slices(n):
+        start = weights * np.exp(1j * freqs * times[js.start])
+        out[js] = np.sum(within[: js.stop - js.start] * start, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -202,22 +231,6 @@ class _ExactPropagator:
             for ks in _block_slices(coef.size):
                 coef[ks] += np.sum(eig.z * bright / eig.gaps(ks), axis=1)
         return coef * eig.inv_norm, dark
-
-    def upper_at(self, coef: np.ndarray, tau: float) -> complex:
-        eig = self.eig
-        return complex(np.sum(coef * eig.inv_norm * np.exp(1j * eig.roots * tau)))
-
-    def upper_series(self, coef: np.ndarray, nsteps: int, dt: float) -> np.ndarray:
-        """c0 at tau = j dt, j = 0..nsteps, one block of sample times at a time."""
-        eig = self.eig
-        kappa = eig.roots
-        weight = coef * eig.inv_norm
-        within = np.exp(1j * np.outer(np.arange(_BLOCK) * dt, kappa))
-        out = np.empty(nsteps + 1, dtype=complex)
-        for js in _block_slices(nsteps + 1):
-            start = weight * np.exp(1j * kappa * (js.start * dt))
-            out[js] = np.sum(within[: js.stop - js.start] * start, axis=1)
-        return out
 
     def classes_at(self, coef: np.ndarray, dark: np.ndarray, tau: float, t: float) -> np.ndarray:
         """Interaction-picture class amplitudes c_l at tau after the start, time t."""

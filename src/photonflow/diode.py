@@ -30,6 +30,8 @@ Model conventions
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
+  Each field is summed by ``_integrate.exp_sum`` in blocks of 32 samples
+  without BLAS; only the f-field decomposition multiplies a phase matrix.
 * The Markov-reduced model keeps the same input wavefunction:
 
       F(t)        = integral_0^t Phi_in(s) exp(-(gamma+gamma1)(t-s)/2) ds
@@ -66,7 +68,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _ExactPropagator, steps_for
+from ._integrate import _ExactPropagator, exp_sum, steps_for
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -151,7 +153,8 @@ class Pulse:
         return re + 1j * im
 
     def spectrum(self, omega) -> np.ndarray:
-        """Fourier coefficients integral phi(t) exp(+i w t) dt."""
+        """Fourier coefficients integral phi(t) exp(+i w t) dt (custom pulses:
+        trapezoid rule over the samples, at uniformly spaced ``omega``)."""
         w = np.asarray(omega, dtype=float)
         if self.kind == "gaussian":
             norm = (4.0 * np.pi * self.duration**2) ** 0.25
@@ -160,8 +163,8 @@ class Pulse:
             return np.sqrt(self.rate) * np.exp(1j * w * self.t_stop) / (0.5 * self.rate + 1j * w)
         times = np.asarray(self.sample_times, dtype=float)
         vals = np.asarray(self.sample_values, dtype=complex)
-        phases = np.exp(1j * np.outer(w, times))
-        return np.trapezoid(phases * vals[None, :], times, axis=1)
+        trapezoid = np.convolve(np.diff(times), [0.5, 0.5])
+        return exp_sum(times, trapezoid * vals, w)
 
     @property
     def bandwidth(self) -> float:
@@ -235,14 +238,13 @@ def project_pulse(grid: ContinuumGrid, pulse: Pulse) -> np.ndarray:
 
 
 def reconstruct_field(
-    grid: ContinuumGrid, amplitudes: np.ndarray, times, t_ref: float = 0.0
+    grid: ContinuumGrid, amplitudes: np.ndarray, times: np.ndarray, t_ref: float = 0.0
 ) -> np.ndarray:
-    """Field at the cavity mirror from comb amplitudes known at t_ref."""
-    tt = np.atleast_1d(np.asarray(times, dtype=float))
-    det = grid.detunings()
-    phases = np.exp(-1j * np.outer(tt - t_ref, det))
-    out = np.sqrt(grid.spacing / (2.0 * np.pi)) * (phases @ np.asarray(amplitudes))
-    return out if np.ndim(times) else out[0]
+    """Field at the cavity mirror at uniformly spaced ``times`` from comb
+    amplitudes known at t_ref."""
+    tt = np.asarray(times, dtype=float) - t_ref
+    field = exp_sum(-grid.detunings(), np.asarray(amplitudes), tt)
+    return np.sqrt(grid.spacing / (2.0 * np.pi)) * field
 
 
 def simulation_window(pulse: Pulse, *rates: float) -> float:
@@ -350,43 +352,6 @@ def _diode_dt(dt: Optional[float], *scales: float) -> float:
     return dt
 
 
-def _rk4_run(rhs, y: np.ndarray, dt: float, nsteps: int, per_step=None) -> np.ndarray:
-    """Fixed-step RK4 with preallocated stage buffers.
-
-    ``rhs(t, y, out)`` writes the derivative into ``out``;
-    ``per_step(step, t, y)`` is called after every accepted step.
-    """
-    k1 = np.empty_like(y)
-    k2 = np.empty_like(y)
-    k3 = np.empty_like(y)
-    k4 = np.empty_like(y)
-    yt = np.empty_like(y)
-    acc = np.empty_like(y)
-    half = 0.5 * dt
-    t = 0.0
-    for step in range(1, nsteps + 1):
-        rhs(t, y, k1)
-        np.multiply(k1, half, out=yt)
-        yt += y
-        rhs(t + half, yt, k2)
-        np.multiply(k2, half, out=yt)
-        yt += y
-        rhs(t + half, yt, k3)
-        np.multiply(k3, dt, out=yt)
-        yt += y
-        rhs(t + dt, yt, k4)
-        np.add(k2, k3, out=acc)
-        acc *= 2.0
-        acc += k1
-        acc += k4
-        acc *= dt / 6.0
-        y += acc
-        t = step * dt
-        if per_step is not None:
-            per_step(step, t, y)
-    return y
-
-
 def evolve_full(
     grid1: ContinuumGrid,
     grid2: ContinuumGrid,
@@ -449,38 +414,49 @@ def evolve_full(
         np.multiply(rv, 1j * k2c, out=rcol)
         ds -= rcol[:, None]
 
-    n_samples = nsteps // sample_stride + 2
-    s_times = np.empty(n_samples)
-    s_port1 = np.empty(n_samples)
-    s_cav1 = np.empty(n_samples)
-    s_mode2 = np.empty(n_samples)
-    s_port2 = np.empty(n_samples)
+    steps = np.arange(nsteps + 1)
+    times = steps * dt
+    recorded = (steps % sample_stride == 0) | (steps == nsteps)
+    parts = (slice(0, n1), iq, ir, is_)  # port 1, cavity 1, mode 2, port 2
+    pops = np.empty((len(parts), np.count_nonzero(recorded)))
     q_abs2 = np.empty(nsteps + 1)
-    q_times = np.empty(nsteps + 1)
-
-    def sample(idx: int, t: float, yv: np.ndarray) -> None:
-        s_times[idx] = t
-        s_port1[idx] = np.sum(np.abs(yv[:n1]) ** 2)
-        s_cav1[idx] = abs(yv[iq]) ** 2
-        s_mode2[idx] = np.sum(np.abs(yv[ir]) ** 2)
-        s_port2[idx] = np.sum(np.abs(yv[is_]) ** 2)
 
     norm0 = float(np.sum(np.abs(y) ** 2))
-    q_times[0] = 0.0
     q_abs2[0] = abs(y[iq]) ** 2
-    sample(0, 0.0, y)
-    state = {"n_rec": 1}
+    pops[:, 0] = [np.sum(np.abs(y[part]) ** 2) for part in parts]
+    n_rec = 1
 
-    def per_step(step: int, t: float, yv: np.ndarray) -> None:
-        q_times[step] = t
-        q_abs2[step] = abs(yv[iq]) ** 2
-        if step % sample_stride == 0 or step == nsteps:
-            sample(state["n_rec"], t, yv)
-            state["n_rec"] += 1
-
-    y = _rk4_run(rhs, y, dt, nsteps, per_step)
-    n_rec = state["n_rec"]
-    t = nsteps * dt
+    # fixed-step RK4 with preallocated stage buffers
+    k1 = np.empty_like(y)
+    k2 = np.empty_like(y)
+    k3 = np.empty_like(y)
+    k4 = np.empty_like(y)
+    yt = np.empty_like(y)
+    acc = np.empty_like(y)
+    half = 0.5 * dt
+    t = 0.0
+    for step in range(1, nsteps + 1):
+        rhs(t, y, k1)
+        np.multiply(k1, half, out=yt)
+        yt += y
+        rhs(t + half, yt, k2)
+        np.multiply(k2, half, out=yt)
+        yt += y
+        rhs(t + half, yt, k3)
+        np.multiply(k3, dt, out=yt)
+        yt += y
+        rhs(t + dt, yt, k4)
+        np.add(k2, k3, out=acc)
+        acc *= 2.0
+        acc += k1
+        acc += k4
+        acc *= dt / 6.0
+        y += acc
+        t = step * dt
+        q_abs2[step] = abs(y[iq]) ** 2
+        if recorded[step]:
+            pops[:, n_rec] = [np.sum(np.abs(y[part]) ** 2) for part in parts]
+            n_rec += 1
 
     drift = abs(float(np.sum(np.abs(y) ** 2)) - norm0)
     final = DiodeState(
@@ -494,12 +470,12 @@ def evolve_full(
         grid1=grid1,
         grid2=grid2,
         spec=spec,
-        times=s_times[:n_rec],
-        port1=s_port1[:n_rec],
-        cavity1=s_cav1[:n_rec],
-        mode2=s_mode2[:n_rec],
-        port2=s_port2[:n_rec],
-        q_times=q_times,
+        times=times[recorded],
+        port1=pops[0],
+        cavity1=pops[1],
+        mode2=pops[2],
+        port2=pops[3],
+        q_times=times,
         q_abs2=q_abs2,
         final=final,
         norm_drift=float(drift),
@@ -673,26 +649,28 @@ class DecompositionResult:
     completeness: float
 
 
-def port2_output_decomposition(
-    traj: DiodeTrajectory,
-    sample_spacing: float = 0.1,
-    weight_floor: float = 1e-3,
-) -> DecompositionResult:
+_SAMPLE_SPACING = 0.1  # time grid of the decomposed output fields
+_WEIGHT_FLOOR = 1e-3  # classes below this share of the leading weight are not compared
+
+
+def port2_output_decomposition(traj: DiodeTrajectory) -> DecompositionResult:
     """Per-class port-2 output fields from the final amplitudes.
 
     Each reservoir class tags an orthogonal output channel; its temporal
     mode is the comb resynthesis of the final S amplitudes at the cavity
     position.  Reports the class weights, the total output density
     rho_out(t) = sum_l |Phi_l(t)|^2, the minimum pairwise overlap of the
-    normalized modes among classes above ``weight_floor`` of the leading
+    normalized modes among classes above ``_WEIGHT_FLOOR`` of the leading
     weight, a weight-averaged purity, and the completeness check
     sum_l integral |Phi_l|^2 dt + residual populations.
     """
     final = traj.final
     grid2 = traj.grid2
     t_f = final.t
-    ts = np.arange(0.0, t_f, sample_spacing)
+    ts = np.arange(0.0, t_f, _SAMPLE_SPACING)
     det = grid2.detunings()
+    # f fields at once: one gemm on the full phase matrix is about 13x faster
+    # than f calls of exp_sum, and these fields reach only summary results
     phases = np.exp(-1j * np.outer(det, ts - t_f))  # (n_q, n_t)
     fields = np.sqrt(grid2.spacing / (2.0 * np.pi)) * (final.s @ phases)  # (f, n_t)
 
@@ -700,15 +678,15 @@ def port2_output_decomposition(
     rho_out = np.sum(np.abs(fields) ** 2, axis=0)
 
     # trapezoid weights for the Gram matrix of normalized modes
-    w = np.full(ts.size, sample_spacing)
-    w[0] = w[-1] = 0.5 * sample_spacing
+    w = np.full(ts.size, _SAMPLE_SPACING)
+    w[0] = w[-1] = 0.5 * _SAMPLE_SPACING
     gram = (fields * w[None, :]) @ fields.conj().T
     diag = np.sqrt(np.real(np.diag(gram)))
     safe = np.where(diag > 0, diag, 1.0)
     overlaps = np.abs(gram) / np.outer(safe, safe)
 
     weights = norms_sq / max(np.sum(norms_sq), 1e-300)
-    relevant = np.where(norms_sq >= weight_floor * np.max(norms_sq))[0]
+    relevant = np.where(norms_sq >= _WEIGHT_FLOOR * np.max(norms_sq))[0]
     if relevant.size >= 2:
         sub = overlaps[np.ix_(relevant, relevant)]
         min_overlap = float(np.min(sub))

@@ -144,6 +144,11 @@ def _superoperator(model: LindbladModel) -> sp.csr_matrix:
     return sp.csr_matrix(s)
 
 
+def _default_dt(model: LindbladModel) -> float:
+    """Sampling interval 0.05 / (max_rate n_max^2), n_max the largest photon number."""
+    return 0.05 / (model.max_rate * (max(model.space.mode_dims) - 1) ** 2)
+
+
 def evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -161,8 +166,8 @@ def evolve(
         raise InvalidInput("initial state lives on a different space than the model")
     if t_final <= 0:
         raise InvalidInput(f"t_final must be positive, got {t_final}")
-    if dt is None:  # 0.05 / (max_rate n_max^2), n_max the largest photon number
-        dt = 0.05 / (model.max_rate * (max(model.space.mode_dims) - 1) ** 2)
+    if dt is None:
+        dt = _default_dt(model)
     nsteps, dt = steps_for(t_final, dt)
 
     gen = _superoperator(model)
@@ -205,7 +210,10 @@ def state_fidelity(states: Sequence[DensityMatrix], psi: np.ndarray) -> np.ndarr
     return np.array([np.real(np.sum(outer * dm.matrix)) for dm in states])
 
 
-def asymptotic_transfer_map(rho0: DensityMatrix, support_tol: float = 1e-12) -> DensityMatrix:
+_SUPPORT_TOL = 1e-12  # population allowed beyond the mode-2 truncation
+
+
+def asymptotic_transfer_map(rho0: DensityMatrix) -> DensityMatrix:
     """Closed-form final state of the two-mode transfer.
 
     Every photon initially in mode 1 ends up in mode 2; what survives of
@@ -228,7 +236,7 @@ def asymptotic_transfer_map(rho0: DensityMatrix, support_tol: float = 1e-12) -> 
         for m in range(d2):
             if n + m >= d2:
                 lost += abs(t[n, m, n, m])
-    if lost > support_tol:
+    if lost > _SUPPORT_TOL:
         raise ConfigurationError(
             f"mode-2 truncation too small: population {lost:.3e} sits in sectors "
             f"with total photon number >= {d2}; enlarge mode 2"
@@ -256,21 +264,23 @@ class PurificationReport:
     final_state: DensityMatrix = field(repr=False, default=None)
 
 
-def purification_predicate(
-    rho0: DensityMatrix, purity_tol: float = 1e-6, witness_tol: float = 1e-9
-) -> PurificationReport:
+_PURITY_TOL = 1e-6  # a state counts as pure when its purity is >= 1 - this
+_WITNESS_TOL = 1e-9  # largest entry of out - conj(beta) beta^T for a pure state
+
+
+def purification_predicate(rho0: DensityMatrix) -> PurificationReport:
     """Does the transfer purify this state?
 
-    Applies the closed-form map and tests purity >= 1 - purity_tol.
+    Applies the closed-form map and tests purity >= 1 - ``_PURITY_TOL``.
     When pure, returns the mode-2 amplitude vector ``beta`` such that
-    out[p, p'] = conj(beta[p]) * beta[p'] within ``witness_tol``.
+    out[p, p'] = conj(beta[p]) * beta[p'] within ``_WITNESS_TOL``.
     """
     fin = asymptotic_transfer_map(rho0)
     d1, d2 = fin.space.mode_dims
     block = fin.matrix.reshape(d1, d2, d1, d2)[0, :, 0, :]
     tr = np.real(np.trace(block))
     purity = float(np.real(np.sum(block * block.T)) / tr**2)
-    pure = purity >= 1.0 - purity_tol
+    pure = purity >= 1.0 - _PURITY_TOL
     if not pure:
         return PurificationReport(False, purity, None, None, fin)
 
@@ -278,10 +288,10 @@ def purification_predicate(
     lead = vecs[:, -1]
     beta = np.sqrt(max(vals[-1], 0.0)) * lead.conj()
     defect = float(np.max(np.abs(block - np.outer(beta.conj(), beta))))
-    if defect > witness_tol:
+    if defect > _WITNESS_TOL:
         raise InvalidInput(
             f"purity passed but the witness factorization defect {defect:.3e} "
-            f"exceeds {witness_tol:.1e}"
+            f"exceeds {_WITNESS_TOL:.1e}"
         )
     return PurificationReport(True, purity, beta, defect, fin)
 

@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _ExactPropagator, steps_for
+from ._integrate import _ExactPropagator, exp_sum, steps_for
 from .errors import ConfigurationError, InvalidInput
 
 __all__ = [
@@ -271,7 +271,7 @@ def _sampled_evolution(
 ):
     """Upper amplitude at t0 + j dt (j = 0..nsteps) and (c0, c) at the given steps."""
     coef, dark = prop.modes(c0, prop.to_frame(c, t0))
-    upper = prop.upper_series(coef, nsteps, dt)
+    upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, np.arange(nsteps + 1) * dt)
     upper[0] = c0  # the sample at tau = 0 is the initial state itself
     snaps = [
         (complex(upper[j]), prop.classes_at(coef, dark, j * dt, t0 + j * dt))
@@ -380,10 +380,11 @@ def zeno_evolve(
         raise InvalidInput("state has a different number of reservoir classes than the spec")
 
     prop = _propagator(spec)
+    eig = prop.eig
     coef, _ = prop.modes(state.c0, prop.to_frame(state.c, state.t))
-    p_first = abs(prop.upper_at(coef, tau_m)) ** 2 / state.norm_sq()
+    p_first = abs(exp_sum(eig.roots, coef * eig.inv_norm, [tau_m])[0]) ** 2 / state.norm_sq()
     reset, _ = prop.modes(1.0, np.zeros(spec.f))
-    p_reset = abs(prop.upper_at(reset, tau_m)) ** 2
+    p_reset = abs(exp_sum(eig.roots, reset * eig.inv_norm, [tau_m])[0]) ** 2
     times = state.t + np.arange(n_meas + 1) * tau_m
     cumulative = np.empty(n_meas + 1)
     cumulative[0] = 1.0

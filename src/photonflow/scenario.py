@@ -212,8 +212,13 @@ def _stride(sc: Scenario, default: int = 10) -> int:
 
 
 def _run_times(sc: Scenario, t_final=_REQUIRED, dt=None) -> tuple:
-    """run.t_final and run.dt, each falling back to the kind's default."""
-    return _get(sc, "run.t_final", _as_positive, t_final), _get(sc, "run.dt", _as_positive, dt)
+    """run.t_final and run.dt, each falling back to the kind's default; a
+    known dt is checked for a grid that ``steps_for`` accepts."""
+    t_final = _get(sc, "run.t_final", _as_positive, t_final)
+    dt = _get(sc, "run.dt", _as_positive, dt)
+    if dt is not None:
+        _guard("run.t_final", steps_for, t_final, dt)
+    return t_final, dt
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +269,7 @@ def _master_inputs(sc: Scenario, space, jump, rho0) -> SimpleNamespace:
     (the sampling interval) to lindblad's default."""
     gamma = _get(sc, "model.gamma", _as_positive)
     model = lindblad.LindbladModel(space, [(jump, gamma)])
-    t_final, dt = _run_times(sc, 30.0 / gamma)
+    t_final, dt = _run_times(sc, 30.0 / gamma, lindblad._default_dt(model))
     return SimpleNamespace(
         space=space, model=model, rho0=rho0, gamma=gamma, t_final=t_final, dt=dt,
         stride=_stride(sc),
@@ -397,6 +402,7 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
     dt = _guard("run.dt", dio._diode_dt, dt, grid1.delta_max, grid2.delta_max, spec.eps_max)
+    _guard("run.t_final", steps_for, t_final, dt)
     return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
                            grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
 

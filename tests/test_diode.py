@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,20 @@ def test_reflection_detuned_pulse_has_reduced_delay():
     # Lorentzian dispersion: delay/(4/g2) = 1/(1+(2 delta/g2)^2) = 1/37
     assert ref.delay <= 0.1 * on_resonance
     assert ref.out_norm == pytest.approx(1.0, abs=1e-5)
+
+
+def test_reflection_memory_stays_blocked():
+    # the dense (n_t, n_q) phase matrix of each resynthesized field took
+    # 147 MiB here; blocks of 32 samples need a few MiB
+    grid = ContinuumGrid(n_q=2400, delta_max=45.0, gamma=20.0)
+    pulse = gaussian_pulse(t0=33.0, duration=10.0)
+    tracemalloc.start()
+    try:
+        reflect_port2(grid, pulse, 20.0, 86.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 # --- port-2 output decomposition ----------------------------------------------------

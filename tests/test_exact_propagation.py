@@ -3,7 +3,8 @@
 The reference paths are the fixed-step RK4 integrators the reservoir
 level, the Markov ports, the master equation and the port-2 reflection
 used before they were propagated exactly, kept here at reduced size, plus
-numpy.linalg.eigh and closed forms.
+numpy.linalg.eigh, closed forms and the dense phase matrices that the
+blocked exponential sums replaced.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from photonflow import (
     ContinuumGrid,
     DensityMatrix,
+    InvalidInput,
     LindbladModel,
     ModeSpace,
     ReservoirSpec,
@@ -20,6 +22,7 @@ from photonflow import (
     annihilation,
     coupling_for_rate,
     creation,
+    custom_pulse,
     evolve,
     evolve_exact,
     evolve_markov,
@@ -34,10 +37,9 @@ from photonflow import (
     transfer_jump,
     zeno_evolve,
 )
-from photonflow._integrate import steps_for
+from photonflow._integrate import _ExactPropagator, _block_slices, exp_sum, steps_for
 from photonflow.diode import intensity_centroid
 from photonflow.lindblad import _superoperator
-from photonflow._integrate import _ExactPropagator, _block_slices
 
 
 # --- RK4 reference path ----------------------------------------------------------
@@ -331,3 +333,31 @@ def test_reflection_matches_rk4(n_q, delta_max, gamma2, duration):
     delay = intensity_centroid(ref.times, field) - intensity_centroid(ref.times, ref.in_field)
     assert abs(ref.delay - delay) <= 1e-6
     assert abs(ref.out_norm - 1.0) <= 1e-10
+
+
+# --- blocked exponential sums --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1000])
+def test_exp_sum_matches_dense_phase_matrix(n):
+    rng = np.random.default_rng(n)
+    freqs = rng.uniform(-40.0, 40.0, 57)
+    weights = rng.normal(size=57) + 1j * rng.normal(size=57)
+    times = -3.0 + np.arange(n) * 0.0371
+    dense = weights @ np.exp(1j * np.outer(freqs, times))
+    got = exp_sum(freqs, weights, times)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_exp_sum_rejects_nonuniform_times():
+    with pytest.raises(InvalidInput):
+        exp_sum(np.ones(3), np.ones(3), np.array([0.0, 1.0, 3.0]))
+
+
+def test_custom_pulse_spectrum_matches_dense_trapezoid():
+    ts = np.linspace(0.0, 20.0, 301) ** 1.5  # nonuniform samples are allowed
+    values = np.exp(-((ts - 40.0) ** 2) / 50.0) * np.exp(-0.7j * ts)
+    omega = ContinuumGrid(n_q=90, delta_max=3.0, gamma=1.0).detunings()
+    dense = np.trapezoid(np.exp(1j * np.outer(omega, ts)) * values[None, :], ts, axis=1)
+    got = custom_pulse(ts, values).spectrum(omega)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))

@@ -530,3 +530,42 @@ duration = 8.0
     assert outcome.invariants["results_finite"] is True
     assert outcome.invariants["leakage_plus_yield"] <= 1.0 + 1e-6
     assert outcome.results["best_ratio"] == 1.0
+
+
+def shipped_with(name: str, section: str, key: str, value: str) -> str:
+    """Text of a shipped scenario with ``section.key`` set to ``value``."""
+    sections: dict = {}
+    for raw in (SCENARIO_DIR / f"{name}.ini").read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            current = sections.setdefault(line[1:-1], {})
+        elif line:
+            k, v = line.split("=", 1)
+            current[k.strip()] = v.strip()
+    sections.setdefault(section, {})[key] = value
+    return "\n".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
+    )
+
+
+@pytest.mark.parametrize("name, section, key, value", [
+    ("markov_decay", "run", "t_final", "1e300"),
+    ("markov_decay", "reservoir", "eps_max", "1e300"),
+    ("zeno_scan", "run", "t_final", "1e300"),
+    ("zeno_scan", "reservoir", "eps_max", "1e300"),
+    ("anti_zeno_scan", "run", "t_final", "1e300"),
+    ("anti_zeno_scan", "reservoir", "eps_max", "1e300"),
+    ("lindblad_transfer", "model", "gamma", "1e300"),
+    ("lindblad_transfer", "run", "t_final", "1e300"),
+    ("dark_state", "model", "gamma", "1e300"),
+    ("dark_state", "run", "t_final", "1e300"),
+    ("diode_markov", "run", "dt", "1e-300"),
+    ("diode_markov", "diode", "gamma", "1e-300"),
+    ("diode_markov", "pulse", "duration", "1e300"),
+    ("impedance_scan", "diode", "gamma", "1e-300"),
+    ("interference", "run", "t_final", "1e300"),
+])
+def test_cli_validate_rejects_grids_too_long_to_hold(tmp_path, capsys, name, section, key, value):
+    path = write(tmp_path, "g.ini", shipped_with(name, section, key, value))
+    assert main(["validate", path]) == 2
+    assert "run.t_final" in capsys.readouterr().err
