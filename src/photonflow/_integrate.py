@@ -7,18 +7,20 @@ roundoff, not stepped:
   mode coupled equally to classes at fixed frequencies) through its
   closed-form eigenpairs (O'Leary & Stewart, J. Comput. Phys. 90, 497,
   1990).  Used by the reservoir level and the port-2 reflection.
-* ``taylor_propagate``: exp(h S) y for a sparse S by truncated Taylor
-  series in ceil(h ||S||_1) sub-steps (the scaling of Al-Mohy & Higham,
-  SIAM J. Sci. Comput. 33, 488, 2011, with the exact 1-norm).  Used by the
-  master equation.
+* ``taylor_propagate``: exp(h S) y for a ``SparseGenerator`` S by
+  truncated Taylor series in ceil(h ||S||_1) sub-steps (the scaling of
+  Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011, with the exact
+  1-norm).  Used by the master equation.  ``SparseGenerator`` holds the
+  nonzeros of a sum of Kronecker products sorted by (row, col); its
+  matrix-vector product is one ``np.bincount`` over the interleaved real
+  and imaginary parts, which adds each row's terms in column order.
 * ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, one block of
   32 samples at a time.  Every single-field resynthesis goes through it:
   the reservoir survival and Zeno no-decay probabilities, the comb fields
   of the router and the spectrum of a sampled pulse.
 
-All of them use elementwise operations, numpy reductions and sparse
-matrix-vector products only, never BLAS, so their bits do not depend on
-the BLAS thread count.
+All of them use elementwise operations and numpy reductions only, never
+BLAS, so their bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -251,9 +253,48 @@ _TERM_TOL = 2.0**-53
 _MAX_TERMS = 100  # never reached: with h ||S||_1 <= 1 the series converges by ~20 terms
 
 
-def onenorm(gen) -> float:
-    """Exact 1-norm (largest column sum of moduli) of a sparse matrix."""
-    return float(abs(gen).sum(axis=0).max())
+def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys, each with the sum of its values in input order."""
+    keys, where = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(where, weights=vals.real) + 1j * np.bincount(where, weights=vals.imag)
+
+
+class SparseGenerator:
+    """n x n matrix sum_g scale_g sum_t coef_t kron(a_t, b_t), for ``groups`` of
+    (scale_g, [(coef_t, a_t, b_t), ...]) with dense factors, kept as its nonzero
+    entries sorted by (row, col).
+
+    Each group is summed before it is scaled, and the groups are added in
+    order, so every entry is rounded as that formula reads.
+    """
+
+    def __init__(self, n: int, groups):
+        keys, vals = [], []
+        for scale, terms in groups:
+            k, v = [], []
+            for coef, a, b in terms:
+                ai, aj = np.nonzero(a)
+                bi, bj = np.nonzero(b)
+                rows = ai[:, None] * b.shape[0] + bi
+                k.append((rows * n + aj[:, None] * b.shape[1] + bj).ravel())
+                v.append((coef * (a[ai, aj][:, None] * b[bi, bj])).ravel())
+            k, v = _merge(np.concatenate(k), np.concatenate(v))
+            keys.append(k)
+            vals.append(scale * v)
+        keys, vals = _merge(np.concatenate(keys), np.concatenate(vals))
+        keep = vals != 0
+        self.n = n
+        self.rows, self.cols = np.divmod(keys[keep], n)
+        self.vals = vals[keep]
+        self._slots = (2 * self.rows[:, None] + np.arange(2)).ravel()  # re, im of each row
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        prod = self.vals * y[self.cols]
+        return np.bincount(self._slots, weights=prod.view(float), minlength=2 * self.n).view(complex)
+
+    def onenorm(self) -> float:
+        """Exact 1-norm: the largest column sum of moduli."""
+        return float(np.bincount(self.cols, weights=np.abs(self.vals), minlength=self.n).max())
 
 
 def taylor_propagate(gen, y: np.ndarray, h: float, norm1: float, fold) -> np.ndarray:

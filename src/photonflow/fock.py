@@ -1,8 +1,10 @@
 """Truncated multi-mode Fock-space algebra.
 
 Provides the bosonic substrate used by the master-equation level: mode
-spaces with hard photon-number truncation, sparse operators on the joint
-space, and dense density matrices.
+spaces with hard photon-number truncation, operators on the joint space,
+and density matrices.  Operators are dense d x d arrays like the states
+they act on (every space here has d <= 32); only the d^2 x d^2 generator
+of the master equation is sparse (``_integrate.SparseGenerator``).
 
 Conventions
 -----------
@@ -11,6 +13,8 @@ Conventions
 * Flat indices are row-major over the mode multi-index, i.e. the LAST
   mode varies fastest.  File outputs rely on this ordering.
 * All scalars are complex double precision.
+* Operator products go through ``np.einsum``, not BLAS, so their bits
+  do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidInput
 
@@ -80,39 +83,47 @@ class ModeSpace:
         return tuple(int(i) for i in np.unravel_index(index, self.mode_dims))
 
 
+def _dense(m) -> np.ndarray:
+    """Complex ndarray of an array-like or of anything with ``toarray()``."""
+    return np.asarray(m.toarray() if hasattr(m, "toarray") else m, dtype=complex)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,jk->ik", a, b)
+
+
 @dataclass(frozen=True)
 class SparseOperator:
-    """Sparse linear operator on a ModeSpace."""
+    """Linear operator on a ModeSpace, held as a dense complex matrix."""
 
     space: ModeSpace
-    matrix: sp.csr_matrix = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = self.matrix
+        m = _dense(self.matrix)
         if m.shape != (self.space.total_dim, self.space.total_dim):
             raise InvalidInput(
                 f"operator shape {m.shape} does not match space dimension "
                 f"{self.space.total_dim}"
             )
-        if not sp.isspmatrix_csr(m):
-            object.__setattr__(self, "matrix", sp.csr_matrix(m))
+        object.__setattr__(self, "matrix", m)
 
     def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.space, self.matrix.conj().T.tocsr())
+        return SparseOperator(self.space, self.matrix.conj().T)
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self.matrix.todense(), dtype=complex)
+        return self.matrix.copy()
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         _check_same_space(self.space, other.space)
-        return SparseOperator(self.space, (self.matrix @ other.matrix).tocsr())
+        return SparseOperator(self.space, _product(self.matrix, other.matrix))
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         _check_same_space(self.space, other.space)
-        return SparseOperator(self.space, (self.matrix + other.matrix).tocsr())
+        return SparseOperator(self.space, self.matrix + other.matrix)
 
     def __mul__(self, scalar: complex) -> "SparseOperator":
-        return SparseOperator(self.space, (self.matrix * complex(scalar)).tocsr())
+        return SparseOperator(self.space, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -143,9 +154,6 @@ class DensityMatrix:
             raise InvalidInput("state vector length does not match space dimension")
         return cls(space, np.outer(v, v.conj()))
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, self.matrix.copy())
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -163,7 +171,7 @@ class DensityMatrix:
     def expectation(self, op: SparseOperator) -> complex:
         _check_same_space(self.space, op.space)
         # tr(A rho) = sum_ij A_ij rho_ji
-        return complex(op.matrix.multiply(self.matrix.T).sum())
+        return complex(np.sum(op.matrix * self.matrix.T))
 
     def population(self, occupations: Sequence[int]) -> float:
         i = self.space.flatten(occupations)
@@ -181,18 +189,14 @@ def _check_mode(space: ModeSpace, mode: int) -> None:
 
 
 def identity(space: ModeSpace) -> SparseOperator:
-    return SparseOperator(space, sp.identity(space.total_dim, dtype=complex, format="csr"))
-
-
-def _single_mode_annihilation(dim: int) -> sp.csr_matrix:
-    # <n-1| a |n> = sqrt(n); the top level is removed by hard truncation
-    return sp.diags(np.sqrt(np.arange(1, dim)), 1, dtype=complex, format="csr")
+    return SparseOperator(space, np.eye(space.total_dim))
 
 
 def annihilation(space: ModeSpace, mode: int) -> SparseOperator:
     """Lowering operator of one mode, identity on the rest."""
     _check_mode(space, mode)
-    return tensor_embed(space, _single_mode_annihilation(space.mode_dims[mode]), mode)
+    # <n-1| a |n> = sqrt(n); the top level is removed by hard truncation
+    return tensor_embed(space, np.diag(np.sqrt(np.arange(1, space.mode_dims[mode])), 1), mode)
 
 
 def creation(space: ModeSpace, mode: int) -> SparseOperator:
@@ -201,18 +205,17 @@ def creation(space: ModeSpace, mode: int) -> SparseOperator:
 
 def number(space: ModeSpace, mode: int) -> SparseOperator:
     _check_mode(space, mode)
-    d = space.mode_dims[mode]
-    return tensor_embed(space, sp.diags(np.arange(d, dtype=float), 0, dtype=complex), mode)
+    return tensor_embed(space, np.diag(np.arange(space.mode_dims[mode], dtype=float)), mode)
 
 
 def tensor_embed(space: ModeSpace, single_mode_op, mode: int) -> SparseOperator:
     """Embed a single-mode operator into the joint space.
 
     Acts as the given operator on ``mode`` and as the identity on all
-    other modes.  Sparsity is preserved.
+    other modes.
     """
     _check_mode(space, mode)
-    op = sp.csr_matrix(single_mode_op, dtype=complex)
+    op = _dense(single_mode_op)
     d = space.mode_dims[mode]
     if op.shape != (d, d):
         raise InvalidInput(
@@ -220,12 +223,7 @@ def tensor_embed(space: ModeSpace, single_mode_op, mode: int) -> SparseOperator:
         )
     before = int(np.prod(space.mode_dims[:mode], initial=1))
     after = int(np.prod(space.mode_dims[mode + 1 :], initial=1))
-    m = op
-    if before > 1:
-        m = sp.kron(sp.identity(before, dtype=complex), m, format="csr")
-    if after > 1:
-        m = sp.kron(m, sp.identity(after, dtype=complex), format="csr")
-    return SparseOperator(space, sp.csr_matrix(m))
+    return SparseOperator(space, np.kron(np.kron(np.eye(before), op), np.eye(after)))
 
 
 def apply(op: SparseOperator, target: Union[np.ndarray, DensityMatrix]):
@@ -236,11 +234,11 @@ def apply(op: SparseOperator, target: Union[np.ndarray, DensityMatrix]):
     """
     if isinstance(target, DensityMatrix):
         _check_same_space(op.space, target.space)
-        return DensityMatrix(op.space, op.matrix @ target.matrix)
+        return DensityMatrix(op.space, _product(op.matrix, target.matrix))
     vec = np.asarray(target, dtype=complex).reshape(-1)
     if vec.size != op.space.total_dim:
         raise InvalidInput("state vector length does not match operator space")
-    return op.matrix @ vec
+    return np.einsum("ij,j->i", op.matrix, vec)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from ._integrate import onenorm, steps_for, taylor_propagate
+from ._integrate import SparseGenerator, steps_for, taylor_propagate
 from .errors import ConfigurationError, InvalidInput
 from .fock import (
     DensityMatrix,
@@ -120,28 +119,24 @@ def lindblad_rhs(model: LindbladModel, rho: DensityMatrix) -> DensityMatrix:
     for op, rate in model.jumps:
         l = op.matrix
         ld = l.conj().T
-        ldl = (ld @ l).tocsr()
+        ldl = ld @ l
         out += rate * (l @ m @ ld - 0.5 * (ldl @ m + m @ ldl))
     return DensityMatrix(rho.space, out)
 
 
-def _superoperator(model: LindbladModel) -> sp.csr_matrix:
+def _superoperator(model: LindbladModel) -> SparseGenerator:
     """Vectorized generator: drho_vec/dt = S rho_vec (row-major vec)."""
     d = model.space.total_dim
-    eye = sp.identity(d, dtype=complex, format="csr")
-    s = sp.csr_matrix((d * d, d * d), dtype=complex)
+    eye = np.eye(d)
+    groups = []
     if model.hamiltonian is not None:
         h = model.hamiltonian.matrix
-        s = s + (-1j) * (sp.kron(h, eye) - sp.kron(eye, h.T))
+        groups.append((-1j, [(1.0, h, eye), (-1.0, eye, h.T)]))
     for op, rate in model.jumps:
         l = op.matrix
-        ldl = (l.conj().T @ l).tocsr()
-        s = s + rate * (
-            sp.kron(l, l.conj())
-            - 0.5 * sp.kron(ldl, eye)
-            - 0.5 * sp.kron(eye, ldl.T)
-        )
-    return sp.csr_matrix(s)
+        ldl = (op.adjoint() @ op).matrix
+        groups.append((rate, [(1.0, l, l.conj()), (-0.5, ldl, eye), (-0.5, eye, ldl.T)]))
+    return SparseGenerator(d * d, groups)
 
 
 def _default_dt(model: LindbladModel) -> float:
@@ -171,7 +166,7 @@ def evolve(
     nsteps, dt = steps_for(t_final, dt)
 
     gen = _superoperator(model)
-    norm1 = onenorm(gen)
+    norm1 = gen.onenorm()
     d = model.space.total_dim
     y = rho0.matrix.reshape(-1).astype(complex)
 

@@ -338,10 +338,17 @@ def fit_decay_rate(
     s = survival[mask]
     if np.any(s <= 0):
         raise InvalidInput("fit window contains zero or negative survival")
-    slope, intercept = np.polyfit(t, np.log(s), 1)
-    fit = np.exp(intercept + slope * t)
+    # closed-form straight line through log s, in the window's own time unit
+    # so that a window of any length is fitted without LAPACK
+    span = t[-1] - t[0]
+    u = (t - t[0]) / span
+    u -= np.mean(u)
+    log_s = np.log(s)
+    mean_log = np.mean(log_s)
+    b = np.sum(u * (log_s - mean_log)) / np.sum(u * u)
+    fit = np.exp(mean_log + b * u)
     residual = float(np.max(np.abs(s / fit - 1.0)))
-    return float(-slope), residual
+    return float(0.0 - b / span), residual  # 0.0 - keeps a flat curve's rate at +0
 
 
 def zeno_evolve(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SCENARIOS = SRC.parent / "scenarios"
 
 MICRO = """
 [scenario]
@@ -94,8 +95,10 @@ def _python(args, threads=None, cwd=None):
     )
 
 
-@pytest.mark.parametrize("text", [MICRO, INTERFERENCE, LINDBLAD, PORT2],
-                         ids=["micro", "interference", "lindblad-transfer", "port2-reflection"])
+@pytest.mark.parametrize("text", [MICRO, INTERFERENCE, LINDBLAD, PORT2,
+                                  (SCENARIOS / "dark_state.ini").read_text()],
+                         ids=["micro", "interference", "lindblad-transfer", "port2-reflection",
+                              "dark-state"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)
@@ -110,8 +113,20 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
 
 
 def test_import_loads_no_dense_linear_algebra():
-    heavy = ("scipy.linalg", "scipy.signal", "scipy.sparse.linalg", "threadpoolctl")
-    proc = _python(["-c", "import sys, photonflow; print('\\n'.join(sys.modules))"])
+    proc = _python(["-c", "import sys, photonflow, photonflow.cli; print('\\n'.join(sys.modules))"])
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert [m for m in heavy if m in loaded] == []
+    assert [m for m in loaded if m.split(".")[0] in ("scipy", "threadpoolctl")] == []
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    scenario = SCENARIOS / "lindblad_transfer.ini"
+    blocked = ("import sys; sys.modules['scipy'] = None; from photonflow.cli import main; "
+               f"sys.exit(main(['run', {str(scenario)!r}, '--out', {str(tmp_path / 'blocked')!r}]))")
+    proc = _python(["-c", blocked])
+    assert proc.returncode == 0, proc.stderr
+    proc = _python(["-m", "photonflow.cli", "run", str(scenario), "--out", str(tmp_path / "free")])
+    assert proc.returncode == 0, proc.stderr
+    (csv,) = (tmp_path / "blocked").rglob("timeseries.csv")
+    (ref,) = (tmp_path / "free").rglob("timeseries.csv")
+    assert csv.read_bytes() == ref.read_bytes()

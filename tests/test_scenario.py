@@ -569,3 +569,14 @@ def test_cli_validate_rejects_grids_too_long_to_hold(tmp_path, capsys, name, sec
     path = write(tmp_path, "g.ini", shipped_with(name, section, key, value))
     assert main(["validate", path]) == 2
     assert "run.t_final" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, section, key", [
+    ("zeno_scan", "zeno", "taus"),
+    ("dark_state", "run", "t_final"),
+])
+def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
+    # the exponential fit runs in the window's own time unit, so its length does not matter
+    path = write(tmp_path, "w.ini", shipped_with(name, section, key, "1e-300"))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
