@@ -1,19 +1,21 @@
 """Propagators shared by the levels, and their uniform time grids.
 
-Every generator here is time-independent, so propagation is exact up to
-roundoff, not stepped:
+Every generator here is time-independent, in the frame its caller picks,
+so propagation is exact up to roundoff, not stepped:
 
 * ``_ExactPropagator``: exp(i K t) for a real-symmetric arrowhead K (one
   mode coupled equally to classes at fixed frequencies) through its
   closed-form eigenpairs (O'Leary & Stewart, J. Comput. Phys. 90, 497,
   1990).  Used by the reservoir level and the port-2 reflection.
-* ``taylor_propagate``: exp(h S) y for a ``SparseGenerator`` S by
-  truncated Taylor series in ceil(h ||S||_1) sub-steps (the scaling of
-  Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011, with the exact
-  1-norm).  Used by the master equation.  ``SparseGenerator`` holds the
-  nonzeros of a sum of Kronecker products sorted by (row, col); its
-  matrix-vector product is one ``np.bincount`` over the interleaved real
-  and imaginary parts, which adds each row's terms in column order.
+* ``taylor_propagate``: exp(h A) y by truncated Taylor series in
+  ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
+  scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
+  serves the master equation, with the exact 1-norm of a
+  ``SparseGenerator``, and the four-port router in its co-rotating frame,
+  with a 2-norm bound.  ``SparseGenerator`` holds the nonzeros of a sum of
+  Kronecker products sorted by (row, col); its matrix-vector product is
+  one ``np.bincount`` over the interleaved real and imaginary parts, which
+  adds each row's terms in column order.
 * ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, one block of
   32 samples at a time.  Every single-field resynthesis goes through it:
   the reservoir survival and Zeno no-decay probabilities, the comb fields
@@ -250,7 +252,7 @@ class _ExactPropagator:
 
 
 _TERM_TOL = 2.0**-53
-_MAX_TERMS = 100  # never reached: with h ||S||_1 <= 1 the series converges by ~20 terms
+_MAX_TERMS = 100  # never reached: with h ||A|| <= 1 the series converges by ~20 terms
 
 
 def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,23 +299,34 @@ class SparseGenerator:
         return float(np.bincount(self.cols, weights=np.abs(self.vals), minlength=self.n).max())
 
 
-def taylor_propagate(gen, y: np.ndarray, h: float, norm1: float, fold) -> np.ndarray:
-    """exp(h gen) y in s = ceil(h norm1) equal sub-steps, ``norm1`` = ||gen||_1.
+def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float, fold) -> np.ndarray:
+    """exp(h A) y in s = ceil(h norm) equal sub-steps, with ``matvec(v)`` = A v
+    and ``norm`` a bound on an operator norm of A.
 
-    Each sub-step sums the Taylor series of exp((h / s) gen) y until two
+    Each sub-step sums the Taylor series of exp((h / s) A) y until two
     successive terms fall below 2^-53 of the partial sum (max norm), then
-    applies ``fold`` to the result.
+    applies ``fold`` to the result.  The term and the partial sum are
+    updated in place; ``matvec`` may return a buffer of its own, since
+    that is read before its next call.
     """
-    s = max(1, math.ceil(h * norm1))
+    s = max(1, math.ceil(h * norm))
     hs = h / s
+    out = np.empty_like(y)
+    term = np.empty_like(y)
+    mag = np.empty(y.shape)
     for _ in range(s):
-        out = y.copy()
-        term = y
+        np.copyto(out, y)
+        np.copyto(term, y)
+        bound = np.max(np.abs(y, out=mag))  # max |y| plus max |term| of every term so far
         small = 0
         for k in range(1, _MAX_TERMS):
-            term = (gen @ term) * (hs / k)
+            np.multiply(matvec(term), hs / k, out=term)
             out += term
-            small = small + 1 if np.max(np.abs(term)) <= _TERM_TOL * np.max(np.abs(out)) else 0
+            top = np.max(np.abs(term, out=mag))
+            bound += top
+            # max |out| <= bound up to roundoff, so |out| is needed only for a term near the tail
+            tail = top <= 2 * _TERM_TOL * bound and top <= _TERM_TOL * np.max(np.abs(out, out=mag))
+            small = small + 1 if tail else 0
             if small == 2:
                 break
         y = fold(out)

@@ -23,10 +23,15 @@ Model conventions
       dR_l/dt = +i conj(g) exp(-i w_l t) Q - i k2 sum_q S_ql
       dS_ql/dt= -i d2_q S_ql - i k2 R_l
 
-  This generator depends on time through exp(+-i w_l t) and is integrated
-  with fixed-step RK4.  The port-2 reflection off the bare cavity has a
-  time-independent arrowhead generator and is propagated exactly through
-  its closed-form eigenpairs (``_integrate._ExactPropagator``).
+  The generator depends on time only through exp(+-i w_l t).  In the
+  co-rotating frame R'_l = exp(i w_l t) R_l, S'_ql = exp(i w_l t) S_ql the
+  phases drop out, dR'_l/dt gains +i w_l R'_l and dS'_ql/dt has
+  -i (d2_q - w_l) S'_ql, so the generator is constant and
+  ``_integrate.taylor_propagate`` propagates the state exactly between
+  samples.  Populations do not depend on the frame; the
+  final R and S are turned back to the lab frame.  The port-2 reflection
+  off the bare cavity is propagated through the closed-form eigenpairs of
+  its arrowhead generator (``_integrate._ExactPropagator``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
@@ -68,7 +73,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _ExactPropagator, exp_sum, steps_for
+from ._integrate import (_MAX_STEPS, _arrowhead_eigensystem, _ExactPropagator, exp_sum,
+                         steps_for, taylor_propagate)
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -188,6 +194,8 @@ class Pulse:
 def gaussian_pulse(t0: float, duration: float) -> Pulse:
     if duration <= 0:
         raise InvalidInput("pulse duration must be positive")
+    if duration * duration == 0.0:
+        raise InvalidInput(f"pulse duration {duration:g} is too short: its square underflows to 0")
     return Pulse(kind="gaussian", t0=t0, duration=duration)
 
 
@@ -267,7 +275,8 @@ def loaded_transfer_rate(spec: ReservoirSpec, gamma2: float) -> float:
         raise InvalidInput("gamma2 must be positive")
     om = spec.frequencies()
     half = 0.5 * gamma2
-    return float(2.0 * spec.coupling_sq * np.sum(half / (half**2 + om**2)))
+    with np.errstate(over="ignore", divide="ignore"):  # squares out of float range give 0 or inf
+        return float(2.0 * spec.coupling_sq * np.sum(half / (half * half + om**2)))
 
 
 def coupling_for_diode_rate(
@@ -285,6 +294,12 @@ def coupling_for_diode_rate(
         f=f, eps_max=eps_max, coupling=1.0, spectrum=spectrum, **spectrum_kwargs
     )
     unit = loaded_transfer_rate(probe, gamma2)
+    if not 0.0 < unit < math.inf:
+        raise ConfigurationError(
+            f"a reservoir with eps_max = {eps_max:.3g} behind a cavity with gamma2 = "
+            f"{gamma2:.3g} transfers at {unit:.3g} per unit coupling squared; no finite "
+            f"coupling gives the rate {gamma_target:.3g}"
+        )
     return float(np.sqrt(gamma_target / unit))
 
 
@@ -311,8 +326,6 @@ class DiodeTrajectory:
     cavity1: np.ndarray
     mode2: np.ndarray
     port2: np.ndarray
-    q_times: np.ndarray
-    q_abs2: np.ndarray
     final: DiodeState = field(repr=False, default=None)
     norm_drift: float = 0.0
 
@@ -339,17 +352,22 @@ def _screen_grid(grid: ContinuumGrid, pulse: Pulse, t_final: float, label: str) 
     _check_window(grid, t_final, label)
 
 
-def _diode_dt(dt: Optional[float], *scales: float) -> float:
-    fastest = max(scales)
-    dt_phase = 2.0 * np.pi / (20.0 * fastest)
-    if dt is None:
-        return min(dt_phase, 0.02)
-    if dt > dt_phase + 1e-15:
-        raise ConfigurationError(
-            f"dt={dt:.3g} leaves fewer than 20 steps per period of the fastest "
-            f"frequency {fastest:.3g}; need dt <= {dt_phase:.3g}"
-        )
-    return dt
+def _generator_norm(
+    grid1: ContinuumGrid, grid2: ContinuumGrid, spec: ReservoirSpec, t_final: float
+) -> float:
+    """2-norm bound of the co-rotating generator: its block-diagonal part, where
+    class l holds the bare cavity-2 arrowhead C2 (poles d2, border k2) shifted
+    by -w_l, plus the cavity-1 star.  Fails when the Taylor sub-steps over
+    t_final would exceed the grid cap of ``steps_for``."""
+    d2 = grid2.detunings()
+    c2 = _arrowhead_eigensystem(d2, np.full(d2.size, grid2.kappa)).roots
+    blocks = max(np.max(np.abs(grid1.detunings())),
+                 np.max(np.abs(c2)) + np.max(np.abs(spec.frequencies())))
+    norm = float(blocks + math.sqrt(grid1.n_q * grid1.kappa**2 + spec.f * spec.coupling_sq))
+    if not t_final * norm <= _MAX_STEPS:  # also catches an overflow to inf
+        raise ConfigurationError(f"generator norm {norm:.3g} needs {t_final * norm:.3g} Taylor "
+                                 f"sub-steps over t_final, more than {_MAX_STEPS:.0e}")
+    return norm
 
 
 def evolve_full(
@@ -358,125 +376,85 @@ def evolve_full(
     spec: ReservoirSpec,
     p0: np.ndarray,
     t_final: float,
-    dt: Optional[float] = None,
+    dt: float = 0.02,
 ) -> DiodeTrajectory:
-    """Integrate the full four-port system with RK4, photon in port 1.
+    """Propagate the full four-port system exactly, photon in port 1.
 
-    The cavity amplitudes start empty.  |Q|^2 is recorded every step;
-    the port and cavity populations every max(1, round(0.1 / dt)) steps.
+    The cavity amplitudes start empty.  The populations are recorded on
+    the grid t = j dt every max(1, round(0.1 / dt)) steps and at t_final;
+    between records the state moves by one ``taylor_propagate`` of the
+    constant co-rotating generator.
     """
     n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
     p0 = np.asarray(p0, dtype=complex)
     if p0.size != n1:
         raise InvalidInput("initial amplitudes do not match the port-1 grid")
-    dt = _diode_dt(dt, grid1.delta_max, grid2.delta_max, spec.eps_max)
     _check_window(grid1, t_final, "port-1")
     _check_window(grid2, t_final, "port-2")
     nsteps, dt = steps_for(t_final, dt)
     sample_stride = max(1, int(round(0.1 / dt)))
+    norm = _generator_norm(grid1, grid2, spec, t_final)
 
-    d1 = grid1.detunings()
-    d2 = grid2.detunings()
     om = spec.frequencies()
     k1c, k2c = grid1.kappa, grid2.kappa
     g = complex(spec.coupling)
-    gc = np.conj(g)
-    md1 = -1j * d1
-    md2 = (-1j * d2)[None, :]
+    igc = 1j * np.conj(g)
+    md1 = -1j * grid1.detunings()
+    iw = 1j * om
+    mds = -1j * (grid2.detunings()[None, :] - om[:, None])
 
     size = n1 + 1 + f + f * n2
-    y = np.zeros(size, dtype=complex)
-    y[:n1] = p0
-    rsum = np.empty(f, dtype=complex)
-    rcol = np.empty(f, dtype=complex)
-
     iq = n1
     ir = slice(n1 + 1, n1 + 1 + f)
     is_ = slice(n1 + 1 + f, size)
+    y = np.zeros(size, dtype=complex)
+    y[:n1] = p0
+    dy = np.empty_like(y)
+    rsum = np.empty(f, dtype=complex)
+    rcol = np.empty(f, dtype=complex)
 
-    def rhs(t: float, yv: np.ndarray, out: np.ndarray) -> None:
-        pv = yv[:n1]
-        qv = yv[iq]
-        rv = yv[ir]
-        sv = yv[is_].reshape(f, n2)
-        dp = out[:n1]
-        dr = out[ir]
-        ds = out[is_].reshape(f, n2)
-        ph = np.exp(1j * om * t)
-        np.multiply(pv, md1, out=dp)
-        dp -= (1j * k1c) * qv
-        out[iq] = -1j * k1c * pv.sum() + 1j * g * np.dot(ph, rv)
-        sv.sum(axis=1, out=rsum)
-        np.conjugate(ph, out=dr)
-        dr *= 1j * gc * qv
+    def generator(v: np.ndarray) -> np.ndarray:
+        p, q, r, s = v[:n1], v[iq], v[ir], v[is_].reshape(f, n2)
+        dp, dr, ds = dy[:n1], dy[ir], dy[is_].reshape(f, n2)
+        np.multiply(p, md1, out=dp)
+        dp -= (1j * k1c) * q
+        dy[iq] = -1j * k1c * p.sum() + 1j * g * r.sum()
+        s.sum(axis=1, out=rsum)
+        np.multiply(r, iw, out=dr)
+        dr += igc * q
         dr -= (1j * k2c) * rsum
-        np.multiply(sv, md2, out=ds)
-        np.multiply(rv, 1j * k2c, out=rcol)
+        np.multiply(s, mds, out=ds)
+        np.multiply(r, 1j * k2c, out=rcol)
         ds -= rcol[:, None]
+        return dy
 
-    steps = np.arange(nsteps + 1)
-    times = steps * dt
-    recorded = (steps % sample_stride == 0) | (steps == nsteps)
+    steps = list(range(sample_stride, nsteps, sample_stride)) + [nsteps]
     parts = (slice(0, n1), iq, ir, is_)  # port 1, cavity 1, mode 2, port 2
-    pops = np.empty((len(parts), np.count_nonzero(recorded)))
-    q_abs2 = np.empty(nsteps + 1)
-
+    pops = np.empty((len(parts), len(steps) + 1))
     norm0 = float(np.sum(np.abs(y) ** 2))
-    q_abs2[0] = abs(y[iq]) ** 2
     pops[:, 0] = [np.sum(np.abs(y[part]) ** 2) for part in parts]
-    n_rec = 1
-
-    # fixed-step RK4 with preallocated stage buffers
-    k1 = np.empty_like(y)
-    k2 = np.empty_like(y)
-    k3 = np.empty_like(y)
-    k4 = np.empty_like(y)
-    yt = np.empty_like(y)
-    acc = np.empty_like(y)
-    half = 0.5 * dt
-    t = 0.0
-    for step in range(1, nsteps + 1):
-        rhs(t, y, k1)
-        np.multiply(k1, half, out=yt)
-        yt += y
-        rhs(t + half, yt, k2)
-        np.multiply(k2, half, out=yt)
-        yt += y
-        rhs(t + half, yt, k3)
-        np.multiply(k3, dt, out=yt)
-        yt += y
-        rhs(t + dt, yt, k4)
-        np.add(k2, k3, out=acc)
-        acc *= 2.0
-        acc += k1
-        acc += k4
-        acc *= dt / 6.0
-        y += acc
-        t = step * dt
-        q_abs2[step] = abs(y[iq]) ** 2
-        if recorded[step]:
-            pops[:, n_rec] = [np.sum(np.abs(y[part]) ** 2) for part in parts]
-            n_rec += 1
+    for j, (prev, step) in enumerate(zip([0] + steps, steps), start=1):
+        y = taylor_propagate(generator, y, (step - prev) * dt, norm, lambda v: v)
+        pops[:, j] = [np.sum(np.abs(y[part]) ** 2) for part in parts]
 
     drift = abs(float(np.sum(np.abs(y) ** 2)) - norm0)
+    lab = np.exp(-1j * om * t_final)  # back from the co-rotating frame
     final = DiodeState(
         p=y[:n1].copy(),
         q=complex(y[iq]),
-        r=y[ir].copy(),
-        s=y[is_].reshape(f, n2).copy(),
+        r=lab * y[ir],
+        s=lab[:, None] * y[is_].reshape(f, n2),
         t=t_final,
     )
     return DiodeTrajectory(
         grid1=grid1,
         grid2=grid2,
         spec=spec,
-        times=times[recorded],
+        times=np.array([0] + steps) * dt,
         port1=pops[0],
         cavity1=pops[1],
         mode2=pops[2],
         port2=pops[3],
-        q_times=times,
-        q_abs2=q_abs2,
         final=final,
         norm_drift=float(drift),
     )

@@ -179,7 +179,7 @@ def evolve(
     steps = list(range(snapshot_stride, nsteps, snapshot_stride)) + [nsteps]
     states = [DensityMatrix(model.space, y.reshape(d, d))]
     for prev, step in zip([0] + steps, steps):
-        y = taylor_propagate(gen, y, (step - prev) * dt, norm1, fold)
+        y = taylor_propagate(gen.__matmul__, y, (step - prev) * dt, norm1, fold)
         states.append(DensityMatrix(model.space, y.reshape(d, d)))
 
     obs: dict = {

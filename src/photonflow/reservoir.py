@@ -356,7 +356,6 @@ def zeno_evolve(
     state0: Optional[SingleExcitationState] = None,
     t_final: float = 1.0,
     tau_m: float = 0.1,
-    dt: Optional[float] = None,
 ) -> ZenoResult:
     """Free evolution interrupted by projective reservoir measurements.
 
@@ -371,12 +370,6 @@ def zeno_evolve(
     no-decay probability p(tau_m) = |sum_k w_k exp(i kappa_k tau_m)|^2
     and the cumulative survival after k segments is p_1 p^(k-1).
     """
-    if dt is None:
-        dt = _default_dt(spec)
-    if tau_m < dt:
-        # the step guard applies to the segment length when it is shorter
-        dt = tau_m
-    _check_dt(spec, dt)
     n_meas = int(np.floor(t_final / tau_m + 1e-9))
     if n_meas < 10:
         raise ConfigurationError(
@@ -411,12 +404,11 @@ def zeno_scan(
     spec: ReservoirSpec,
     taus: Sequence[float],
     n_measurements: int = 60,
-    dt: Optional[float] = None,
 ) -> list[ZenoResult]:
     """Effective decay rate for a list of measurement periods."""
     if n_measurements < 10:
         raise ConfigurationError("need at least 10 measurements per period")
-    return [zeno_evolve(spec, None, n_measurements * tau, tau, dt) for tau in taus]
+    return [zeno_evolve(spec, None, n_measurements * tau, tau) for tau in taus]
 
 
 def interference_evolve(

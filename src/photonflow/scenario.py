@@ -314,7 +314,8 @@ def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.
     if coupling is not None and target is not None:
         raise _err("reservoir.coupling", "coupling and target_gamma are mutually exclusive")
     if target is not None and gamma2 is not None:
-        coupling = dio.coupling_for_diode_rate(f, eps_max, gamma2, target, spectrum, **kwargs)
+        coupling = _guard("reservoir.target_gamma", dio.coupling_for_diode_rate,
+                          f, eps_max, gamma2, target, spectrum, **kwargs)
     elif target is not None:
         if spectrum != "equidistant":
             raise _err("reservoir.target_gamma", "rate inversion needs the equidistant spectrum")
@@ -379,7 +380,8 @@ def _build_pulse(sc: Scenario) -> dio.Pulse:
     if kind != "gaussian":
         raise _err("pulse.kind", f"scenario files support gaussian pulses, got {kind!r}")
     duration = _get(sc, "pulse.duration", _as_positive)
-    return dio.gaussian_pulse(t0=_get(sc, "pulse.t0", _as_float, 3.0 * duration), duration=duration)
+    t0 = _get(sc, "pulse.t0", _as_float, 3.0 * duration)
+    return _guard("pulse.duration", dio.gaussian_pulse, t0=t0, duration=duration)
 
 
 def _build_grid(
@@ -398,11 +400,13 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     gamma2 = _get(sc, "diode.gamma2", _as_positive)
     spec = _build_reservoir(sc, gamma2)
     gamma_eff = dio.loaded_transfer_rate(spec, gamma2)
-    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2))
+    if not 0.0 < gamma_eff < math.inf:
+        raise _err("reservoir.coupling", f"gives the transfer rate {gamma_eff:g} through "
+                                         f"gamma2 = {gamma2:g}; it must be positive and finite")
+    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2), 0.02)
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    dt = _guard("run.dt", dio._diode_dt, dt, grid1.delta_max, grid2.delta_max, spec.eps_max)
-    _guard("run.t_final", steps_for, t_final, dt)
+    _guard("run.t_final", dio._generator_norm, grid1, grid2, spec, t_final)
     return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
                            grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
 
@@ -572,12 +576,15 @@ def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
     free = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt)
     gamma_free, _ = reservoir.fit_decay_rate(free.times, free.survival, c.window)
 
-    results = reservoir.zeno_scan(spec, c.taus, n_measurements=c.n_meas, dt=c.dt)
+    results = reservoir.zeno_scan(spec, c.taus, n_measurements=c.n_meas)
     out = RunOutcome(derived={"coupling": float(abs(spec.coupling)), "spectrum": spec.spectrum,
                               "n_measurements": c.n_meas})
+    # a reservoir too weakly coupled to decay on the window leaves no rate to compare with
+    _check(out, "gamma_free_positive", gamma_free, gamma_free > 0.0)
+    ratios = [r.gamma_eff / gamma_free if gamma_free > 0.0 else math.nan for r in results]
     rows = []
-    for i, r in enumerate(results):
-        rows.append((r.tau_m, r.gamma_eff, r.gamma_eff / gamma_free, r.fit_residual))
+    for i, (r, ratio) in enumerate(zip(results, ratios)):
+        rows.append((r.tau_m, r.gamma_eff, ratio, r.fit_residual))
         nonneg = r.gamma_eff >= 0.0
         _check(out, f"gamma_eff_nonnegative_{i}", r.gamma_eff, nonneg)
         s = r.survival
@@ -591,7 +598,6 @@ def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
     out.csv_files.append(
         ("summary.csv", ["tau_m", "gamma_eff", "ratio_to_free", "fit_residual"], rows)
     )
-    ratios = [r.gamma_eff / gamma_free for r in results]
     out.results = {
         "gamma_free": gamma_free,
         "gamma_eff_min": min(r.gamma_eff for r in results),
@@ -630,8 +636,8 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
     mk = dio.evolve_markov(c.gamma_eff, c.gamma1, c.gamma2, c.pulse, c.t_final, dt=0.02)
     dec = dio.port2_output_decomposition(traj)
 
-    qf = traj.q_abs2
-    qm = np.interp(traj.q_times, mk.times, np.abs(mk.q) ** 2)
+    qf = traj.cavity1
+    qm = np.interp(traj.times, mk.times, np.abs(mk.q) ** 2)
     # floor excludes the turn-on transient of the hard t=0 start
     floor = 1e-3 * qm.max()
     mask = qm > floor

@@ -244,10 +244,10 @@ def test_criterion_08a_diode_routing(diode_run):
 
 def test_criterion_08b_full_vs_markov(diode_run):
     traj, mk, _, _, _ = diode_run
-    qm = np.interp(traj.q_times, mk.times, np.abs(mk.q) ** 2)
+    qm = np.interp(traj.times, mk.times, np.abs(mk.q) ** 2)
     # noise floor: the hard t=0 turn-on injects ~1e-4 broadband intensity
     mask = qm > 1e-3 * qm.max()
-    rel = np.max(np.abs(traj.q_abs2[mask] - qm[mask]) / qm[mask])
+    rel = np.max(np.abs(traj.cavity1[mask] - qm[mask]) / qm[mask])
     report(
         "criterion 08b full-vs-markov",
         rel <= 0.05,

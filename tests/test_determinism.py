@@ -84,6 +84,32 @@ delta_max = 10.0
 duration = 10.0
 """
 
+DIODE = """
+[scenario]
+name = router
+kind = DiodeFull
+
+[reservoir]
+f = 40
+eps_max = 0.002
+target_gamma = 1.0
+
+[diode]
+gamma1 = 1.0
+gamma2 = 20.0
+
+[grid1]
+n_q = 160
+delta_max = 4.0
+
+[grid2]
+n_q = 160
+delta_max = 4.0
+
+[pulse]
+duration = 8.0
+"""
+
 
 def _python(args, threads=None, cwd=None):
     env = dict(os.environ)
@@ -96,9 +122,9 @@ def _python(args, threads=None, cwd=None):
 
 
 @pytest.mark.parametrize("text", [MICRO, INTERFERENCE, LINDBLAD, PORT2,
-                                  (SCENARIOS / "dark_state.ini").read_text()],
+                                  (SCENARIOS / "dark_state.ini").read_text(), DIODE],
                          ids=["micro", "interference", "lindblad-transfer", "port2-reflection",
-                              "dark-state"])
+                              "dark-state", "diode-full"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)

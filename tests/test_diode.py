@@ -157,9 +157,9 @@ def test_full_matches_markov_cavity_population(mini_run):
     # corrections are larger here; the 5% acceptance bound is asserted
     # at the production point in test_acceptance.py
     traj, mk = mini_run
-    qm = np.interp(traj.q_times, mk.times, np.abs(mk.q) ** 2)
+    qm = np.interp(traj.times, mk.times, np.abs(mk.q) ** 2)
     mask = qm > 1e-2 * qm.max()
-    rel = np.abs(traj.q_abs2[mask] - qm[mask]) / qm[mask]
+    rel = np.abs(traj.cavity1[mask] - qm[mask]) / qm[mask]
     assert np.max(rel) <= 0.06
 
 

@@ -1,8 +1,8 @@
 """Exact propagation at every level against independent oracles.
 
 The reference paths are the fixed-step RK4 integrators the reservoir
-level, the Markov ports, the master equation and the port-2 reflection
-used before they were propagated exactly, kept here at reduced size, plus
+level, the Markov ports, the master equation, the port-2 reflection and
+the four-port router used before they were propagated exactly, kept here at reduced size, plus
 numpy.linalg.eigh, closed forms, the dense phase matrices that the
 blocked exponential sums replaced and the scipy.sparse.kron construction
 of the master-equation generator.
@@ -22,11 +22,13 @@ from photonflow import (
     SingleExcitationState,
     TwoUpperModeState,
     annihilation,
+    coupling_for_diode_rate,
     coupling_for_rate,
     creation,
     custom_pulse,
     evolve,
     evolve_exact,
+    evolve_full,
     evolve_markov,
     gaussian_pulse,
     interference_evolve,
@@ -208,7 +210,7 @@ def test_zeno_cumulative_matches_segment_loop():
     rhs = single_excitation_rhs(spec)
     for tau in (0.04, 0.004):
         dt = 0.02 / spec.eps_max / 8
-        result = zeno_evolve(spec, None, t_final=20 * tau, tau_m=tau, dt=dt)
+        result = zeno_evolve(spec, None, t_final=20 * tau, tau_m=tau)
         nsteps, h = steps_for(tau, dt)
         y = np.concatenate(([1.0], np.zeros(spec.f))).astype(complex)
         cumulative, t = [1.0], 0.0
@@ -336,6 +338,67 @@ def test_generator_matches_scipy_kron(make_model):
     else:
         # numpy's SIMD complex product may round unlike the scalar products of scipy's loop
         assert np.max(np.abs(gen @ y - ref @ y)) <= 4e-16 * np.max(np.abs(ref @ y))
+
+
+# --- four-port router against RK4 --------------------------------------------------------
+
+
+def router_rk4(grid1, grid2, spec, p0, t_final, dt, substeps):
+    """Lab-frame amplitudes (P, Q, R, S) stepped by RK4 at dt / substeps; the
+    populations at the samples of evolve_full and the final amplitudes."""
+    n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
+    d1, d2, om = grid1.detunings(), grid2.detunings(), spec.frequencies()
+    k1, k2, g = grid1.kappa, grid2.kappa, complex(spec.coupling)
+    iq, ir, is_ = n1, slice(n1 + 1, n1 + 1 + f), slice(n1 + 1 + f, None)
+
+    def rhs(t, y):
+        out = np.empty_like(y)
+        ph = np.exp(1j * om * t)
+        s = y[is_].reshape(f, n2)
+        out[:n1] = -1j * d1 * y[:n1] - 1j * k1 * y[iq]
+        out[iq] = -1j * k1 * np.sum(y[:n1]) + 1j * g * np.sum(ph * y[ir])
+        out[ir] = 1j * np.conj(g) * ph.conj() * y[iq] - 1j * k2 * np.sum(s, axis=1)
+        out[is_] = (-1j * d2[None, :] * s - 1j * k2 * y[ir][:, None]).ravel()
+        return out
+
+    nsteps, dt = steps_for(t_final, dt)
+    stride = max(1, int(round(0.1 / dt)))
+    parts = (slice(0, n1), iq, ir, is_)
+    y = np.zeros(n1 + 1 + f + f * n2, dtype=complex)
+    y[:n1] = p0
+    h = dt / substeps
+    pops = [[np.sum(np.abs(y[part]) ** 2) for part in parts]]
+    for step in range(1, nsteps + 1):
+        for sub in range(substeps):
+            y = rk4_step(rhs, ((step - 1) * substeps + sub) * h, y, h)
+        if step % stride == 0 or step == nsteps:
+            pops.append([np.sum(np.abs(y[part]) ** 2) for part in parts])
+    return np.array(pops).T, y[:n1], y[iq], y[ir], y[is_].reshape(f, n2)
+
+
+def test_router_matches_rk4():
+    # a wide reservoir comb, so that the frame turns R and S by over a radian
+    gamma, gamma1, gamma2, duration = 1.0, 1.0, 5.0, 2.0
+    pulse = gaussian_pulse(t0=3 * duration, duration=duration)
+    spec = ReservoirSpec(f=6, eps_max=0.05,
+                         coupling=coupling_for_diode_rate(6, 0.05, gamma2, gamma))
+    grid1 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma1)
+    grid2 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma2)
+    t_final = simulation_window(pulse, gamma, gamma1, gamma2)
+    p0 = project_pulse(grid1, pulse)
+    traj = evolve_full(grid1, grid2, spec, p0, t_final)
+    pops, p, q, r, s = router_rk4(grid1, grid2, spec, p0, t_final, 0.02, substeps=4)
+    ours = np.array([traj.port1, traj.cavity1, traj.mode2, traj.port2])
+    assert ours.shape == pops.shape
+    for got, ref in zip(ours, pops):
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(ref)
+    final = traj.final
+    assert np.max(np.abs(final.p - p)) <= 1e-8 * np.max(np.abs(p))
+    # q and r end near zero, so they are held to their peaks over the run
+    assert abs(final.q - q) <= 1e-8 * np.sqrt(np.max(pops[1]))
+    assert np.max(np.abs(final.r - r)) <= 1e-8 * np.sqrt(np.max(pops[2]))
+    assert np.max(np.abs(final.s - s)) <= 1e-8 * np.max(np.abs(s))
+    assert traj.norm_drift <= 1e-12
 
 
 # --- port-2 reflection against RK4 ------------------------------------------------------

@@ -580,3 +580,25 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     path = write(tmp_path, "w.ini", shipped_with(name, section, key, "1e-300"))
     assert main(["validate", path]) == 0
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name, section, key, value, code, named", [
+    ("zeno_scan", "reservoir", "target_gamma", "1e-300", 3, "gamma_free_positive"),
+    ("anti_zeno_scan", "reservoir", "coupling", "1e-300", 3, "gamma_free_positive"),
+    ("anti_zeno_scan", "reservoir", "center", "1e300", 3, "gamma_free_positive"),
+    ("diode_markov", "pulse", "duration", "1e-300", 2, "pulse.duration"),
+    ("diode_full", "reservoir", "eps_max", "1e300", 2, "reservoir.target_gamma"),
+    ("diode_full", "diode", "gamma2", "1e300", 2, "reservoir.target_gamma"),
+])
+def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
+    # a configuration error names a key at validate; a run that cannot hold
+    # its invariants reports them in the manifest; neither ends in a traceback
+    path = write(tmp_path, "e.ini", shipped_with(name, section, key, value))
+    assert main(["validate", path]) == (2 if code == 2 else 0)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert f"error: {named}:" in err and key in err
+    else:
+        (manifest,) = (tmp_path / "out").rglob("manifest.ini")
+        assert f"failures = {named}\n" in manifest.read_text()
