@@ -6,20 +6,22 @@ so propagation is exact up to roundoff, not stepped:
 * ``_ExactPropagator``: exp(i K t) for a real-symmetric arrowhead K (one
   mode coupled equally to classes at fixed frequencies) through its
   closed-form eigenpairs (O'Leary & Stewart, J. Comput. Phys. 90, 497,
-  1990).  Used by the reservoir level and the port-2 reflection.
+  1990).  Used by the reservoir level and the port-2 reflection, and its
+  eigensystem by the four-port router's memory kernel.
 * ``taylor_propagate``: exp(h A) y by truncated Taylor series in
   ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
   scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
   serves the master equation, with the exact 1-norm of a
-  ``SparseGenerator``, and the four-port router in its co-rotating frame,
-  with a 2-norm bound.  ``SparseGenerator`` holds the nonzeros of a sum of
+  ``SparseGenerator``; the tests also run the four-port router with it as
+  an oracle.  ``SparseGenerator`` holds the nonzeros of a sum of
   Kronecker products sorted by (row, col); its matrix-vector product is
   one ``np.bincount`` over the interleaved real and imaginary parts, which
   adds each row's terms in column order.
 * ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, one block of
   32 samples at a time.  Every single-field resynthesis goes through it:
   the reservoir survival and Zeno no-decay probabilities, the comb fields
-  of the router and the spectrum of a sampled pulse.
+  of the router, the kernel sums of its memory-kernel solve and the
+  spectrum of a sampled pulse.
 
 All of them use elementwise operations and numpy reductions only, never
 BLAS, so their bits do not depend on the BLAS thread count.

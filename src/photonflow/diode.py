@@ -23,13 +23,29 @@ Model conventions
       dR_l/dt = +i conj(g) exp(-i w_l t) Q - i k2 sum_q S_ql
       dS_ql/dt= -i d2_q S_ql - i k2 R_l
 
-  The generator depends on time only through exp(+-i w_l t).  In the
-  co-rotating frame R'_l = exp(i w_l t) R_l, S'_ql = exp(i w_l t) S_ql the
-  phases drop out, dR'_l/dt gains +i w_l R'_l and dS'_ql/dt has
-  -i (d2_q - w_l) S'_ql, so the generator is constant and
-  ``_integrate.taylor_propagate`` propagates the state exactly between
-  samples.  Populations do not depend on the frame; the
-  final R and S are turned back to the lab frame.  The port-2 reflection
+  In the co-rotating frame R'_l = exp(i w_l t) R_l, S'_ql = exp(i w_l t) S_ql
+  class l is the bare cavity-2 arrowhead C2 (poles d2_q, border k2) shifted
+  by -w_l.  On the C2 eigenpairs (lambda_k, V) of
+  ``_integrate._arrowhead_eigensystem`` the baths are independent modes
+  driven by Q: P_q at d1_q with drive -i k1 Q, and b_lk at lambda_k - w_l
+  with drive i conj(g) V_0k Q.  Eliminating them leaves one Volterra
+  equation whose kernel is the bath correlation function:
+
+      Q' = F - int_0^t K(t - s) Q(s) ds,   F = -i k1 sum_q p0_q exp(-i d1_q t),
+      K  = k1^2 sum_q exp(-i d1_q tau) + |g|^2 G(tau) W(tau),
+      G  = sum_k V_0k^2 exp(-i lambda_k tau),   W = sum_l exp(i w_l tau).
+
+  Its integrated form, with Kc = int_0^tau K and Kc(0) = 0, is explicit on
+  a uniform grid of step h (h times the generator norm bound <= 0.15):
+  int F and Kc come exactly from an 8-point Gauss-Legendre rule per step
+  over ``exp_sum``s, the convolution has Gregory weights of order 8 and
+  Q_1..Q_7 solve one small system.  Between samples each bath mode of
+  frequency e moves by its exact filter x <- exp(-i e Delta) x +
+  int exp(-i e (Delta - s)) drive Q(s) ds, the integral taken by the same
+  Gauss-Legendre rule in panels of at most 8 steps, with Q interpolated
+  at the nodes on 8 grid points around each step.  The final R' and S'
+  (Cauchy sums of V in blocks of 32 roots) go back to the lab frame, and
+  the norm drift is measured on that rebuilt state.  The port-2 reflection
   off the bare cavity is propagated through the closed-form eigenpairs of
   its arrowhead generator (``_integrate._ExactPropagator``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
@@ -73,8 +89,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import (_MAX_STEPS, _arrowhead_eigensystem, _ExactPropagator, exp_sum,
-                         steps_for, taylor_propagate)
+from ._integrate import _arrowhead_eigensystem, _block_slices, _ExactPropagator, exp_sum, steps_for
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -328,6 +343,8 @@ class DiodeTrajectory:
     port2: np.ndarray
     final: DiodeState = field(repr=False, default=None)
     norm_drift: float = 0.0
+    quadrature_step: float = 0.0  # h of the memory-kernel solve
+    quadrature_steps: int = 0  # its steps n, on the grid points 0..n
 
 
 def _check_bandwidth(grid: ContinuumGrid, pulse: Pulse) -> None:
@@ -352,22 +369,164 @@ def _screen_grid(grid: ContinuumGrid, pulse: Pulse, t_final: float, label: str) 
     _check_window(grid, t_final, label)
 
 
-def _generator_norm(
-    grid1: ContinuumGrid, grid2: ContinuumGrid, spec: ReservoirSpec, t_final: float
-) -> float:
+def _generator_norm(grid1: ContinuumGrid, grid2: ContinuumGrid, spec: ReservoirSpec) -> float:
     """2-norm bound of the co-rotating generator: its block-diagonal part, where
     class l holds the bare cavity-2 arrowhead C2 (poles d2, border k2) shifted
-    by -w_l, plus the cavity-1 star.  Fails when the Taylor sub-steps over
-    t_final would exceed the grid cap of ``steps_for``."""
+    by -w_l, plus the cavity-1 star."""
     d2 = grid2.detunings()
     c2 = _arrowhead_eigensystem(d2, np.full(d2.size, grid2.kappa)).roots
     blocks = max(np.max(np.abs(grid1.detunings())),
                  np.max(np.abs(c2)) + np.max(np.abs(spec.frequencies())))
-    norm = float(blocks + math.sqrt(grid1.n_q * grid1.kappa**2 + spec.f * spec.coupling_sq))
-    if not t_final * norm <= _MAX_STEPS:  # also catches an overflow to inf
-        raise ConfigurationError(f"generator norm {norm:.3g} needs {t_final * norm:.3g} Taylor "
-                                 f"sub-steps over t_final, more than {_MAX_STEPS:.0e}")
-    return norm
+    return float(blocks + math.sqrt(grid1.n_q * grid1.kappa**2 + spec.f * spec.coupling_sq))
+
+
+# Gauss-Legendre rule of order 8 on [0, 1], from the positive nodes and their
+# weights on [-1, 1] (Abramowitz & Stegun, Table 25.4)
+_GL_X = np.array([0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706])
+_NODES = 0.5 + 0.5 * np.concatenate((-_GL_X[::-1], _GL_X))
+_NODE_WEIGHTS = 0.5 * np.concatenate((_GL_W[::-1], _GL_W))
+# Gregory end corrections of order 8: int_0^n u(x) dx = sum_m (1 + a_m + a_(n-m)) u(m)
+# up to the eighth derivative of u, with a_j = 0 for j >= 8; exact for degree 7 once n >= 7
+_GREGORY = np.array([-2558783, 1908311, -2696283, 2899075,
+                     -2134045, 1012293, -278921, 33953]) / 3628800
+_ORDER = _GREGORY.size
+_STENCIL = 8  # grid points that interpolate Q at a node of a filter
+_STEP_NORM = 0.15  # quadrature step times the generator norm bound
+_MAX_QUADRATURE_STEPS = 2 * 10**5  # the O(n^2) solve for Q takes about a minute there
+_START_ITERATIONS = 60  # 0.51^60 < 2^-53
+# quadrature steps at most per Gauss-Legendre panel of a filter: a filter integrand
+# oscillates below twice the norm bound, so a panel spans at most 2.4 rad of it,
+# where the rule of order 8 errs by about 2e-17 of the integral
+_PANEL = 8
+
+
+def _lagrange(points: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Lagrange basis on ``points`` at ``s``: element (i, m) is l_m(s_i)."""
+    out = np.ones((s.size, points.size))
+    for m, pm in enumerate(points):
+        for pj in points:
+            if pj != pm:
+                out[:, m] *= (s - pj) / (pm - pj)
+    return out
+
+
+def _stencil(i: int, n: int) -> int:
+    """First of the ``_STENCIL`` grid points within 0..n around the step [i, i + 1]."""
+    return min(max(i - _STENCIL // 2 + 1, 0), n - _STENCIL + 1)
+
+
+# the Lagrange basis on the points 0..7 at the nodes of the steps [j, j + 1], j = 0..6, and
+# int_0^j of the interpolant of u on those points, j = 0..7; row 7 is the Gregory rule
+_START_BASIS = _lagrange(np.arange(_ORDER), (np.arange(_ORDER - 1)[:, None] + _NODES).ravel())
+_START = np.cumsum(np.vstack([np.zeros(_ORDER), np.einsum(
+    "i,jim->jm", _NODE_WEIGHTS, _START_BASIS.reshape(_ORDER - 1, _NODES.size, _ORDER))]), axis=0)
+
+
+def _quadrature_grid(grid1: ContinuumGrid, grid2: ContinuumGrid, spec: ReservoirSpec,
+                     t_final: float, dt: float):
+    """Sample steps of ``dt`` and the quadrature grid of the memory-kernel solve.
+
+    Returns the sample steps, the resolved dt, the sample times in units of
+    the quadrature step h, h and the last grid point n.  Fails when n would
+    exceed ``_MAX_QUADRATURE_STEPS``.
+    """
+    nsteps, dt = steps_for(t_final, dt)
+    stride = max(1, int(round(0.1 / dt)))
+    steps = list(range(stride, nsteps, stride)) + [nsteps]
+    norm = _generator_norm(grid1, grid2, spec)
+    cap = _MAX_QUADRATURE_STEPS
+    if not t_final * norm <= _STEP_NORM * cap:  # also catches an overflow to inf
+        raise ConfigurationError(f"generator norm {norm:.3g} needs at least "
+                                 f"{t_final * norm / _STEP_NORM:.3g} quadrature steps over "
+                                 f"t_final, more than {cap:.0e}")
+    sub = math.ceil(stride * dt * norm / _STEP_NORM)
+    h = stride * dt / sub
+    marks = [s // stride * sub + s % stride * sub / stride for s in steps]
+    n = max(math.ceil(marks[-1]) + _STENCIL // 2, _ORDER)
+    if n > cap:
+        raise ConfigurationError(f"t_final = {t_final:.3g} at run.dt = {dt:.3g} needs {n} "
+                                 f"quadrature steps, more than {cap:.0e}")
+    return steps, dt, marks, h, n
+
+
+def _kernel_integrals(grid1: ContinuumGrid, spec: ReservoirSpec, p0: np.ndarray,
+                      c2, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^t F and int_0^t K at t = j h, j = 0..n, from the Gauss-Legendre
+    rule in each step, with D, G and W each summed by ``exp_sum``."""
+    d1 = grid1.detunings()
+    k1 = grid1.kappa
+    om = spec.frequencies()
+    step_f = np.zeros(n, dtype=complex)
+    step_k = np.zeros(n, dtype=complex)
+    for x, w in zip(_NODES, _NODE_WEIGHTS):
+        t = (np.arange(n) + x) * h
+        step_f += w * exp_sum(-d1, -1j * k1 * p0, t)
+        d = exp_sum(-d1, np.ones(d1.size), t)
+        gw = exp_sum(-c2.roots, c2.inv_norm**2, t) * exp_sum(om, np.ones(om.size), t)
+        step_k += w * (k1 * k1 * d + spec.coupling_sq * gw)
+    zero = np.zeros(1, dtype=complex)
+    return (np.concatenate((zero, np.cumsum(h * step_f))),
+            np.concatenate((zero, np.cumsum(h * step_k))))
+
+
+def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
+    """Q_j = int_f_j - h sum_m w_jm kc_(j-m) Q_m on the grid, with Q_0 = 0.
+
+    Q_1..Q_7 solve one linear system by fixed-point iteration, each integral
+    taken over the degree-7 interpolant through Q_0..Q_7 (kc at negative lags
+    is -conj(kc)); from j = 8 on each Q_j follows explicitly from the Gregory
+    weights, since kc_0 = 0.
+    """
+    n = int_f.size - 1
+    q = np.zeros(n + 1, dtype=complex)
+    j = np.arange(1, _ORDER)
+    lag = j[:, None] - j[None, :]
+    kl = h * _START[1:, 1:] * np.where(lag >= 0, kc[np.abs(lag)], -np.conj(kc[np.abs(lag)]))
+    # |kc(tau)| <= tau norm^2, so the row sums of |kl| stay below 22.4 (h norm)^2 <= 0.51:
+    # each iteration at least halves the error
+    for _ in range(_START_ITERATIONS):
+        q[1:_ORDER] = int_f[1:_ORDER] - np.einsum("jm,m->j", kl, q[1:_ORDER])
+    # the weight 1 + a_(j-m) rides on kc_(j-m), the weight a_m on Q_m for m < 8
+    kmod = kc.copy()
+    kmod[1:_ORDER] *= 1.0 + _GREGORY[1:]
+    krev, kmod_rev = kc[::-1].copy(), kmod[::-1].copy()
+    start = _GREGORY * q[:_ORDER]
+    for j in range(_ORDER, n + 1):
+        lo = n - j
+        conv = (np.einsum("i,i->", kmod_rev[lo:n], q[:j])
+                + np.einsum("i,i->", start, krev[lo:lo + _ORDER]))
+        q[j] = int_f[j] - h * conv
+    return q
+
+
+def _interval_rule(start: int, length: float, n: int):
+    """Gauss-Legendre rule of order 8 for int_0^length u(start + x) phi(x) dx, in
+    equal panels of at most ``_PANEL`` steps, for u known on the grid points 0..n.
+
+    Returns the nodes as length - x, their weights, the first grid point used
+    and the matrix that interpolates u at each node and, in its last row, at
+    x = length, each on the ``_STENCIL`` points around the step that holds it.
+    """
+    panels = math.ceil(length / _PANEL)
+    width = length / panels
+    x = np.append(np.concatenate([(p + _NODES) * width for p in range(panels)]), length)
+    firsts = [_stencil(start + int(xi), n) for xi in x]
+    lo = min(firsts)
+    interp = np.zeros((x.size, max(firsts) + _STENCIL - lo))
+    for g, first in enumerate(firsts):
+        points = np.arange(first, first + _STENCIL) - start
+        interp[g, first - lo:first - lo + _STENCIL] = _lagrange(points, x[g:g + 1])[0]
+    return length - x[:-1], np.tile(width * _NODE_WEIGHTS, panels), lo, interp
+
+
+def _bath_weights(freqs: np.ndarray, drive: np.ndarray, tau: np.ndarray,
+                  weights: np.ndarray, h: float) -> np.ndarray:
+    """h weights_g drive_e exp(-i freqs_e h tau_g), row g for node g."""
+    return np.array([(h * w) * drive * np.exp((-1j * h * t) * freqs)
+                     for t, w in zip(tau, weights)])
 
 
 def evolve_full(
@@ -378,12 +537,14 @@ def evolve_full(
     t_final: float,
     dt: float = 0.02,
 ) -> DiodeTrajectory:
-    """Propagate the full four-port system exactly, photon in port 1.
+    """The full four-port system from its memory kernel, photon in port 1.
 
     The cavity amplitudes start empty.  The populations are recorded on
-    the grid t = j dt every max(1, round(0.1 / dt)) steps and at t_final;
-    between records the state moves by one ``taylor_propagate`` of the
-    constant co-rotating generator.
+    the grid t = j dt every max(1, round(0.1 / dt)) steps and at t_final.
+    Q comes from the Volterra equation of the module docstring on a grid of
+    step h = (sample interval) / ceil((sample interval) norm / 0.15); the
+    port-1 modes and the cavity-2 eigenmodes of every class are exact
+    filters of Q between samples.
     """
     n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
     p0 = np.asarray(p0, dtype=complex)
@@ -391,61 +552,54 @@ def evolve_full(
         raise InvalidInput("initial amplitudes do not match the port-1 grid")
     _check_window(grid1, t_final, "port-1")
     _check_window(grid2, t_final, "port-2")
-    nsteps, dt = steps_for(t_final, dt)
-    sample_stride = max(1, int(round(0.1 / dt)))
-    norm = _generator_norm(grid1, grid2, spec, t_final)
-
+    steps, dt, marks, h, n = _quadrature_grid(grid1, grid2, spec, t_final, dt)
+    c2 = _arrowhead_eigensystem(grid2.detunings(), np.full(n2, grid2.kappa))
     om = spec.frequencies()
-    k1c, k2c = grid1.kappa, grid2.kappa
     g = complex(spec.coupling)
-    igc = 1j * np.conj(g)
-    md1 = -1j * grid1.detunings()
-    iw = 1j * om
-    mds = -1j * (grid2.detunings()[None, :] - om[:, None])
+    int_f, kc = _kernel_integrals(grid1, spec, p0, c2, h, n)
+    q = _solve_cavity(int_f, kc, h)
 
-    size = n1 + 1 + f + f * n2
-    iq = n1
-    ir = slice(n1 + 1, n1 + 1 + f)
-    is_ = slice(n1 + 1 + f, size)
-    y = np.zeros(size, dtype=complex)
-    y[:n1] = p0
-    dy = np.empty_like(y)
-    rsum = np.empty(f, dtype=complex)
-    rcol = np.empty(f, dtype=complex)
+    # port-1 modes P_q, then the eigenmodes b_lk of C2 - w_l of every class l
+    v0 = c2.inv_norm
+    freqs = np.concatenate((grid1.detunings(), (c2.roots[None, :] - om[:, None]).ravel()))
+    drive = np.concatenate((np.full(n1, -1j * grid1.kappa), np.tile(1j * np.conj(g) * v0, f)))
+    x = np.zeros(freqs.size, dtype=complex)
+    x[:n1] = p0
+    xv = x.view(float)
+    b = x[n1:].reshape(f, n2 + 1)
+    term = np.empty_like(x)
+    pops = np.empty((4, len(steps) + 1))
+    pops[:, 0] = [np.sum(np.abs(p0) ** 2), 0.0, 0.0, 0.0]
+    rules = {}
+    for j, (start, end) in enumerate(zip([0] + marks, marks), start=1):
+        start = int(start)
+        length = end - start
+        key = (min(start, _STENCIL // 2 - 1), length)  # _stencil clamps only for start < 3
+        if key not in rules:
+            tau, node_weights, lo, interp = _interval_rule(start, length, n)
+            rules[key] = (_bath_weights(freqs, drive, tau, node_weights, h),
+                          np.exp(-1j * h * length * freqs), lo - start, interp)
+        weights, decay, offset, interp = rules[key]
+        x *= decay
+        *at_nodes, q_end = np.einsum("gm,m->g", interp, q[start + offset:][:interp.shape[1]])
+        for w, qg in zip(weights, at_nodes):
+            x += np.multiply(w, qg, out=term)
+        r = np.einsum("lk,k->l", b, v0)
+        rv = r.view(float)
+        port1 = np.einsum("i,i->", xv[:2 * n1], xv[:2 * n1])
+        mode2 = np.einsum("i,i->", rv, rv)
+        pops[:, j] = [port1, abs(q_end) ** 2, mode2,
+                      np.einsum("i,i->", xv[2 * n1:], xv[2 * n1:]) - mode2]
 
-    def generator(v: np.ndarray) -> np.ndarray:
-        p, q, r, s = v[:n1], v[iq], v[ir], v[is_].reshape(f, n2)
-        dp, dr, ds = dy[:n1], dy[ir], dy[is_].reshape(f, n2)
-        np.multiply(p, md1, out=dp)
-        dp -= (1j * k1c) * q
-        dy[iq] = -1j * k1c * p.sum() + 1j * g * r.sum()
-        s.sum(axis=1, out=rsum)
-        np.multiply(r, iw, out=dr)
-        dr += igc * q
-        dr -= (1j * k2c) * rsum
-        np.multiply(s, mds, out=ds)
-        np.multiply(r, 1j * k2c, out=rcol)
-        ds -= rcol[:, None]
-        return dy
-
-    steps = list(range(sample_stride, nsteps, sample_stride)) + [nsteps]
-    parts = (slice(0, n1), iq, ir, is_)  # port 1, cavity 1, mode 2, port 2
-    pops = np.empty((len(parts), len(steps) + 1))
-    norm0 = float(np.sum(np.abs(y) ** 2))
-    pops[:, 0] = [np.sum(np.abs(y[part]) ** 2) for part in parts]
-    for j, (prev, step) in enumerate(zip([0] + steps, steps), start=1):
-        y = taylor_propagate(generator, y, (step - prev) * dt, norm, lambda v: v)
-        pops[:, j] = [np.sum(np.abs(y[part]) ** 2) for part in parts]
-
-    drift = abs(float(np.sum(np.abs(y) ** 2)) - norm0)
+    # S'_ql = sum_k V_qk b_lk with V_qk = inv_norm_k k2 / (lambda_k - d2_q)
+    s = np.zeros((f, n2), dtype=complex)
+    for ks in _block_slices(v0.size):
+        s += np.einsum("lk,kq->lq", b[:, ks] * v0[ks], 1.0 / c2.gaps(ks))
     lab = np.exp(-1j * om * t_final)  # back from the co-rotating frame
-    final = DiodeState(
-        p=y[:n1].copy(),
-        q=complex(y[iq]),
-        r=lab * y[ir],
-        s=lab[:, None] * y[is_].reshape(f, n2),
-        t=t_final,
-    )
+    final = DiodeState(p=x[:n1].copy(), q=complex(q_end), r=lab * r,
+                       s=lab[:, None] * (grid2.kappa * s), t=t_final)
+    norm = (np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2 + np.sum(np.abs(final.r) ** 2)
+            + np.sum(np.abs(final.s) ** 2))
     return DiodeTrajectory(
         grid1=grid1,
         grid2=grid2,
@@ -456,7 +610,9 @@ def evolve_full(
         mode2=pops[2],
         port2=pops[3],
         final=final,
-        norm_drift=float(drift),
+        norm_drift=abs(float(norm) - float(np.sum(np.abs(p0) ** 2))),
+        quadrature_step=h,
+        quadrature_steps=n,
     )
 
 

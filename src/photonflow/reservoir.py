@@ -121,7 +121,8 @@ class ReservoirSpec:
 
     @property
     def coupling_sq(self) -> float:
-        return float(abs(self.coupling) ** 2)
+        g = abs(self.coupling)
+        return float(g * g)  # inf, not an OverflowError, past the float range
 
 
 @dataclass

@@ -212,9 +212,10 @@ def _stride(sc: Scenario, default: int = 10) -> int:
 
 
 def _run_times(sc: Scenario, t_final=_REQUIRED, dt=None) -> tuple:
-    """run.t_final and run.dt, each falling back to the kind's default; a
-    known dt is checked for a grid that ``steps_for`` accepts."""
-    t_final = _get(sc, "run.t_final", _as_positive, t_final)
+    """run.t_final and run.dt, each falling back to the kind's default; t_final,
+    given or not, must be positive, and a known dt must give a grid that
+    ``steps_for`` accepts."""
+    t_final = _positive("run.t_final", _get(sc, "run.t_final", _as_float, t_final))
     dt = _get(sc, "run.dt", _as_positive, dt)
     if dt is not None:
         _guard("run.t_final", steps_for, t_final, dt)
@@ -381,7 +382,11 @@ def _build_pulse(sc: Scenario) -> dio.Pulse:
         raise _err("pulse.kind", f"scenario files support gaussian pulses, got {kind!r}")
     duration = _get(sc, "pulse.duration", _as_positive)
     t0 = _get(sc, "pulse.t0", _as_float, 3.0 * duration)
-    return _guard("pulse.duration", dio.gaussian_pulse, t0=t0, duration=duration)
+    pulse = _guard("pulse.duration", dio.gaussian_pulse, t0=t0, duration=duration)
+    if not pulse.support()[1] > 0.0:
+        raise _err("pulse.t0", f"the pulse ends at t0 + 4 duration = {pulse.support()[1]:g}, "
+                               "before the run starts at t = 0")
+    return pulse
 
 
 def _build_grid(
@@ -406,7 +411,7 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2), 0.02)
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    _guard("run.t_final", dio._generator_norm, grid1, grid2, spec, t_final)
+    _guard("run.t_final", dio._quadrature_grid, grid1, grid2, spec, t_final, dt)
     return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
                            grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
 
@@ -630,6 +635,11 @@ def _run_interference(c: SimpleNamespace) -> RunOutcome:
     return out
 
 
+def _max_rel_err(got: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> float:
+    """Largest relative deviation over ``mask``; nan when the mask is empty."""
+    return float(np.max(np.abs(got[mask] - ref[mask]) / ref[mask])) if mask.any() else math.nan
+
+
 def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
     p0 = dio.project_pulse(c.grid1, c.pulse)
     traj = dio.evolve_full(c.grid1, c.grid2, c.spec, p0, c.t_final, dt=c.dt)
@@ -640,11 +650,9 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
     qm = np.interp(traj.times, mk.times, np.abs(mk.q) ** 2)
     # floor excludes the turn-on transient of the hard t=0 start
     floor = 1e-3 * qm.max()
-    mask = qm > floor
-    q_err = float(np.max(np.abs(qf[mask] - qm[mask]) / qm[mask]))
+    q_err = _max_rel_err(qf, qm, qm > floor)
     rho_m = np.interp(dec.times, mk.times, mk.rho_out)
-    rmask = rho_m > 0.01 * rho_m.max()
-    rho_err = float(np.max(np.abs(dec.rho_out[rmask] - rho_m[rmask]) / rho_m[rmask]))
+    rho_err = _max_rel_err(dec.rho_out, rho_m, rho_m > 0.01 * rho_m.max())
 
     out = RunOutcome(derived={
         "coupling": float(abs(c.spec.coupling)),
@@ -652,6 +660,8 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
         "kappa1": c.grid1.kappa,
         "kappa2": c.grid2.kappa,
         "t_final": c.t_final,
+        "quadrature_step": traj.quadrature_step,
+        "quadrature_steps": traj.quadrature_steps,
     })
     _check(out, "norm_drift", traj.norm_drift, traj.norm_drift <= 1e-8)
     energy = traj.port1[-1] + traj.port2[-1] + traj.cavity1[-1] + traj.mode2[-1]
@@ -675,6 +685,9 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
         "weighted_purity": dec.weighted_purity,
         "norm_drift": traj.norm_drift,
     }
+    # the Markov comparisons are nan when the window ends before the photon arrives
+    finite = bool(np.all(np.isfinite(list(out.results.values()))))
+    _check(out, "results_finite", finite, finite)
     return out
 
 

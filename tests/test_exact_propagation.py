@@ -2,7 +2,8 @@
 
 The reference paths are the fixed-step RK4 integrators the reservoir
 level, the Markov ports, the master equation, the port-2 reflection and
-the four-port router used before they were propagated exactly, kept here at reduced size, plus
+the four-port router used before they were propagated exactly, kept here at reduced size, the
+router's co-rotating Taylor propagation that its memory-kernel solve replaced, plus
 numpy.linalg.eigh, closed forms, the dense phase matrices that the
 blocked exponential sums replaced and the scipy.sparse.kron construction
 of the master-equation generator.
@@ -41,8 +42,10 @@ from photonflow import (
     transfer_jump,
     zeno_evolve,
 )
-from photonflow._integrate import _ExactPropagator, _block_slices, exp_sum, steps_for
-from photonflow.diode import intensity_centroid
+from photonflow._integrate import (_ExactPropagator, _block_slices, exp_sum, steps_for,
+                                   taylor_propagate)
+from photonflow.diode import (_GREGORY, _NODE_WEIGHTS, _NODES, _START, _generator_norm,
+                              intensity_centroid)
 from photonflow.lindblad import _superoperator
 
 
@@ -398,6 +401,90 @@ def test_router_matches_rk4():
     assert abs(final.q - q) <= 1e-8 * np.sqrt(np.max(pops[1]))
     assert np.max(np.abs(final.r - r)) <= 1e-8 * np.sqrt(np.max(pops[2]))
     assert np.max(np.abs(final.s - s)) <= 1e-8 * np.max(np.abs(s))
+    assert traj.norm_drift <= 1e-12
+
+
+def test_router_quadrature_rules_are_exact_for_degree_7():
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(_NODES - 0.5 * (1.0 + x))) <= 1e-15
+    assert np.max(np.abs(_NODE_WEIGHTS - 0.5 * w)) <= 1e-15
+    for k in range(8):
+        def integral(j, c):  # of ((x - c) / c)^k over [0, j]
+            return c * (((j - c) / c) ** (k + 1) - (-1) ** (k + 1)) / (k + 1)
+
+        # the start rows over the points 0..7, then Gregory weights with and without overlap
+        nodes = np.arange(8.0)
+        assert np.max(np.abs(_START @ ((nodes - 3.5) / 3.5) ** k - integral(nodes, 3.5))) <= 1e-14
+        for n in (8, 11, 15, 40):
+            weights = np.ones(n + 1)
+            weights[:8] += _GREGORY
+            weights[n - 7:] += _GREGORY[::-1]
+            u = ((np.arange(n + 1.0) - n / 2) / (n / 2)) ** k
+            assert abs(np.sum(weights * u) - integral(n, n / 2)) <= 1e-13 * n
+
+
+def router_taylor(grid1, grid2, spec, p0, t_final, dt):
+    """Amplitudes (P, Q, R', S') in the co-rotating frame R'_l = exp(i w_l t) R_l,
+    S'_ql = exp(i w_l t) S_ql, where the generator is constant, moved from one
+    sample of evolve_full to the next by taylor_propagate; the populations at
+    those samples and the final lab-frame amplitudes."""
+    n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
+    nsteps, dt = steps_for(t_final, dt)
+    stride = max(1, int(round(0.1 / dt)))
+    norm = _generator_norm(grid1, grid2, spec)
+    om = spec.frequencies()
+    k1, k2, g = grid1.kappa, grid2.kappa, complex(spec.coupling)
+    md1 = -1j * grid1.detunings()
+    mds = -1j * (grid2.detunings()[None, :] - om[:, None])
+    iq, ir, is_ = n1, slice(n1 + 1, n1 + 1 + f), slice(n1 + 1 + f, None)
+
+    def generator(v):
+        out = np.empty_like(v)
+        s = v[is_].reshape(f, n2)
+        out[:n1] = md1 * v[:n1] - 1j * k1 * v[iq]
+        out[iq] = -1j * k1 * np.sum(v[:n1]) + 1j * g * np.sum(v[ir])
+        out[ir] = 1j * om * v[ir] + 1j * np.conj(g) * v[iq] - 1j * k2 * np.sum(s, axis=1)
+        out[is_] = (mds * s - 1j * k2 * v[ir][:, None]).ravel()
+        return out
+
+    y = np.zeros(n1 + 1 + f + f * n2, dtype=complex)
+    y[:n1] = p0
+    steps = list(range(stride, nsteps, stride)) + [nsteps]
+    parts = (slice(0, n1), iq, ir, is_)
+    pops = [[np.sum(np.abs(y[part]) ** 2) for part in parts]]
+    for prev, step in zip([0] + steps, steps):
+        y = taylor_propagate(generator, y, (step - prev) * dt, norm, lambda v: v)
+        pops.append([np.sum(np.abs(y[part]) ** 2) for part in parts])
+    lab = np.exp(-1j * om * t_final)
+    return np.array(pops).T, y[:n1], y[iq], lab * y[ir], lab[:, None] * y[is_].reshape(f, n2)
+
+
+@pytest.mark.parametrize("t0, dt, t_final", [
+    (6.0, 0.02, None),  # the setup of test_router_matches_rk4
+    (2.0, 0.02, None),  # the pulse is at 61% of its peak when the run starts
+    (6.0, 0.005, 17.33),  # the last sample interval is 6 steps of dt, not 20
+    (6.0, 0.1, 17.33),  # dt shrinks to 17.33 / 174
+], ids=["rk4-setup", "early-pulse", "dt-0.005", "dt-0.1"])
+def test_router_matches_taylor(t0, dt, t_final):
+    gamma, gamma1, gamma2, duration = 1.0, 1.0, 5.0, 2.0
+    pulse = gaussian_pulse(t0=t0, duration=duration)
+    spec = ReservoirSpec(f=6, eps_max=0.05,
+                         coupling=coupling_for_diode_rate(6, 0.05, gamma2, gamma))
+    grid1 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma1)
+    grid2 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma2)
+    if t_final is None:
+        t_final = simulation_window(pulse, gamma, gamma1, gamma2)
+    p0 = project_pulse(grid1, pulse)
+    traj = evolve_full(grid1, grid2, spec, p0, t_final, dt)
+    pops, p, q, r, s = router_taylor(grid1, grid2, spec, p0, t_final, dt)
+    assert traj.times.size == pops.shape[1]
+    for got, ref in zip([traj.port1, traj.cavity1, traj.mode2, traj.port2], pops):
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
+    final = traj.final
+    assert np.max(np.abs(final.p - p)) <= 1e-9 * np.max(np.abs(p))
+    assert abs(final.q - q) <= 1e-9 * np.sqrt(np.max(pops[1]))
+    assert np.max(np.abs(final.r - r)) <= 1e-9 * np.sqrt(np.max(pops[2]))
+    assert np.max(np.abs(final.s - s)) <= 1e-9 * np.max(np.abs(s))
     assert traj.norm_drift <= 1e-12
 
 

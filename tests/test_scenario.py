@@ -543,6 +543,9 @@ def shipped_with(name: str, section: str, key: str, value: str) -> str:
             k, v = line.split("=", 1)
             current[k.strip()] = v.strip()
     sections.setdefault(section, {})[key] = value
+    if section == "reservoir":  # a reservoir takes its coupling or its target rate, not both
+        other = {"coupling": "target_gamma", "target_gamma": "coupling"}.get(key)
+        sections[section].pop(other, None)
     return "\n".join(
         f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
     )
@@ -564,6 +567,7 @@ def shipped_with(name: str, section: str, key: str, value: str) -> str:
     ("diode_markov", "pulse", "duration", "1e300"),
     ("impedance_scan", "diode", "gamma", "1e-300"),
     ("interference", "run", "t_final", "1e300"),
+    ("diode_full", "reservoir", "coupling", "1e3"),  # 4e7 quadrature steps
 ])
 def test_cli_validate_rejects_grids_too_long_to_hold(tmp_path, capsys, name, section, key, value):
     path = write(tmp_path, "g.ini", shipped_with(name, section, key, value))
@@ -589,6 +593,9 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("diode_markov", "pulse", "duration", "1e-300", 2, "pulse.duration"),
     ("diode_full", "reservoir", "eps_max", "1e300", 2, "reservoir.target_gamma"),
     ("diode_full", "diode", "gamma2", "1e300", 2, "reservoir.target_gamma"),
+    ("diode_full", "run", "t_final", "1e-300", 3, "results_finite"),
+    ("diode_full", "pulse", "t0", "-1e300", 2, "pulse.t0"),
+    ("diode_full", "reservoir", "coupling", "1e300", 2, "reservoir.coupling"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
