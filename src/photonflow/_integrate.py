@@ -7,7 +7,13 @@ so propagation is exact up to roundoff, not stepped:
   mode coupled equally to classes at fixed frequencies) through its
   closed-form eigenpairs (O'Leary & Stewart, J. Comput. Phys. 90, 497,
   1990).  Used by the reservoir level and the port-2 reflection, and its
-  eigensystem by the four-port router's memory kernel.
+  eigensystem by the four-port router's memory kernel.  When the poles
+  form a uniform comb with equal couplings (the port continua and the
+  equidistant reservoir), the secular function and its slope are sums of
+  digamma and trigamma values, so each root costs O(1) per iteration
+  instead of O(m); other spectra sum over the poles.  Every product with
+  the Cauchy matrix 1 / (kappa_k - p_u) of the eigenvectors goes through
+  ``_Eigensystem.cauchy``.
 * ``taylor_propagate``: exp(h A) y by truncated Taylor series in
   ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
   scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
@@ -17,11 +23,12 @@ so propagation is exact up to roundoff, not stepped:
   Kronecker products sorted by (row, col); its matrix-vector product is
   one ``np.bincount`` over the interleaved real and imaginary parts, which
   adds each row's terms in column order.
-* ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, one block of
-  32 samples at a time.  Every single-field resynthesis goes through it:
-  the reservoir survival and Zeno no-decay probabilities, the comb fields
-  of the router, the kernel sums of its memory-kernel solve and the
-  spectrum of a sampled pulse.
+* ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, in blocks of
+  32 samples, several blocks per numpy pass when the frequencies are few.
+  Every single-field resynthesis goes through it: the reservoir survival
+  and Zeno no-decay probabilities, the comb fields of the router, the
+  kernel sums of its memory-kernel solve and the spectrum of a sampled
+  pulse.
 
 All of them use elementwise operations and numpy reductions only, never
 BLAS, so their bits do not depend on the BLAS thread count.
@@ -59,9 +66,17 @@ def _block_slices(n: int):
         yield slice(start, min(start + _BLOCK, n))
 
 
+_BATCH = 2**15  # complex entries of the (blocks, 32, freqs) product of one exp_sum pass
+
+
 def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
     """sum_k weights[k] exp(i freqs[k] t) at every t of the uniform grid ``times``,
-    in blocks of 32 samples that share one table of in-block phases."""
+    in blocks of 32 samples that share one table of in-block phases.
+
+    Whole blocks go through numpy together, as many per pass as keep the
+    product within ``_BATCH`` entries (at least one); each block's arithmetic
+    is the same either way.
+    """
     times = np.asarray(times, dtype=float)
     n = times.size
     h = float(times[1] - times[0]) if n > 1 else 0.0
@@ -70,9 +85,15 @@ def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.nda
         raise InvalidInput("exp_sum needs uniformly spaced times")
     within = np.exp(1j * np.outer(np.arange(min(n, _BLOCK)) * h, freqs))
     out = np.empty(n, dtype=complex)
-    for js in _block_slices(n):
-        start = weights * np.exp(1j * freqs * times[js.start])
-        out[js] = np.sum(within[: js.stop - js.start] * start, axis=1)
+    whole = n - n % _BLOCK
+    rows = max(1, _BATCH // within.size) * _BLOCK
+    for lo in range(0, whole, rows):
+        hi = min(lo + rows, whole)
+        start = weights * np.exp(1j * freqs * times[lo:hi:_BLOCK, None])
+        out[lo:hi] = np.sum(within * start[:, None, :], axis=2).ravel()
+    if whole < n:
+        start = weights * np.exp(1j * freqs * times[whole])
+        out[whole:] = np.sum(within[: n - whole] * start, axis=1)
     return out
 
 
@@ -82,7 +103,8 @@ class _Eigensystem:
 
     Root k is kept as ``origin[k] + offset[k]`` with ``origin`` the nearer
     pole of its bracket, so that kappa_k - p_u is accurate to working
-    precision also for a root next to a pole.
+    precision also for a root next to a pole.  ``iterations`` is the largest
+    number of rational-model steps any root took.
     """
 
     poles: np.ndarray  # ascending, distinct
@@ -90,6 +112,7 @@ class _Eigensystem:
     origin: np.ndarray
     offset: np.ndarray
     inv_norm: np.ndarray  # 1 / N_k, also the upper-mode component of eigenvector k
+    iterations: int = 0
 
     @property
     def roots(self) -> np.ndarray:
@@ -98,6 +121,139 @@ class _Eigensystem:
     def gaps(self, ks: slice) -> np.ndarray:
         """kappa_k - p_u for the roots ``ks`` (rows) and every pole (columns)."""
         return self.offset[ks, None] - (self.poles[None, :] - self.origin[ks, None])
+
+    def cauchy(self, x: np.ndarray, over_roots: bool) -> np.ndarray:
+        """Products with the Cauchy matrix C_ku = 1 / (kappa_k - p_u), 32 roots at a time.
+
+        With ``over_roots`` the last axis of ``x`` runs over the roots and the
+        result is x C, from real ``np.einsum`` products of the real and
+        imaginary parts of x with each block's reciprocals; otherwise ``x``
+        runs over the poles and the result is C x, whose complex products keep
+        numpy's pairwise sums of complex terms.  numpy divides a complex by a
+        real by multiplying with the reciprocal, so either product has the
+        bits of a division by the gaps.
+        """
+        if not over_roots:
+            out = np.empty(self.roots.size, dtype=complex)
+            for ks in _block_slices(out.size):
+                out[ks] = np.sum(x * (1.0 / self.gaps(ks)), axis=1)
+            return out
+        re, im = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+        out_re = np.zeros(x.shape[:-1] + self.poles.shape)
+        out_im = np.zeros_like(out_re)
+        for ks in _block_slices(x.shape[-1]):
+            inv = 1.0 / self.gaps(ks)
+            out_re += np.einsum("...k,ku->...u", re[..., ks], inv)
+            out_im += np.einsum("...k,ku->...u", im[..., ks], inv)
+        return out_re + 1j * out_im
+
+
+_SHIFTS = 16  # recurrence steps of psi and psi' before their asymptotic series
+
+
+def _polygamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digamma psi(x) and trigamma psi'(x) for x > 0.
+
+    psi(x) = psi(x + 16) - sum_i 1 / (x + i) and psi'(x) = psi'(x + 16) +
+    sum_i 1 / (x + i)^2 (i = 0..15), with psi and psi' at x + 16 from their
+    asymptotic series (Abramowitz & Stegun 6.3.18, 6.4.12), whose next
+    terms lie below 1e-20 there.
+    """
+    psi, dpsi = np.zeros_like(x), np.zeros_like(x)
+    for i in range(_SHIFTS):
+        inv = 1.0 / (x + i)
+        psi -= inv
+        dpsi += inv * inv
+    y = x + _SHIFTS
+    r = 1.0 / (y * y)
+    psi += np.log(y) - 0.5 / y - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (
+        1 / 240 - r * (1 / 132 - r * (691 / 32760 - r / 12))))))
+    dpsi += (1.0 + (0.5 + (1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (1 / 30 - r * (
+        5 / 66 - r * (691 / 2730 - r * 7 / 6)))))) / y) / y) / y
+    return psi, dpsi
+
+
+def _comb_spacing(poles: np.ndarray, z: np.ndarray) -> tuple[float, float] | None:
+    """Spacing d and a bound on |p_u - p_0 - u d| if the poles are p_0 + u d to
+    within a few ulps and all z are equal, else None."""
+    m = poles.size
+    if np.any(z != z[0]):
+        return None
+    if m == 1:
+        return 1.0, 0.0  # one pole is a comb of any spacing
+    d = (poles[-1] - poles[0]) / (m - 1)
+    drift = float(np.max(np.abs(poles - (poles[0] + np.arange(m) * d))))
+    ulps = _EPS * max(abs(poles[0]), abs(poles[-1]))
+    # a pole is also up to an ulp off the exact comb, which a float comparison cannot see
+    return (d, drift + ulps) if drift <= 8.0 * ulps else None
+
+
+class _PoleSums:
+    """psi and phi, the parts of sum_u rho_u / (p_u - kappa) over the poles
+    u < k and u >= k, and their slopes dpsi and dphi at kappa = o + mu,
+    summed term by term: O(m) per root, for any poles and couplings."""
+
+    def __init__(self, poles: np.ndarray, rho: np.ndarray, k: np.ndarray, o: np.ndarray):
+        self.rho = rho
+        self.delta = poles[None, :] - o[:, None]  # exactly 0 in the origin column
+        self.is_left = np.arange(poles.size)[None, :] < k[:, None]
+
+    def __call__(self, mu: np.ndarray):
+        inv = 1.0 / (self.delta - mu[:, None])  # 1 / (p_u - kappa)
+        t = self.rho * inv
+        dt = np.multiply(t, inv, out=inv)
+        return (np.sum(np.where(self.is_left, t, 0.0), axis=1),
+                np.sum(np.where(self.is_left, 0.0, t), axis=1),
+                np.sum(np.where(self.is_left, dt, 0.0), axis=1),
+                np.sum(np.where(self.is_left, 0.0, dt), axis=1))
+
+    def inv_norm(self, mu: np.ndarray) -> np.ndarray:
+        return 1.0 / np.sqrt(1.0 + np.sum(self.rho / (self.delta - mu[:, None]) ** 2, axis=1))
+
+
+class _CombSums:
+    """The sums of ``_PoleSums`` in closed form for poles p_0 + u d and one rho.
+
+    With the origin at pole j and x = mu / d, p_u - kappa = d (u - j - x).
+    The origin term -rho / mu and, for an inner root, the term of the other
+    pole of its bracket are taken exactly, as the general sum takes them.
+    Past them each side is a run of n terms, sum_{w=a}^{a+n-1} 1 / (w +- x)
+    = psi(a + n +- x) - psi(a +- x), and likewise for the squares through
+    psi'; every argument stays at or above 1 inside a bracket.  O(1) per
+    root.
+    """
+
+    def __init__(self, poles: np.ndarray, spacing: float, rho: float, k: np.ndarray,
+                 o: np.ndarray, on_left: np.ndarray):
+        m = poles.size
+        self.spacing, self.rho = spacing, rho
+        self.on_left = on_left  # the origin is pole k - 1, else pole k
+        self.inner = (k > 0) & (k < m)
+        # the other pole of an inner root's bracket, relative to the origin
+        self.other = np.where(on_left, poles[np.minimum(k, m - 1)], poles[np.maximum(k - 1, 0)]) - o
+        self.n_left, self.n_right = np.maximum(k - 1, 0), np.maximum(m - 1 - k, 0)
+        self.a_left, self.a_right = np.where(on_left, 1.0, 2.0), np.where(on_left, 2.0, 1.0)
+
+    def __call__(self, mu: np.ndarray):
+        x = mu / self.spacing
+        xl = np.where(self.n_left > 0, x, 0.0)  # a run of no terms sums to 0
+        xr = np.where(self.n_right > 0, -x, 0.0)
+        psi, dpsi = _polygamma(np.stack((self.a_left + xl, self.a_left + self.n_left + xl,
+                                         self.a_right + xr, self.a_right + self.n_right + xr)))
+        scale, slope = self.rho / self.spacing, self.rho / self.spacing**2
+        left, right = scale * (psi[0] - psi[1]), scale * (psi[3] - psi[2])
+        left_sq, right_sq = slope * (dpsi[0] - dpsi[1]), slope * (dpsi[2] - dpsi[3])
+        inv_near = -1.0 / mu  # 1 / (p_u - kappa) of the origin pole
+        inv_far = np.where(self.inner, 1.0 / (self.other - mu), 0.0)  # of the other one
+        near, far = self.rho * inv_near, self.rho * inv_far
+        near_sq, far_sq = near * inv_near, far * inv_far
+        return (left + np.where(self.on_left, near, far), right + np.where(self.on_left, far, near),
+                left_sq + np.where(self.on_left, near_sq, far_sq),
+                right_sq + np.where(self.on_left, far_sq, near_sq))
+
+    def inv_norm(self, mu: np.ndarray) -> np.ndarray:
+        _, _, dpsi, dphi = self(mu)
+        return 1.0 / np.sqrt(1.0 + dpsi + dphi)
 
 
 def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
@@ -109,7 +265,10 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
     iterated in coordinates shifted to the nearer pole with a rational
     model of F that matches its value and slope (two poles for an inner
     root, one pole plus the linear term for the outer ones), safeguarded
-    by bisection of the bracket.
+    by bisection of the bracket.  F and its slope come in closed form
+    (``_CombSums``, all roots at once) when the poles are a uniform comb
+    with equal couplings, and otherwise from the sum over the poles
+    (``_PoleSums``, 32 roots at a time).
     """
     m = poles.size
     if m == 0:
@@ -120,39 +279,46 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
     lower = min(poles[0], 0.0) - 2.0 * znorm  # F(lower) < 0
     upper = max(poles[-1], 0.0) + 2.0 * znorm  # F(upper) > 0
     origin, offset, inv_norm = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
-    cols = np.arange(m)
+    iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for ks in _block_slices(m + 1):
+        comb = _comb_spacing(poles, z)
+        for ks in _block_slices(m + 1) if comb is None else [slice(0, m + 1)]:
             k = np.arange(ks.start, ks.stop)
             inner = (k > 0) & (k < m)
             left = np.where(k > 0, poles[np.maximum(k - 1, 0)], lower)
             right = np.where(k < m, poles[np.minimum(k, m - 1)], upper)
             mid = 0.5 * (left + right)
-            terms = rho / (poles - mid[:, None])
-            f_mid = mid + np.sum(terms, axis=1)
+            if comb is None:
+                terms = rho / (poles - mid[:, None])
+                f_mid = mid + np.sum(terms, axis=1)
+                tol = 8.0 * _EPS * (np.abs(mid) + np.sum(np.abs(terms), axis=1))
+                del terms
+            else:
+                anchor = np.where(k > 0, left, right)
+                sums = _CombSums(poles, comb[0], rho[0], k, anchor, k > 0)
+                psi, phi, dpsi, dphi = sums(mid - anchor)
+                f_mid = mid + psi + phi
+                # this anchors the ideal comb at the bracket's left pole, the iteration may
+                # anchor it at the right one: their far poles differ by up to twice the
+                # drift bound, so F is known here only to that times its slope
+                tol = 8.0 * _EPS * (np.abs(mid) + phi - psi) + 2.0 * comb[1] * (dpsi + dphi)
             # a root on the midpoint (a symmetric spectrum) is found already
-            done = np.abs(f_mid) <= 8.0 * _EPS * (np.abs(mid) + np.sum(np.abs(terms), axis=1))
-            del terms
+            done = np.abs(f_mid) <= tol
             in_left_half = f_mid > 0.0
             lo_abs = np.where(in_left_half, left, mid)
             hi_abs = np.where(in_left_half, mid, right)
             use_left = (k == m) | ((k > 0) & in_left_half)
             o = np.where(use_left, left, right)
             lo, hi = lo_abs - o, hi_abs - o
-            delta = poles[None, :] - o[:, None]  # exactly 0 in the origin column
-            is_left = cols[None, :] < k[:, None]
-            rows = np.arange(k.size)
-            d_left = delta[rows, np.maximum(k - 1, 0)]
-            d_right = delta[rows, np.minimum(k, m - 1)]
+            d_left = poles[np.maximum(k - 1, 0)] - o
+            d_right = poles[np.minimum(k, m - 1)] - o
+            if comb is None:
+                sums = _PoleSums(poles, rho, k, o)
+            else:
+                sums = _CombSums(poles, comb[0], rho[0], k, o, use_left)
             mu = np.where(done, mid - o, 0.5 * (lo + hi))
-            for _ in range(_MAX_ITER):
-                inv = 1.0 / (delta - mu[:, None])  # 1 / (p_u - kappa)
-                t = rho * inv
-                dt = np.multiply(t, inv, out=inv)
-                psi = np.sum(np.where(is_left, t, 0.0), axis=1)
-                phi = np.sum(np.where(is_left, 0.0, t), axis=1)
-                dpsi = np.sum(np.where(is_left, dt, 0.0), axis=1)
-                dphi = np.sum(np.where(is_left, 0.0, dt), axis=1)
+            for it in range(_MAX_ITER):
+                psi, phi, dpsi, dphi = sums(mu)
                 fval = o + mu + psi + phi
                 lo = np.where(fval < 0.0, mu, lo)
                 hi = np.where(fval > 0.0, mu, hi)
@@ -184,9 +350,10 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
                 trial = mu + step
                 trial = np.where((trial > lo) & (trial < hi), trial, 0.5 * (lo + hi))
                 mu = np.where(done, mu, trial)
+            iterations = max(iterations, it if done.all() else _MAX_ITER)
             origin[ks], offset[ks] = o, mu
-            inv_norm[ks] = 1.0 / np.sqrt(1.0 + np.sum(rho / (delta - mu[:, None]) ** 2, axis=1))
-    return _Eigensystem(poles, z, origin, offset, inv_norm)
+            inv_norm[ks] = sums.inv_norm(mu)
+    return _Eigensystem(poles, z, origin, offset, inv_norm, iterations)
 
 
 class _ExactPropagator:
@@ -234,18 +401,14 @@ class _ExactPropagator:
         dark[on] -= bright[self.column[on]] * self.share[on]
         coef = np.full(eig.roots.size, complex(c0))
         if np.any(bright):
-            for ks in _block_slices(coef.size):
-                coef[ks] += np.sum(eig.z * bright / eig.gaps(ks), axis=1)
+            coef += eig.cauchy(eig.z * bright, over_roots=False)
         return coef * eig.inv_norm, dark
 
     def classes_at(self, coef: np.ndarray, dark: np.ndarray, tau: float, t: float) -> np.ndarray:
         """Interaction-picture class amplitudes c_l at tau after the start, time t."""
         eig = self.eig
         weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
-        bright = np.zeros(eig.poles.size, dtype=complex)
-        for ks in _block_slices(weight.size):
-            bright += np.sum(weight[ks, None] / eig.gaps(ks), axis=0)
-        bright *= eig.z
+        bright = eig.z * eig.cauchy(weight, over_roots=True)
         # the dark part is frozen in the interaction picture
         c = np.exp(-1j * self.omegas * (t - tau)) * dark
         on = self.column >= 0

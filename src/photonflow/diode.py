@@ -44,7 +44,7 @@ Model conventions
   int exp(-i e (Delta - s)) drive Q(s) ds, the integral taken by the same
   Gauss-Legendre rule in panels of at most 8 steps, with Q interpolated
   at the nodes on 8 grid points around each step.  The final R' and S'
-  (Cauchy sums of V in blocks of 32 roots) go back to the lab frame, and
+  (S' through ``_Eigensystem.cauchy``) go back to the lab frame, and
   the norm drift is measured on that rebuilt state.  The port-2 reflection
   off the bare cavity is propagated through the closed-form eigenpairs of
   its arrowhead generator (``_integrate._ExactPropagator``).
@@ -89,7 +89,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _arrowhead_eigensystem, _block_slices, _ExactPropagator, exp_sum, steps_for
+from ._integrate import _arrowhead_eigensystem, _Eigensystem, _ExactPropagator, exp_sum, steps_for
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -345,6 +345,7 @@ class DiodeTrajectory:
     norm_drift: float = 0.0
     quadrature_step: float = 0.0  # h of the memory-kernel solve
     quadrature_steps: int = 0  # its steps n, on the grid points 0..n
+    secular_iterations: int = 0  # the most steps a root of C2 took
 
 
 def _check_bandwidth(grid: ContinuumGrid, pulse: Pulse) -> None:
@@ -369,14 +370,16 @@ def _screen_grid(grid: ContinuumGrid, pulse: Pulse, t_final: float, label: str) 
     _check_window(grid, t_final, label)
 
 
-def _generator_norm(grid1: ContinuumGrid, grid2: ContinuumGrid, spec: ReservoirSpec) -> float:
+def _cavity2(grid2: ContinuumGrid) -> _Eigensystem:
+    """Eigenpairs of the bare cavity-2 arrowhead C2: poles d2, border k2."""
+    return _arrowhead_eigensystem(grid2.detunings(), np.full(grid2.n_q, grid2.kappa))
+
+
+def _generator_norm(grid1: ContinuumGrid, c2: _Eigensystem, spec: ReservoirSpec) -> float:
     """2-norm bound of the co-rotating generator: its block-diagonal part, where
-    class l holds the bare cavity-2 arrowhead C2 (poles d2, border k2) shifted
-    by -w_l, plus the cavity-1 star."""
-    d2 = grid2.detunings()
-    c2 = _arrowhead_eigensystem(d2, np.full(d2.size, grid2.kappa)).roots
+    class l holds C2 (eigensystem ``c2``) shifted by -w_l, plus the cavity-1 star."""
     blocks = max(np.max(np.abs(grid1.detunings())),
-                 np.max(np.abs(c2)) + np.max(np.abs(spec.frequencies())))
+                 np.max(np.abs(c2.roots)) + np.max(np.abs(spec.frequencies())))
     return float(blocks + math.sqrt(grid1.n_q * grid1.kappa**2 + spec.f * spec.coupling_sq))
 
 
@@ -425,7 +428,7 @@ _START = np.cumsum(np.vstack([np.zeros(_ORDER), np.einsum(
     "i,jim->jm", _NODE_WEIGHTS, _START_BASIS.reshape(_ORDER - 1, _NODES.size, _ORDER))]), axis=0)
 
 
-def _quadrature_grid(grid1: ContinuumGrid, grid2: ContinuumGrid, spec: ReservoirSpec,
+def _quadrature_grid(grid1: ContinuumGrid, c2: _Eigensystem, spec: ReservoirSpec,
                      t_final: float, dt: float):
     """Sample steps of ``dt`` and the quadrature grid of the memory-kernel solve.
 
@@ -436,7 +439,7 @@ def _quadrature_grid(grid1: ContinuumGrid, grid2: ContinuumGrid, spec: Reservoir
     nsteps, dt = steps_for(t_final, dt)
     stride = max(1, int(round(0.1 / dt)))
     steps = list(range(stride, nsteps, stride)) + [nsteps]
-    norm = _generator_norm(grid1, grid2, spec)
+    norm = _generator_norm(grid1, c2, spec)
     cap = _MAX_QUADRATURE_STEPS
     if not t_final * norm <= _STEP_NORM * cap:  # also catches an overflow to inf
         raise ConfigurationError(f"generator norm {norm:.3g} needs at least "
@@ -552,8 +555,8 @@ def evolve_full(
         raise InvalidInput("initial amplitudes do not match the port-1 grid")
     _check_window(grid1, t_final, "port-1")
     _check_window(grid2, t_final, "port-2")
-    steps, dt, marks, h, n = _quadrature_grid(grid1, grid2, spec, t_final, dt)
-    c2 = _arrowhead_eigensystem(grid2.detunings(), np.full(n2, grid2.kappa))
+    c2 = _cavity2(grid2)
+    steps, dt, marks, h, n = _quadrature_grid(grid1, c2, spec, t_final, dt)
     om = spec.frequencies()
     g = complex(spec.coupling)
     int_f, kc = _kernel_integrals(grid1, spec, p0, c2, h, n)
@@ -592,9 +595,7 @@ def evolve_full(
                       np.einsum("i,i->", xv[2 * n1:], xv[2 * n1:]) - mode2]
 
     # S'_ql = sum_k V_qk b_lk with V_qk = inv_norm_k k2 / (lambda_k - d2_q)
-    s = np.zeros((f, n2), dtype=complex)
-    for ks in _block_slices(v0.size):
-        s += np.einsum("lk,kq->lq", b[:, ks] * v0[ks], 1.0 / c2.gaps(ks))
+    s = c2.cauchy(b * v0, over_roots=True)
     lab = np.exp(-1j * om * t_final)  # back from the co-rotating frame
     final = DiodeState(p=x[:n1].copy(), q=complex(q_end), r=lab * r,
                        s=lab[:, None] * (grid2.kappa * s), t=t_final)
@@ -613,6 +614,7 @@ def evolve_full(
         norm_drift=abs(float(norm) - float(np.sum(np.abs(p0) ** 2))),
         quadrature_step=h,
         quadrature_steps=n,
+        secular_iterations=c2.iterations,
     )
 
 
@@ -725,6 +727,7 @@ class ReflectionResult:
     in_field: np.ndarray
     out_norm: float
     delay: float
+    secular_iterations: int = 0  # the most steps a root of the comb's arrowhead took
 
 
 def intensity_centroid(times: np.ndarray, field: np.ndarray) -> float:
@@ -767,9 +770,8 @@ def reflect_port2(
     in_field = reconstruct_field(grid, s0, ts, t_ref=0.0)
     out_norm = float(np.sum(np.abs(s_final) ** 2))
     delay = intensity_centroid(ts, out_field) - intensity_centroid(ts, in_field)
-    return ReflectionResult(
-        times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm, delay=delay
-    )
+    return ReflectionResult(times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm,
+                            delay=delay, secular_iterations=prop.eig.iterations)
 
 
 @dataclass

@@ -411,7 +411,7 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2), 0.02)
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    _guard("run.t_final", dio._quadrature_grid, grid1, grid2, spec, t_final, dt)
+    _guard("run.t_final", dio._quadrature_grid, grid1, dio._cavity2(grid2), spec, t_final, dt)
     return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
                            grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
 
@@ -662,6 +662,7 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
         "t_final": c.t_final,
         "quadrature_step": traj.quadrature_step,
         "quadrature_steps": traj.quadrature_steps,
+        "secular_iterations": traj.secular_iterations,
     })
     _check(out, "norm_drift", traj.norm_drift, traj.norm_drift <= 1e-8)
     energy = traj.port1[-1] + traj.port2[-1] + traj.cavity1[-1] + traj.mode2[-1]
@@ -728,7 +729,8 @@ def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
 
 def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
     ref = dio.reflect_port2(c.grid2, c.pulse, c.gamma2, c.t_final)
-    out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2})
+    out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2,
+                              "secular_iterations": ref.secular_iterations})
     _check(out, "out_norm", ref.out_norm, abs(ref.out_norm - 1.0) <= 1e-8)
     out.csv_files.append(
         (

@@ -5,13 +5,18 @@ level, the Markov ports, the master equation, the port-2 reflection and
 the four-port router used before they were propagated exactly, kept here at reduced size, the
 router's co-rotating Taylor propagation that its memory-kernel solve replaced, plus
 numpy.linalg.eigh, closed forms, the dense phase matrices that the
-blocked exponential sums replaced and the scipy.sparse.kron construction
-of the master-equation generator.
+blocked exponential sums replaced, the one-block-per-pass exponential sums and
+per-block Cauchy sums that the batched kernels replaced, the general secular solve
+that the closed form for uniform combs bypasses, scipy.special's digamma and
+trigamma, and the scipy.sparse.kron construction of the master-equation generator.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.special
+
+from photonflow import _integrate
 
 from photonflow import (
     ContinuumGrid,
@@ -42,10 +47,11 @@ from photonflow import (
     transfer_jump,
     zeno_evolve,
 )
-from photonflow._integrate import (_ExactPropagator, _block_slices, exp_sum, steps_for,
-                                   taylor_propagate)
-from photonflow.diode import (_GREGORY, _NODE_WEIGHTS, _NODES, _START, _generator_norm,
-                              intensity_centroid)
+from photonflow._integrate import (_BLOCK, _ExactPropagator, _arrowhead_eigensystem,
+                                   _block_slices, _comb_spacing, _polygamma, exp_sum,
+                                   steps_for, taylor_propagate)
+from photonflow.diode import (_GREGORY, _NODE_WEIGHTS, _NODES, _START, _cavity2,
+                              _generator_norm, intensity_centroid)
 from photonflow.lindblad import _superoperator
 
 
@@ -149,6 +155,104 @@ def test_secular_eigenpairs_match_eigh(spec):
     signs = np.sign(np.sum(ours * vectors, axis=0))
     assert np.max(np.abs(ours - vectors * signs)) <= 1e-12
     assert np.max(np.abs(ours.T @ ours - np.eye(ours.shape[1]))) <= 1e-12
+
+
+# --- closed-form secular function of a uniform comb --------------------------------
+
+
+def port_comb(n):
+    grid = ContinuumGrid(n_q=n, delta_max=20.0, gamma=4.0)
+    return grid.detunings(), np.full(n, grid.kappa)
+
+
+def general_eigensystem(monkeypatch, poles, z):
+    """The secular solve summing over the poles, also where the closed form applies."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_integrate, "_comb_spacing", lambda poles, z: None)
+        return _arrowhead_eigensystem(poles, z)
+
+
+@pytest.mark.parametrize("poles, z", [
+    *(port_comb(n) for n in (1, 2, 3, 160, 400, 2400)),
+    (np.linspace(-5.0, 5.0, 100), np.full(100, 3.0)),  # symmetric: the middle root is 0
+    (5.0 + 0.1 * np.arange(401), np.full(401, 0.3)),  # wholly above 0
+], ids=["n1", "n2", "n3", "n160", "n400", "n2400", "symmetric-strong", "above-zero"])
+def test_comb_secular_solve_matches_general_path(monkeypatch, poles, z):
+    assert _comb_spacing(poles, z) is not None
+    comb = _arrowhead_eigensystem(poles, z)
+    general = general_eigensystem(monkeypatch, poles, z)
+    spacing = poles[1] - poles[0] if poles.size > 1 else 1.0
+    assert np.max(np.abs(comb.roots - general.roots)) <= 1e-12 * spacing
+    assert np.max(np.abs(comb.inv_norm / general.inv_norm - 1.0)) <= 1e-12
+    assert 0 < comb.iterations <= 8 or poles.size == 1
+    if poles.size == 100:
+        assert abs(comb.roots[50]) <= 1e-15
+
+
+def test_polygamma_matches_scipy():
+    x = np.concatenate((np.geomspace(1e-3, 1e6, 4000), np.linspace(1.0, 2.0, 1001)))
+    psi, dpsi = _polygamma(x)
+    ref = scipy.special.digamma(x)
+    assert np.max(np.abs(psi - ref) / np.maximum(np.abs(ref), 1.0)) <= 4e-15
+    assert np.max(np.abs(dpsi / scipy.special.polygamma(1, x) - 1.0)) <= 2e-15
+
+
+def test_perturbed_comb_takes_general_path(monkeypatch):
+    poles, z = port_comb(400)
+    moved = poles.copy()
+    moved[137] += 1e-6 * (poles[1] - poles[0])
+    unequal = z.copy()
+    unequal[5] *= 1.0 + 1e-15
+    for p, zz in ((moved, z), (poles, unequal)):
+        assert _comb_spacing(p, zz) is None
+        ours, general = _arrowhead_eigensystem(p, zz), general_eigensystem(monkeypatch, p, zz)
+        assert np.array_equal(ours.roots, general.roots)
+        assert np.array_equal(ours.inv_norm, general.inv_norm)
+
+
+def modes_per_block(prop, c0, b):
+    """_ExactPropagator.modes with its Cauchy sums divided block by block."""
+    eig = prop.eig
+    bright = np.zeros(eig.poles.size, dtype=complex)
+    on = prop.column >= 0
+    np.add.at(bright, prop.column[on], b[on] * prop.share[on])
+    coef = np.full(eig.roots.size, complex(c0))
+    for ks in _block_slices(coef.size):
+        coef[ks] += np.sum(eig.z * bright / eig.gaps(ks), axis=1)
+    return coef * eig.inv_norm
+
+
+def classes_per_block(prop, coef, tau):
+    """The bright part of _ExactPropagator.classes_at, divided block by block."""
+    eig = prop.eig
+    weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
+    bright = np.zeros(eig.poles.size, dtype=complex)
+    for ks in _block_slices(weight.size):
+        bright += np.sum(weight[ks, None] / eig.gaps(ks), axis=0)
+    return bright * eig.z
+
+
+@pytest.mark.parametrize("omegas", [
+    -ContinuumGrid(n_q=400, delta_max=10.0, gamma=4.0).detunings(),
+    ReservoirSpec(f=90, eps_max=10.0, coupling=0.2, spectrum="lorentzian",
+                  center=6.0, width=2.0).frequencies(),
+], ids=["comb", "lorentzian"])
+def test_cauchy_kernel_matches_per_block_division(omegas):
+    rng = np.random.default_rng(omegas.size)
+    prop = _ExactPropagator(omegas, 0.3)
+    eig = prop.eig
+    b = rng.normal(size=omegas.size) + 1j * rng.normal(size=omegas.size)
+    coef, _ = prop.modes(0.2 - 0.1j, b)
+    assert np.array_equal(coef, modes_per_block(prop, 0.2 - 0.1j, b))
+    weight = coef * eig.inv_norm * np.exp(1j * eig.roots * 3.7)
+    assert np.array_equal(eig.z * eig.cauchy(weight, over_roots=True),
+                          classes_per_block(prop, coef, 3.7))
+    # the final S of evolve_full: several rows at once
+    rows = rng.normal(size=(5, eig.roots.size)) + 1j * rng.normal(size=(5, eig.roots.size))
+    ref = np.zeros((5, eig.poles.size), dtype=complex)
+    for ks in _block_slices(eig.roots.size):
+        ref += np.einsum("lk,kq->lq", rows[:, ks], 1.0 / eig.gaps(ks))
+    assert np.array_equal(eig.cauchy(rows, over_roots=True), ref)
 
 
 def test_negligible_coupling_is_deflated():
@@ -431,7 +535,7 @@ def router_taylor(grid1, grid2, spec, p0, t_final, dt):
     n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
     nsteps, dt = steps_for(t_final, dt)
     stride = max(1, int(round(0.1 / dt)))
-    norm = _generator_norm(grid1, grid2, spec)
+    norm = _generator_norm(grid1, _cavity2(grid2), spec)
     om = spec.frequencies()
     k1, k2, g = grid1.kappa, grid2.kappa, complex(spec.coupling)
     md1 = -1j * grid1.detunings()
@@ -526,15 +630,36 @@ def test_reflection_matches_rk4(n_q, delta_max, gamma2, duration):
 # --- blocked exponential sums --------------------------------------------------------
 
 
+def exp_sum_per_block(freqs, weights, times):
+    """exp_sum one block of 32 samples per numpy pass."""
+    n = times.size
+    h = times[1] - times[0] if n > 1 else 0.0
+    within = np.exp(1j * np.outer(np.arange(min(n, _BLOCK)) * h, freqs))
+    out = np.empty(n, dtype=complex)
+    for js in _block_slices(n):
+        start = weights * np.exp(1j * freqs * times[js.start])
+        out[js] = np.sum(within[: js.stop - js.start] * start, axis=1)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 1000])
 def test_exp_sum_matches_dense_phase_matrix(n):
     rng = np.random.default_rng(n)
-    freqs = rng.uniform(-40.0, 40.0, 57)
+    freqs = rng.uniform(-40.0, 40.0, 57)  # 17 blocks per numpy pass
     weights = rng.normal(size=57) + 1j * rng.normal(size=57)
     times = -3.0 + np.arange(n) * 0.0371
     dense = weights @ np.exp(1j * np.outer(freqs, times))
     got = exp_sum(freqs, weights, times)
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.array_equal(got, exp_sum_per_block(freqs, weights, times))
+
+
+def test_exp_sum_with_many_frequencies_matches_per_block_passes():
+    rng = np.random.default_rng(2)
+    freqs = rng.uniform(-40.0, 40.0, 1100)  # one block per numpy pass
+    weights = rng.normal(size=1100) + 1j * rng.normal(size=1100)
+    times = 0.5 + np.arange(100) * 0.0371
+    assert np.array_equal(exp_sum(freqs, weights, times), exp_sum_per_block(freqs, weights, times))
 
 
 def test_exp_sum_rejects_nonuniform_times():

@@ -1,8 +1,10 @@
+import configparser
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from photonflow import diode
 from photonflow.cli import main
 from photonflow.errors import ScenarioError
 from photonflow.scenario import (
@@ -609,3 +611,85 @@ def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, 
     else:
         (manifest,) = (tmp_path / "out").rglob("manifest.ini")
         assert f"failures = {named}\n" in manifest.read_text()
+
+
+ROUTER_SCENARIO = """
+[scenario]
+name = router
+kind = DiodeFull
+
+[reservoir]
+f = 40
+eps_max = 0.002
+target_gamma = 1.0
+
+[diode]
+gamma1 = 1.0
+gamma2 = 20.0
+
+[grid1]
+n_q = 160
+delta_max = 4.0
+
+[grid2]
+n_q = 160
+delta_max = 4.0
+
+[pulse]
+duration = 8.0
+"""
+
+REFLECTION_SCENARIO = """
+[scenario]
+name = reflection
+kind = Port2Reflection
+
+[diode]
+gamma2 = 4.0
+
+[grid2]
+n_q = 400
+delta_max = 10.0
+
+[pulse]
+duration = 10.0
+"""
+
+
+def _derived(out: Path) -> configparser.SectionProxy:
+    manifest = configparser.ConfigParser()
+    manifest.read(next(out.rglob("manifest.ini")))
+    return manifest["derived"]
+
+
+def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
+    # the parse and the run each build the scenario, and evolve_full solves C2 once
+    inside = []  # one entry while evolve_full runs
+    calls = []  # per secular solve: whether evolve_full made it
+    solve, evolve = diode._arrowhead_eigensystem, diode.evolve_full
+
+    def counted_solve(poles, z):
+        calls.append(bool(inside))
+        return solve(poles, z)
+
+    def counted_evolve(*args, **kwargs):
+        inside.append(True)
+        try:
+            return evolve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(diode, "_arrowhead_eigensystem", counted_solve)
+    monkeypatch.setattr(diode, "evolve_full", counted_evolve)
+    path = tmp_path / "router.ini"
+    path.write_text(ROUTER_SCENARIO)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) <= 3 and calls.count(True) == 1
+    assert 0 < int(_derived(tmp_path / "out")["secular_iterations"]) <= 8
+
+
+def test_reflection_run_records_secular_iterations(tmp_path):
+    path = tmp_path / "reflection.ini"
+    path.write_text(REFLECTION_SCENARIO)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert 0 < int(_derived(tmp_path / "out")["secular_iterations"]) <= 8
