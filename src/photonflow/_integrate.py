@@ -22,7 +22,10 @@ so propagation is exact up to roundoff, not stepped:
   an oracle.  ``SparseGenerator`` holds the nonzeros of a sum of
   Kronecker products sorted by (row, col); its matrix-vector product is
   one ``np.bincount`` over the interleaved real and imaginary parts, which
-  adds each row's terms in column order.
+  adds each row's terms in column order.  ``reachable`` closes a set of
+  coordinates under its pattern and ``restrict`` keeps the entries inside
+  one, in the same order, so a vector that vanishes outside that set is
+  propagated on it alone with the same bits.
 * ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, in blocks of
   32 samples, several blocks per numpy pass when the frequencies are few.
   Every single-field resynthesis goes through it: the reservoir survival
@@ -450,10 +453,11 @@ class SparseGenerator:
             vals.append(scale * v)
         keys, vals = _merge(np.concatenate(keys), np.concatenate(vals))
         keep = vals != 0
-        self.n = n
-        self.rows, self.cols = np.divmod(keys[keep], n)
-        self.vals = vals[keep]
-        self._slots = (2 * self.rows[:, None] + np.arange(2)).ravel()  # re, im of each row
+        self._set(n, *np.divmod(keys[keep], n), vals[keep])
+
+    def _set(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
+        self._slots = (2 * rows[:, None] + np.arange(2)).ravel()  # re, im of each row
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         prod = self.vals * y[self.cols]
@@ -462,6 +466,34 @@ class SparseGenerator:
     def onenorm(self) -> float:
         """Exact 1-norm: the largest column sum of moduli."""
         return float(np.bincount(self.cols, weights=np.abs(self.vals), minlength=self.n).max())
+
+    def reachable(self, seed: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+        """Sorted coordinates of the smallest set that holds the nonzeros of
+        ``seed`` and is closed under the pattern (an entry (r, c) with c in the
+        set puts r in it) and, if given, under the permutation ``mirror``.
+
+        Propagation from ``seed`` leaves every other coordinate exactly 0.
+        """
+        mask = seed != 0
+        while True:
+            grown = mask | (np.bincount(self.rows, weights=mask[self.cols], minlength=self.n) > 0)
+            if mirror is not None:
+                grown |= grown[mirror]
+            if np.array_equal(grown, mask):
+                return np.flatnonzero(mask)
+            mask = grown
+
+    def restrict(self, idx: np.ndarray) -> "SparseGenerator":
+        """The generator on the sorted coordinates ``idx``: the entries whose row
+        and column both lie there, in the same (row, col) order, so each row of
+        a product adds the same terms in the same order."""
+        local = np.full(self.n, -1)
+        local[idx] = np.arange(idx.size)
+        rows, cols = local[self.rows], local[self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        sub = SparseGenerator.__new__(SparseGenerator)
+        sub._set(idx.size, rows[keep], cols[keep], self.vals[keep])
+        return sub
 
 
 def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float, fold) -> np.ndarray:
@@ -472,8 +504,10 @@ def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float, fold) -> np.n
     successive terms fall below 2^-53 of the partial sum (max norm), then
     applies ``fold`` to the result.  The term and the partial sum are
     updated in place; ``matvec`` may return a buffer of its own, since
-    that is read before its next call.
+    that is read before its next call.  An empty ``y`` is returned as it is.
     """
+    if not y.size:
+        return y
     s = max(1, math.ceil(h * norm))
     hs = h / s
     out = np.empty_like(y)
@@ -482,15 +516,15 @@ def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float, fold) -> np.n
     for _ in range(s):
         np.copyto(out, y)
         np.copyto(term, y)
-        bound = np.max(np.abs(y, out=mag))  # max |y| plus max |term| of every term so far
+        bound = np.abs(y, out=mag).max()  # max |y| plus max |term| of every term so far
         small = 0
         for k in range(1, _MAX_TERMS):
             np.multiply(matvec(term), hs / k, out=term)
             out += term
-            top = np.max(np.abs(term, out=mag))
+            top = np.abs(term, out=mag).max()
             bound += top
             # max |out| <= bound up to roundoff, so |out| is needed only for a term near the tail
-            tail = top <= 2 * _TERM_TOL * bound and top <= _TERM_TOL * np.max(np.abs(out, out=mag))
+            tail = top <= 2 * _TERM_TOL * bound and top <= _TERM_TOL * np.abs(out, out=mag).max()
             small = small + 1 if tail else 0
             if small == 2:
                 break

@@ -300,8 +300,8 @@ def mixed_fock_density(space: ModeSpace, weights: dict) -> DensityMatrix:
     if not weights:
         raise InvalidInput("mixture needs at least one component")
     total = float(sum(weights.values()))
-    if total <= 0:
-        raise InvalidInput("mixture weights must sum to a positive value")
+    if not 0 < total < np.inf:  # an overflowed total would scale every weight to 0
+        raise InvalidInput(f"mixture weights must sum to a positive finite value, got {total}")
     m = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     for occ, w in weights.items():
         if w < 0:

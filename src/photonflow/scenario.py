@@ -481,7 +481,10 @@ def _strided(n: int, stride: int) -> np.ndarray:
     return idx
 
 
-def _lindblad_invariants(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
+def _master_report(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
+    """The propagator's work in [derived] and the invariants of every state."""
+    outcome.derived["propagated_entries"] = res.propagated_entries
+    outcome.derived["generator_products"] = res.generator_products
     _check(outcome, "trace_drift", res.trace_drift, res.trace_drift <= 1e-8)
     min_eig = min(dm.min_eigenvalue() for dm in res.states)
     _check(outcome, "min_eigenvalue", min_eig, min_eig >= -1e-8)
@@ -502,7 +505,7 @@ def _transfer_timeseries(res: lindblad.EvolutionResult) -> tuple:
 def _run_lindblad_transfer(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
     out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
-    _lindblad_invariants(out, res)
+    _master_report(out, res)
     out.csv_files.append(_transfer_timeseries(res))
     out.results = {
         "pop_mode1_final": res.observables["pop_mode1"][-1],
@@ -519,7 +522,7 @@ def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
     out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
     if report.witness is not None:
         out.derived["witness_abs"] = " ".join(_fmt(a) for a in np.abs(report.witness))
-    _lindblad_invariants(out, res)
+    _master_report(out, res)
     _check(out, "evolve_vs_map_distance", dist, dist <= 1e-4)
     out.csv_files.append(_transfer_timeseries(res))
     out.results = {
@@ -535,7 +538,7 @@ def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
     fid = lindblad.state_fidelity(res.states, c.psi)
     out = RunOutcome(derived={"gamma": c.gamma})
-    _lindblad_invariants(out, res)
+    _master_report(out, res)
     rate, residual = reservoir.fit_decay_rate(
         res.times, np.maximum(fid, 1e-300), (res.times[0], res.times[-1])
     )

@@ -8,7 +8,8 @@ numpy.linalg.eigh, closed forms, the dense phase matrices that the
 blocked exponential sums replaced, the one-block-per-pass exponential sums and
 per-block Cauchy sums that the batched kernels replaced, the general secular solve
 that the closed form for uniform combs bypasses, scipy.special's digamma and
-trigamma, and the scipy.sparse.kron construction of the master-equation generator.
+trigamma, the scipy.sparse.kron construction of the master-equation generator, and
+the propagation of all d^2 density-matrix entries that the reachable support replaced.
 """
 
 import numpy as np
@@ -36,9 +37,12 @@ from photonflow import (
     evolve_exact,
     evolve_full,
     evolve_markov,
+    fock_density,
+    fock_state,
     gaussian_pulse,
     interference_evolve,
     interference_transfer_jump,
+    mixed_fock_density,
     number,
     project_pulse,
     reconstruct_field,
@@ -445,6 +449,107 @@ def test_generator_matches_scipy_kron(make_model):
     else:
         # numpy's SIMD complex product may round unlike the scalar products of scipy's loop
         assert np.max(np.abs(gen @ y - ref @ y)) <= 4e-16 * np.max(np.abs(ref @ y))
+
+
+# --- master equation on its reachable support against the full space ------------------
+
+
+def full_space_evolve(model, rho0, t_final, dt, stride):
+    """Every snapshot of the propagation of all d^2 entries, folded as d x d
+    matrices: the loop that the propagation on the reachable support replaced."""
+    gen = _superoperator(model)
+    d = model.space.total_dim
+    nsteps, dt = steps_for(t_final, dt)
+
+    def fold(v):
+        m = v.reshape(d, d)
+        return (0.5 * (m + m.conj().T)).reshape(-1)
+
+    y = rho0.matrix.reshape(-1).astype(complex)
+    states = [y]
+    steps = list(range(stride, nsteps, stride)) + [nsteps]
+    for prev, step in zip([0] + steps, steps):
+        y = taylor_propagate(gen.__matmul__, y, (step - prev) * dt, gen.onenorm(), fold)
+        states.append(y)
+    return [v.reshape(d, d) for v in states]
+
+
+def purification_4x8():
+    space = ModeSpace([4, 8])
+    model = LindbladModel(space, [(transfer_jump(space), 1.0)])
+    return model, mixed_fock_density(space, {(3, 0): 0.5, (2, 1): 0.3, (1, 3): 0.2})
+
+
+def interference_state(sign):
+    def make():
+        model = interference_model()
+        psi = (fock_state(model.space, (0, 1, 0)) + sign * fock_state(model.space, (1, 0, 0)))
+        return model, DensityMatrix.from_state_vector(model.space, psi / np.sqrt(2.0))
+    return make
+
+
+def hamiltonian_fock():
+    model = hamiltonian_model()
+    return model, fock_density(model.space, (1, 1))
+
+
+def non_hermitian_fock():
+    # the pattern of a non-Hermitian H is not transpose-symmetric: the fold fills the mirror
+    space = ModeSpace([2, 3])
+    hop = creation(space, 0) @ annihilation(space, 1)
+    model = LindbladModel(space, [(transfer_jump(space), 1.0)], hamiltonian=hop * 0.4)
+    return model, fock_density(space, (0, 2))
+
+
+def random_full():
+    model = transfer_model()
+    return model, random_density(np.random.default_rng(3), model.space)
+
+
+def zero_state():
+    model = transfer_model()
+    d = model.space.total_dim
+    return model, DensityMatrix(model.space, np.zeros((d, d)))
+
+
+SUPPORT_CASES = [purification_4x8, interference_state(-1.0), interference_state(1.0),
+                 hamiltonian_fock, non_hermitian_fock, random_full, zero_state]
+SUPPORT_IDS = ["mixture-4x8", "dark", "bright", "hamiltonian", "non-hermitian", "random", "zero"]
+
+
+@pytest.mark.parametrize("make_case", SUPPORT_CASES, ids=SUPPORT_IDS)
+def test_support_propagation_matches_full_space(make_case):
+    model, rho0 = make_case()
+    res = evolve(model, rho0, 2.0, dt=0.05, snapshot_stride=4)
+    ref = full_space_evolve(model, rho0, 2.0, 0.05, 4)
+    assert len(res.states) == len(ref)
+    for dm, m in zip(res.states, ref):
+        assert dm.matrix.tobytes() == m.tobytes()  # also the signs of zeros
+    # the support holds every entry that is ever nonzero (the dark state's stay 0 by cancellation)
+    assert res.propagated_entries >= np.count_nonzero(np.any(np.array(ref) != 0, axis=0))
+    assert (res.generator_products > 0) == (res.propagated_entries > 0)
+
+
+@pytest.mark.parametrize("make_case", SUPPORT_CASES, ids=SUPPORT_IDS)
+def test_reachable_support_is_closed(make_case):
+    model, rho0 = make_case()
+    gen = _superoperator(model)
+    d = model.space.total_dim
+    flip = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    idx = gen.reachable(rho0.matrix.reshape(-1), mirror=flip)
+    assert np.array_equal(np.sort(flip[idx]), idx)
+    off = np.ones(d * d, dtype=bool)
+    off[idx] = False
+    rng = np.random.default_rng(9)
+    v = np.zeros(d * d, dtype=complex)
+    v[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    assert not np.any((gen @ v)[off])
+    sub = gen.restrict(idx)
+    assert np.array_equal(sub @ v[idx], (gen @ v)[idx])
+    if model.hamiltonian is None or make_case is hamiltonian_fock:
+        # a Hermitian generator's pattern is transpose-symmetric on its own
+        seed = rho0.matrix + rho0.matrix.T
+        assert np.array_equal(gen.reachable(seed.reshape(-1)), idx)
 
 
 # --- four-port router against RK4 --------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from photonflow import diode
+from photonflow._integrate import SparseGenerator
 from photonflow.cli import main
 from photonflow.errors import ScenarioError
 from photonflow.scenario import (
@@ -598,6 +599,8 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("diode_full", "run", "t_final", "1e-300", 3, "results_finite"),
     ("diode_full", "pulse", "t0", "-1e300", 2, "pulse.t0"),
     ("diode_full", "reservoir", "coupling", "1e300", 2, "reservoir.coupling"),
+    ("lindblad_transfer", "initial", "state", "mixed 1.7e308 1 0 ; 1.7e308 0 1", 2,
+     "initial.state"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
@@ -693,3 +696,21 @@ def test_reflection_run_records_secular_iterations(tmp_path):
     path.write_text(REFLECTION_SCENARIO)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     assert 0 < int(_derived(tmp_path / "out")["secular_iterations"]) <= 8
+
+
+def test_master_run_records_support_and_products(tmp_path, monkeypatch):
+    # fock 1 0 on 3 x 4 modes: only the photon's two diagonal entries of the 144 move
+    sizes = []  # the length of every vector the generator multiplies
+    matmul = SparseGenerator.__matmul__
+
+    def counted(self, y):
+        sizes.append(y.size)
+        return matmul(self, y)
+
+    monkeypatch.setattr(SparseGenerator, "__matmul__", counted)
+    path = SCENARIO_DIR / "lindblad_transfer.ini"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    derived = _derived(tmp_path / "out")
+    assert int(derived["total_dim"]) ** 2 == 144
+    assert int(derived["propagated_entries"]) == 2
+    assert int(derived["generator_products"]) == len(sizes) > 0 and set(sizes) == {2}
