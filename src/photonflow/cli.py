@@ -11,6 +11,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -42,8 +43,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _outdir(sc, override, suffix=""):
-    base = override if override is not None else sc.get("output", "dir", "out")
-    return Path(base) / (sc.name + suffix)
+    """The run's directory under ``--out`` or ``output.dir``, checked before
+    anything runs: its nearest existing ancestor must be a writable directory."""
+    if override is not None:
+        key, base = "--out", override
+    else:
+        key, base = "output.dir", sc.get("output", "dir", "out")
+    out = Path(base) / (sc.name + suffix)
+    ancestor = next(p for p in (out, *out.parents) if os.path.exists(p))
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ScenarioError(f"{key}: cannot create {out}: {ancestor} is not a writable directory")
+    return out
 
 
 def main(argv=None) -> int:

@@ -18,15 +18,15 @@ parameter block::
 
     [run]
     t_final = 5.0
-    stride = 10
 
     [output]
     dir = out
+    stride = 10
 
 Numbers are decimal literals (exponent notation allowed), lists are
 whitespace separated, ``#`` starts a comment.  No expression evaluation.
-Unknown sections or keys are rejected, and every validation message
-names the offending ``section.key``.
+A key the kind's build never reads is rejected, and every validation
+message names the offending ``section.key``.
 
 Each run writes ``timeseries.csv`` and/or ``summary.csv`` plus a
 ``manifest.ini`` that echoes the scenario, lists derived quantities,
@@ -34,9 +34,10 @@ results, and the outcome of the physical invariant checks.  Outputs are
 deterministic: fixed summation orders, floats serialized with 17
 significant digits, so identical input files give byte-identical CSVs.
 
-Every kind is one ``_Kind`` record in ``_KINDS``: its sections and keys,
-a build that parses them into typed inputs and runs every configuration
-check, a runner that works only on those inputs, and its summary fields.
+Every kind is one ``_Kind`` record in ``_KINDS``: a build that reads its
+keys into typed inputs and runs every configuration check, a runner that
+works only on those inputs, and its summary fields.  The keys a build
+reads are the kind's schema.
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ class Scenario:
     name: str
     kind: str
     sections: dict  # section -> {key -> raw string}
+    looked_up: set = field(default_factory=set, compare=False, repr=False)  # (section, key)
 
     def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
+        self.looked_up.add((section, key))
         return self.sections.get(section, {}).get(key, default)
 
     def with_override(self, section: str, key: str, value: str) -> "Scenario":
@@ -92,6 +95,8 @@ def parse_scenario_text(text: str) -> Scenario:
     sections: dict = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "\0" in raw:
+            raise ScenarioError(f"line {lineno}: NUL character")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -122,10 +127,13 @@ def parse_scenario_text(text: str) -> Scenario:
     for req in ("name", "kind"):
         if req not in head:
             raise ScenarioError(f"scenario.{req}: required key is missing")
-    kind = head["kind"]
+    name, kind = head["name"], head["kind"]
+    # the name is the run's directory under the output directory
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ScenarioError(f"scenario.name: must be a single path component, got {name!r}")
     if kind not in KINDS:
         raise ScenarioError(f"scenario.kind: unknown kind {kind!r}; expected one of {KINDS}")
-    sc = Scenario(name=head["name"], kind=kind, sections=sections)
+    sc = Scenario(name=name, kind=kind, sections=sections)
     validate_scenario(sc)
     return sc
 
@@ -134,7 +142,12 @@ def parse_scenario(path) -> Scenario:
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
-    return parse_scenario_text(p.read_text())
+    try:
+        # utf-8-sig drops a byte-order mark
+        text = p.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {p}: {exc}")
+    return parse_scenario_text(text)
 
 
 def _err(path: str, msg: str) -> ScenarioError:
@@ -161,6 +174,18 @@ def _get(sc: Scenario, path: str, parse: Callable, default=_REQUIRED):
     if default is _REQUIRED:
         raise _err(path, "required key is missing")
     return default
+
+
+def _as_text(path: str, raw: str) -> str:
+    return raw
+
+
+def _one_of(*choices: str) -> Callable[[str, str], str]:
+    def parse(path: str, raw: str) -> str:
+        if raw not in choices:
+            raise _err(path, f"expected {'|'.join(choices)}, got {raw!r}")
+        return raw
+    return parse
 
 
 def _as_float(path: str, raw: str) -> float:
@@ -234,7 +259,7 @@ def _mode_space(sc: Scenario, n_modes: int) -> fock.ModeSpace:
 
 
 def _fock_initial(sc: Scenario, space: fock.ModeSpace) -> fock.DensityMatrix:
-    raw = sc.get("initial", "state")
+    raw = _get(sc, "initial.state", _as_text)
     toks = raw.split()
     if toks[:1] == ["fock"]:
         occ = [_as_int("initial.state", t) for t in toks[1:]]
@@ -257,29 +282,34 @@ def _fock_initial(sc: Scenario, space: fock.ModeSpace) -> fock.DensityMatrix:
 
 
 def _dark_psi(sc: Scenario, space: fock.ModeSpace) -> np.ndarray:
-    raw = sc.get("initial", "state")
-    if raw not in ("dark", "bright"):
-        raise _err("initial.state", f"expected dark|bright, got {raw!r}")
-    sign = -1.0 if raw == "dark" else 1.0
+    sign = -1.0 if _get(sc, "initial.state", _one_of("dark", "bright")) == "dark" else 1.0
     v = fock.fock_state(space, (0, 1, 0)) + sign * fock.fock_state(space, (1, 0, 0))
     return v / np.sqrt(2.0)
 
 
-def _master_inputs(sc: Scenario, space, jump, rho0) -> SimpleNamespace:
-    """Master-equation inputs; run.t_final defaults to 30/gamma, run.dt
-    (the sampling interval) to lindblad's default."""
+def _master_inputs(sc: Scenario, space, jump, rho0, decay_times=None) -> SimpleNamespace:
+    """Master-equation inputs; run.t_final is required unless ``decay_times``
+    gives its default in units of 1/gamma, and run.dt (the sampling
+    interval) defaults to lindblad's default."""
     gamma = _get(sc, "model.gamma", _as_positive)
     model = lindblad.LindbladModel(space, [(jump, gamma)])
-    t_final, dt = _run_times(sc, 30.0 / gamma, lindblad._default_dt(model))
+    t_final = _REQUIRED if decay_times is None else decay_times / gamma
+    t_final, dt = _run_times(sc, t_final, lindblad._default_dt(model))
     return SimpleNamespace(
         space=space, model=model, rho0=rho0, gamma=gamma, t_final=t_final, dt=dt,
         stride=_stride(sc),
     )
 
 
-def _build_transfer(sc: Scenario) -> SimpleNamespace:
+def _build_transfer(sc: Scenario, decay_times: Optional[float] = None) -> SimpleNamespace:
     space = _mode_space(sc, 2)
-    return _master_inputs(sc, space, lindblad.transfer_jump(space, 0, 1), _fock_initial(sc, space))
+    return _master_inputs(sc, space, lindblad.transfer_jump(space, 0, 1), _fock_initial(sc, space),
+                          decay_times)
+
+
+def _build_purification(sc: Scenario) -> SimpleNamespace:
+    """A transfer run long enough (30/gamma by default) to reach the asymptotic map."""
+    return _build_transfer(sc, decay_times=30.0)
 
 
 def _build_dark_state(sc: Scenario) -> SimpleNamespace:
@@ -298,9 +328,7 @@ def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.
     if f < 1:
         raise _err("reservoir.f", f"need at least one spectral class, got {f}")
     eps_max = _get(sc, "reservoir.eps_max", _as_positive)
-    spectrum = sc.get("reservoir", "spectrum", "equidistant")
-    if spectrum not in reservoir.SPECTRA:
-        raise _err("reservoir.spectrum", f"expected one of {reservoir.SPECTRA}, got {spectrum!r}")
+    spectrum = _get(sc, "reservoir.spectrum", _one_of(*reservoir.SPECTRA), "equidistant")
     kwargs: dict = {}
     if spectrum == "lorentzian":
         kwargs["center"] = _get(sc, "reservoir.center", _as_float)
@@ -370,16 +398,12 @@ _INTERFERENCE_STATES = {
 
 def _build_interference(sc: Scenario) -> SimpleNamespace:
     spec, t_final, dt = _reservoir_run(sc)
-    name = sc.get("initial", "state")
-    if name not in _INTERFERENCE_STATES:
-        raise _err("initial.state", f"expected antisymmetric|symmetric|single, got {name!r}")
+    name = _get(sc, "initial.state", _one_of(*_INTERFERENCE_STATES))
     return SimpleNamespace(spec=spec, t_final=t_final, dt=dt, state=name, stride=_stride(sc, 1))
 
 
 def _build_pulse(sc: Scenario) -> dio.Pulse:
-    kind = sc.get("pulse", "kind", "gaussian")
-    if kind != "gaussian":
-        raise _err("pulse.kind", f"scenario files support gaussian pulses, got {kind!r}")
+    _get(sc, "pulse.kind", _one_of("gaussian"), "gaussian")  # the one pulse shape files support
     duration = _get(sc, "pulse.duration", _as_positive)
     t0 = _get(sc, "pulse.t0", _as_float, 3.0 * duration)
     pulse = _guard("pulse.duration", dio.gaussian_pulse, t0=t0, duration=duration)
@@ -621,6 +645,9 @@ def _run_interference(c: SimpleNamespace) -> RunOutcome:
     traj = reservoir.interference_evolve(c.spec, state0, c.t_final, dt=c.dt)
     surv = traj.survival
     out = RunOutcome(derived={"coupling": float(abs(c.spec.coupling)), "initial": c.state})
+    # the upper modes never hold more than the one photon; a nan fails this too
+    most = float(np.max(surv))
+    _check(out, "survival_at_most_one", most, most <= 1.0 + 1e-9)
     idx = _strided(traj.times.size, c.stride)
     out.csv_files.append(
         (
@@ -765,80 +792,53 @@ def _run_impedance_scan(c: SimpleNamespace) -> RunOutcome:
 
 @dataclass
 class _Kind:
-    sections: dict  # section -> {key: required}, besides [scenario] and [output]
     build: Callable[[Scenario], SimpleNamespace]  # typed parse and every configuration check
     run: Callable[[SimpleNamespace], RunOutcome]  # sees only what build returned
     fields: tuple  # results listed by the CLI and by scan summaries
 
 
-_COMMON = {
-    "scenario": {"name": True, "kind": True},
-    "output": {"dir": False, "stride": False},
-}
-_RESERVOIR = {
-    "f": True, "eps_max": True, "spectrum": False, "coupling": False,
-    "target_gamma": False, "center": False, "width": False, "omegas": False,
-}
-_PULSE = {"kind": False, "duration": True, "t0": False}
-_GRID = {"n_q": True, "delta_max": True}
-_RUN = {"t_final": True, "dt": False}
-_RUN_OPTIONAL = {"t_final": False, "dt": False}
-_MASTER = {
-    "space": {"dims": True}, "model": {"gamma": True}, "initial": {"state": True}, "run": _RUN,
-}
 _ZENO = _Kind(
-    {"reservoir": _RESERVOIR, "zeno": {"taus": True, "n_measurements": False}, "run": _RUN,
-     "fit": {"window": False}},
     _build_zeno, _run_zeno_scan,
     ("gamma_free", "gamma_eff_min", "gamma_eff_max", "max_ratio_to_free", "monotone_in_tau"),
 )
 
 _KINDS: dict[str, _Kind] = {
     "LindbladTransfer": _Kind(
-        _MASTER, _build_transfer, _run_lindblad_transfer,
+        _build_transfer, _run_lindblad_transfer,
         ("pop_mode1_final", "pop_mode2_final", "purity_final"),
     ),
     "PurificationMap": _Kind(
-        {**_MASTER, "run": _RUN_OPTIONAL}, _build_transfer, _run_purification_map,
+        _build_purification, _run_purification_map,
         ("map_purity", "pure", "evolve_vs_map_distance", "purity_final"),
     ),
     "DarkState": _Kind(
-        _MASTER, _build_dark_state, _run_dark_state,
+        _build_dark_state, _run_dark_state,
         ("fidelity_final", "fidelity_min", "fitted_rate", "fit_residual"),
     ),
     "MicroscopicDecay": _Kind(
-        {"reservoir": _RESERVOIR, "run": _RUN, "fit": {"window": False}},
         _build_decay, _run_microscopic_decay,
         ("gamma_markov", "gamma_fit", "fit_residual", "survival_final"),
     ),
     "ZenoScan": _ZENO,
     "AntiZenoScan": _ZENO,
     "InterferenceExact": _Kind(
-        {"reservoir": _RESERVOIR, "run": _RUN, "initial": {"state": True}},
         _build_interference, _run_interference,
         ("survival_final", "survival_min"),
     ),
     "DiodeFull": _Kind(
-        {"reservoir": _RESERVOIR, "diode": {"gamma1": True, "gamma2": True}, "grid1": _GRID,
-         "grid2": _GRID, "pulse": _PULSE, "run": _RUN_OPTIONAL},
         _build_diode_full, _run_diode_full,
         ("leakage", "port2_yield", "q_match_rel_err", "rho_out_match_rel_err",
          "min_overlap", "weighted_purity", "norm_drift"),
     ),
     "DiodeMarkov": _Kind(
-        {"diode": {"gamma": True, "gamma1": True, "gamma2": True}, "pulse": _PULSE,
-         "run": _RUN_OPTIONAL},
         _build_diode_markov, _run_diode_markov,
         ("leakage", "port2_yield", "yield_factorized"),
     ),
     "Port2Reflection": _Kind(
-        {"diode": {"gamma2": True}, "grid2": _GRID, "pulse": _PULSE, "run": {"t_final": False}},
         _build_port2_reflection, _run_port2_reflection,
         ("out_norm", "delay"),
     ),
     "ImpedanceScan": _Kind(
-        {"diode": {"gamma": True, "gamma2": True}, "scan": {"ratios": True}, "pulse": _PULSE,
-         "run": _RUN_OPTIONAL},
         _build_impedance_scan, _run_impedance_scan,
         ("best_ratio", "min_leakage"),
     ),
@@ -846,27 +846,27 @@ _KINDS: dict[str, _Kind] = {
 
 KINDS = tuple(_KINDS)
 
+# read by every kind's parse or by the command line, not by a build
+_ALWAYS_ACCEPTED = {("scenario", "name"), ("scenario", "kind"), ("output", "dir")}
+
 
 def validate_scenario(sc: Scenario) -> SimpleNamespace:
-    """Check the sections and keys against the kind's schema, then build.
+    """Build, then reject every section and key the build did not read.
 
     The build parses every value and runs every configuration check a
     run would make; its result is what the kind's runner receives.
     """
-    kind = _KINDS[sc.kind]
-    schema = {**_COMMON, **kind.sections}
+    probe = Scenario(sc.name, sc.kind, sc.sections)  # only the build's lookups count
+    inputs = _KINDS[sc.kind].build(probe)
+    accepted = probe.looked_up | _ALWAYS_ACCEPTED
+    known_sections = {section for section, _ in accepted}
     for section, kv in sc.sections.items():
-        if section not in schema:
+        if section not in known_sections:
             raise _err(section, f"unknown section for kind {sc.kind}")
         for key in kv:
-            if key not in schema[section]:
+            if (section, key) not in accepted:
                 raise _err(f"{section}.{key}", f"unknown key for kind {sc.kind}")
-    for section, keys in schema.items():
-        for key, required in keys.items():
-            if required and sc.get(section, key) is None:
-                raise _err(f"{section}.{key}", "required key is missing")
-    _stride(sc)
-    return kind.build(sc)
+    return inputs
 
 
 def summary_fields(kind: str) -> tuple:

@@ -1,8 +1,13 @@
 import configparser
+import contextlib
+import io
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonflow import diode
 from photonflow._integrate import SparseGenerator
@@ -535,20 +540,35 @@ duration = 8.0
     assert outcome.results["best_ratio"] == 1.0
 
 
-def shipped_with(name: str, section: str, key: str, value: str) -> str:
-    """Text of a shipped scenario with ``section.key`` set to ``value``."""
+def sections_of(text: str) -> dict:
+    """section -> {key -> value} of a scenario text."""
     sections: dict = {}
-    for raw in (SCENARIO_DIR / f"{name}.ini").read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line.startswith("["):
             current = sections.setdefault(line[1:-1], {})
         elif line:
             k, v = line.split("=", 1)
             current[k.strip()] = v.strip()
+    return sections
+
+
+def shipped_with(name: str, section: str, key: str, value: str) -> str:
+    """Text of a shipped scenario with ``section.key`` set to ``value``."""
+    return edited(sections_of((SCENARIO_DIR / f"{name}.ini").read_text()), section, key, value)
+
+
+def edited(sections: dict, section: str, key: str, value: str) -> str:
+    """The scenario text of ``sections`` with ``section.key`` set to ``value``."""
+    sections = {s: dict(kv) for s, kv in sections.items()}
     sections.setdefault(section, {})[key] = value
     if section == "reservoir":  # a reservoir takes its coupling or its target rate, not both
         other = {"coupling": "target_gamma", "target_gamma": "coupling"}.get(key)
         sections[section].pop(other, None)
+    return text_of(sections)
+
+
+def text_of(sections: dict) -> str:
     return "\n".join(
         f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
     )
@@ -601,6 +621,7 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("diode_full", "reservoir", "coupling", "1e300", 2, "reservoir.coupling"),
     ("lindblad_transfer", "initial", "state", "mixed 1.7e308 1 0 ; 1.7e308 0 1", 2,
      "initial.state"),
+    ("interference", "reservoir", "coupling", "1e300", 3, "survival_at_most_one"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
@@ -614,6 +635,90 @@ def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, 
     else:
         (manifest,) = (tmp_path / "out").rglob("manifest.ini")
         assert f"failures = {named}\n" in manifest.read_text()
+
+
+# --- a kind accepts exactly the keys its build reads ----------------------------------------
+
+
+@pytest.mark.parametrize("name, section, key, value", [
+    ("markov_decay", "reservoir", "center", "40.0"),
+    ("markov_decay", "reservoir", "width", "2.5"),
+    ("markov_decay", "reservoir", "omegas", "1 2 3"),
+    ("zeno_scan", "output", "stride", "5"),
+    ("diode_full", "output", "stride", "5"),
+    ("port2_reflection", "output", "stride", "5"),
+    ("impedance_scan", "output", "stride", "5"),
+])
+def test_cli_validate_rejects_a_key_the_build_ignores(tmp_path, capsys, name, section, key, value):
+    path = write(tmp_path, "k.ini", shipped_with(name, section, key, value))
+    assert main(["validate", path]) == 2
+    assert f"error: {section}.{key}: unknown key for kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, section, key", [
+    ("lindblad_transfer", "run", "t_final"),
+    ("dark_state", "run", "t_final"),
+    ("lindblad_transfer", "initial", "state"),
+    ("dark_state", "initial", "state"),
+    ("interference", "initial", "state"),
+])
+def test_cli_validate_names_a_missing_required_key(tmp_path, capsys, name, section, key):
+    sections = sections_of((SCENARIO_DIR / f"{name}.ini").read_text())
+    del sections[section][key]
+    path = write(tmp_path, "m.ini", text_of(sections))
+    assert main(["validate", path]) == 2
+    assert f"error: {section}.{key}: required key is missing" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_an_unknown_section(tmp_path, capsys):
+    path = write(tmp_path, "b.ini", LINDBLAD_SCENARIO + "\n[bogus]\n")
+    assert main(["validate", path]) == 2
+    assert "error: bogus: unknown section for kind LindbladTransfer" in capsys.readouterr().err
+
+
+# --- files and directories ----------------------------------------------------------------
+
+
+def test_cli_reads_a_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + LINDBLAD_SCENARIO.encode())
+    assert main(["validate", str(path)]) == 0
+
+
+def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(LINDBLAD_SCENARIO.replace("transfer", "transf\xe9r").encode("latin-1"))
+    assert main(["validate", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_cli_rejects_a_nul_character(tmp_path, capsys):
+    path = write(tmp_path, "z.ini", LINDBLAD_SCENARIO.replace("stride = 20", "dir = a\0b"))
+    assert main(["run", path]) == 2
+    assert "NUL character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../../x", "a/b", "a\\b"])
+def test_cli_rejects_a_name_that_is_not_one_path_component(tmp_path, capsys, name):
+    path = write(tmp_path, "n.ini", LINDBLAD_SCENARIO.replace("name = transfer", f"name = {name}"))
+    out = tmp_path / "a" / "b"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert "error: scenario.name:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n.ini"]
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["scan", "--axis", "model.gamma", "--values", "1,2"],
+], ids=["run", "scan"])
+def test_cli_names_an_output_directory_it_cannot_create(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write(tmp_path, "o.ini", LINDBLAD_SCENARIO)
+    assert main([*command, path, "--out", str(blocker / "x")]) == 2
+    assert f"error: --out: cannot create {blocker / 'x'}" in capsys.readouterr().err
+    path = write(tmp_path, "o.ini", LINDBLAD_SCENARIO.replace("stride = 20", f"dir = {blocker}"))
+    assert main([*command, path]) == 2
+    assert f"error: output.dir: cannot create {blocker}" in capsys.readouterr().err
 
 
 ROUTER_SCENARIO = """
@@ -714,3 +819,45 @@ def test_master_run_records_support_and_products(tmp_path, monkeypatch):
     assert int(derived["total_dim"]) ** 2 == 144
     assert int(derived["propagated_entries"]) == 2
     assert int(derived["generator_products"]) == len(sizes) > 0 and set(sizes) == {2}
+
+
+# --- the exit-code contract under single-key edits -------------------------------------------
+
+# every shipped file that runs in well under a second, with reduced-size
+# stand-ins for the two that do not
+FAST_FILES = {
+    p.stem: sections_of(p.read_text())
+    for p in sorted(SCENARIO_DIR.glob("*.ini")) if p.stem not in ("diode_full", "port2_reflection")
+}
+FAST_FILES.update(diode_full=sections_of(ROUTER_SCENARIO),
+                  port2_reflection=sections_of(REFLECTION_SCENARIO))
+# an edit sets a key of its own file or adds one that another kind reads
+EDITABLE_KEYS = sorted(
+    {(s, k) for kv in FAST_FILES.values() for s in kv for k in kv[s]} - {("scenario", "name")}
+)
+EDIT_VALUES = [
+    "0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "nan", "inf", "-inf", "abc", "",
+    "0.5 3.0", "1 0", "2", "0.05", "1.5", "40", "dark", "lorentzian", "DarkState",
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(name=st.sampled_from(sorted(FAST_FILES)), edit=st.sampled_from(EDITABLE_KEYS),
+       value=st.sampled_from(EDIT_VALUES))
+def test_cli_exit_code_contract_under_single_key_edits(name, edit, value):
+    # a configuration error is exit 2 at validate; a validated file runs to
+    # exit 0 with finite results, or to exit 3 naming its failed invariants
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.ini"
+        path.write_text(edited(FAST_FILES[name], *edit, value))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["validate", str(path)])
+            assert code in (0, 2)
+            if code == 2:
+                return
+            code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 3)
+        if code == 0:
+            manifest = configparser.ConfigParser()
+            manifest.read(next((Path(tmp) / "out").rglob("manifest.ini")))
+            assert all(math.isfinite(float(v)) for v in manifest["results"].values())
