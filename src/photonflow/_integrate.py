@@ -59,6 +59,11 @@ def steps_for(t_final: float, dt: float) -> tuple[int, float]:
     return n, t_final / n
 
 
+def sample_steps(nsteps: int, stride: int) -> list[int]:
+    """Every ``stride``-th of the steps 1..nsteps, then the last."""
+    return list(range(stride, nsteps, stride)) + [nsteps]
+
+
 _BLOCK = 32  # roots or sample times per vectorized block
 _EPS = float(np.finfo(float).eps)
 _MAX_ITER = 100

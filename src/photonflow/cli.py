@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, InvalidInput, InvariantViolation, ScenarioError
-from .scenario import parse_scenario, run_scenario, scan_scenario, summary_fields
+from .scenario import parse_scenario, run_scenario, scan_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,9 +65,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "run":
             outdir = _outdir(sc, args.out)
-            outcome = run_scenario(sc, outdir)
-            for key in summary_fields(sc.kind):
-                print(f"{key} = {outcome.results[key]:.10g}")
+            for key, value in run_scenario(sc, outdir).results.items():
+                print(f"{key} = {value:.10g}")
             print(f"outputs written to {outdir}")
             return 0
         # scan

@@ -89,7 +89,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _arrowhead_eigensystem, _Eigensystem, _ExactPropagator, exp_sum, steps_for
+from ._integrate import (_arrowhead_eigensystem, _Eigensystem, _ExactPropagator, exp_sum,
+                         sample_steps, steps_for)
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -438,7 +439,7 @@ def _quadrature_grid(grid1: ContinuumGrid, c2: _Eigensystem, spec: ReservoirSpec
     """
     nsteps, dt = steps_for(t_final, dt)
     stride = max(1, int(round(0.1 / dt)))
-    steps = list(range(stride, nsteps, stride)) + [nsteps]
+    steps = sample_steps(nsteps, stride)
     norm = _generator_norm(grid1, c2, spec)
     cap = _MAX_QUADRATURE_STEPS
     if not t_final * norm <= _STEP_NORM * cap:  # also catches an overflow to inf
@@ -738,17 +739,12 @@ def intensity_centroid(times: np.ndarray, field: np.ndarray) -> float:
     return float(np.trapezoid(times * w, times) / total)
 
 
-def reflect_port2(
-    grid2: ContinuumGrid,
-    pulse: Pulse,
-    gamma2: float,
-    t_final: float,
-) -> ReflectionResult:
+def reflect_port2(grid2: ContinuumGrid, pulse: Pulse, t_final: float) -> ReflectionResult:
     """Single photon in port 2 bouncing off the empty cavity.
 
     With the reservoir in its ground state nothing couples mode 2 to
     mode 1, so the dynamics involves only the port-2 comb S_q and the
-    bare cavity mode C:
+    bare cavity mode C, which loses photons into it at ``grid2.gamma``:
 
         dS_q/dt = -i d_q S_q - i kappa C,   dC/dt = -i kappa sum_q S_q.
 
@@ -757,17 +753,16 @@ def reflect_port2(
     eigenpairs without stepping.  The output keeps unit norm; the delay is
     the centroid shift of the reflected intensity against free propagation.
     """
-    grid = ContinuumGrid(n_q=grid2.n_q, delta_max=grid2.delta_max, gamma=gamma2)
-    _screen_grid(grid, pulse, t_final, "port-2")
-    s0 = project_pulse(grid, pulse)
-    prop = _ExactPropagator(-grid.detunings(), grid.kappa)
+    _screen_grid(grid2, pulse, t_final, "port-2")
+    s0 = project_pulse(grid2, pulse)
+    prop = _ExactPropagator(-grid2.detunings(), grid2.kappa)
     coef, dark = prop.modes(0.0, s0)
     # at t = 0 the interaction picture is the frame itself: this is S(t_final)
     s_final = prop.classes_at(coef, dark, t_final, 0.0)
 
     ts = np.arange(0.0, t_final, min(0.05, t_final / 2000.0))
-    out_field = reconstruct_field(grid, s_final, ts, t_ref=t_final)
-    in_field = reconstruct_field(grid, s0, ts, t_ref=0.0)
+    out_field = reconstruct_field(grid2, s_final, ts, t_ref=t_final)
+    in_field = reconstruct_field(grid2, s0, ts, t_ref=0.0)
     out_norm = float(np.sum(np.abs(s_final) ** 2))
     delay = intensity_centroid(ts, out_field) - intensity_centroid(ts, in_field)
     return ReflectionResult(times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm,

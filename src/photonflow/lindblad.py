@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import SparseGenerator, steps_for, taylor_propagate
+from ._integrate import SparseGenerator, sample_steps, steps_for, taylor_propagate
 from .errors import ConfigurationError, InvalidInput
 from .fock import (
     DensityMatrix,
@@ -199,7 +199,7 @@ def evolve(
 
     # the full generator's 1-norm bounds the restriction's and fixes the sub-steps
     norm1 = gen.onenorm()
-    steps = list(range(snapshot_stride, nsteps, snapshot_stride)) + [nsteps]
+    steps = sample_steps(nsteps, snapshot_stride)
     states = [DensityMatrix(model.space, y.reshape(d, d))]
     y = y[idx]
     for prev, step in zip([0] + steps, steps):

@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _ExactPropagator, exp_sum, steps_for
+from ._integrate import _ExactPropagator, exp_sum, sample_steps, steps_for
 from .errors import ConfigurationError, InvalidInput
 
 __all__ = [
@@ -303,11 +303,7 @@ def evolve_exact(
         raise InvalidInput("state has a different number of reservoir classes than the spec")
 
     nsteps, dt = steps_for(t_final, dt)
-    steps = []
-    if snapshot_stride:
-        steps = list(range(snapshot_stride, nsteps + 1, snapshot_stride))
-        if not steps or steps[-1] != nsteps:
-            steps.append(nsteps)
+    steps = sample_steps(nsteps, snapshot_stride) if snapshot_stride else []
     upper, snaps = _sampled_evolution(
         _propagator(spec), state0.c0, state0.c, state0.t, nsteps, dt, steps
     )

@@ -35,9 +35,10 @@ deterministic: fixed summation orders, floats serialized with 17
 significant digits, so identical input files give byte-identical CSVs.
 
 Every kind is one ``_Kind`` record in ``_KINDS``: a build that reads its
-keys into typed inputs and runs every configuration check, a runner that
-works only on those inputs, and its summary fields.  The keys a build
-reads are the kind's schema.
+keys into typed inputs and runs every configuration check, and a runner
+that works only on those inputs.  The keys a build reads are the kind's
+schema; the results its runner returns, in their order, are what the
+command line prints and what a scan summarizes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import diode as dio
 from . import fock, lindblad, reservoir
-from ._integrate import steps_for
+from ._integrate import sample_steps, steps_for
 from .errors import ConfigurationError, InvalidInput, InvariantViolation, ScenarioError
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
     "validate_scenario",
     "run_scenario",
     "scan_scenario",
-    "summary_fields",
 ]
 
 
@@ -497,14 +497,6 @@ def _check(outcome: RunOutcome, name: str, value: float, ok: bool) -> None:
         outcome.invariant_failures.append(name)
 
 
-def _strided(n: int, stride: int) -> np.ndarray:
-    """Every ``stride``-th of ``n`` sample indices, always ending with the last."""
-    idx = np.arange(0, n, stride)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
-
-
 def _master_report(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
     """The propagator's work in [derived] and the invariants of every state."""
     outcome.derived["propagated_entries"] = res.propagated_entries
@@ -581,25 +573,19 @@ def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
     traj = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt, snapshot_stride=10**9)
     _, c0_f, c_f = traj.snapshots[-1]
     drift = abs(abs(c0_f) ** 2 + float(np.sum(np.abs(c_f) ** 2)) - 1.0)
-    equidistant = spec.spectrum == "equidistant"
-    out = RunOutcome(derived={
-        "coupling": float(abs(spec.coupling)),
-        "spectrum": spec.spectrum,
-        "recurrence_time": reservoir.recurrence_time(spec) if equidistant else float("nan"),
-    })
-    gamma_markov = reservoir.markov_rate(spec) if equidistant else float("nan")
+    out = RunOutcome(derived={"coupling": float(abs(spec.coupling)), "spectrum": spec.spectrum})
+    # the golden rule and the comb recurrence hold only for the equidistant comb
+    if spec.spectrum == "equidistant":
+        out.derived["recurrence_time"] = reservoir.recurrence_time(spec)
+        out.results["gamma_markov"] = reservoir.markov_rate(spec)
     gamma_fit, residual = reservoir.fit_decay_rate(traj.times, traj.survival, c.window)
     _check(out, "norm_drift", drift, drift <= 1e-9 * max(1.0, c.t_final))
-    idx = _strided(traj.times.size, c.stride)
+    idx = [0] + sample_steps(traj.times.size - 1, c.stride)
     out.csv_files.append(
         ("timeseries.csv", ["t", "survival"], zip(traj.times[idx], traj.survival[idx]))
     )
-    out.results = {
-        "gamma_markov": gamma_markov,
-        "gamma_fit": gamma_fit,
-        "fit_residual": residual,
-        "survival_final": traj.survival[-1],
-    }
+    out.results.update(gamma_fit=gamma_fit, fit_residual=residual,
+                       survival_final=traj.survival[-1])
     return out
 
 
@@ -648,7 +634,7 @@ def _run_interference(c: SimpleNamespace) -> RunOutcome:
     # the upper modes never hold more than the one photon; a nan fails this too
     most = float(np.max(surv))
     _check(out, "survival_at_most_one", most, most <= 1.0 + 1e-9)
-    idx = _strided(traj.times.size, c.stride)
+    idx = [0] + sample_steps(traj.times.size - 1, c.stride)
     out.csv_files.append(
         (
             "timeseries.csv",
@@ -740,7 +726,7 @@ def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
         "yield_factorized": mk.yield_factorized,
     }
     _port_invariants(out, list(out.results.values()), mk.leakage, mk.yield_convolved)
-    idx = _strided(mk.times.size, c.stride)
+    idx = [0] + sample_steps(mk.times.size - 1, c.stride)
     out.csv_files.append(
         (
             "timeseries.csv",
@@ -758,7 +744,7 @@ def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
 
 
 def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
-    ref = dio.reflect_port2(c.grid2, c.pulse, c.gamma2, c.t_final)
+    ref = dio.reflect_port2(c.grid2, c.pulse, c.t_final)
     out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2,
                               "secular_iterations": ref.secular_iterations})
     _check(out, "out_norm", ref.out_norm, abs(ref.out_norm - 1.0) <= 1e-8)
@@ -794,54 +780,22 @@ def _run_impedance_scan(c: SimpleNamespace) -> RunOutcome:
 class _Kind:
     build: Callable[[Scenario], SimpleNamespace]  # typed parse and every configuration check
     run: Callable[[SimpleNamespace], RunOutcome]  # sees only what build returned
-    fields: tuple  # results listed by the CLI and by scan summaries
 
 
-_ZENO = _Kind(
-    _build_zeno, _run_zeno_scan,
-    ("gamma_free", "gamma_eff_min", "gamma_eff_max", "max_ratio_to_free", "monotone_in_tau"),
-)
+_ZENO = _Kind(_build_zeno, _run_zeno_scan)
 
 _KINDS: dict[str, _Kind] = {
-    "LindbladTransfer": _Kind(
-        _build_transfer, _run_lindblad_transfer,
-        ("pop_mode1_final", "pop_mode2_final", "purity_final"),
-    ),
-    "PurificationMap": _Kind(
-        _build_purification, _run_purification_map,
-        ("map_purity", "pure", "evolve_vs_map_distance", "purity_final"),
-    ),
-    "DarkState": _Kind(
-        _build_dark_state, _run_dark_state,
-        ("fidelity_final", "fidelity_min", "fitted_rate", "fit_residual"),
-    ),
-    "MicroscopicDecay": _Kind(
-        _build_decay, _run_microscopic_decay,
-        ("gamma_markov", "gamma_fit", "fit_residual", "survival_final"),
-    ),
+    "LindbladTransfer": _Kind(_build_transfer, _run_lindblad_transfer),
+    "PurificationMap": _Kind(_build_purification, _run_purification_map),
+    "DarkState": _Kind(_build_dark_state, _run_dark_state),
+    "MicroscopicDecay": _Kind(_build_decay, _run_microscopic_decay),
     "ZenoScan": _ZENO,
     "AntiZenoScan": _ZENO,
-    "InterferenceExact": _Kind(
-        _build_interference, _run_interference,
-        ("survival_final", "survival_min"),
-    ),
-    "DiodeFull": _Kind(
-        _build_diode_full, _run_diode_full,
-        ("leakage", "port2_yield", "q_match_rel_err", "rho_out_match_rel_err",
-         "min_overlap", "weighted_purity", "norm_drift"),
-    ),
-    "DiodeMarkov": _Kind(
-        _build_diode_markov, _run_diode_markov,
-        ("leakage", "port2_yield", "yield_factorized"),
-    ),
-    "Port2Reflection": _Kind(
-        _build_port2_reflection, _run_port2_reflection,
-        ("out_norm", "delay"),
-    ),
-    "ImpedanceScan": _Kind(
-        _build_impedance_scan, _run_impedance_scan,
-        ("best_ratio", "min_leakage"),
-    ),
+    "InterferenceExact": _Kind(_build_interference, _run_interference),
+    "DiodeFull": _Kind(_build_diode_full, _run_diode_full),
+    "DiodeMarkov": _Kind(_build_diode_markov, _run_diode_markov),
+    "Port2Reflection": _Kind(_build_port2_reflection, _run_port2_reflection),
+    "ImpedanceScan": _Kind(_build_impedance_scan, _run_impedance_scan),
 }
 
 KINDS = tuple(_KINDS)
@@ -867,10 +821,6 @@ def validate_scenario(sc: Scenario) -> SimpleNamespace:
             if (section, key) not in accepted:
                 raise _err(f"{section}.{key}", f"unknown key for kind {sc.kind}")
     return inputs
-
-
-def summary_fields(kind: str) -> tuple:
-    return _KINDS[kind].fields
 
 
 # ---------------------------------------------------------------------------
@@ -942,18 +892,19 @@ def run_scenario(sc: Scenario, outdir) -> RunOutcome:
 
 def _scan_point(args):
     value, sc, outdir = args
-    outcome = run_scenario(sc, outdir)
-    return [value] + [outcome.results[f] for f in summary_fields(sc.kind)]
+    return value, run_scenario(sc, outdir).results
 
 
 def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
-    """Run one scenario per axis value, collecting a fixed-order summary.
+    """Run one scenario per axis value; return the ``(value, results)`` pairs.
 
     ``axis`` is ``section.key`` and must name a numeric scalar in the
-    scenario.  Every point is validated before any point runs, so a
-    configuration error leaves nothing written.  Rows appear in the order
-    of ``values`` regardless of execution order, and each row is identical
-    to an independent run of the modified scenario.
+    scenario.  At least one value is needed, and every point is validated
+    before any point runs, so a configuration error leaves nothing
+    written.  ``scan_summary.csv`` has the axis and the first point's
+    result names as its header; rows appear in the order of ``values``
+    regardless of execution order, and each row is identical to an
+    independent run of the modified scenario.
     """
     if "." not in axis:
         raise ScenarioError(f"axis must be 'section.key', got {axis!r}")
@@ -965,6 +916,8 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     except ValueError:
         raise ScenarioError(f"axis {axis}: existing value is not a numeric scalar")
     values = [_as_float(axis, str(v)) for v in values]
+    if not values:
+        raise ScenarioError(f"axis {axis}: no scan values given")
     points = [sc.with_override(section, key, _fmt(v)) for v in values]
     for value, point in zip(values, points):
         try:
@@ -984,6 +937,8 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]
-    header = [axis] + list(summary_fields(sc.kind))
-    _write_csv(out / "scan_summary.csv", header, rows)
+    # the points differ only in one number, so they share the kind, the
+    # spectrum and with them the result names
+    header = [axis] + list(rows[0][1])
+    _write_csv(out / "scan_summary.csv", header, ([v, *res.values()] for v, res in rows))
     return rows

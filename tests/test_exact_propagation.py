@@ -8,8 +8,9 @@ numpy.linalg.eigh, closed forms, the dense phase matrices that the
 blocked exponential sums replaced, the one-block-per-pass exponential sums and
 per-block Cauchy sums that the batched kernels replaced, the general secular solve
 that the closed form for uniform combs bypasses, scipy.special's digamma and
-trigamma, the scipy.sparse.kron construction of the master-equation generator, and
-the propagation of all d^2 density-matrix entries that the reachable support replaced.
+trigamma, the scipy.sparse.kron construction of the master-equation generator,
+the propagation of all d^2 density-matrix entries that the reachable support replaced,
+and the per-level rules for the recorded steps that ``sample_steps`` replaced.
 """
 
 import numpy as np
@@ -53,7 +54,7 @@ from photonflow import (
 )
 from photonflow._integrate import (_BLOCK, _ExactPropagator, _arrowhead_eigensystem,
                                    _block_slices, _comb_spacing, _polygamma, exp_sum,
-                                   steps_for, taylor_propagate)
+                                   sample_steps, steps_for, taylor_propagate)
 from photonflow.diode import (_GREGORY, _NODE_WEIGHTS, _NODES, _START, _cavity2,
                               _generator_norm, intensity_centroid)
 from photonflow.lindblad import _superoperator
@@ -723,7 +724,7 @@ def test_reflection_matches_rk4(n_q, delta_max, gamma2, duration):
     pulse = gaussian_pulse(t0=3 * duration, duration=duration)
     grid = ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=gamma2)
     t_final = simulation_window(pulse, gamma2)
-    ref = reflect_port2(grid, pulse, gamma2, t_final)
+    ref = reflect_port2(grid, pulse, t_final)
     s_rk4 = reflection_rk4(grid, project_pulse(grid, pulse), t_final, 0.005)
     field = reconstruct_field(grid, s_rk4, ref.times, t_ref=t_final)
     assert np.max(np.abs(ref.out_field - field)) <= 1e-6 * np.max(np.abs(field))
@@ -779,3 +780,32 @@ def test_custom_pulse_spectrum_matches_dense_trapezoid():
     dense = np.trapezoid(np.exp(1j * np.outer(omega, ts)) * values[None, :], ts, axis=1)
     got = custom_pulse(ts, values).spectrum(omega)
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+# --- recorded steps -------------------------------------------------------------------
+
+
+def snapshot_steps_of_evolve_exact(nsteps, stride):
+    steps = list(range(stride, nsteps + 1, stride))
+    if not steps or steps[-1] != nsteps:
+        steps.append(nsteps)
+    return steps
+
+
+def strided_sample_indices(nsteps, stride):
+    n = nsteps + 1  # samples 0..nsteps
+    idx = np.arange(0, n, stride)
+    if idx[-1] != n - 1:
+        idx = np.append(idx, n - 1)
+    return [int(i) for i in idx[1:]]  # sample 0 is the initial state, not a step
+
+
+@pytest.mark.parametrize("rule", [
+    lambda nsteps, stride: list(range(stride, nsteps, stride)) + [nsteps],
+    snapshot_steps_of_evolve_exact,
+    strided_sample_indices,
+], ids=["evolve-and-quadrature-grid", "evolve-exact", "strided-csv-rows"])
+def test_sample_steps_matches_every_rule_it_replaced(rule):
+    for nsteps in range(1, 60):
+        for stride in range(1, 70):
+            assert sample_steps(nsteps, stride) == rule(nsteps, stride), (nsteps, stride)

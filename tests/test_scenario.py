@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from photonflow.scenario import (
     parse_scenario_text,
     run_scenario,
     scan_scenario,
-    summary_fields,
 )
 
 LINDBLAD_SCENARIO = """
@@ -262,7 +262,6 @@ def test_invariant_failure_recorded_and_raised(tmp_path, monkeypatch):
 
     def failing_runner(sc):
         out = RunOutcome()
-        out.results = {k: 0.0 for k in summary_fields("LindbladTransfer")}
         sc_mod._check(out, "trace_drift", 1.0, False)
         return out
 
@@ -299,19 +298,17 @@ def test_scan_rate_linear_in_class_number(tmp_path):
     # fixed coupling: the golden-rule rate is linear in f
     sc = parse_scenario_text(MICRO_SCENARIO.format(coupling=micro_coupling()))
     rows = scan_scenario(sc, "reservoir.f", [60, 120, 180], tmp_path / "scan")
-    fields = ["reservoir.f"] + list(summary_fields("MicroscopicDecay"))
-    fit_idx = fields.index("gamma_fit")
-    rates = [r[fit_idx] for r in rows]
+    rates = [results["gamma_fit"] for _, results in rows]
     assert rates[1] / rates[0] == pytest.approx(2.0, rel=0.05)
     assert rates[2] / rates[0] == pytest.approx(3.0, rel=0.05)
 
 
-def test_scan_empty_values_writes_header_only(tmp_path):
+def test_scan_rejects_empty_values(tmp_path):
+    # the summary's header is the first point's result names, so a scan needs a point
     sc = parse_scenario_text(MICRO_SCENARIO.format(coupling=micro_coupling()))
-    scan_scenario(sc, "reservoir.f", [], tmp_path / "scan")
-    lines = (tmp_path / "scan" / "scan_summary.csv").read_text().splitlines()
-    assert len(lines) == 1
-    assert lines[0] == "reservoir.f," + ",".join(summary_fields("MicroscopicDecay"))
+    with pytest.raises(ScenarioError, match="no scan values"):
+        scan_scenario(sc, "reservoir.f", [], tmp_path / "scan")
+    assert not (tmp_path / "scan").exists()
 
 
 def test_scan_rejects_non_numeric_axis(tmp_path):
@@ -373,7 +370,6 @@ def test_cli_invariant_failure_exit_code(tmp_path, monkeypatch):
 
     def failing_runner(sc):
         out = RunOutcome()
-        out.results = {k: 0.0 for k in summary_fields("LindbladTransfer")}
         sc_mod._check(out, "norm_drift", 1.0, False)
         return out
 
@@ -747,6 +743,30 @@ delta_max = 4.0
 duration = 8.0
 """
 
+# an engineered spectrum: no golden-rule rate and no comb recurrence
+LORENTZIAN_SCENARIO = """
+[scenario]
+name = lorentzian
+kind = MicroscopicDecay
+
+[reservoir]
+f = 120
+eps_max = 20.0
+coupling = 0.2
+spectrum = lorentzian
+center = 0.0
+width = 5.0
+
+[run]
+t_final = 2.5
+
+[fit]
+window = 0.4 2.5
+
+[output]
+stride = 10
+"""
+
 REFLECTION_SCENARIO = """
 [scenario]
 name = reflection
@@ -803,6 +823,19 @@ def test_reflection_run_records_secular_iterations(tmp_path):
     assert 0 < int(_derived(tmp_path / "out")["secular_iterations"]) <= 8
 
 
+def test_lorentzian_decay_leaves_out_results_that_do_not_apply(tmp_path, capsys):
+    path = tmp_path / "lorentzian.ini"
+    path.write_text(LORENTZIAN_SCENARIO)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "gamma_markov" not in capsys.readouterr().out
+    text = next((tmp_path / "out").rglob("manifest.ini")).read_text()
+    manifest = configparser.ConfigParser()
+    manifest.read_string(text)
+    assert list(manifest["results"]) == ["gamma_fit", "fit_residual", "survival_final"]
+    assert "recurrence_time" not in manifest["derived"]
+    assert not re.search(r"\b(nan|inf)\b", text)
+
+
 def test_master_run_records_support_and_products(tmp_path, monkeypatch):
     # fock 1 0 on 3 x 4 modes: only the photon's two diagonal entries of the 144 move
     sizes = []  # the length of every vector the generator multiplies
@@ -824,13 +857,15 @@ def test_master_run_records_support_and_products(tmp_path, monkeypatch):
 # --- the exit-code contract under single-key edits -------------------------------------------
 
 # every shipped file that runs in well under a second, with reduced-size
-# stand-ins for the two that do not
+# stand-ins for the two that do not, and a decay on an engineered spectrum,
+# which has fewer results than one on the equidistant comb
 FAST_FILES = {
     p.stem: sections_of(p.read_text())
     for p in sorted(SCENARIO_DIR.glob("*.ini")) if p.stem not in ("diode_full", "port2_reflection")
 }
 FAST_FILES.update(diode_full=sections_of(ROUTER_SCENARIO),
-                  port2_reflection=sections_of(REFLECTION_SCENARIO))
+                  port2_reflection=sections_of(REFLECTION_SCENARIO),
+                  lorentzian_decay=sections_of(LORENTZIAN_SCENARIO))
 # an edit sets a key of its own file or adds one that another kind reads
 EDITABLE_KEYS = sorted(
     {(s, k) for kv in FAST_FILES.values() for s in kv for k in kv[s]} - {("scenario", "name")}
@@ -861,3 +896,15 @@ def test_cli_exit_code_contract_under_single_key_edits(name, edit, value):
             manifest = configparser.ConfigParser()
             manifest.read(next((Path(tmp) / "out").rglob("manifest.ini")))
             assert all(math.isfinite(float(v)) for v in manifest["results"].values())
+
+
+@pytest.mark.parametrize("name", sorted(FAST_FILES))
+def test_run_prints_the_manifest_results_in_order(tmp_path, capsys, name):
+    path = tmp_path / "s.ini"
+    path.write_text(text_of(FAST_FILES[name]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    printed = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()
+               if " = " in line]
+    manifest = configparser.ConfigParser()
+    manifest.read(next((tmp_path / "out").rglob("manifest.ini")))
+    assert printed == list(manifest["results"])
