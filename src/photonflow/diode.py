@@ -37,15 +37,34 @@ Model conventions
 
   Its integrated form, with Kc = int_0^tau K and Kc(0) = 0, is explicit on
   a uniform grid of step h (h times the generator norm bound <= 0.15):
-  int F and Kc come exactly from an 8-point Gauss-Legendre rule per step
-  over ``exp_sum``s, the convolution has Gregory weights of order 8 and
-  Q_1..Q_7 solve one small system.  Between samples each bath mode of
-  frequency e moves by its exact filter x <- exp(-i e Delta) x +
-  int exp(-i e (Delta - s)) drive Q(s) ds, the integral taken by the same
-  Gauss-Legendre rule in panels of at most 8 steps, with Q interpolated
-  at the nodes on 8 grid points around each step.  The final R' and S'
-  (S' through ``_Eigensystem.cauchy``) go back to the lab frame, and
-  the norm drift is measured on that rebuilt state.  The port-2 reflection
+  the convolution has Gregory weights of order 8 and Q_1..Q_7 solve one
+  small system.  int F and the port-1 part of Kc are closed forms, one
+  ``exp_sum`` each on the grid, since int_0^t exp(-i d s) ds =
+  (1 - exp(-i d t)) / (i d) (t for a mode at d = 0).  W is a power series
+  about the band centre w_bar, evaluated by Horner's rule (see the bath
+  channels below); only |g|^2 G W keeps an 8-point Gauss-Legendre rule
+  per step, with G summed by ``exp_sum``.
+
+  Between samples each bath mode of frequency e moves by its exact filter
+  x <- exp(-i e Delta) x + int exp(-i e (Delta - s)) drive(s) Q(s) ds, the
+  integral taken by the same Gauss-Legendre rule in panels of at most 8
+  steps, with Q interpolated at the nodes on 8 grid points around each
+  step.  The classes enter as bath channels: over the window [0, T] the
+  class phase exp(-i (w_l - w_bar) s) is a Taylor series in u = 2 s / T - 1
+  that reaches 2^-60 after M terms, M = 9 for f = 80 classes on the
+  benchmark's router file and 11 for f = 200 on the shipped one.  Its
+  matrix A_lm (class l, power m) is orthonormalized once, A = U R, by
+  Householder reflections, and channel n holds the C2 eigenmodes at
+  lambda_k - w_bar driven by sum_m R_nm u^m Q; class l is exp(i dw_l t)
+  sum_n U_ln times the channels.  The class population is then the
+  channels' norm, and mode 2's that of their cavity-2 components.  Where
+  M is not below f, or x = max|w_l - w_bar| T / 2 exceeds 2 so that the
+  series cancels, the channels are the classes themselves (U = I).  The
+  filters of the sample intervals that share one rule are batched: one
+  ``einsum`` gives Q at their nodes, one their forcing, and only
+  x <- decay x + forcing runs per interval.  The final R' and S' (S'
+  through ``_Eigensystem.cauchy``) go back to the lab frame, and the
+  norm drift is measured on that rebuilt state.  The port-2 reflection
   off the bare cavity is propagated through the closed-form eigenpairs of
   its arrowhead generator (``_integrate._ExactPropagator``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
@@ -88,6 +107,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._integrate import (_arrowhead_eigensystem, _Eigensystem, _ExactPropagator, exp_sum,
                          sample_steps, steps_for)
@@ -347,6 +367,7 @@ class DiodeTrajectory:
     quadrature_step: float = 0.0  # h of the memory-kernel solve
     quadrature_steps: int = 0  # its steps n, on the grid points 0..n
     secular_iterations: int = 0  # the most steps a root of C2 took
+    bath_channels: int = 0  # channels M of the reservoir classes, or f when they are kept
 
 
 def _check_bandwidth(grid: ContinuumGrid, pulse: Pulse) -> None:
@@ -456,24 +477,144 @@ def _quadrature_grid(grid1: ContinuumGrid, c2: _Eigensystem, spec: ReservoirSpec
     return steps, dt, marks, h, n
 
 
+_SERIES_TOL = 2.0**-60  # first omitted Taylor term of a class phase, relative to 1
+# Largest x = max|w_l - w_bar| T / 2 that keeps the channels: the partial sums of the
+# series grow to e^x, so x = 2 costs under one digit
+_MAX_SERIES_ARG = 2.0
+
+
+def _orthonormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = U R for a tall a (f, M): U with orthonormal columns, R upper triangular.
+
+    Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 5.2.2) in einsum, without LAPACK; they are backward stable however fast
+    the columns of a decay.
+    """
+    f, m = a.shape
+    r = a.copy()
+    reflectors = []
+    for k in range(m):
+        v = r[k:, k].copy()
+        sign = v[0] / abs(v[0]) if v[0] != 0 else 1.0
+        v[0] += sign * math.sqrt(np.einsum("i,i->", v.view(float), v.view(float)))
+        norm = math.sqrt(np.einsum("i,i->", v.view(float), v.view(float)))
+        if norm > 0:
+            v /= norm
+            r[k:, k:] -= 2.0 * v[:, None] * np.einsum("i,ij->j", v.conj(), r[k:, k:])
+        reflectors.append(v)
+    u = np.eye(f, m, dtype=complex)
+    for k in range(m - 1, -1, -1):
+        v = reflectors[k]
+        u[k:] -= 2.0 * v[:, None] * np.einsum("i,ij->j", v.conj(), u[k:])
+    return u, np.triu(r[:m])
+
+
+@dataclass(frozen=True)
+class _BathChannels:
+    """The reservoir classes of DiodeFull as bath channels at the band centre w_bar.
+
+    Class l holds the C2 eigenmodes at lambda_k - w_l.  Its co-rotating amplitudes
+    are b_l = exp(i dw_l t) sum_n U_ln y_n, dw_l = w_l - w_bar, where channel n holds
+    modes at lambda_k - w_bar driven by phi_n(s) Q(s) with sum_n U_ln phi_n(s) =
+    exp(-i dw_l s), and U has orthonormal columns.  So the class population is the
+    channels' norm, and the cavity-2 population that of rho_n = sum_k V_0k y_nk.
+
+    Where channels pay, they come from the Taylor series of that phase in
+    u = 2 s / T - 1 on [0, T], exp(-i dw_l s) = sum_m A_lm u^m with A_lm =
+    exp(-i dw_l T/2) (-i dw_l T/2)^m / m!, cut after the first m with x^m / m! <=
+    2^-60, x = max|dw_l| T / 2: with A = U R, phi_n = sum_m R_nm u^m.  Otherwise
+    the channels are the classes themselves: U = I and phi_l(s) = exp(-i dw_l s).
+    """
+
+    om: np.ndarray  # class frequencies w_l
+    centre: float  # w_bar
+    span: float  # T
+    basis: np.ndarray | None  # U, (f, M); None for the classes
+    mix: np.ndarray | None  # R, (M, M)
+    series: np.ndarray | None  # sum_l conj(A_lm), the Taylor coefficients of W
+
+    @classmethod
+    def build(cls, om: np.ndarray, span: float) -> "_BathChannels":
+        """Channels where they pay: fewer than the classes, and x small enough that
+        the series does not cancel; the classes otherwise."""
+        centre = 0.5 * (float(np.max(om)) + float(np.min(om)))
+        dw = om - centre
+        x = float(np.max(np.abs(dw))) * 0.5 * span
+        m, term = 0, 1.0
+        while term > _SERIES_TOL and m < om.size and x <= _MAX_SERIES_ARG:
+            m += 1
+            term *= x / m
+        # a channel costs a class in the sample loop, and the class drive's exponentials
+        # and exp_sum in W cost more than the powers and Horner's rule: on the router file
+        # of the benchmark at f = 20 (2-core Xeon), M = 12 and 18 channels took 0.67 and
+        # 1.01 times as long as the classes
+        if term > _SERIES_TOL or m == om.size:
+            return cls(om, centre, span, None, None, None)
+        a = np.empty((om.size, m), dtype=complex)
+        a[:, 0] = np.exp(-0.5j * span * dw)
+        for k in range(1, m):
+            a[:, k] = a[:, k - 1] * (-0.5j * span * dw) / k
+        return cls(om, centre, span, *_orthonormalize(a), np.sum(a.conj(), axis=0))
+
+    @property
+    def channels(self) -> int:
+        return self.om.size if self.basis is None else self.basis.shape[1]
+
+    def drive(self, s: np.ndarray) -> np.ndarray:
+        """phi_n(s), channel n along a new last axis."""
+        if self.basis is None:
+            return np.exp(-1j * s[..., None] * (self.om - self.centre))
+        powers = (2.0 * s[..., None] / self.span - 1.0) ** np.arange(self.channels)
+        return np.einsum("...m,nm->...n", powers, self.mix)
+
+    def classes(self, y: np.ndarray) -> np.ndarray:
+        """sum_n U_ln y_n..., channel n along the first axis of ``y``."""
+        return y if self.basis is None else np.einsum("ln,n...->l...", self.basis, y)
+
+    def w_sum(self, tau: np.ndarray) -> np.ndarray:
+        """W(tau) = sum_l exp(i w_l tau) on the uniform grid ``tau``: Horner's rule on
+        exp(i w_bar tau) sum_m (sum_l conj(A_lm)) u^m for channels, else ``exp_sum``."""
+        if self.basis is None:
+            return exp_sum(self.om, np.ones(self.om.size), tau)
+        u = 2.0 * tau / self.span - 1.0
+        out = np.full(tau.shape, self.series[-1])
+        for c in self.series[-2::-1]:
+            out = out * u + c
+        return np.exp(1j * self.centre * tau) * out
+
+
+def _mode_integrals(freqs: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_q weights_q int_0^t exp(-i freqs_q s) ds on the uniform grid t from t = 0.
+
+    Each mode integrates to c_q (1 - exp(-i freqs_q t)) with c_q = -i weights_q /
+    freqs_q, so this is sum_q c_q minus one ``exp_sum``; a mode at freqs_q = 0 gives
+    weights_q t.  The constant pairs mode q with mode m - 1 - q, which cancels exactly
+    on a comb symmetric about 0.
+    """
+    zero = freqs == 0
+    c = np.where(zero, 0.0, -1j * weights / np.where(zero, 1.0, freqs))
+    half = c.size // 2
+    const = np.sum(c[:half] + c[::-1][:half]) + c[half:c.size - half].sum()
+    out = const - exp_sum(-freqs, c, t) + np.sum(weights[zero]) * t
+    out[0] = 0.0
+    return out
+
+
 def _kernel_integrals(grid1: ContinuumGrid, spec: ReservoirSpec, p0: np.ndarray,
-                      c2, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^t F and int_0^t K at t = j h, j = 0..n, from the Gauss-Legendre
-    rule in each step, with D, G and W each summed by ``exp_sum``."""
+                      c2: _Eigensystem, bath: _BathChannels, h: float,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^t F and int_0^t K at t = j h, j = 0..n: int F and the port-1 part of K
+    in closed form, |g|^2 G W from the Gauss-Legendre rule in each step."""
     d1 = grid1.detunings()
-    k1 = grid1.kappa
-    om = spec.frequencies()
-    step_f = np.zeros(n, dtype=complex)
-    step_k = np.zeros(n, dtype=complex)
+    grid = np.arange(n + 1) * h
+    int_f = _mode_integrals(d1, -1j * grid1.kappa * p0, grid)
+    step = np.zeros(n, dtype=complex)
     for x, w in zip(_NODES, _NODE_WEIGHTS):
         t = (np.arange(n) + x) * h
-        step_f += w * exp_sum(-d1, -1j * k1 * p0, t)
-        d = exp_sum(-d1, np.ones(d1.size), t)
-        gw = exp_sum(-c2.roots, c2.inv_norm**2, t) * exp_sum(om, np.ones(om.size), t)
-        step_k += w * (k1 * k1 * d + spec.coupling_sq * gw)
-    zero = np.zeros(1, dtype=complex)
-    return (np.concatenate((zero, np.cumsum(h * step_f))),
-            np.concatenate((zero, np.cumsum(h * step_k))))
+        step += w * (exp_sum(-c2.roots, c2.inv_norm**2, t) * bath.w_sum(t))
+    kc = grid1.kappa**2 * _mode_integrals(d1, np.ones(d1.size), grid)
+    kc[1:] += spec.coupling_sq * np.cumsum(h * step)
+    return int_f, kc
 
 
 def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
@@ -496,13 +637,12 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
     # the weight 1 + a_(j-m) rides on kc_(j-m), the weight a_m on Q_m for m < 8
     kmod = kc.copy()
     kmod[1:_ORDER] *= 1.0 + _GREGORY[1:]
-    krev, kmod_rev = kc[::-1].copy(), kmod[::-1].copy()
-    start = _GREGORY * q[:_ORDER]
+    kmod_rev = kmod[::-1].copy()
+    # the start terms sum_m a_m Q_m kc_(j-m) of every j, by lo = n - j
+    start = np.einsum("i,ji->j", _GREGORY * q[:_ORDER], sliding_window_view(kc[::-1], _ORDER))
     for j in range(_ORDER, n + 1):
         lo = n - j
-        conv = (np.einsum("i,i->", kmod_rev[lo:n], q[:j])
-                + np.einsum("i,i->", start, krev[lo:lo + _ORDER]))
-        q[j] = int_f[j] - h * conv
+        q[j] = int_f[j] - h * (np.einsum("i,i->", kmod_rev[lo:n], q[:j]) + start[lo])
     return q
 
 
@@ -510,9 +650,9 @@ def _interval_rule(start: int, length: float, n: int):
     """Gauss-Legendre rule of order 8 for int_0^length u(start + x) phi(x) dx, in
     equal panels of at most ``_PANEL`` steps, for u known on the grid points 0..n.
 
-    Returns the nodes as length - x, their weights, the first grid point used
-    and the matrix that interpolates u at each node and, in its last row, at
-    x = length, each on the ``_STENCIL`` points around the step that holds it.
+    Returns the nodes x, their weights, the first grid point used and the matrix
+    that interpolates u at each node and, in its last row, at x = length, each on
+    the ``_STENCIL`` points around the step that holds it.
     """
     panels = math.ceil(length / _PANEL)
     width = length / panels
@@ -523,14 +663,26 @@ def _interval_rule(start: int, length: float, n: int):
     for g, first in enumerate(firsts):
         points = np.arange(first, first + _STENCIL) - start
         interp[g, first - lo:first - lo + _STENCIL] = _lagrange(points, x[g:g + 1])[0]
-    return length - x[:-1], np.tile(width * _NODE_WEIGHTS, panels), lo, interp
+    return x[:-1], np.tile(width * _NODE_WEIGHTS, panels), lo, interp
 
 
-def _bath_weights(freqs: np.ndarray, drive: np.ndarray, tau: np.ndarray,
-                  weights: np.ndarray, h: float) -> np.ndarray:
-    """h weights_g drive_e exp(-i freqs_e h tau_g), row g for node g."""
-    return np.array([(h * w) * drive * np.exp((-1j * h * t) * freqs)
-                     for t, w in zip(tau, weights)])
+_BLOCK_ENTRIES = 2**16  # complex bath amplitudes held per block of sample intervals
+
+
+def _interval_blocks(marks: list, rows: int):
+    """Runs of at most ``rows`` consecutive sample intervals [start, end] (in steps,
+    start floored) that share one ``_interval_rule``: the first interval, the one
+    after the last, their starts, and the rule's key (clamped start, length)."""
+    ends = np.array(marks)
+    starts = np.floor(np.concatenate(([0.0], ends[:-1]))).astype(int)
+    # _stencil clamps only for start < 3, so later intervals of one length share a rule
+    clamped, lengths = np.minimum(starts, _STENCIL // 2 - 1), ends - starts
+    new_rule = (clamped[1:] != clamped[:-1]) | (lengths[1:] != lengths[:-1])
+    bounds = [0, *(np.flatnonzero(new_rule) + 1).tolist(), ends.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        for j in range(lo, hi, rows):
+            k = min(j + rows, hi)
+            yield j, k, starts[j:k], (int(clamped[j]), float(lengths[j]))
 
 
 def evolve_full(
@@ -547,10 +699,10 @@ def evolve_full(
     the grid t = j dt every max(1, round(0.1 / dt)) steps and at t_final.
     Q comes from the Volterra equation of the module docstring on a grid of
     step h = (sample interval) / ceil((sample interval) norm / 0.15); the
-    port-1 modes and the cavity-2 eigenmodes of every class are exact
+    port-1 modes and the cavity-2 eigenmodes of every bath channel are exact
     filters of Q between samples.
     """
-    n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
+    n1, n2 = grid1.n_q, grid2.n_q
     p0 = np.asarray(p0, dtype=complex)
     if p0.size != n1:
         raise InvalidInput("initial amplitudes do not match the port-1 grid")
@@ -558,48 +710,59 @@ def evolve_full(
     _check_window(grid2, t_final, "port-2")
     c2 = _cavity2(grid2)
     steps, dt, marks, h, n = _quadrature_grid(grid1, c2, spec, t_final, dt)
-    om = spec.frequencies()
-    g = complex(spec.coupling)
-    int_f, kc = _kernel_integrals(grid1, spec, p0, c2, h, n)
+    bath = _BathChannels.build(spec.frequencies(), t_final)
+    int_f, kc = _kernel_integrals(grid1, spec, p0, c2, bath, h, n)
     q = _solve_cavity(int_f, kc, h)
 
-    # port-1 modes P_q, then the eigenmodes b_lk of C2 - w_l of every class l
+    # port-1 modes P_q, then the C2 eigenmodes y_mk of every channel m, at lambda_k - w_bar
     v0 = c2.inv_norm
-    freqs = np.concatenate((grid1.detunings(), (c2.roots[None, :] - om[:, None]).ravel()))
-    drive = np.concatenate((np.full(n1, -1j * grid1.kappa), np.tile(1j * np.conj(g) * v0, f)))
-    x = np.zeros(freqs.size, dtype=complex)
+    m, modes = bath.channels, n2 + 1
+    freqs = np.concatenate((grid1.detunings(), c2.roots - bath.centre))
+    drive = np.concatenate((np.full(n1, -1j * grid1.kappa),
+                            1j * np.conj(complex(spec.coupling)) * v0))
+    size = n1 + m * modes
+    x = np.zeros(size, dtype=complex)
     x[:n1] = p0
-    xv = x.view(float)
-    b = x[n1:].reshape(f, n2 + 1)
-    term = np.empty_like(x)
+    rows = max(1, _BLOCK_ENTRIES // size)
+    buf = np.empty((rows, size), dtype=complex)
+    tmp = np.empty(size, dtype=complex)
     pops = np.empty((4, len(steps) + 1))
     pops[:, 0] = [np.sum(np.abs(p0) ** 2), 0.0, 0.0, 0.0]
     rules = {}
-    for j, (start, end) in enumerate(zip([0] + marks, marks), start=1):
-        start = int(start)
-        length = end - start
-        key = (min(start, _STENCIL // 2 - 1), length)  # _stencil clamps only for start < 3
+    for first, stop, starts, key in _interval_blocks(marks, rows):
+        length = key[1]
         if key not in rules:
-            tau, node_weights, lo, interp = _interval_rule(start, length, n)
-            rules[key] = (_bath_weights(freqs, drive, tau, node_weights, h),
-                          np.exp(-1j * h * length * freqs), lo - start, interp)
-        weights, decay, offset, interp = rules[key]
-        x *= decay
-        *at_nodes, q_end = np.einsum("gm,m->g", interp, q[start + offset:][:interp.shape[1]])
-        for w, qg in zip(weights, at_nodes):
-            x += np.multiply(w, qg, out=term)
-        r = np.einsum("lk,k->l", b, v0)
-        rv = r.view(float)
-        port1 = np.einsum("i,i->", xv[:2 * n1], xv[:2 * n1])
-        mode2 = np.einsum("i,i->", rv, rv)
-        pops[:, j] = [port1, abs(q_end) ** 2, mode2,
-                      np.einsum("i,i->", xv[2 * n1:], xv[2 * n1:]) - mode2]
+            nodes, node_weights, lo, interp = _interval_rule(starts[0], length, n)
+            phase = np.exp(-1j * h * np.outer(length - nodes, freqs))
+            decay = np.exp(-1j * h * length * freqs)
+            rules[key] = (nodes, (h * node_weights)[:, None] * drive * phase, lo - starts[0],
+                          interp, np.concatenate((decay[:n1], np.tile(decay[n1:], m))))
+        nodes, weights, offset, interp, decay = rules[key]
+        block = buf[:stop - first]
+        window = q[(starts + offset)[:, None] + np.arange(interp.shape[1])]
+        at_nodes = np.einsum("gm,jm->jg", interp, window)
+        qn, q_end = at_nodes[:, :-1], at_nodes[:, -1]
+        y = block[:, n1:].reshape(-1, m, modes)
+        np.einsum("gq,jg->jq", weights[:, :n1], qn, out=block[:, :n1])
+        np.einsum("gk,jgm->jmk", weights[:, n1:], bath.drive((starts[:, None] + nodes) * h)
+                  * qn[..., None], out=y)
+        prev = x
+        for row in block:
+            row += np.multiply(decay, prev, out=tmp)
+            prev = row
+        x[:] = prev
+        port1, bath_modes = block[:, :n1].view(float), block[:, n1:].view(float)
+        rho = np.einsum("jmk,k->jm", y, v0).view(float)
+        mode2 = np.einsum("ji,ji->j", rho, rho)
+        pops[:, first + 1:stop + 1] = [np.einsum("ji,ji->j", port1, port1), np.abs(q_end) ** 2,
+                                       mode2, np.einsum("ji,ji->j", bath_modes, bath_modes) - mode2]
 
-    # S'_ql = sum_k V_qk b_lk with V_qk = inv_norm_k k2 / (lambda_k - d2_q)
-    s = c2.cauchy(b * v0, over_roots=True)
-    lab = np.exp(-1j * om * t_final)  # back from the co-rotating frame
-    final = DiodeState(p=x[:n1].copy(), q=complex(q_end), r=lab * r,
-                       s=lab[:, None] * (grid2.kappa * s), t=t_final)
+    # S_ql = exp(-i w_bar t) k2 sum_k V_qk b_lk in the lab frame, with b_l = sum_n U_ln y_n
+    # and V_qk = inv_norm_k k2 / (lambda_k - d2_q)
+    b = bath.classes(x[n1:].reshape(m, modes))
+    lab = np.exp(-1j * bath.centre * t_final)
+    final = DiodeState(p=x[:n1].copy(), q=complex(q_end[-1]), r=lab * np.einsum("lk,k->l", b, v0),
+                       s=lab * grid2.kappa * c2.cauchy(b * v0, over_roots=True), t=t_final)
     norm = (np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2 + np.sum(np.abs(final.r) ** 2)
             + np.sum(np.abs(final.s) ** 2))
     return DiodeTrajectory(
@@ -616,6 +779,7 @@ def evolve_full(
         quadrature_step=h,
         quadrature_steps=n,
         secular_iterations=c2.iterations,
+        bath_channels=m,
     )
 
 

@@ -122,9 +122,10 @@ def _python(args, threads=None, cwd=None):
 
 
 @pytest.mark.parametrize("text", [MICRO, INTERFERENCE, LINDBLAD, PORT2,
-                                  (SCENARIOS / "dark_state.ini").read_text(), DIODE],
+                                  (SCENARIOS / "dark_state.ini").read_text(), DIODE,
+                                  (SCENARIOS / "diode_full.ini").read_text()],
                          ids=["micro", "interference", "lindblad-transfer", "port2-reflection",
-                              "dark-state", "diode-full"])
+                              "dark-state", "diode-full", "shipped-diode-full"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)

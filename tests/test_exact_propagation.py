@@ -10,8 +10,12 @@ per-block Cauchy sums that the batched kernels replaced, the general secular sol
 that the closed form for uniform combs bypasses, scipy.special's digamma and
 trigamma, the scipy.sparse.kron construction of the master-equation generator,
 the propagation of all d^2 density-matrix entries that the reachable support replaced,
+the router's per-class bath filters and 8-point kernel sums that its bath channels and
+closed-form kernel replaced, a 16-point Gauss-Legendre rule for those kernel sums,
 and the per-level rules for the recorded steps that ``sample_steps`` replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -55,9 +59,11 @@ from photonflow import (
 from photonflow._integrate import (_BLOCK, _ExactPropagator, _arrowhead_eigensystem,
                                    _block_slices, _comb_spacing, _polygamma, exp_sum,
                                    sample_steps, steps_for, taylor_propagate)
-from photonflow.diode import (_GREGORY, _NODE_WEIGHTS, _NODES, _START, _cavity2,
-                              _generator_norm, intensity_centroid)
+from photonflow.diode import (_GREGORY, _NODE_WEIGHTS, _NODES, _START, _BathChannels,
+                              _cavity2, _generator_norm, _interval_rule, _kernel_integrals,
+                              _quadrature_grid, _solve_cavity, intensity_centroid)
 from photonflow.lindblad import _superoperator
+from photonflow.scenario import parse_scenario_text, validate_scenario
 
 
 # --- RK4 reference path ----------------------------------------------------------
@@ -696,6 +702,174 @@ def test_router_matches_taylor(t0, dt, t_final):
     assert np.max(np.abs(final.r - r)) <= 1e-9 * np.sqrt(np.max(pops[2]))
     assert np.max(np.abs(final.s - s)) <= 1e-9 * np.max(np.abs(s))
     assert traj.norm_drift <= 1e-12
+
+
+# --- four-port router against its per-class filters -------------------------------------
+
+
+def evolve_full_per_class(grid1, grid2, spec, p0, t_final, dt):
+    """The router as it was before its bath channels and closed-form kernel sums:
+    int F and Kc from the 8-point rule in each step over all four sums, and every
+    class of C2 eigenmodes filtered on its own, node by node.  The populations at
+    the samples of evolve_full and the final lab-frame (P, R, S)."""
+    n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
+    d1, k1, om = grid1.detunings(), grid1.kappa, spec.frequencies()
+    c2 = _cavity2(grid2)
+    steps, dt, marks, h, n = _quadrature_grid(grid1, c2, spec, t_final, dt)
+    step_f = np.zeros(n, dtype=complex)
+    step_k = np.zeros(n, dtype=complex)
+    for x, w in zip(_NODES, _NODE_WEIGHTS):
+        t = (np.arange(n) + x) * h
+        step_f += w * exp_sum(-d1, -1j * k1 * p0, t)
+        gw = exp_sum(-c2.roots, c2.inv_norm**2, t) * exp_sum(om, np.ones(f), t)
+        step_k += w * (k1 * k1 * exp_sum(-d1, np.ones(n1), t) + spec.coupling_sq * gw)
+    q = _solve_cavity(np.concatenate(([0], np.cumsum(h * step_f))),
+                      np.concatenate(([0], np.cumsum(h * step_k))), h)
+
+    v0 = c2.inv_norm
+    freqs = np.concatenate((d1, (c2.roots[None, :] - om[:, None]).ravel()))
+    drive = np.concatenate((np.full(n1, -1j * k1), np.tile(1j * np.conj(spec.coupling) * v0, f)))
+    x = np.zeros(freqs.size, dtype=complex)
+    x[:n1] = p0
+    b = x[n1:].reshape(f, n2 + 1)
+    pops = [[np.sum(np.abs(p0) ** 2), 0.0, 0.0, 0.0]]
+    rules = {}
+    for start, end in zip([0] + marks, marks):
+        start = int(start)
+        key = (min(start, 3), end - start)
+        if key not in rules:
+            nodes, weights, lo, interp = _interval_rule(start, end - start, n)
+            rules[key] = ([h * w * drive * np.exp(-1j * h * (end - start - xg) * freqs)
+                           for xg, w in zip(nodes, weights)],
+                          np.exp(-1j * h * (end - start) * freqs), lo - start, interp)
+        node_weights, decay, offset, interp = rules[key]
+        x *= decay
+        *at_nodes, q_end = interp @ q[start + offset:][:interp.shape[1]]
+        for w, qg in zip(node_weights, at_nodes):
+            x += w * qg
+        r = b @ v0
+        mode2 = np.sum(np.abs(r) ** 2)
+        pops.append([np.sum(np.abs(x[:n1]) ** 2), abs(q_end) ** 2, mode2,
+                     np.sum(np.abs(b) ** 2) - mode2])
+    lab = np.exp(-1j * om * t_final)
+    s = grid2.kappa * c2.cauchy(b * v0, over_roots=True)
+    return np.array(pops).T, x[:n1].copy(), lab * r, lab[:, None] * s
+
+
+# the router file of the benchmark (seed 1): x = 0.036 gives M = 9 channels for f = 80
+ROUTER_BENCHMARK = """
+[scenario]
+name = router-diode-full
+kind = DiodeFull
+
+[reservoir]
+f = 80
+eps_max = 0.0005
+target_gamma = 1.004918
+
+[diode]
+gamma1 = 1.011545
+gamma2 = 19.288662
+
+[grid1]
+n_q = 160
+delta_max = 3.0
+
+[grid2]
+n_q = 160
+delta_max = 3.0
+
+[pulse]
+duration = 15.0
+t0 = 50.081053
+
+[run]
+t_final = 142.0
+dt = 0.02
+"""
+
+
+@pytest.mark.parametrize("eps_max, channels", [("0.0005", 9), ("0.05", 80)],
+                         ids=["channels", "wide-band-classes"])
+def test_router_matches_per_class_filters(eps_max, channels):
+    c = validate_scenario(parse_scenario_text(
+        ROUTER_BENCHMARK.replace("eps_max = 0.0005", f"eps_max = {eps_max}")))
+    p0 = project_pulse(c.grid1, c.pulse)
+    traj = evolve_full(c.grid1, c.grid2, c.spec, p0, c.t_final, c.dt)
+    assert traj.bath_channels == channels
+    pops, p, r, s = evolve_full_per_class(c.grid1, c.grid2, c.spec, p0, c.t_final, c.dt)
+    for got, ref in zip([traj.port1, traj.cavity1, traj.mode2, traj.port2], pops):
+        assert np.max(np.abs(got - ref)) <= 2e-12 * np.max(ref)
+    final = traj.final
+    assert np.max(np.abs(final.p - p)) <= 2e-12 * np.max(np.abs(p))
+    # R ends near zero, so it is held to its peak over the run
+    assert np.max(np.abs(final.r - r)) <= 2e-12 * np.sqrt(np.max(pops[2]))
+    assert np.max(np.abs(final.s - s)) <= 2e-12 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("f, eps_max, t_final", [(80, 0.0005, 142.0), (200, 0.0005, 410.0),
+                                                 (40, 0.01, 150.0), (80, 0.02, 142.0),
+                                                 (7, 0.001, 100.0)])
+def test_bath_channels_cut_the_series_at_its_first_term_below_2_to_minus_60(f, eps_max, t_final):
+    om = ReservoirSpec(f=f, eps_max=eps_max, coupling=1.0).frequencies()
+    bath = _BathChannels.build(om, t_final)
+    x = np.max(np.abs(om - bath.centre)) * t_final / 2
+    m = bath.channels
+    if bath.basis is None:  # the classes are kept: the series is no shorter, or cancels
+        first = next(k for k in range(1, 200) if x**k / math.factorial(k) <= 2.0**-60)
+        assert first >= f or x > 2.0
+        return
+    assert m < f and x <= 2.0
+    assert x**m / math.factorial(m) <= 2.0**-60 < x ** (m - 1) / math.factorial(m - 1)
+    # U R is the Taylor matrix A, U has orthonormal columns, and the phases are rebuilt
+    u = 2.0 * np.linspace(0.0, t_final, 7) / t_final - 1.0
+    taylor = np.exp(-0.5j * t_final * (om - bath.centre))[:, None] * np.array(
+        [(-0.5j * t_final * (om - bath.centre)) ** k / math.factorial(k) for k in range(m)]).T
+    assert np.max(np.abs(bath.basis @ bath.mix - taylor)) <= 1e-14 * np.max(np.abs(taylor))
+    assert np.max(np.abs(bath.basis.conj().T @ bath.basis - np.eye(m))) <= 1e-14
+    s = (u + 1.0) * t_final / 2
+    phases = bath.classes(bath.drive(s).T)
+    assert np.max(np.abs(phases - np.exp(-1j * np.outer(om - bath.centre, s)))) <= 1e-14
+
+
+def kernel_integrals_16(grid1, spec, p0, c2, h, n):
+    """int F and Kc with every sum (D, F, G and W) from ``exp_sum`` at the nodes of a
+    16-point Gauss-Legendre rule in each step."""
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    d1, k1, om = grid1.detunings(), grid1.kappa, spec.frequencies()
+    step_f = np.zeros(n, dtype=complex)
+    step_k = np.zeros(n, dtype=complex)
+    for x, w in zip(0.5 * (1.0 + x16), 0.5 * w16):
+        t = (np.arange(n) + x) * h
+        step_f += w * exp_sum(-d1, -1j * k1 * p0, t)
+        gw = exp_sum(-c2.roots, c2.inv_norm**2, t) * exp_sum(om, np.ones(om.size), t)
+        step_k += w * (k1 * k1 * exp_sum(-d1, np.ones(d1.size), t) + spec.coupling_sq * gw)
+    return (np.concatenate(([0], np.cumsum(h * step_f))),
+            np.concatenate(([0], np.cumsum(h * step_k))))
+
+
+@pytest.mark.parametrize("n_q, spectrum", [(160, {}), (161, {}),
+                                           (160, {"spectrum": "lorentzian", "center": 3e-4,
+                                                  "width": 2e-4})],
+                         ids=["even-grid", "odd-grid-mode-at-zero", "lorentzian"])
+def test_kernel_integrals_match_16_point_rule(n_q, spectrum):
+    gamma2, duration, t_final = 19.3, 15.0, 142.0
+    spec = ReservoirSpec(f=80, eps_max=0.0005,
+                         coupling=coupling_for_diode_rate(80, 0.0005, gamma2, 1.0), **spectrum)
+    grid1 = ContinuumGrid(n_q=n_q, delta_max=3.0, gamma=1.0)
+    grid2 = ContinuumGrid(n_q=160, delta_max=3.0, gamma=gamma2)
+    p0 = project_pulse(grid1, gaussian_pulse(t0=50.0, duration=duration))
+    c2 = _cavity2(grid2)
+    _, _, _, h, n = _quadrature_grid(grid1, c2, spec, t_final, 0.02)
+    bath = _BathChannels.build(spec.frequencies(), t_final)
+    assert bath.basis is not None
+    int_f, kc = _kernel_integrals(grid1, spec, p0, c2, bath, h, n)
+    ref_f, ref_k = kernel_integrals_16(grid1, spec, p0, c2, h, n)
+    assert int_f[0] == kc[0] == 0.0
+    assert np.max(np.abs(int_f - ref_f)) <= 1e-13 * np.max(np.abs(ref_f))
+    # G at other node times rounds its phases lambda t differently, by about |lambda| t eps
+    # (5e-14 of G near t_final): the two rules differ by 1.4e-13 of max|Kc| here
+    assert np.max(np.abs(kc - ref_k)) <= 1e-12 * np.max(np.abs(ref_k))
 
 
 # --- port-2 reflection against RK4 ------------------------------------------------------

@@ -813,7 +813,10 @@ def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
     path.write_text(ROUTER_SCENARIO)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) <= 3 and calls.count(True) == 1
-    assert 0 < int(_derived(tmp_path / "out")["secular_iterations"]) <= 8
+    derived = _derived(tmp_path / "out")
+    assert 0 < int(derived["secular_iterations"]) <= 8
+    # x = eps_max t_final / 2 = 0.074 cuts the Taylor series of the 40 classes at 11 terms
+    assert float(derived["t_final"]) == 74.0 and int(derived["bath_channels"]) == 11
 
 
 def test_reflection_run_records_secular_iterations(tmp_path):
