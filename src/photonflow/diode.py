@@ -62,16 +62,17 @@ Model conventions
   series cancels, the channels are the classes themselves (U = I).  The
   filters of the sample intervals that share one rule are batched: one
   ``einsum`` gives Q at their nodes, one their forcing, and only
-  x <- decay x + forcing runs per interval.  The final R' and S' (S'
-  through ``_Eigensystem.cauchy``) go back to the lab frame, and the
-  norm drift is measured on that rebuilt state.  The port-2 reflection
-  off the bare cavity is propagated through the closed-form eigenpairs of
-  its arrowhead generator (``_integrate._ExactPropagator``).
+  x <- decay x + forcing runs per interval.  The final R' and S' of the
+  channels (S' through ``_Eigensystem.cauchy``) go back to the lab frame,
+  those of the classes are U times them, and the norm drift is measured on
+  that rebuilt state.  The port-2 reflection off the bare cavity is
+  propagated through the closed-form eigenpairs of its arrowhead generator
+  (``_integrate._ExactPropagator``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
   Each field is summed by ``_integrate.exp_sum`` in blocks of 32 samples
-  without BLAS; only the f-field decomposition multiplies a phase matrix.
+  without BLAS; the class outputs of port 2 are U times M channel fields.
 * The Markov-reduced model keeps the same input wavefunction:
 
       F(t)        = integral_0^t Phi_in(s) exp(-(gamma+gamma1)(t-s)/2) ds
@@ -367,7 +368,8 @@ class DiodeTrajectory:
     quadrature_step: float = 0.0  # h of the memory-kernel solve
     quadrature_steps: int = 0  # its steps n, on the grid points 0..n
     secular_iterations: int = 0  # the most steps a root of C2 took
-    bath_channels: int = 0  # channels M of the reservoir classes, or f when they are kept
+    bath: _BathChannels = field(repr=False, default=None)  # the classes as M channels, U
+    channel_s: np.ndarray = field(repr=False, default=None)  # (M, n_q2), final.s = U channel_s
 
 
 def _check_bandwidth(grid: ContinuumGrid, pulse: Pulse) -> None:
@@ -757,12 +759,13 @@ def evolve_full(
         pops[:, first + 1:stop + 1] = [np.einsum("ji,ji->j", port1, port1), np.abs(q_end) ** 2,
                                        mode2, np.einsum("ji,ji->j", bath_modes, bath_modes) - mode2]
 
-    # S_ql = exp(-i w_bar t) k2 sum_k V_qk b_lk in the lab frame, with b_l = sum_n U_ln y_n
-    # and V_qk = inv_norm_k k2 / (lambda_k - d2_q)
-    b = bath.classes(x[n1:].reshape(m, modes))
+    # channel n of S_ql is exp(-i w_bar t) k2 sum_k V_qk y_nk in the lab frame, with
+    # V_qk = inv_norm_k k2 / (lambda_k - d2_q); class l is sum_n U_ln times the channels
+    y = x[n1:].reshape(m, modes)
     lab = np.exp(-1j * bath.centre * t_final)
-    final = DiodeState(p=x[:n1].copy(), q=complex(q_end[-1]), r=lab * np.einsum("lk,k->l", b, v0),
-                       s=lab * grid2.kappa * c2.cauchy(b * v0, over_roots=True), t=t_final)
+    channel_s = lab * grid2.kappa * c2.cauchy(y * v0, over_roots=True)
+    final = DiodeState(p=x[:n1].copy(), q=complex(q_end[-1]), s=bath.classes(channel_s),
+                       r=bath.classes(lab * np.einsum("nk,k->n", y, v0)), t=t_final)
     norm = (np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2 + np.sum(np.abs(final.r) ** 2)
             + np.sum(np.abs(final.s) ** 2))
     return DiodeTrajectory(
@@ -779,7 +782,8 @@ def evolve_full(
         quadrature_step=h,
         quadrature_steps=n,
         secular_iterations=c2.iterations,
-        bath_channels=m,
+        bath=bath,
+        channel_s=channel_s,
     )
 
 
@@ -936,7 +940,7 @@ def reflect_port2(grid2: ContinuumGrid, pulse: Pulse, t_final: float) -> Reflect
 @dataclass
 class DecompositionResult:
     times: np.ndarray
-    fields: np.ndarray  # (f, n_t) per-class output fields
+    fields: np.ndarray  # (f, n_t) per-class output fields, U times the M channel fields
     class_weights: np.ndarray
     rho_out: np.ndarray
     min_overlap: float
@@ -952,32 +956,25 @@ def port2_output_decomposition(traj: DiodeTrajectory) -> DecompositionResult:
     """Per-class port-2 output fields from the final amplitudes.
 
     Each reservoir class tags an orthogonal output channel; its temporal
-    mode is the comb resynthesis of the final S amplitudes at the cavity
-    position.  Reports the class weights, the total output density
-    rho_out(t) = sum_l |Phi_l(t)|^2, the minimum pairwise overlap of the
-    normalized modes among classes above ``_WEIGHT_FLOOR`` of the leading
-    weight, a weight-averaged purity, and the completeness check
-    sum_l integral |Phi_l|^2 dt + residual populations.
+    mode is the comb resynthesis of its final S amplitudes at the cavity
+    position, sum_n U_ln Phi_n over M bath-channel fields of one ``exp_sum``
+    each, so the class Gram matrix is U G U^H from the channels' G.  Reports
+    the class weights, rho_out(t) = sum_l |Phi_l(t)|^2 = sum_n |Phi_n(t)|^2,
+    the minimum pairwise overlap of the normalized modes among classes above
+    ``_WEIGHT_FLOOR`` of the leading weight, a weight-averaged purity, and
+    the completeness check sum_l integral |Phi_l|^2 dt + residual populations.
     """
-    final = traj.final
-    grid2 = traj.grid2
-    t_f = final.t
-    ts = np.arange(0.0, t_f, _SAMPLE_SPACING)
-    det = grid2.detunings()
-    # f fields at once: one gemm on the full phase matrix is about 13x faster
-    # than f calls of exp_sum, and these fields reach only summary results
-    phases = np.exp(-1j * np.outer(det, ts - t_f))  # (n_q, n_t)
-    fields = np.sqrt(grid2.spacing / (2.0 * np.pi)) * (final.s @ phases)  # (f, n_t)
-
-    norms_sq = np.trapezoid(np.abs(fields) ** 2, ts, axis=1)
-    rho_out = np.sum(np.abs(fields) ** 2, axis=0)
-
-    # trapezoid weights for the Gram matrix of normalized modes
+    final, bath = traj.final, traj.bath
+    ts = np.arange(0.0, final.t, _SAMPLE_SPACING)
+    channels = np.array([reconstruct_field(traj.grid2, s, ts, t_ref=final.t)
+                         for s in traj.channel_s])
     w = np.full(ts.size, _SAMPLE_SPACING)
     w[0] = w[-1] = 0.5 * _SAMPLE_SPACING
-    gram = (fields * w[None, :]) @ fields.conj().T
-    diag = np.sqrt(np.real(np.diag(gram)))
-    safe = np.where(diag > 0, diag, 1.0)
+    # U G U^H = U (U G)^H, as G is Hermitian
+    gram = bath.classes(bath.classes(np.einsum("mt,nt,t->mn", channels, channels.conj(), w))
+                        .conj().T)
+    norms_sq = np.real(np.diag(gram))
+    safe = np.sqrt(np.where(norms_sq > 0, norms_sq, 1.0))
     overlaps = np.abs(gram) / np.outer(safe, safe)
 
     weights = norms_sq / max(np.sum(norms_sq), 1e-300)
@@ -995,9 +992,9 @@ def port2_output_decomposition(traj: DiodeTrajectory) -> DecompositionResult:
     completeness = float(np.sum(norms_sq) + residual)
     return DecompositionResult(
         times=ts,
-        fields=fields,
+        fields=bath.classes(channels),
         class_weights=weights,
-        rho_out=rho_out,
+        rho_out=np.sum(np.abs(channels) ** 2, axis=0),
         min_overlap=min_overlap,
         weighted_purity=wp,
         completeness=completeness,

@@ -679,7 +679,7 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
         "quadrature_step": traj.quadrature_step,
         "quadrature_steps": traj.quadrature_steps,
         "secular_iterations": traj.secular_iterations,
-        "bath_channels": traj.bath_channels,
+        "bath_channels": traj.bath.channels,
     })
     _check(out, "norm_drift", traj.norm_drift, traj.norm_drift <= 1e-8)
     energy = traj.port1[-1] + traj.port2[-1] + traj.cavity1[-1] + traj.mode2[-1]

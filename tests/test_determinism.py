@@ -1,5 +1,6 @@
 """CSV bytes and import footprint, each checked in a fresh interpreter."""
 
+import configparser
 import os
 import subprocess
 import sys
@@ -129,14 +130,20 @@ def _python(args, threads=None, cwd=None):
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)
-    digests = []
+    digests, results = [], []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
         proc = _python(["-m", "photonflow.cli", "run", str(scenario), "--out", str(out)], threads)
         assert proc.returncode == 0, proc.stderr
         (csv,) = out.rglob("timeseries.csv")
         digests.append(csv.read_bytes())
+        manifest = configparser.ConfigParser()
+        manifest.read(csv.parent / "manifest.ini")
+        results.append(dict(manifest["results"]))
     assert digests[0] == digests[1]
+    # the DiodeFull results, port-2 decomposition included, are computed without BLAS
+    if "kind = DiodeFull" in text:
+        assert results[0] == results[1]
 
 
 def test_import_loads_no_dense_linear_algebra():

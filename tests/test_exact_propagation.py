@@ -15,7 +15,9 @@ closed-form kernel replaced, a 16-point Gauss-Legendre rule for those kernel sum
 and the per-level rules for the recorded steps that ``sample_steps`` replaced.
 """
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from photonflow import (
     interference_transfer_jump,
     mixed_fock_density,
     number,
+    port2_output_decomposition,
     project_pulse,
     reconstruct_field,
     reflect_port2,
@@ -796,7 +799,7 @@ def test_router_matches_per_class_filters(eps_max, channels):
         ROUTER_BENCHMARK.replace("eps_max = 0.0005", f"eps_max = {eps_max}")))
     p0 = project_pulse(c.grid1, c.pulse)
     traj = evolve_full(c.grid1, c.grid2, c.spec, p0, c.t_final, c.dt)
-    assert traj.bath_channels == channels
+    assert traj.bath.channels == channels
     pops, p, r, s = evolve_full_per_class(c.grid1, c.grid2, c.spec, p0, c.t_final, c.dt)
     for got, ref in zip([traj.port1, traj.cavity1, traj.mode2, traj.port2], pops):
         assert np.max(np.abs(got - ref)) <= 2e-12 * np.max(ref)
@@ -805,6 +808,79 @@ def test_router_matches_per_class_filters(eps_max, channels):
     # R ends near zero, so it is held to its peak over the run
     assert np.max(np.abs(final.r - r)) <= 2e-12 * np.sqrt(np.max(pops[2]))
     assert np.max(np.abs(final.s - s)) <= 2e-12 * np.max(np.abs(s))
+
+
+def port2_output_decomposition_phase_matrix(traj):
+    """The per-class port-2 fields from the dense (n_q, n_t) phase matrix, their
+    Gram matrix by a second gemm and the class norms by a separate trapezoid rule:
+    fields, class weights, rho_out, min overlap, weighted purity, completeness."""
+    final, grid2 = traj.final, traj.grid2
+    ts = np.arange(0.0, final.t, 0.1)
+    phases = np.exp(-1j * np.outer(grid2.detunings(), ts - final.t))
+    fields = np.sqrt(grid2.spacing / (2.0 * np.pi)) * (final.s @ phases)
+    norms_sq = np.trapezoid(np.abs(fields) ** 2, ts, axis=1)
+    w = np.full(ts.size, 0.1)
+    w[0] = w[-1] = 0.05
+    gram = (fields * w[None, :]) @ fields.conj().T
+    diag = np.sqrt(np.real(np.diag(gram)))
+    safe = np.where(diag > 0, diag, 1.0)
+    overlaps = np.abs(gram) / np.outer(safe, safe)
+    weights = norms_sq / max(np.sum(norms_sq), 1e-300)
+    relevant = np.where(norms_sq >= 1e-3 * np.max(norms_sq))[0]
+    sub = overlaps[np.ix_(relevant, relevant)]
+    min_overlap = float(np.min(sub)) if relevant.size >= 2 else 1.0
+    residual = np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2 + np.sum(np.abs(final.r) ** 2)
+    return (fields, weights, np.sum(np.abs(fields) ** 2, axis=0), min_overlap,
+            float(np.einsum("i,j,ij->", weights, weights, overlaps**2)),
+            float(np.sum(norms_sq) + residual))
+
+
+def router_without_coupling():
+    """f = 4 classes at coupling 1e-30 (kept as classes), photon in port 1."""
+    pulse = gaussian_pulse(t0=24.0, duration=8.0)
+    grid1 = ContinuumGrid(n_q=160, delta_max=4.0, gamma=1.0)
+    grid2 = ContinuumGrid(n_q=160, delta_max=4.0, gamma=20.0)
+    spec = ReservoirSpec(f=4, eps_max=2e-3, coupling=1e-30)
+    return evolve_full(grid1, grid2, spec, project_pulse(grid1, pulse),
+                       simulation_window(pulse, 1.0, 20.0))
+
+
+@functools.cache
+def router_benchmark(eps_max):
+    c = validate_scenario(parse_scenario_text(
+        ROUTER_BENCHMARK.replace("eps_max = 0.0005", f"eps_max = {eps_max}")))
+    return evolve_full(c.grid1, c.grid2, c.spec, project_pulse(c.grid1, c.pulse), c.t_final, c.dt)
+
+
+@pytest.mark.parametrize("make_traj, channels", [
+    (lambda: router_benchmark("0.0005"), 9), (lambda: router_benchmark("0.05"), 80),
+    (router_without_coupling, 4)], ids=["channels", "wide-band-classes", "no-coupling"])
+def test_decomposition_matches_phase_matrix(make_traj, channels):
+    traj = make_traj()
+    assert traj.bath.channels == channels
+    dec = port2_output_decomposition(traj)
+    fields, weights, rho_out, min_overlap, purity, completeness = (
+        port2_output_decomposition_phase_matrix(traj))
+    for got, ref in [(dec.fields, fields), (dec.class_weights, weights), (dec.rho_out, rho_out)]:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(dec.min_overlap - min_overlap) <= 1e-12
+    assert abs(dec.weighted_purity - purity) <= 1e-12
+    assert abs(dec.completeness - completeness) <= 1e-12
+
+
+def test_decomposition_temporaries_stay_small():
+    # the (n_q, n_t) phase matrix and the gemm operands of the f class fields took
+    # 7.0 MiB here on top of the 1.8 MiB the result holds; M = 9 channel fields need
+    # a fraction of one
+    traj = router_benchmark("0.0005")
+    tracemalloc.start()
+    try:
+        dec = port2_output_decomposition(traj)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.fields.shape == (80, 1420)
+    assert peak - held <= 2 * 2**20
 
 
 @pytest.mark.parametrize("f, eps_max, t_final", [(80, 0.0005, 142.0), (200, 0.0005, 410.0),

@@ -901,6 +901,67 @@ def test_cli_exit_code_contract_under_single_key_edits(name, edit, value):
             assert all(math.isfinite(float(v)) for v in manifest["results"].values())
 
 
+# a reduced decay for the scan arguments: its numeric keys, its two-number fit window,
+# a key it does not have and a name without a section
+SCAN_SCENARIO = """
+[scenario]
+name = scan
+kind = MicroscopicDecay
+
+[reservoir]
+f = 40
+eps_max = 20.0
+target_gamma = 1.0
+
+[run]
+t_final = 1.0
+dt = 0.0025
+
+[fit]
+window = 0.2 1.0
+
+[output]
+stride = 10
+"""
+# each axis with values that run, or none
+SCAN_AXES = {
+    "reservoir.f": ["30", "50"], "reservoir.eps_max": ["10", "20"],
+    "reservoir.target_gamma": ["0.5", "2"], "run.t_final": ["1", "1.5"], "run.dt": ["0.002"],
+    "output.stride": ["1", "30"], "fit.window": [], "reservoir.coupling": [], "f": [],
+}
+SCAN_BAD_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "abc", ""]
+
+
+@st.composite
+def scan_arguments(draw):
+    """An axis and a list of values: values that run, or those mixed with bad ones."""
+    axis = draw(st.sampled_from(sorted(SCAN_AXES)))
+    good = SCAN_AXES[axis] or ["1"]
+    values = draw(st.one_of(st.lists(st.sampled_from(good), min_size=1, max_size=3),
+                            st.lists(st.sampled_from(good + SCAN_BAD_VALUES), max_size=4)))
+    return axis, values
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(args=scan_arguments(), jobs=st.sampled_from([0, 1, 2]))
+def test_cli_exit_code_contract_under_scan_arguments(args, jobs):
+    # a scan exits 2 on a bad axis or value, 3 when a point fails an invariant, and
+    # 0 with one summary row per value, in the order given
+    axis, values = args
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ini"
+        path.write_text(SCAN_SCENARIO)
+        # --values=... so that argparse does not take a leading "-1" for an option
+        argv = ["scan", str(path), "--axis", axis, f"--values={','.join(values)}",
+                "--jobs", str(jobs), "--out", tmp]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            rows = (Path(tmp) / "scan_scan" / "scan_summary.csv").read_text().splitlines()[1:]
+            assert [float(row.split(",")[0]) for row in rows] == [float(v) for v in values if v]
+
+
 @pytest.mark.parametrize("name", sorted(FAST_FILES))
 def test_run_prints_the_manifest_results_in_order(tmp_path, capsys, name):
     path = tmp_path / "s.ini"
