@@ -5,7 +5,9 @@
     photonflow validate SCENARIO
 
 Exit codes: 0 success, 2 parse or configuration error, 3 runtime
-invariant failure.
+invariant failure.  ``main`` returns them and never raises ``SystemExit``:
+a command-line error returns 2, with argparse's message naming the
+argument on stderr, and ``-h`` returns 0.
 """
 
 from __future__ import annotations
@@ -57,7 +59,15 @@ def _outdir(sc, override, suffix=""):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a value list that starts with "-" (--values -1,2) would otherwise be read as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--values" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"--values={argv[i + 1]}"]
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # -h (0) or an argparse error (2), which it names on stderr
+        return exc.code
     try:
         sc = parse_scenario(args.scenario)
         if args.command == "validate":

@@ -63,16 +63,18 @@ Model conventions
   filters of the sample intervals that share one rule are batched: one
   ``einsum`` gives Q at their nodes, one their forcing, and only
   x <- decay x + forcing runs per interval.  The final R' and S' of the
-  channels (S' through ``_Eigensystem.cauchy``) go back to the lab frame,
-  those of the classes are U times them, and the norm drift is measured on
-  that rebuilt state.  The port-2 reflection off the bare cavity is
+  channels (S' through ``_Eigensystem.cauchy``) go back to the lab frame
+  and are the run's final state; class l's are sum_n U_ln times them, and
+  the orthonormal columns of U give both the same norm, so the norm drift
+  is measured on the channels.  The port-2 reflection off the bare cavity is
   propagated through the closed-form eigenpairs of its arrowhead generator
   (``_integrate._ExactPropagator``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
   Each field is summed by ``_integrate.exp_sum`` in blocks of 32 samples
-  without BLAS; the class outputs of port 2 are U times M channel fields.
+  without BLAS; port 2 gives M channel fields, and class l's is sum_n U_ln
+  times them.
 * The Markov-reduced model keeps the same input wavefunction:
 
       F(t)        = integral_0^t Phi_in(s) exp(-(gamma+gamma1)(t-s)/2) ds
@@ -342,22 +344,22 @@ def coupling_for_diode_rate(
 
 @dataclass
 class DiodeState:
-    """Amplitudes of the four-port system at one instant."""
+    """Lab-frame amplitudes of the four-port system at one instant, the reservoir
+    as its M bath channels: class l's R and S are ``bath.classes(r)`` and
+    ``bath.classes(s)`` of the trajectory's channels."""
 
-    p: np.ndarray
+    p: np.ndarray  # (n_q1,)
     q: complex
-    r: np.ndarray
-    s: np.ndarray  # shape (f, n_q2)
+    r: np.ndarray  # (M,)
+    s: np.ndarray  # (M, n_q2)
     t: float
 
 
 @dataclass
 class DiodeTrajectory:
-    """Populations over time plus the final state of a full run."""
+    """Populations over time plus the final state of a full run, in bath channels."""
 
-    grid1: ContinuumGrid
     grid2: ContinuumGrid
-    spec: ReservoirSpec
     times: np.ndarray
     port1: np.ndarray
     cavity1: np.ndarray
@@ -369,7 +371,6 @@ class DiodeTrajectory:
     quadrature_steps: int = 0  # its steps n, on the grid points 0..n
     secular_iterations: int = 0  # the most steps a root of C2 took
     bath: _BathChannels = field(repr=False, default=None)  # the classes as M channels, U
-    channel_s: np.ndarray = field(repr=False, default=None)  # (M, n_q2), final.s = U channel_s
 
 
 def _check_bandwidth(grid: ContinuumGrid, pulse: Pulse) -> None:
@@ -760,18 +761,16 @@ def evolve_full(
                                        mode2, np.einsum("ji,ji->j", bath_modes, bath_modes) - mode2]
 
     # channel n of S_ql is exp(-i w_bar t) k2 sum_k V_qk y_nk in the lab frame, with
-    # V_qk = inv_norm_k k2 / (lambda_k - d2_q); class l is sum_n U_ln times the channels
+    # V_qk = inv_norm_k k2 / (lambda_k - d2_q)
     y = x[n1:].reshape(m, modes)
     lab = np.exp(-1j * bath.centre * t_final)
-    channel_s = lab * grid2.kappa * c2.cauchy(y * v0, over_roots=True)
-    final = DiodeState(p=x[:n1].copy(), q=complex(q_end[-1]), s=bath.classes(channel_s),
-                       r=bath.classes(lab * np.einsum("nk,k->n", y, v0)), t=t_final)
+    final = DiodeState(p=x[:n1].copy(), q=complex(q_end[-1]),
+                       r=lab * np.einsum("nk,k->n", y, v0),
+                       s=lab * grid2.kappa * c2.cauchy(y * v0, over_roots=True), t=t_final)
     norm = (np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2 + np.sum(np.abs(final.r) ** 2)
             + np.sum(np.abs(final.s) ** 2))
     return DiodeTrajectory(
-        grid1=grid1,
         grid2=grid2,
-        spec=spec,
         times=np.array([0] + steps) * dt,
         port1=pops[0],
         cavity1=pops[1],
@@ -783,7 +782,6 @@ def evolve_full(
         quadrature_steps=n,
         secular_iterations=c2.iterations,
         bath=bath,
-        channel_s=channel_s,
     )
 
 
@@ -940,7 +938,7 @@ def reflect_port2(grid2: ContinuumGrid, pulse: Pulse, t_final: float) -> Reflect
 @dataclass
 class DecompositionResult:
     times: np.ndarray
-    fields: np.ndarray  # (f, n_t) per-class output fields, U times the M channel fields
+    channel_fields: np.ndarray  # (M, n_t); class l's field is bath.classes(channel_fields)[l]
     class_weights: np.ndarray
     rho_out: np.ndarray
     min_overlap: float
@@ -953,21 +951,21 @@ _WEIGHT_FLOOR = 1e-3  # classes below this share of the leading weight are not c
 
 
 def port2_output_decomposition(traj: DiodeTrajectory) -> DecompositionResult:
-    """Per-class port-2 output fields from the final amplitudes.
+    """The port-2 output of each reservoir class, from the final channel amplitudes.
 
     Each reservoir class tags an orthogonal output channel; its temporal
     mode is the comb resynthesis of its final S amplitudes at the cavity
-    position, sum_n U_ln Phi_n over M bath-channel fields of one ``exp_sum``
-    each, so the class Gram matrix is U G U^H from the channels' G.  Reports
-    the class weights, rho_out(t) = sum_l |Phi_l(t)|^2 = sum_n |Phi_n(t)|^2,
-    the minimum pairwise overlap of the normalized modes among classes above
-    ``_WEIGHT_FLOOR`` of the leading weight, a weight-averaged purity, and
-    the completeness check sum_l integral |Phi_l|^2 dt + residual populations.
+    position, sum_n U_ln Phi_n over the M bath-channel fields Phi_n, one
+    ``exp_sum`` each.  Only the channel fields are kept: the class Gram matrix
+    is U G U^H from the channels' G.  Reports the class weights, rho_out(t) =
+    sum_l |Phi_l(t)|^2 = sum_n |Phi_n(t)|^2, the minimum pairwise overlap of
+    the normalized modes among classes above ``_WEIGHT_FLOOR`` of the leading
+    weight, a weight-averaged purity, and the completeness check sum_l
+    integral |Phi_l|^2 dt + residual populations.
     """
     final, bath = traj.final, traj.bath
     ts = np.arange(0.0, final.t, _SAMPLE_SPACING)
-    channels = np.array([reconstruct_field(traj.grid2, s, ts, t_ref=final.t)
-                         for s in traj.channel_s])
+    channels = np.array([reconstruct_field(traj.grid2, s, ts, t_ref=final.t) for s in final.s])
     w = np.full(ts.size, _SAMPLE_SPACING)
     w[0] = w[-1] = 0.5 * _SAMPLE_SPACING
     # U G U^H = U (U G)^H, as G is Hermitian
@@ -992,7 +990,7 @@ def port2_output_decomposition(traj: DiodeTrajectory) -> DecompositionResult:
     completeness = float(np.sum(norms_sq) + residual)
     return DecompositionResult(
         times=ts,
-        fields=bath.classes(channels),
+        channel_fields=channels,
         class_weights=weights,
         rho_out=np.sum(np.abs(channels) ** 2, axis=0),
         min_overlap=min_overlap,

@@ -403,7 +403,6 @@ def _build_interference(sc: Scenario) -> SimpleNamespace:
 
 
 def _build_pulse(sc: Scenario) -> dio.Pulse:
-    _get(sc, "pulse.kind", _one_of("gaussian"), "gaussian")  # the one pulse shape files support
     duration = _get(sc, "pulse.duration", _as_positive)
     t0 = _get(sc, "pulse.t0", _as_float, 3.0 * duration)
     pulse = _guard("pulse.duration", dio.gaussian_pulse, t0=t0, duration=duration)

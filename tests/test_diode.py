@@ -307,7 +307,7 @@ def test_decomposition_empty_without_coupling():
     t_final = simulation_window(pulse, GAMMA1, GAMMA2)
     traj = evolve_full(grid1, grid2, spec, project_pulse(grid1, pulse), t_final)
     dec = port2_output_decomposition(traj)
-    assert np.max(np.abs(dec.fields)) <= 1e-12
+    assert np.max(np.abs(dec.channel_fields)) <= 1e-12
 
 
 # --- impedance matching ---------------------------------------------------------------

@@ -614,12 +614,12 @@ def test_router_matches_rk4():
     assert ours.shape == pops.shape
     for got, ref in zip(ours, pops):
         assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(ref)
-    final = traj.final
+    final, classes = traj.final, traj.bath.classes
     assert np.max(np.abs(final.p - p)) <= 1e-8 * np.max(np.abs(p))
     # q and r end near zero, so they are held to their peaks over the run
     assert abs(final.q - q) <= 1e-8 * np.sqrt(np.max(pops[1]))
-    assert np.max(np.abs(final.r - r)) <= 1e-8 * np.sqrt(np.max(pops[2]))
-    assert np.max(np.abs(final.s - s)) <= 1e-8 * np.max(np.abs(s))
+    assert np.max(np.abs(classes(final.r) - r)) <= 1e-8 * np.sqrt(np.max(pops[2]))
+    assert np.max(np.abs(classes(final.s) - s)) <= 1e-8 * np.max(np.abs(s))
     assert traj.norm_drift <= 1e-12
 
 
@@ -699,11 +699,11 @@ def test_router_matches_taylor(t0, dt, t_final):
     assert traj.times.size == pops.shape[1]
     for got, ref in zip([traj.port1, traj.cavity1, traj.mode2, traj.port2], pops):
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
-    final = traj.final
+    final, classes = traj.final, traj.bath.classes
     assert np.max(np.abs(final.p - p)) <= 1e-9 * np.max(np.abs(p))
     assert abs(final.q - q) <= 1e-9 * np.sqrt(np.max(pops[1]))
-    assert np.max(np.abs(final.r - r)) <= 1e-9 * np.sqrt(np.max(pops[2]))
-    assert np.max(np.abs(final.s - s)) <= 1e-9 * np.max(np.abs(s))
+    assert np.max(np.abs(classes(final.r) - r)) <= 1e-9 * np.sqrt(np.max(pops[2]))
+    assert np.max(np.abs(classes(final.s) - s)) <= 1e-9 * np.max(np.abs(s))
     assert traj.norm_drift <= 1e-12
 
 
@@ -803,21 +803,22 @@ def test_router_matches_per_class_filters(eps_max, channels):
     pops, p, r, s = evolve_full_per_class(c.grid1, c.grid2, c.spec, p0, c.t_final, c.dt)
     for got, ref in zip([traj.port1, traj.cavity1, traj.mode2, traj.port2], pops):
         assert np.max(np.abs(got - ref)) <= 2e-12 * np.max(ref)
-    final = traj.final
+    final, classes = traj.final, traj.bath.classes
     assert np.max(np.abs(final.p - p)) <= 2e-12 * np.max(np.abs(p))
     # R ends near zero, so it is held to its peak over the run
-    assert np.max(np.abs(final.r - r)) <= 2e-12 * np.sqrt(np.max(pops[2]))
-    assert np.max(np.abs(final.s - s)) <= 2e-12 * np.max(np.abs(s))
+    assert np.max(np.abs(classes(final.r) - r)) <= 2e-12 * np.sqrt(np.max(pops[2]))
+    assert np.max(np.abs(classes(final.s) - s)) <= 2e-12 * np.max(np.abs(s))
 
 
 def port2_output_decomposition_phase_matrix(traj):
-    """The per-class port-2 fields from the dense (n_q, n_t) phase matrix, their
-    Gram matrix by a second gemm and the class norms by a separate trapezoid rule:
-    fields, class weights, rho_out, min overlap, weighted purity, completeness."""
+    """The per-class port-2 fields from the final S of the classes and the dense
+    (n_q, n_t) phase matrix, their Gram matrix by a second gemm and the class norms
+    by a separate trapezoid rule: fields, class weights, rho_out, min overlap,
+    weighted purity, completeness."""
     final, grid2 = traj.final, traj.grid2
     ts = np.arange(0.0, final.t, 0.1)
     phases = np.exp(-1j * np.outer(grid2.detunings(), ts - final.t))
-    fields = np.sqrt(grid2.spacing / (2.0 * np.pi)) * (final.s @ phases)
+    fields = np.sqrt(grid2.spacing / (2.0 * np.pi)) * (traj.bath.classes(final.s) @ phases)
     norms_sq = np.trapezoid(np.abs(fields) ** 2, ts, axis=1)
     w = np.full(ts.size, 0.1)
     w[0] = w[-1] = 0.05
@@ -829,7 +830,8 @@ def port2_output_decomposition_phase_matrix(traj):
     relevant = np.where(norms_sq >= 1e-3 * np.max(norms_sq))[0]
     sub = overlaps[np.ix_(relevant, relevant)]
     min_overlap = float(np.min(sub)) if relevant.size >= 2 else 1.0
-    residual = np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2 + np.sum(np.abs(final.r) ** 2)
+    residual = (np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2
+                + np.sum(np.abs(traj.bath.classes(final.r)) ** 2))
     return (fields, weights, np.sum(np.abs(fields) ** 2, axis=0), min_overlap,
             float(np.einsum("i,j,ij->", weights, weights, overlaps**2)),
             float(np.sum(norms_sq) + residual))
@@ -858,10 +860,12 @@ def router_benchmark(eps_max):
 def test_decomposition_matches_phase_matrix(make_traj, channels):
     traj = make_traj()
     assert traj.bath.channels == channels
+    assert traj.final.s.shape == (channels, 160)
     dec = port2_output_decomposition(traj)
     fields, weights, rho_out, min_overlap, purity, completeness = (
         port2_output_decomposition_phase_matrix(traj))
-    for got, ref in [(dec.fields, fields), (dec.class_weights, weights), (dec.rho_out, rho_out)]:
+    for got, ref in [(traj.bath.classes(dec.channel_fields), fields),
+                     (dec.class_weights, weights), (dec.rho_out, rho_out)]:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert abs(dec.min_overlap - min_overlap) <= 1e-12
     assert abs(dec.weighted_purity - purity) <= 1e-12
@@ -870,8 +874,8 @@ def test_decomposition_matches_phase_matrix(make_traj, channels):
 
 def test_decomposition_temporaries_stay_small():
     # the (n_q, n_t) phase matrix and the gemm operands of the f class fields took
-    # 7.0 MiB here on top of the 1.8 MiB the result holds; M = 9 channel fields need
-    # a fraction of one
+    # 7.0 MiB here on top of the 1.8 MiB the result held with its f = 80 class fields;
+    # M = 9 channel fields need a fraction of one, and the result holds only them
     traj = router_benchmark("0.0005")
     tracemalloc.start()
     try:
@@ -879,7 +883,8 @@ def test_decomposition_temporaries_stay_small():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dec.fields.shape == (80, 1420)
+    assert dec.channel_fields.shape == (9, 1420)
+    assert held <= 2**19
     assert peak - held <= 2 * 2**20
 
 

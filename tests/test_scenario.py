@@ -485,6 +485,31 @@ def test_cli_scan_rejects_empty_values(tmp_path, capsys):
     assert not (tmp_path / "scan").exists()
 
 
+SCAN_F = ["scan", "{path}", "--axis", "reservoir.f", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    ([*SCAN_F, "--values", "-1,2"], 2, "error: scan point reservoir.f = -1:"),
+    ([*SCAN_F, "--values", "60", "--jobs", "abc"], 2, "argument --jobs: invalid int value: 'abc'"),
+    (["run"], 2, "the following arguments are required: scenario"),
+    (["simulate", "{path}"], 2, "invalid choice: 'simulate'"),
+    (["validate", "{path}", "--extra"], 2, "unrecognized arguments: --extra"),
+    ([*SCAN_F, "--values"], 2, "argument --values: expected one argument"),
+    (["-h"], 0, "usage: photonflow"),
+    (["scan", "-h"], 0, "usage: photonflow scan"),
+], ids=["negative-values", "jobs-abc", "run-without-file", "unknown-command", "extra-argument",
+        "values-without-list", "help", "scan-help"])
+def test_cli_returns_the_exit_code_of_a_command_line_error_or_help(tmp_path, capsys, argv,
+                                                                   code, named):
+    # main returns the code instead of raising SystemExit, and the message names the argument
+    path = write(tmp_path, "sc.ini", MICRO_SCENARIO.format(coupling=micro_coupling()))
+    argv = [a.format(path=path, out=tmp_path / "scan") for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert named in (captured.err if code else captured.out)
+    assert not (tmp_path / "scan").exists()
+
+
 # --- Markov port invariants -------------------------------------------------------------
 
 
@@ -644,6 +669,7 @@ def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, 
     ("diode_full", "output", "stride", "5"),
     ("port2_reflection", "output", "stride", "5"),
     ("impedance_scan", "output", "stride", "5"),
+    ("diode_full", "pulse", "kind", "gaussian"),
 ])
 def test_cli_validate_rejects_a_key_the_build_ignores(tmp_path, capsys, name, section, key, value):
     path = write(tmp_path, "k.ini", shipped_with(name, section, key, value))
@@ -951,8 +977,7 @@ def test_cli_exit_code_contract_under_scan_arguments(args, jobs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.ini"
         path.write_text(SCAN_SCENARIO)
-        # --values=... so that argparse does not take a leading "-1" for an option
-        argv = ["scan", str(path), "--axis", axis, f"--values={','.join(values)}",
+        argv = ["scan", str(path), "--axis", axis, "--values", ",".join(values),
                 "--jobs", str(jobs), "--out", tmp]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
