@@ -26,15 +26,24 @@ so propagation is exact up to roundoff, not stepped:
   coordinates under its pattern and ``restrict`` keeps the entries inside
   one, in the same order, so a vector that vanishes outside that set is
   propagated on it alone with the same bits.
-* ``exp_sum``: sum_k a_k exp(i w_k t) on a uniform grid of t, in blocks of
-  32 samples, several blocks per numpy pass when the frequencies are few.
-  Every single-field resynthesis goes through it: the reservoir survival
-  and Zeno no-decay probabilities, the comb fields of the router, the
-  kernel sums of its memory-kernel solve and the spectrum of a sampled
-  pulse.
+* ``comb_sum``: sum_k a_k exp(i (f0 + k df)(t0 + j h)), a uniform comb on a
+  uniform time grid, as Bluestein's chirp-z transform (Rabiner, Schafer &
+  Rader, IEEE Trans. Audio Electroacoust. 17, 86, 1969): with kj = (k^2 +
+  j^2 - (j - k)^2) / 2 it is one convolution with the chirp exp(-i df h
+  m^2 / 2), three FFTs of a 5-smooth length at least n_t + n_q - 1.  Every
+  phase is a product of two of f0, df, t0, h with an integer, reduced
+  modulo 2 pi exactly (``_turns``), so only the FFTs' roundoff is left,
+  however far the chirp runs.  The router's comb fields and the port-1
+  integrals of its memory kernel go through it.
+* ``exp_sum``: sum_k a_k exp(i w_k t) at any frequencies on a uniform grid
+  of t, in blocks of 32 samples, several blocks per numpy pass when the
+  frequencies are few: the reservoir survival and Zeno no-decay
+  probabilities, the sums over the C2 roots and the reservoir classes in the
+  router's memory kernel and the spectrum of a sampled pulse.
 
-All of them use elementwise operations and numpy reductions only, never
-BLAS, so their bits do not depend on the BLAS thread count.
+All of them use elementwise operations, numpy reductions and numpy.fft
+(pocketfft) only, never BLAS, so their bits do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -102,6 +111,87 @@ def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.nda
     if whole < n:
         start = weights * np.exp(1j * freqs * times[whole])
         out[whole:] = np.sum(within[: n - whole] * start, axis=1)
+    return out
+
+
+def fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length that numpy.fft transforms fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+_TURN_BITS = 128
+_TURN = 54157620742477409023451113735280473968  # 2^128 / 2 pi, rounded
+_MAX_COUNT = 2**26  # samples or modes of a comb_sum: m^2 < 2^52 leaves _turns a part of 1 bit
+
+
+def _turns(a: float, b: float, n: np.ndarray) -> np.ndarray:
+    """a b n / 2 pi less its nearest integer, for integer-valued floats n, |n| < 2^52.
+
+    a b / 2 pi is hi + lo to about 2^-105 of itself, from the exact integer ratios
+    of a and b.  hi is cut into parts of 53 - bits(max|n|) bits, so that each part
+    times n is an exact float and loses its nearest integer exactly; lo n is
+    below 2^-52 of hi n and needs no care.
+    """
+    (pa, qa), (pb, qb) = float(a).as_integer_ratio(), float(b).as_integer_ratio()
+    num, den = pa * pb * _TURN, qa * qb << _TURN_BITS
+    hi = num / den  # int / int rounds correctly
+    ph, qh = hi.as_integer_ratio()
+    lo = (num * qh - ph * den) / (den * qh)
+    bits = 53 - int(np.max(np.abs(n), initial=0)).bit_length()
+    assert bits >= 1, "integer factor of a phase above 2^52"
+    e = math.frexp(hi)[1]
+    out = np.zeros(n.shape)
+    rest = hi
+    for k in range(bits, 53 + bits, bits):
+        part = math.ldexp(round(math.ldexp(rest, k - e)), e - k)
+        rest -= part
+        x = part * n
+        out += x - np.rint(x)
+    x = lo * n
+    out += x - np.rint(x)
+    return out - np.rint(out)
+
+
+def comb_sum(f0: float, df: float, weights: np.ndarray, t0: float, h: float,
+             n: int) -> np.ndarray:
+    """sum_k weights[..., k] exp(i (f0 + k df)(t0 + j h)) for j = 0..n-1, by chirp-z.
+
+    With alpha = df h the phase is f0 t0 + f0 h j + df t0 k + alpha (k^2 + j^2 -
+    (j - k)^2) / 2, each term a product of two of the given floats with an
+    integer, reduced by ``_turns``; the sum over k is one FFT convolution with
+    the chirp exp(-i alpha m^2 / 2), m = -(n_q - 1)..n - 1.  Leading axes of
+    ``weights`` are separate sums sharing the chirp.
+    """
+    weights = np.asarray(weights, dtype=complex)
+    count = weights.shape[-1]
+    if max(n, count) > _MAX_COUNT:
+        raise InvalidInput(f"comb_sum takes at most 2^26 samples and modes, got {n} and {count}")
+    m = np.arange(max(n, count), dtype=float)
+    chirp = _turns(0.5 * df, h, m * m)
+
+    def rotor(turns):
+        z = turns * (2j * np.pi)
+        return np.exp(z, out=z)
+
+    size = fft_size(n + count - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = rotor(-chirp[:n])
+    kernel[size - count + 1:] = rotor(-chirp[count - 1:0:-1])
+    spectrum = np.fft.fft(weights * rotor(_turns(df, t0, m[:count]) + chirp[:count]), size)
+    spectrum *= np.fft.fft(kernel, out=kernel)
+    out = np.fft.ifft(spectrum, out=spectrum)[..., :n]
+    out *= rotor(_turns(f0, t0, np.ones(1)) + _turns(f0, h, m[:n]) + chirp[:n])
     return out
 
 

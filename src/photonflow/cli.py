@@ -4,6 +4,9 @@
     photonflow scan SCENARIO --axis SECTION.KEY --values v1,v2,... [--out DIR] [--jobs N]
     photonflow validate SCENARIO
 
+``validate`` prints OK and, for a DiodeFull file, the quadrature steps of
+its memory-kernel solve, the work its run implies.
+
 Exit codes: 0 success, 2 parse or configuration error, 3 runtime
 invariant failure.  ``main`` returns them and never raises ``SystemExit``:
 a command-line error returns 2, with argparse's message naming the
@@ -72,6 +75,10 @@ def main(argv=None) -> int:
         sc = parse_scenario(args.scenario)
         if args.command == "validate":
             print(f"OK: {sc.name} ({sc.kind})")
+            # the work a DiodeFull run implies: its memory-kernel solve has n steps
+            steps = getattr(sc.inputs, "quadrature_steps", None)
+            if steps is not None:
+                print(f"quadrature_steps = {steps}")
             return 0
         if args.command == "run":
             outdir = _outdir(sc, args.out)

@@ -35,15 +35,20 @@ Model conventions
       K  = k1^2 sum_q exp(-i d1_q tau) + |g|^2 G(tau) W(tau),
       G  = sum_k V_0k^2 exp(-i lambda_k tau),   W = sum_l exp(i w_l tau).
 
-  Its integrated form, with Kc = int_0^tau K and Kc(0) = 0, is explicit on
-  a uniform grid of step h (h times the generator norm bound <= 0.15):
+  Its integrated form, with Kc = int_0^tau K and Kc(0) = 0, is discretized
+  on a uniform grid of step h (h times the generator norm bound <= 0.15):
   the convolution has Gregory weights of order 8 and Q_1..Q_7 solve one
-  small system.  int F and the port-1 part of Kc are closed forms, one
-  ``exp_sum`` each on the grid, since int_0^t exp(-i d s) ds =
-  (1 - exp(-i d t)) / (i d) (t for a mode at d = 0).  W is a power series
-  about the band centre w_bar, evaluated by Horner's rule (see the bath
-  channels below); only |g|^2 G W keeps an 8-point Gauss-Legendre rule
-  per step, with G summed by ``exp_sum``.
+  small system.  From Q_8 on the discrete equation is a unit lower-
+  triangular Toeplitz system, solved as an online convolution in O(n log^2
+  n): blocks of 128 steps, each one product with the inverse of its
+  Toeplitz block (the same for all), and FFT convolutions that carry each
+  solved half into the next.  int F and the port-1 part of Kc are closed
+  forms, one chirp-z ``comb_sum`` for both on the grid, since int_0^t
+  exp(-i d s) ds = (1 - exp(-i d t)) / (i d) (t for a mode at d = 0).  W is
+  a power series about the band centre w_bar, evaluated by Horner's rule
+  (see the bath channels below); only |g|^2 G W keeps an 8-point
+  Gauss-Legendre rule per step, with G summed over the C2 roots by
+  ``exp_sum``.
 
   Between samples each bath mode of frequency e moves by its exact filter
   x <- exp(-i e Delta) x + int exp(-i e (Delta - s)) drive(s) Q(s) ds, the
@@ -72,8 +77,9 @@ Model conventions
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
-  Each field is summed by ``_integrate.exp_sum`` in blocks of 32 samples
-  without BLAS; port 2 gives M channel fields, and class l's is sum_n U_ln
+  Each field is one chirp-z ``_integrate.comb_sum`` (three FFTs, no BLAS)
+  with its time step taken from its definition, never from two samples;
+  port 2 gives M channel fields from one call, and class l's is sum_n U_ln
   times them.
 * The Markov-reduced model keeps the same input wavefunction:
 
@@ -112,8 +118,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._integrate import (_arrowhead_eigensystem, _Eigensystem, _ExactPropagator, exp_sum,
-                         sample_steps, steps_for)
+from ._integrate import (_arrowhead_eigensystem, _Eigensystem, _ExactPropagator, comb_sum,
+                         exp_sum, fft_size, sample_steps, steps_for)
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -273,7 +279,7 @@ def project_pulse(grid: ContinuumGrid, pulse: Pulse) -> np.ndarray:
             mid = 0.5 * (lo + hi)
             lo, hi = mid - 0.5 * span_cap, mid + 0.5 * span_cap
         ts = np.linspace(lo, hi, 801)
-        rec = reconstruct_field(grid, amps, ts, t_ref=0.0)
+        rec = _comb_field(grid, amps, lo, (hi - lo) / (ts.size - 1), ts.size)
         target = pulse.amplitude(ts)
         err = float(np.max(np.abs(rec - target)) / np.max(np.abs(target)))
         if err > 0.01:
@@ -288,9 +294,20 @@ def reconstruct_field(
     grid: ContinuumGrid, amplitudes: np.ndarray, times: np.ndarray, t_ref: float = 0.0
 ) -> np.ndarray:
     """Field at the cavity mirror at uniformly spaced ``times`` from comb
-    amplitudes known at t_ref."""
-    tt = np.asarray(times, dtype=float) - t_ref
-    field = exp_sum(-grid.detunings(), np.asarray(amplitudes), tt)
+    amplitudes known at t_ref; the step is (times[-1] - times[0]) / (n - 1)."""
+    tt = np.asarray(times, dtype=float)
+    n = tt.size
+    h = float(tt[-1] - tt[0]) / (n - 1) if n > 1 else 0.0
+    if np.any(np.abs(np.diff(tt) - h) > 1e-9 * abs(h)):
+        raise InvalidInput("reconstruct_field needs uniformly spaced times")
+    return _comb_field(grid, amplitudes, float(tt[0]) - t_ref if n else 0.0, h, n)
+
+
+def _comb_field(grid: ContinuumGrid, amplitudes: np.ndarray, t0: float, h: float,
+                n: int) -> np.ndarray:
+    """sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t0 + j h)), j = 0..n-1, the field of comb
+    amplitudes (comb q along the last axis) at t0 + j h after the time they hold."""
+    field = comb_sum(0.5 * (grid.n_q - 1) * grid.spacing, -grid.spacing, amplitudes, t0, h, n)
     return np.sqrt(grid.spacing / (2.0 * np.pi)) * field
 
 
@@ -423,8 +440,11 @@ _GREGORY = np.array([-2558783, 1908311, -2696283, 2899075,
 _ORDER = _GREGORY.size
 _STENCIL = 8  # grid points that interpolate Q at a node of a filter
 _STEP_NORM = 0.15  # quadrature step times the generator norm bound
-_MAX_QUADRATURE_STEPS = 2 * 10**5  # the O(n^2) solve for Q takes about a minute there
+# a router file with 196,844 steps ran 4.1 s on a 2-core Xeon, 0.3 s of it in the solve
+# for Q and most of it in the bath filters and the sums over the C2 roots
+_MAX_QUADRATURE_STEPS = 2 * 10**5
 _START_ITERATIONS = 60  # 0.51^60 < 2^-53
+_LEAF = 128  # steps of Q per Toeplitz product; 64 and 256 took 1.2 times as long on 20,504
 # quadrature steps at most per Gauss-Legendre panel of a filter: a filter integrand
 # oscillates below twice the norm bound, so a panel spans at most 2.4 rad of it,
 # where the rule of order 8 errs by about 2e-17 of the integral
@@ -586,20 +606,25 @@ class _BathChannels:
         return np.exp(1j * self.centre * tau) * out
 
 
-def _mode_integrals(freqs: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_q weights_q int_0^t exp(-i freqs_q s) ds on the uniform grid t from t = 0.
+def _mode_integrals(grid: ContinuumGrid, weights: np.ndarray, h: float, n: int) -> np.ndarray:
+    """sum_q weights_q int_0^t exp(-i d_q s) ds at t = j h, j = 0..n, over the comb d of
+    ``grid``, for each row of ``weights``.
 
-    Each mode integrates to c_q (1 - exp(-i freqs_q t)) with c_q = -i weights_q /
-    freqs_q, so this is sum_q c_q minus one ``exp_sum``; a mode at freqs_q = 0 gives
-    weights_q t.  The constant pairs mode q with mode m - 1 - q, which cancels exactly
-    on a comb symmetric about 0.
+    Each mode integrates to c_q (1 - exp(-i d_q t)) with c_q = -i weights_q / d_q,
+    so this is sum_q c_q minus one ``comb_sum``; a mode at d_q = 0 gives weights_q t.
+    The constant pairs mode q with mode m - 1 - q, which cancels exactly on a comb
+    symmetric about 0.
     """
+    freqs = grid.detunings()
     zero = freqs == 0
     c = np.where(zero, 0.0, -1j * weights / np.where(zero, 1.0, freqs))
-    half = c.size // 2
-    const = np.sum(c[:half] + c[::-1][:half]) + c[half:c.size - half].sum()
-    out = const - exp_sum(-freqs, c, t) + np.sum(weights[zero]) * t
-    out[0] = 0.0
+    half = freqs.size // 2
+    const = (np.sum(c[..., :half] + c[..., ::-1][..., :half], axis=-1)
+             + np.sum(c[..., half:freqs.size - half], axis=-1))
+    out = const[..., None] - comb_sum(0.5 * (grid.n_q - 1) * grid.spacing, -grid.spacing, c,
+                                      0.0, h, n + 1)
+    out += np.sum(weights[..., zero], axis=-1)[..., None] * (np.arange(n + 1) * h)
+    out[..., 0] = 0.0
     return out
 
 
@@ -608,14 +633,13 @@ def _kernel_integrals(grid1: ContinuumGrid, spec: ReservoirSpec, p0: np.ndarray,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """int_0^t F and int_0^t K at t = j h, j = 0..n: int F and the port-1 part of K
     in closed form, |g|^2 G W from the Gauss-Legendre rule in each step."""
-    d1 = grid1.detunings()
-    grid = np.arange(n + 1) * h
-    int_f = _mode_integrals(d1, -1j * grid1.kappa * p0, grid)
+    int_f, port1 = _mode_integrals(grid1, np.array([-1j * grid1.kappa * p0,
+                                                    np.ones(grid1.n_q)]), h, n)
     step = np.zeros(n, dtype=complex)
     for x, w in zip(_NODES, _NODE_WEIGHTS):
         t = (np.arange(n) + x) * h
         step += w * (exp_sum(-c2.roots, c2.inv_norm**2, t) * bath.w_sum(t))
-    kc = grid1.kappa**2 * _mode_integrals(d1, np.ones(d1.size), grid)
+    kc = grid1.kappa**2 * port1
     kc[1:] += spec.coupling_sq * np.cumsum(h * step)
     return int_f, kc
 
@@ -625,8 +649,15 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
 
     Q_1..Q_7 solve one linear system by fixed-point iteration, each integral
     taken over the degree-7 interpolant through Q_0..Q_7 (kc at negative lags
-    is -conj(kc)); from j = 8 on each Q_j follows explicitly from the Gregory
-    weights, since kc_0 = 0.
+    is -conj(kc)).  From j = 8 on, with the Gregory weights and kc_0 = 0, Q
+    solves Q_j + h sum_(8 <= m < j) kmod_(j-m) Q_m = int_f_j - h (start_j + sum_(m < 8)
+    kmod_(j-m) Q_m), a unit lower-triangular Toeplitz system.  It is solved as
+    an online convolution (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6, 532, 1985): solve the left half of [lo, hi), add its part of
+    the sum to the right half by one FFT convolution, solve the right half.
+    A leaf of ``_LEAF`` steps is one product with the inverse of I + h T, T
+    the Toeplitz matrix of kmod_1..kmod_(L-1), which every leaf shares.
+    O(n log^2 n) in all.
     """
     n = int_f.size - 1
     q = np.zeros(n + 1, dtype=complex)
@@ -637,15 +668,48 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
     # each iteration at least halves the error
     for _ in range(_START_ITERATIONS):
         q[1:_ORDER] = int_f[1:_ORDER] - np.einsum("jm,m->j", kl, q[1:_ORDER])
-    # the weight 1 + a_(j-m) rides on kc_(j-m), the weight a_m on Q_m for m < 8
-    kmod = kc.copy()
+    # the weight 1 + a_(j-m) rides on kc_(j-m), the weight a_m on Q_m for m < 8; kmod is
+    # zero past n, for the padded spectra and the leaf of a short grid
+    kmod = np.zeros(max(fft_size(n), _LEAF) + 1, dtype=complex)
+    kmod[:n + 1] = kc
     kmod[1:_ORDER] *= 1.0 + _GREGORY[1:]
-    kmod_rev = kmod[::-1].copy()
-    # the start terms sum_m a_m Q_m kc_(j-m) of every j, by lo = n - j
-    start = np.einsum("i,ji->j", _GREGORY * q[:_ORDER], sliding_window_view(kc[::-1], _ORDER))
-    for j in range(_ORDER, n + 1):
-        lo = n - j
-        q[j] = int_f[j] - h * (np.einsum("i,i->", kmod_rev[lo:n], q[:j]) + start[lo])
+    # acc_j collects the memory terms of Q_j from the Q solved so far: first the start
+    # terms sum_(m < 8) a_m Q_m kc_(j-m), then the kmod terms of Q_1..Q_7
+    acc = np.zeros(n + 1, dtype=complex)
+    acc[_ORDER:] = np.einsum("i,ji->j", (_GREGORY * q[:_ORDER])[::-1],
+                             sliding_window_view(kc[1:], _ORDER))
+    spectra = {}  # of kmod_1.., by FFT length
+
+    def carry(lo, mid, hi):
+        """acc_j += sum_(lo <= m < mid) kmod_(j-m) Q_m for mid <= j < hi, by one FFT
+        convolution of a length that holds the lags 1..hi - lo - 1 once."""
+        size = fft_size(hi - lo - 1)
+        if size not in spectra:
+            spectra[size] = np.fft.fft(kmod[1:size + 1])
+        x = np.fft.fft(q[lo:mid], size)
+        x *= spectra[size]
+        acc[mid:hi] += np.fft.ifft(x, out=x)[mid - lo - 1:hi - lo - 1]
+
+    carry(0, _ORDER, n + 1)
+    # the first column of (I + h T)^-1: the reciprocal of the series 1 + h sum_d kmod_d z^d
+    inv = np.zeros(_LEAF, dtype=complex)
+    inv[0] = 1.0
+    for d in range(1, _LEAF):
+        inv[d] = -h * np.einsum("i,i->", kmod[1:d + 1], inv[d - 1::-1])
+    lags = np.arange(_LEAF)[:, None] - np.arange(_LEAF)
+    leaf = np.where(lags >= 0, inv[np.maximum(lags, 0)], 0.0)
+
+    def solve(lo, hi):
+        if hi - lo <= _LEAF:
+            k = hi - lo
+            q[lo:hi] = np.einsum("ij,j->i", leaf[:k, :k], int_f[lo:hi] - h * acc[lo:hi])
+            return
+        mid = lo + _LEAF * -(-(hi - lo) // (2 * _LEAF))  # the larger half of the leaves
+        solve(lo, mid)
+        carry(lo, mid, hi)
+        solve(mid, hi)
+
+    solve(_ORDER, n + 1)
     return q
 
 
@@ -926,9 +990,10 @@ def reflect_port2(grid2: ContinuumGrid, pulse: Pulse, t_final: float) -> Reflect
     # at t = 0 the interaction picture is the frame itself: this is S(t_final)
     s_final = prop.classes_at(coef, dark, t_final, 0.0)
 
-    ts = np.arange(0.0, t_final, min(0.05, t_final / 2000.0))
-    out_field = reconstruct_field(grid2, s_final, ts, t_ref=t_final)
-    in_field = reconstruct_field(grid2, s0, ts, t_ref=0.0)
+    step = min(0.05, t_final / 2000.0)
+    ts = np.arange(0.0, t_final, step)
+    out_field = _comb_field(grid2, s_final, -t_final, step, ts.size)
+    in_field = _comb_field(grid2, s0, 0.0, step, ts.size)
     out_norm = float(np.sum(np.abs(s_final) ** 2))
     delay = intensity_centroid(ts, out_field) - intensity_centroid(ts, in_field)
     return ReflectionResult(times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm,
@@ -955,8 +1020,8 @@ def port2_output_decomposition(traj: DiodeTrajectory) -> DecompositionResult:
 
     Each reservoir class tags an orthogonal output channel; its temporal
     mode is the comb resynthesis of its final S amplitudes at the cavity
-    position, sum_n U_ln Phi_n over the M bath-channel fields Phi_n, one
-    ``exp_sum`` each.  Only the channel fields are kept: the class Gram matrix
+    position, sum_n U_ln Phi_n over the M bath-channel fields Phi_n, all from
+    one ``comb_sum``.  Only the channel fields are kept: the class Gram matrix
     is U G U^H from the channels' G.  Reports the class weights, rho_out(t) =
     sum_l |Phi_l(t)|^2 = sum_n |Phi_n(t)|^2, the minimum pairwise overlap of
     the normalized modes among classes above ``_WEIGHT_FLOOR`` of the leading
@@ -965,7 +1030,7 @@ def port2_output_decomposition(traj: DiodeTrajectory) -> DecompositionResult:
     """
     final, bath = traj.final, traj.bath
     ts = np.arange(0.0, final.t, _SAMPLE_SPACING)
-    channels = np.array([reconstruct_field(traj.grid2, s, ts, t_ref=final.t) for s in final.s])
+    channels = _comb_field(traj.grid2, final.s, -final.t, _SAMPLE_SPACING, ts.size)
     w = np.full(ts.size, _SAMPLE_SPACING)
     w[0] = w[-1] = 0.5 * _SAMPLE_SPACING
     # U G U^H = U (U G)^H, as G is Hermitian

@@ -76,6 +76,8 @@ class Scenario:
     kind: str
     sections: dict  # section -> {key -> raw string}
     looked_up: set = field(default_factory=set, compare=False, repr=False)  # (section, key)
+    # what the kind's build returned when the text was parsed
+    inputs: Optional[SimpleNamespace] = field(default=None, compare=False, repr=False)
 
     def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
         self.looked_up.add((section, key))
@@ -134,7 +136,7 @@ def parse_scenario_text(text: str) -> Scenario:
     if kind not in KINDS:
         raise ScenarioError(f"scenario.kind: unknown kind {kind!r}; expected one of {KINDS}")
     sc = Scenario(name=name, kind=kind, sections=sections)
-    validate_scenario(sc)
+    sc.inputs = validate_scenario(sc)
     return sc
 
 
@@ -434,9 +436,11 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2), 0.02)
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    _guard("run.t_final", dio._quadrature_grid, grid1, dio._cavity2(grid2), spec, t_final, dt)
+    *_, steps = _guard("run.t_final", dio._quadrature_grid, grid1, dio._cavity2(grid2), spec,
+                       t_final, dt)
     return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
-                           grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt)
+                           grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt,
+                           quadrature_steps=steps)
 
 
 def _build_diode_markov(sc: Scenario) -> SimpleNamespace:

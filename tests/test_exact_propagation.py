@@ -12,7 +12,9 @@ trigamma, the scipy.sparse.kron construction of the master-equation generator,
 the propagation of all d^2 density-matrix entries that the reachable support replaced,
 the router's per-class bath filters and 8-point kernel sums that its bath channels and
 closed-form kernel replaced, a 16-point Gauss-Legendre rule for those kernel sums,
-and the per-level rules for the recorded steps that ``sample_steps`` replaced.
+the per-step solve for the cavity amplitude that its online FFT convolution replaced,
+long-double direct sums for the chirp-z comb sums, and the per-level rules for the
+recorded steps that ``sample_steps`` replaced.
 """
 
 import functools
@@ -60,11 +62,12 @@ from photonflow import (
     zeno_evolve,
 )
 from photonflow._integrate import (_BLOCK, _ExactPropagator, _arrowhead_eigensystem,
-                                   _block_slices, _comb_spacing, _polygamma, exp_sum,
-                                   sample_steps, steps_for, taylor_propagate)
-from photonflow.diode import (_GREGORY, _NODE_WEIGHTS, _NODES, _START, _BathChannels,
-                              _cavity2, _generator_norm, _interval_rule, _kernel_integrals,
-                              _quadrature_grid, _solve_cavity, intensity_centroid)
+                                   _block_slices, _comb_spacing, _polygamma, comb_sum, exp_sum,
+                                   fft_size, sample_steps, steps_for, taylor_propagate)
+from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
+                              _START_ITERATIONS, _BathChannels, _cavity2, _generator_norm,
+                              _interval_rule, _kernel_integrals, _quadrature_grid,
+                              _solve_cavity, intensity_centroid)
 from photonflow.lindblad import _superoperator
 from photonflow.scenario import parse_scenario_text, validate_scenario
 
@@ -710,6 +713,56 @@ def test_router_matches_taylor(t0, dt, t_final):
 # --- four-port router against its per-class filters -------------------------------------
 
 
+def solve_cavity_direct(int_f, kc, h):
+    """The memory-kernel solve for Q as it was before its online convolution: the
+    same start system for Q_1..Q_7, then each Q_j explicitly from the Gregory
+    weights, one step per grid point, O(n^2)."""
+    n = int_f.size - 1
+    order = _GREGORY.size
+    q = np.zeros(n + 1, dtype=complex)
+    j = np.arange(1, order)
+    lag = j[:, None] - j[None, :]
+    kl = h * _START[1:, 1:] * np.where(lag >= 0, kc[np.abs(lag)], -np.conj(kc[np.abs(lag)]))
+    for _ in range(_START_ITERATIONS):
+        q[1:order] = int_f[1:order] - np.einsum("jm,m->j", kl, q[1:order])
+    kmod = kc.copy()
+    kmod[1:order] *= 1.0 + _GREGORY[1:]
+    kmod_rev = kmod[::-1].copy()
+    # the start terms sum_m a_m Q_m kc_(j-m) of every j, by lo = n - j
+    start = np.einsum("i,ji->j", _GREGORY * q[:order],
+                      np.lib.stride_tricks.sliding_window_view(kc[::-1], order))
+    for j in range(order, n + 1):
+        lo = n - j
+        q[j] = int_f[j] - h * (np.einsum("i,i->", kmod_rev[lo:n], q[:j]) + start[lo])
+    return q
+
+
+def random_kernel(n, seed):
+    """int F and Kc on n + 1 points of a bath of 12 modes at random frequencies, with
+    h times the bound 5 on the frequencies and the kernel norm at 0.15."""
+    rng = np.random.default_rng(seed)
+    norm = 5.0
+    h = 0.15 / norm
+    t = np.arange(n + 1)[:, None] * h
+    freqs = rng.uniform(-0.5 * norm, 0.5 * norm, 12)
+    weights = rng.uniform(0.0, 1.0, 12)
+    weights *= 0.25 * norm**2 / weights.sum()
+    kc = np.sum(weights * (1.0 - np.exp(-1j * freqs * t)) / (1j * freqs), axis=1)
+    drive = rng.normal(size=5) + 1j * rng.normal(size=5)
+    int_f = np.sum(drive * (1.0 - np.exp(-1j * rng.uniform(-1.0, 1.0, 5) * t)), axis=1)
+    return int_f, kc, h
+
+
+@pytest.mark.parametrize("n", [20, 4264, 12000, _LEAF + 8, 2 * _LEAF + 7, 2 * _LEAF + 9],
+                         ids=["20", "4264", "12000", "one-leaf-and-one", "two-leaves",
+                              "two-leaves-and-two"])
+def test_solve_cavity_matches_direct_solve(n):
+    int_f, kc, h = random_kernel(n, seed=n)
+    q = _solve_cavity(int_f, kc, h)
+    ref = solve_cavity_direct(int_f, kc, h)
+    assert np.max(np.abs(q - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 def evolve_full_per_class(grid1, grid2, spec, p0, t_final, dt):
     """The router as it was before its bath channels and closed-form kernel sums:
     int F and Kc from the 8-point rule in each step over all four sums, and every
@@ -726,8 +779,8 @@ def evolve_full_per_class(grid1, grid2, spec, p0, t_final, dt):
         step_f += w * exp_sum(-d1, -1j * k1 * p0, t)
         gw = exp_sum(-c2.roots, c2.inv_norm**2, t) * exp_sum(om, np.ones(f), t)
         step_k += w * (k1 * k1 * exp_sum(-d1, np.ones(n1), t) + spec.coupling_sq * gw)
-    q = _solve_cavity(np.concatenate(([0], np.cumsum(h * step_f))),
-                      np.concatenate(([0], np.cumsum(h * step_k))), h)
+    q = solve_cavity_direct(np.concatenate(([0], np.cumsum(h * step_f))),
+                            np.concatenate(([0], np.cumsum(h * step_k))), h)
 
     v0 = c2.inv_norm
     freqs = np.concatenate((d1, (c2.roots[None, :] - om[:, None]).ravel()))
@@ -808,6 +861,18 @@ def test_router_matches_per_class_filters(eps_max, channels):
     # R ends near zero, so it is held to its peak over the run
     assert np.max(np.abs(classes(final.r) - r)) <= 2e-12 * np.sqrt(np.max(pops[2]))
     assert np.max(np.abs(classes(final.s) - s)) <= 2e-12 * np.max(np.abs(s))
+
+
+def test_solve_cavity_matches_direct_solve_on_the_router_kernel():
+    c = validate_scenario(parse_scenario_text(ROUTER_BENCHMARK))
+    p0 = project_pulse(c.grid1, c.pulse)
+    c2 = _cavity2(c.grid2)
+    _, _, _, h, n = _quadrature_grid(c.grid1, c2, c.spec, c.t_final, c.dt)
+    bath = _BathChannels.build(c.spec.frequencies(), c.t_final)
+    int_f, kc = _kernel_integrals(c.grid1, c.spec, p0, c2, bath, h, n)
+    assert n == 7104
+    ref = solve_cavity_direct(int_f, kc, h)
+    assert np.max(np.abs(_solve_cavity(int_f, kc, h) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def port2_output_decomposition_phase_matrix(traj):
@@ -1064,3 +1129,85 @@ def test_sample_steps_matches_every_rule_it_replaced(rule):
     for nsteps in range(1, 60):
         for stride in range(1, 70):
             assert sample_steps(nsteps, stride) == rule(nsteps, stride), (nsteps, stride)
+
+
+# --- chirp-z sums over a uniform comb ---------------------------------------------------
+
+
+def comb_sum_long_double(f0, df, weights, t0, h, js):
+    """sum_k weights_k exp(i (f0 + k df)(t0 + j h)) at the samples ``js``, every phase
+    and its cosine and sine in long double."""
+    ld = np.longdouble
+    freqs = ld(f0) + np.arange(weights.size).astype(ld) * ld(df)
+    out = np.empty(len(js), dtype=complex)
+    for i, j in enumerate(js):
+        phase = freqs * (ld(t0) + ld(int(j)) * ld(h))
+        out[i] = np.sum(weights * (np.cos(phase) + 1j * np.sin(phase)).astype(complex))
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is not extended")
+@pytest.mark.parametrize("n_q, delta_max, n_t, t0, h", [
+    (8800, 60.0, 8010, -400.5, 0.05),  # the shipped reflection's out field
+    (8800, 60.0, 8010, 0.0, 0.05),  # and its in field
+    (400, 2.5, 20505, 0.0, 0.02),  # the shipped router's port-1 integrals, m^2 up to 4.2e8
+    (400, 2.5, 4100, -410.0, 0.1),  # the shipped router's channel fields
+    (2400, 45.0, 1720, -86.0, 0.05),  # the benchmark's reflection
+], ids=["reflection-out", "reflection-in", "mode-integrals", "channel-fields",
+        "benchmark-reflection"])
+def test_comb_sum_matches_long_double_sum(n_q, delta_max, n_t, t0, h):
+    grid = ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=1.0)
+    d = grid.detunings()
+    rng = np.random.default_rng(n_q + n_t)
+    weights = np.exp(-(d / (0.1 * delta_max)) ** 2) * np.exp(2j * np.pi * rng.random(n_q))
+    f0, df = 0.5 * (n_q - 1) * grid.spacing, -grid.spacing
+    js = np.unique(np.linspace(0, n_t - 1, 61).astype(int))
+    ref = comb_sum_long_double(f0, df, weights, t0, h, js)
+    scale = np.max(np.abs(ref))
+    err = np.max(np.abs(comb_sum(f0, df, weights, t0, h, n_t)[js] - ref)) / scale
+    times = t0 + np.arange(n_t) * h
+    err_exp_sum = np.max(np.abs(exp_sum(-d, weights, times)[js] - ref)) / scale
+    assert err <= max(err_exp_sum, 3e-12)
+    # the phases reduced exactly leave the FFTs' roundoff, about 1e-15 here; phases
+    # rounded once at their full size (up to 2.4e4 rad) erred by up to 1.6e-12
+    assert err <= 2e-14
+
+
+@pytest.mark.parametrize("n_q, n_t", [(1, 1), (1, 2), (1, 40), (7, 1), (7, 2), (160, 2)])
+def test_comb_sum_edge_sizes_match_direct_sum(n_q, n_t):
+    rng = np.random.default_rng(n_q * 100 + n_t)
+    weights = rng.normal(size=n_q) + 1j * rng.normal(size=n_q)
+    f0, df, t0, h = 1.3, -0.05, -2.5, 0.37
+    freqs = f0 + np.arange(n_q) * df
+    dense = np.exp(1j * np.outer(t0 + np.arange(n_t) * h, freqs)) @ weights
+    got = comb_sum(f0, df, weights, t0, h, n_t)
+    assert got.shape == (n_t,)
+    assert np.max(np.abs(got - dense)) <= 1e-14 * np.sum(np.abs(weights))
+
+
+def test_comb_sum_rows_are_separate_sums():
+    rng = np.random.default_rng(5)
+    weights = rng.normal(size=(3, 50)) + 1j * rng.normal(size=(3, 50))
+    rows = comb_sum(0.7, 0.02, weights, 1.0, 0.3, 90)
+    for w, row in zip(weights, rows):
+        one = comb_sum(0.7, 0.02, w, 1.0, 0.3, 90)
+        assert np.max(np.abs(row - one)) <= 1e-14 * np.sum(np.abs(w))
+
+
+def test_reconstruct_field_rejects_nonuniform_times():
+    grid = ContinuumGrid(n_q=16, delta_max=2.0, gamma=1.0)
+    with pytest.raises(InvalidInput):
+        reconstruct_field(grid, np.ones(16), np.array([0.0, 1.0, 3.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 100, 101, 7104, 20504, 128024])
+def test_fft_size_is_the_next_5_smooth_length(n):
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    size = fft_size(n)
+    assert size >= n and smooth(size)
+    assert not any(smooth(m) for m in range(n, size))

@@ -845,6 +845,19 @@ def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
     assert float(derived["t_final"]) == 74.0 and int(derived["bath_channels"]) == 11
 
 
+def test_validate_states_the_quadrature_steps_of_a_diode_full_run(tmp_path, capsys):
+    # the coupling sets the generator norm and with it the step: 40 takes 29 times the
+    # 4444 steps of the target-rate file
+    path = write(tmp_path, "router.ini",
+                 ROUTER_SCENARIO.replace("target_gamma = 1.0", "coupling = 40"))
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out.splitlines() == ["OK: router (DiodeFull)",
+                                                    "quadrature_steps = 128024"]
+    path = write(tmp_path, "lindblad.ini", LINDBLAD_SCENARIO)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out.splitlines() == ["OK: transfer (LindbladTransfer)"]
+
+
 def test_reflection_run_records_secular_iterations(tmp_path):
     path = tmp_path / "reflection.ini"
     path.write_text(REFLECTION_SCENARIO)
