@@ -112,6 +112,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -412,8 +413,10 @@ def _screen_grid(grid: ContinuumGrid, pulse: Pulse, t_final: float, label: str) 
     _check_window(grid, t_final, label)
 
 
+@lru_cache(maxsize=1)
 def _cavity2(grid2: ContinuumGrid) -> _Eigensystem:
-    """Eigenpairs of the bare cavity-2 arrowhead C2: poles d2, border k2."""
+    """Eigenpairs of the bare cavity-2 arrowhead C2: poles d2, border k2, solved
+    once for consecutive calls on one grid (a build and its run)."""
     return _arrowhead_eigensystem(grid2.detunings(), np.full(grid2.n_q, grid2.kappa))
 
 

@@ -305,9 +305,9 @@ def purification_predicate(rho0: DensityMatrix) -> PurificationReport:
     if not pure:
         return PurificationReport(False, purity, None, None, fin)
 
-    vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-    lead = vecs[:, -1]
-    beta = np.sqrt(max(vals[-1], 0.0)) * lead.conj()
+    # row p of conj(beta) beta^T is conj(beta[p]) beta; take beta[p] real at the largest |beta[p]|
+    p = int(np.argmax(block.diagonal().real))
+    beta = block[p] / np.sqrt(block[p, p].real)
     defect = float(np.max(np.abs(block - np.outer(beta.conj(), beta))))
     if defect > _WITNESS_TOL:
         raise InvalidInput(

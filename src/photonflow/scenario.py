@@ -38,7 +38,9 @@ Every kind is one ``_Kind`` record in ``_KINDS``: a build that reads its
 keys into typed inputs and runs every configuration check, and a runner
 that works only on those inputs.  The keys a build reads are the kind's
 schema; the results its runner returns, in their order, are what the
-command line prints and what a scan summarizes.
+command line prints and what a scan summarizes.  A ``Scenario`` is built
+once, when it is made, and carries that build as ``inputs``; a run
+runs it.  A runner returns each CSV as its named columns, in order.
 """
 
 from __future__ import annotations
@@ -76,8 +78,11 @@ class Scenario:
     kind: str
     sections: dict  # section -> {key -> raw string}
     looked_up: set = field(default_factory=set, compare=False, repr=False)  # (section, key)
-    # what the kind's build returned when the text was parsed
-    inputs: Optional[SimpleNamespace] = field(default=None, compare=False, repr=False)
+    # the kind's build of these sections, made with the record; a run runs it
+    inputs: SimpleNamespace = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.inputs = validate_scenario(self)
 
     def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
         self.looked_up.add((section, key))
@@ -135,9 +140,7 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ScenarioError(f"scenario.name: must be a single path component, got {name!r}")
     if kind not in KINDS:
         raise ScenarioError(f"scenario.kind: unknown kind {kind!r}; expected one of {KINDS}")
-    sc = Scenario(name=name, kind=kind, sections=sections)
-    sc.inputs = validate_scenario(sc)
-    return sc
+    return Scenario(name, kind, sections)
 
 
 def parse_scenario(path) -> Scenario:
@@ -481,7 +484,7 @@ class RunOutcome:
     results: dict = field(default_factory=dict)
     invariants: dict = field(default_factory=dict)
     invariant_failures: list = field(default_factory=list)
-    csv_files: list = field(default_factory=list)  # (filename, header, rows)
+    tables: dict = field(default_factory=dict)  # CSV file name -> {column: values}
 
 
 def _fmt(x) -> str:
@@ -515,17 +518,17 @@ def _evolve_master(c: SimpleNamespace) -> lindblad.EvolutionResult:
     return lindblad.evolve(c.model, c.rho0, c.t_final, dt=c.dt, snapshot_stride=c.stride)
 
 
-def _transfer_timeseries(res: lindblad.EvolutionResult) -> tuple:
-    columns = ["pop_mode1", "pop_mode2", "purity", "trace"]
-    rows = zip(res.times, *(res.observables[k] for k in columns))
-    return ("timeseries.csv", ["t"] + columns, rows)
+def _transfer_timeseries(res: lindblad.EvolutionResult) -> dict:
+    obs = res.observables
+    return {"t": res.times, "pop_mode1": obs["pop_mode1"], "pop_mode2": obs["pop_mode2"],
+            "purity": obs["purity"], "trace": obs["trace"]}
 
 
 def _run_lindblad_transfer(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
     out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
     _master_report(out, res)
-    out.csv_files.append(_transfer_timeseries(res))
+    out.tables["timeseries.csv"] = _transfer_timeseries(res)
     out.results = {
         "pop_mode1_final": res.observables["pop_mode1"][-1],
         "pop_mode2_final": res.observables["pop_mode2"][-1],
@@ -543,7 +546,7 @@ def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
         out.derived["witness_abs"] = " ".join(_fmt(a) for a in np.abs(report.witness))
     _master_report(out, res)
     _check(out, "evolve_vs_map_distance", dist, dist <= 1e-4)
-    out.csv_files.append(_transfer_timeseries(res))
+    out.tables["timeseries.csv"] = _transfer_timeseries(res)
     out.results = {
         "map_purity": report.purity,
         "pure": float(report.pure),
@@ -561,7 +564,7 @@ def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
     rate, residual = reservoir.fit_decay_rate(
         res.times, np.maximum(fid, 1e-300), (res.times[0], res.times[-1])
     )
-    out.csv_files.append(("timeseries.csv", ["t", "fidelity"], zip(res.times, fid)))
+    out.tables["timeseries.csv"] = {"t": res.times, "fidelity": fid}
     out.results = {
         "fidelity_final": fid[-1],
         "fidelity_min": float(fid.min()),
@@ -584,9 +587,7 @@ def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
     gamma_fit, residual = reservoir.fit_decay_rate(traj.times, traj.survival, c.window)
     _check(out, "norm_drift", drift, drift <= 1e-9 * max(1.0, c.t_final))
     idx = [0] + sample_steps(traj.times.size - 1, c.stride)
-    out.csv_files.append(
-        ("timeseries.csv", ["t", "survival"], zip(traj.times[idx], traj.survival[idx]))
-    )
+    out.tables["timeseries.csv"] = {"t": traj.times[idx], "survival": traj.survival[idx]}
     out.results.update(gamma_fit=gamma_fit, fit_residual=residual,
                        survival_final=traj.survival[-1])
     return out
@@ -603,11 +604,8 @@ def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
     # a reservoir too weakly coupled to decay on the window leaves no rate to compare with
     _check(out, "gamma_free_positive", gamma_free, gamma_free > 0.0)
     ratios = [r.gamma_eff / gamma_free if gamma_free > 0.0 else math.nan for r in results]
-    rows = []
-    for i, (r, ratio) in enumerate(zip(results, ratios)):
-        rows.append((r.tau_m, r.gamma_eff, ratio, r.fit_residual))
-        nonneg = r.gamma_eff >= 0.0
-        _check(out, f"gamma_eff_nonnegative_{i}", r.gamma_eff, nonneg)
+    for i, r in enumerate(results):
+        _check(out, f"gamma_eff_nonnegative_{i}", r.gamma_eff, r.gamma_eff >= 0.0)
         s = r.survival
         _check(out, f"survival_monotone_{i}", float(np.max(np.diff(s))), bool(np.all(np.diff(s) <= 1e-12)))
     # rate non-increasing as the measurement period shrinks
@@ -616,9 +614,12 @@ def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
         ordered[i].gamma_eff >= ordered[i + 1].gamma_eff - 1e-12
         for i in range(len(ordered) - 1)
     )
-    out.csv_files.append(
-        ("summary.csv", ["tau_m", "gamma_eff", "ratio_to_free", "fit_residual"], rows)
-    )
+    out.tables["summary.csv"] = {
+        "tau_m": [r.tau_m for r in results],
+        "gamma_eff": [r.gamma_eff for r in results],
+        "ratio_to_free": ratios,
+        "fit_residual": [r.fit_residual for r in results],
+    }
     out.results = {
         "gamma_free": gamma_free,
         "gamma_eff_min": min(r.gamma_eff for r in results),
@@ -638,18 +639,12 @@ def _run_interference(c: SimpleNamespace) -> RunOutcome:
     most = float(np.max(surv))
     _check(out, "survival_at_most_one", most, most <= 1.0 + 1e-9)
     idx = [0] + sample_steps(traj.times.size - 1, c.stride)
-    out.csv_files.append(
-        (
-            "timeseries.csv",
-            ["t", "survival_total", "pop_a", "pop_b"],
-            zip(
-                traj.times[idx],
-                surv[idx],
-                np.abs(traj.c0[idx]) ** 2,
-                np.abs(traj.c0p[idx]) ** 2,
-            ),
-        )
-    )
+    out.tables["timeseries.csv"] = {
+        "t": traj.times[idx],
+        "survival_total": surv[idx],
+        "pop_a": np.abs(traj.c0[idx]) ** 2,
+        "pop_b": np.abs(traj.c0p[idx]) ** 2,
+    }
     out.results = {"survival_final": surv[-1], "survival_min": float(surv.min())}
     return out
 
@@ -690,13 +685,8 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
     _check(out, "cavity_residual", traj.cavity1[-1] + traj.mode2[-1],
            traj.cavity1[-1] + traj.mode2[-1] <= 1e-4)
     _check(out, "completeness", dec.completeness, abs(dec.completeness - 1.0) <= 1e-6)
-    out.csv_files.append(
-        (
-            "timeseries.csv",
-            ["t", "port1", "cavity1", "mode2_atoms", "port2"],
-            zip(traj.times, traj.port1, traj.cavity1, traj.mode2, traj.port2),
-        )
-    )
+    out.tables["timeseries.csv"] = {"t": traj.times, "port1": traj.port1, "cavity1": traj.cavity1,
+                                    "mode2_atoms": traj.mode2, "port2": traj.port2}
     out.results = {
         "leakage": traj.port1[-1],
         "port2_yield": traj.port2[-1],
@@ -731,19 +721,13 @@ def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
     }
     _port_invariants(out, list(out.results.values()), mk.leakage, mk.yield_convolved)
     idx = [0] + sample_steps(mk.times.size - 1, c.stride)
-    out.csv_files.append(
-        (
-            "timeseries.csv",
-            ["t", "q_abs2", "phi_out1_abs2", "rho_out", "phi_out2_abs2"],
-            zip(
-                mk.times[idx],
-                np.abs(mk.q[idx]) ** 2,
-                np.abs(mk.phi_out1[idx]) ** 2,
-                mk.rho_out[idx],
-                np.abs(mk.phi_out2[idx]) ** 2,
-            ),
-        )
-    )
+    out.tables["timeseries.csv"] = {
+        "t": mk.times[idx],
+        "q_abs2": np.abs(mk.q[idx]) ** 2,
+        "phi_out1_abs2": np.abs(mk.phi_out1[idx]) ** 2,
+        "rho_out": mk.rho_out[idx],
+        "phi_out2_abs2": np.abs(mk.phi_out2[idx]) ** 2,
+    }
     return out
 
 
@@ -752,13 +736,8 @@ def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
     out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2,
                               "secular_iterations": ref.secular_iterations})
     _check(out, "out_norm", ref.out_norm, abs(ref.out_norm - 1.0) <= 1e-8)
-    out.csv_files.append(
-        (
-            "timeseries.csv",
-            ["t", "out_intensity", "in_intensity"],
-            zip(ref.times, np.abs(ref.out_field) ** 2, np.abs(ref.in_field) ** 2),
-        )
-    )
+    out.tables["timeseries.csv"] = {"t": ref.times, "out_intensity": np.abs(ref.out_field) ** 2,
+                                    "in_intensity": np.abs(ref.in_field) ** 2}
     out.results = {"out_norm": ref.out_norm, "delay": ref.delay}
     return out
 
@@ -766,11 +745,10 @@ def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
 def _run_impedance_scan(c: SimpleNamespace) -> RunOutcome:
     rows = dio.impedance_scan(c.gamma, c.gamma2, c.pulse, c.ratios, c.t_final, c.dt)
     out = RunOutcome(derived={"t_final": c.t_final})
-    table = np.array(rows)
-    _port_invariants(out, table, table[:, 1], table[:, 2])
-    out.csv_files.append(
-        ("summary.csv", ["gamma1_over_gamma", "leakage", "port2_yield"], rows)
-    )
+    ratio, leakage, port2_yield = np.array(rows).T
+    _port_invariants(out, rows, leakage, port2_yield)
+    out.tables["summary.csv"] = {"gamma1_over_gamma": ratio, "leakage": leakage,
+                                 "port2_yield": port2_yield}
     best = min(rows, key=lambda r: r[1])
     out.results = {"best_ratio": best[0], "min_leakage": best[1]}
     return out
@@ -809,14 +787,14 @@ _ALWAYS_ACCEPTED = {("scenario", "name"), ("scenario", "kind"), ("output", "dir"
 
 
 def validate_scenario(sc: Scenario) -> SimpleNamespace:
-    """Build, then reject every section and key the build did not read.
+    """Build ``sc``, then reject every section and key the build did not read.
 
     The build parses every value and runs every configuration check a
     run would make; its result is what the kind's runner receives.
     """
-    probe = Scenario(sc.name, sc.kind, sc.sections)  # only the build's lookups count
-    inputs = _KINDS[sc.kind].build(probe)
-    accepted = probe.looked_up | _ALWAYS_ACCEPTED
+    sc.looked_up.clear()  # only this build's lookups count
+    inputs = _KINDS[sc.kind].build(sc)
+    accepted = sc.looked_up | _ALWAYS_ACCEPTED
     known_sections = {section for section, _ in accepted}
     for section, kv in sc.sections.items():
         if section not in known_sections:
@@ -831,10 +809,11 @@ def validate_scenario(sc: Scenario) -> SimpleNamespace:
 # outputs
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, table: dict) -> None:
+    """The column names as the header, then one row per entry of the columns."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(table) + "\n")
+        for row in zip(*table.values()):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
@@ -870,22 +849,20 @@ def _write_manifest(path: Path, sc: Scenario, outcome: RunOutcome, wall: float, 
 
 
 def run_scenario(sc: Scenario, outdir) -> RunOutcome:
-    """Execute one scenario and write its outputs under ``outdir``.
+    """Execute one scenario's build and write its outputs under ``outdir``.
 
     The manifest is written only when the run completes; invariant
     failures are recorded in it and then raised as InvariantViolation.
     """
     start = time.perf_counter()
-    outcome = _KINDS[sc.kind].run(validate_scenario(sc))
+    outcome = _KINDS[sc.kind].run(sc.inputs)
     wall = time.perf_counter() - start
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for fname, header, rows in outcome.csv_files:
-        _write_csv(out / fname, header, rows)
-        files.append(fname)
-    _write_manifest(out / "manifest.ini", sc, outcome, wall, files + ["manifest.ini"])
+    for fname, table in outcome.tables.items():
+        _write_csv(out / fname, table)
+    _write_manifest(out / "manifest.ini", sc, outcome, wall, [*outcome.tables, "manifest.ini"])
     if outcome.invariant_failures:
         raise InvariantViolation(
             f"scenario {sc.name!r}: invariant checks failed: "
@@ -903,12 +880,12 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     """Run one scenario per axis value; return the ``(value, results)`` pairs.
 
     ``axis`` is ``section.key`` and must name a numeric scalar in the
-    scenario.  At least one value is needed, and every point is validated
+    scenario.  At least one value is needed, and every point is built
     before any point runs, so a configuration error leaves nothing
-    written.  ``scan_summary.csv`` has the axis and the first point's
-    result names as its header; rows appear in the order of ``values``
-    regardless of execution order, and each row is identical to an
-    independent run of the modified scenario.
+    written; each worker runs the build it is sent.  ``scan_summary.csv``
+    has the axis and the first point's result names as its header; rows
+    appear in the order of ``values`` regardless of execution order, and
+    each row is identical to an independent run of the modified scenario.
     """
     if "." not in axis:
         raise ScenarioError(f"axis must be 'section.key', got {axis!r}")
@@ -922,10 +899,10 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     values = [_as_float(axis, str(v)) for v in values]
     if not values:
         raise ScenarioError(f"axis {axis}: no scan values given")
-    points = [sc.with_override(section, key, _fmt(v)) for v in values]
-    for value, point in zip(values, points):
+    points = []
+    for value in values:
         try:
-            validate_scenario(point)
+            points.append(sc.with_override(section, key, _fmt(value)))
         except (ScenarioError, ConfigurationError, InvalidInput) as exc:
             raise ScenarioError(f"scan point {axis} = {_fmt(value)}: {exc}")
 
@@ -943,6 +920,6 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
         rows = [_scan_point(t) for t in tasks]
     # the points differ only in one number, so they share the kind, the
     # spectrum and with them the result names
-    header = [axis] + list(rows[0][1])
-    _write_csv(out / "scan_summary.csv", header, ([v, *res.values()] for v, res in rows))
+    _write_csv(out / "scan_summary.csv",
+               {axis: values, **{name: [res[name] for _, res in rows] for name in rows[0][1]}})
     return rows

@@ -260,6 +260,29 @@ def test_predicate_witness_factorizes_output():
     assert report.witness_defect <= 1e-9
 
 
+def eigh_witness(block):
+    """The witness from the leading eigenpair of the block's Hermitian part."""
+    vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+    return np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1].conj()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_predicate_witness_matches_eigh_witness(seed):
+    # mode 1 in vacuum: the map is the identity, and the block is phi phi^dagger
+    rng = np.random.default_rng(seed)
+    d2 = 2 + seed
+    sp = ModeSpace([2, d2])
+    phi = rng.normal(size=d2) + 1j * rng.normal(size=d2)
+    phi /= np.linalg.norm(phi)
+    report = purification_predicate(DensityMatrix.from_state_vector(sp, np.kron([1.0, 0.0], phi)))
+    assert report.pure
+    block = report.final_state.matrix.reshape(2, d2, 2, d2)[0, :, 0, :]
+    ref = eigh_witness(block)
+    overlap = np.vdot(report.witness, ref)
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(report.witness * overlap / abs(overlap) - ref)) <= 1e-12
+
+
 # --- interference dark state ------------------------------------------------
 
 

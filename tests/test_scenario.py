@@ -326,6 +326,34 @@ def test_scan_parallel_matches_serial(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_file_and_scan_point_is_built_once(tmp_path, monkeypatch, jobs):
+    # the count is kept in a file, so that builds in forked scan workers count too
+    from photonflow import scenario as sc_mod
+
+    log = tmp_path / "builds.log"
+    kind = sc_mod._KINDS["LindbladTransfer"]
+    build = kind.build
+
+    def counted_build(sc):
+        with open(log, "a") as fh:
+            fh.write("build\n")
+        return build(sc)
+
+    def builds(*argv):
+        log.write_text("")
+        assert main(list(argv)) == 0
+        return len(log.read_text().splitlines())
+
+    monkeypatch.setattr(kind, "build", counted_build)
+    path = write(tmp_path, "sc.ini", LINDBLAD_SCENARIO)
+    assert builds("validate", path) == 1
+    assert builds("run", path, "--out", str(tmp_path / "run")) == 1
+    # the file once, then each of the three points once; the workers build nothing
+    assert builds("scan", path, "--axis", "model.gamma", "--values", "0.5,1,2",
+                  "--out", str(tmp_path / "scan"), "--jobs", str(jobs)) == 4
+
+
 # --- command line ----------------------------------------------------------------
 
 
@@ -817,28 +845,20 @@ def _derived(out: Path) -> configparser.SectionProxy:
 
 
 def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
-    # the parse and the run each build the scenario, and evolve_full solves C2 once
-    inside = []  # one entry while evolve_full runs
-    calls = []  # per secular solve: whether evolve_full made it
-    solve, evolve = diode._arrowhead_eigensystem, diode.evolve_full
+    # the parse builds the scenario once, and evolve_full reuses the build's C2
+    calls = []
+    solve = diode._arrowhead_eigensystem
 
     def counted_solve(poles, z):
-        calls.append(bool(inside))
+        calls.append(poles)
         return solve(poles, z)
 
-    def counted_evolve(*args, **kwargs):
-        inside.append(True)
-        try:
-            return evolve(*args, **kwargs)
-        finally:
-            inside.pop()
-
+    diode._cavity2.cache_clear()
     monkeypatch.setattr(diode, "_arrowhead_eigensystem", counted_solve)
-    monkeypatch.setattr(diode, "evolve_full", counted_evolve)
     path = tmp_path / "router.ini"
     path.write_text(ROUTER_SCENARIO)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) <= 3 and calls.count(True) == 1
+    assert len(calls) == 1
     derived = _derived(tmp_path / "out")
     assert 0 < int(derived["secular_iterations"]) <= 8
     # x = eps_max t_final / 2 = 0.074 cuts the Taylor series of the 40 classes at 11 terms
