@@ -112,15 +112,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._integrate import (_arrowhead_eigensystem, _Eigensystem, _ExactPropagator, comb_sum,
-                         exp_sum, fft_size, sample_steps, steps_for)
+from ._integrate import (_MAX_COUNT, _arrowhead_eigensystem, _Eigensystem, _ExactPropagator,
+                         comb_sum, exp_sum, fft_size, sample_steps, steps_for)
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -176,6 +176,11 @@ class ContinuumGrid:
     def detunings(self) -> np.ndarray:
         q = np.arange(self.n_q, dtype=float)
         return (q - 0.5 * (self.n_q - 1)) * self.spacing
+
+    @cached_property
+    def cavity(self) -> _Eigensystem:
+        """The bare cavity's arrowhead eigenpairs (C2 on port 2), kept with the grid."""
+        return _arrowhead_eigensystem(self.detunings(), np.full(self.n_q, self.kappa))
 
 
 @dataclass(frozen=True)
@@ -405,19 +410,6 @@ def _check_window(grid: ContinuumGrid, t_final: float, label: str) -> None:
             f"{label} comb recurrence {grid.recurrence_time:.4g} is inside the "
             f"simulation window {t_final:.4g}; increase n_q or decrease delta_max"
         )
-
-
-def _screen_grid(grid: ContinuumGrid, pulse: Pulse, t_final: float, label: str) -> None:
-    """The comb guards of project_pulse and the propagators, before any propagation."""
-    _check_bandwidth(grid, pulse)
-    _check_window(grid, t_final, label)
-
-
-@lru_cache(maxsize=1)
-def _cavity2(grid2: ContinuumGrid) -> _Eigensystem:
-    """Eigenpairs of the bare cavity-2 arrowhead C2: poles d2, border k2, solved
-    once for consecutive calls on one grid (a build and its run)."""
-    return _arrowhead_eigensystem(grid2.detunings(), np.full(grid2.n_q, grid2.kappa))
 
 
 def _generator_norm(grid1: ContinuumGrid, c2: _Eigensystem, spec: ReservoirSpec) -> float:
@@ -778,7 +770,7 @@ def evolve_full(
         raise InvalidInput("initial amplitudes do not match the port-1 grid")
     _check_window(grid1, t_final, "port-1")
     _check_window(grid2, t_final, "port-2")
-    c2 = _cavity2(grid2)
+    c2 = grid2.cavity
     steps, dt, marks, h, n = _quadrature_grid(grid1, c2, spec, t_final, dt)
     bath = _BathChannels.build(spec.frequencies(), t_final)
     int_f, kc = _kernel_integrals(grid1, spec, p0, c2, bath, h, n)
@@ -972,12 +964,21 @@ def intensity_centroid(times: np.ndarray, field: np.ndarray) -> float:
     return float(np.trapezoid(times * w, times) / total)
 
 
-def reflect_port2(grid2: ContinuumGrid, pulse: Pulse, t_final: float) -> ReflectionResult:
+def _reflection_samples(t_final: float) -> tuple[float, int]:
+    """Step and count of the reflected fields' samples before t_final, at most 2^26."""
+    step = min(0.05, t_final / 2000.0)
+    if not (step > 0.0 and t_final / step <= _MAX_COUNT):
+        raise ConfigurationError(f"t_final = {t_final:.3g} needs over 2^26 samples of {step:.3g}")
+    return step, math.ceil(t_final / step)
+
+
+def reflect_port2(grid2: ContinuumGrid, s0: np.ndarray, t_final: float) -> ReflectionResult:
     """Single photon in port 2 bouncing off the empty cavity.
 
-    With the reservoir in its ground state nothing couples mode 2 to
-    mode 1, so the dynamics involves only the port-2 comb S_q and the
-    bare cavity mode C, which loses photons into it at ``grid2.gamma``:
+    ``s0`` holds its comb amplitudes at t = 0 (``project_pulse``).  With
+    the reservoir in its ground state nothing couples mode 2 to mode 1, so
+    the dynamics involves only the port-2 comb S_q and the bare cavity
+    mode C, which loses photons into it at ``grid2.gamma``:
 
         dS_q/dt = -i d_q S_q - i kappa C,   dC/dt = -i kappa sum_q S_q.
 
@@ -986,17 +987,16 @@ def reflect_port2(grid2: ContinuumGrid, pulse: Pulse, t_final: float) -> Reflect
     eigenpairs without stepping.  The output keeps unit norm; the delay is
     the centroid shift of the reflected intensity against free propagation.
     """
-    _screen_grid(grid2, pulse, t_final, "port-2")
-    s0 = project_pulse(grid2, pulse)
+    _check_window(grid2, t_final, "port-2")
+    step, n = _reflection_samples(t_final)
     prop = _ExactPropagator(-grid2.detunings(), grid2.kappa)
     coef, dark = prop.modes(0.0, s0)
     # at t = 0 the interaction picture is the frame itself: this is S(t_final)
     s_final = prop.classes_at(coef, dark, t_final, 0.0)
 
-    step = min(0.05, t_final / 2000.0)
-    ts = np.arange(0.0, t_final, step)
-    out_field = _comb_field(grid2, s_final, -t_final, step, ts.size)
-    in_field = _comb_field(grid2, s0, 0.0, step, ts.size)
+    ts = np.arange(n) * step
+    out_field = _comb_field(grid2, s_final, -t_final, step, n)
+    in_field = _comb_field(grid2, s0, 0.0, step, n)
     out_norm = float(np.sum(np.abs(s_final) ** 2))
     delay = intensity_centroid(ts, out_field) - intensity_centroid(ts, in_field)
     return ReflectionResult(times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm,

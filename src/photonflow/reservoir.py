@@ -34,15 +34,15 @@ of a secular equation).  The survival amplitude of the excited upper mode
 is c0(t) = sum_k w_k exp(i kappa_k t) over the eigenvalues kappa_k, with
 weights w_k = 1 / (1 + |g_c|^2 sum_l (kappa_k - omega_l)^-2).  The time
 step ``dt`` only sets the sampling grid, and no BLAS call is on the data
-path, so the results do not depend on the BLAS thread count.  The
-eigensystem of the last reservoir seen is kept, so a free run and a Zeno
-scan of the same reservoir solve the secular equation once.
+path, so the results do not depend on the BLAS thread count.  A spec keeps
+its eigensystem (``propagator``, solved on first use), so a free run and
+a Zeno scan of one spec solve the secular equation once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,6 +123,11 @@ class ReservoirSpec:
     def coupling_sq(self) -> float:
         g = abs(self.coupling)
         return float(g * g)  # inf, not an OverflowError, past the float range
+
+    @cached_property
+    def propagator(self) -> _ExactPropagator:
+        """The eigensystem of the arrowhead K, solved on first use and kept with the spec."""
+        return _ExactPropagator(self.frequencies(), self.coupling)
 
 
 @dataclass
@@ -255,12 +260,6 @@ def _check_dt(spec: ReservoirSpec, dt: float) -> None:
         )
 
 
-@lru_cache(maxsize=1)
-def _propagator(spec: ReservoirSpec) -> _ExactPropagator:
-    """The reservoir's eigensystem, built once for consecutive calls on one spec."""
-    return _ExactPropagator(spec.frequencies(), spec.coupling)
-
-
 def _sampled_evolution(
     prop: _ExactPropagator,
     c0: complex,
@@ -305,7 +304,7 @@ def evolve_exact(
     nsteps, dt = steps_for(t_final, dt)
     steps = sample_steps(nsteps, snapshot_stride) if snapshot_stride else []
     upper, snaps = _sampled_evolution(
-        _propagator(spec), state0.c0, state0.c, state0.t, nsteps, dt, steps
+        spec.propagator, state0.c0, state0.c, state0.t, nsteps, dt, steps
     )
     times = state0.t + np.arange(nsteps + 1) * dt
     snapshots = [(times[j], c0, c) for j, (c0, c) in zip(steps, snaps)]
@@ -359,7 +358,8 @@ def zeno_evolve(
     Every tau_m the reservoir is measured; conditioned on the
     no-excitation outcome the reservoir amplitudes are reset and the
     cumulative no-decay probability is multiplied by |c0|^2 / norm.
-    The effective rate is the exponential fit of the cumulative curve.
+    The effective rate is the exponential fit of the cumulative curve (nan
+    with its residual when the curve underflows to 0).
 
     A reset leaves the reservoir empty and the upper amplitude a pure
     phase, and the frame of the module docstring makes the generator
@@ -376,7 +376,7 @@ def zeno_evolve(
     if state.c.size != spec.f:
         raise InvalidInput("state has a different number of reservoir classes than the spec")
 
-    prop = _propagator(spec)
+    prop = spec.propagator
     eig = prop.eig
     coef, _ = prop.modes(state.c0, prop.to_frame(state.c, state.t))
     p_first = abs(exp_sum(eig.roots, coef * eig.inv_norm, [tau_m])[0]) ** 2 / state.norm_sq()
@@ -387,7 +387,8 @@ def zeno_evolve(
     cumulative[0] = 1.0
     cumulative[1:] = p_first * p_reset ** np.arange(n_meas)
 
-    gamma_eff, residual = fit_decay_rate(times, cumulative, (times[0], times[-1]))
+    gamma_eff, residual = (fit_decay_rate(times, cumulative, (times[0], times[-1]))
+                           if np.all(cumulative > 0.0) else (np.nan, np.nan))
     return ZenoResult(
         tau_m=tau_m,
         times=times,

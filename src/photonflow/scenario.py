@@ -35,12 +35,14 @@ deterministic: fixed summation orders, floats serialized with 17
 significant digits, so identical input files give byte-identical CSVs.
 
 Every kind is one ``_Kind`` record in ``_KINDS``: a build that reads its
-keys into typed inputs and runs every configuration check, and a runner
-that works only on those inputs.  The keys a build reads are the kind's
-schema; the results its runner returns, in their order, are what the
-command line prints and what a scan summarizes.  A ``Scenario`` is built
-once, when it is made, and carries that build as ``inputs``; a run
-runs it.  A runner returns each CSV as its named columns, in order.
+keys into typed inputs, derives what needs only the file (projected
+pulses, the purification map, C2's eigenpairs) and runs every
+configuration check, and a runner that works only on those inputs.  The
+keys a build reads are the kind's schema; the results its runner
+returns, in their order, are what the command line prints and what a
+scan summarizes.  A ``Scenario`` is built once, when it is made, and
+carries that build as ``inputs``; a run runs it.  A runner returns each
+CSV as its named columns, in order.
 """
 
 from __future__ import annotations
@@ -313,8 +315,11 @@ def _build_transfer(sc: Scenario, decay_times: Optional[float] = None) -> Simple
 
 
 def _build_purification(sc: Scenario) -> SimpleNamespace:
-    """A transfer run long enough (30/gamma by default) to reach the asymptotic map."""
-    return _build_transfer(sc, decay_times=30.0)
+    """A transfer run long enough (30/gamma by default) to reach the asymptotic map,
+    and that map's purification report, which needs mode 2 to hold every photon."""
+    inputs = _build_transfer(sc, decay_times=30.0)
+    inputs.report = _guard("space.dims", lindblad.purification_predicate, inputs.rho0)
+    return inputs
 
 
 def _build_dark_state(sc: Scenario) -> SimpleNamespace:
@@ -423,7 +428,8 @@ def _build_grid(
     n_q = _get(sc, f"{section}.n_q", _as_int)
     delta_max = _get(sc, f"{section}.delta_max", _as_positive)
     grid = _guard(section, dio.ContinuumGrid, n_q=n_q, delta_max=delta_max, gamma=gamma)
-    _guard(section, dio._screen_grid, grid, pulse, t_final, port)
+    _guard(section, dio._check_bandwidth, grid, pulse)
+    _guard(section, dio._check_window, grid, t_final, port)
     return grid
 
 
@@ -438,12 +444,12 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
                                          f"gamma2 = {gamma2:g}; it must be positive and finite")
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2), 0.02)
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
+    p0 = _guard("grid1", dio.project_pulse, grid1, pulse)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    *_, steps = _guard("run.t_final", dio._quadrature_grid, grid1, dio._cavity2(grid2), spec,
-                       t_final, dt)
+    *_, steps = _guard("run.t_final", dio._quadrature_grid, grid1, grid2.cavity, spec, t_final, dt)
     return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
-                           grid1=grid1, grid2=grid2, pulse=pulse, t_final=t_final, dt=dt,
-                           quadrature_steps=steps)
+                           grid1=grid1, grid2=grid2, pulse=pulse, p0=p0, t_final=t_final,
+                           dt=dt, quadrature_steps=steps)
 
 
 def _build_diode_markov(sc: Scenario) -> SimpleNamespace:
@@ -461,7 +467,9 @@ def _build_port2_reflection(sc: Scenario) -> SimpleNamespace:
     gamma2 = _get(sc, "diode.gamma2", _as_positive)
     t_final = _get(sc, "run.t_final", _as_positive, dio.simulation_window(pulse, gamma2))
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    return SimpleNamespace(gamma2=gamma2, grid2=grid2, pulse=pulse, t_final=t_final)
+    s0 = _guard("grid2", dio.project_pulse, grid2, pulse)
+    _guard("run.t_final", dio._reflection_samples, t_final)
+    return SimpleNamespace(gamma2=gamma2, grid2=grid2, s0=s0, t_final=t_final)
 
 
 def _build_impedance_scan(sc: Scenario) -> SimpleNamespace:
@@ -539,7 +547,7 @@ def _run_lindblad_transfer(c: SimpleNamespace) -> RunOutcome:
 
 def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
-    report = lindblad.purification_predicate(c.rho0)
+    report = c.report  # the closed-form map, applied by the build
     dist = fock.trace_distance(res.states[-1], report.final_state)
     out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
     if report.witness is not None:
@@ -605,6 +613,7 @@ def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
     _check(out, "gamma_free_positive", gamma_free, gamma_free > 0.0)
     ratios = [r.gamma_eff / gamma_free if gamma_free > 0.0 else math.nan for r in results]
     for i, r in enumerate(results):
+        # a period whose no-decay probability underflows to 0 has the rate nan, and fails
         _check(out, f"gamma_eff_nonnegative_{i}", r.gamma_eff, r.gamma_eff >= 0.0)
         s = r.survival
         _check(out, f"survival_monotone_{i}", float(np.max(np.diff(s))), bool(np.all(np.diff(s) <= 1e-12)))
@@ -655,8 +664,7 @@ def _max_rel_err(got: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> float:
 
 
 def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
-    p0 = dio.project_pulse(c.grid1, c.pulse)
-    traj = dio.evolve_full(c.grid1, c.grid2, c.spec, p0, c.t_final, dt=c.dt)
+    traj = dio.evolve_full(c.grid1, c.grid2, c.spec, c.p0, c.t_final, dt=c.dt)
     mk = dio.evolve_markov(c.gamma_eff, c.gamma1, c.gamma2, c.pulse, c.t_final, dt=0.02)
     dec = dio.port2_output_decomposition(traj)
 
@@ -732,7 +740,7 @@ def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
 
 
 def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
-    ref = dio.reflect_port2(c.grid2, c.pulse, c.t_final)
+    ref = dio.reflect_port2(c.grid2, c.s0, c.t_final)
     out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2,
                               "secular_iterations": ref.secular_iterations})
     _check(out, "out_norm", ref.out_norm, abs(ref.out_norm - 1.0) <= 1e-8)
@@ -818,34 +826,21 @@ def _write_csv(path: Path, table: dict) -> None:
 
 
 def _write_manifest(path: Path, sc: Scenario, outcome: RunOutcome, wall: float, files) -> None:
-    lines = ["[manifest]"]
-    lines.append(f"name = {sc.name}")
-    lines.append(f"kind = {sc.kind}")
-    lines.append(f"status = {'invariant-failure' if outcome.invariant_failures else 'completed'}")
-    lines.append(f"wall_seconds = {_fmt(wall)}")
-    lines.append("")
-    lines.append("[scenario]")
-    for section, kv in sc.sections.items():
-        for key, val in kv.items():
-            lines.append(f"{section}.{key} = {val}")
-    lines.append("")
-    lines.append("[derived]")
-    for k, v in outcome.derived.items():
-        lines.append(f"{k} = {_fmt(v)}")
-    lines.append("")
-    lines.append("[results]")
-    for k, v in outcome.results.items():
-        lines.append(f"{k} = {_fmt(v)}")
-    lines.append("")
-    lines.append("[invariants]")
-    for k, v in outcome.invariants.items():
-        lines.append(f"{k} = {_fmt(v)}")
-    lines.append(f"failures = {' '.join(outcome.invariant_failures) if outcome.invariant_failures else 'none'}")
-    lines.append(f"all_ok = {'false' if outcome.invariant_failures else 'true'}")
-    lines.append("")
-    lines.append("[outputs]")
-    lines.append(f"files = {' '.join(files)}")
-    path.write_text("\n".join(lines) + "\n")
+    """One ``[section]`` per block, one ``key = value`` line per entry, blank lines between."""
+    failures = outcome.invariant_failures
+    blocks = {
+        "manifest": {"name": sc.name, "kind": sc.kind,
+                     "status": "invariant-failure" if failures else "completed",
+                     "wall_seconds": wall},
+        "scenario": {f"{s}.{k}": v for s, kv in sc.sections.items() for k, v in kv.items()},
+        "derived": outcome.derived,
+        "results": outcome.results,
+        "invariants": {**outcome.invariants, "failures": " ".join(failures) or "none",
+                       "all_ok": not failures},
+        "outputs": {"files": " ".join(files)},
+    }
+    path.write_text("\n".join(f"[{name}]\n" + "".join(f"{k} = {_fmt(v)}\n" for k, v in kv.items())
+                              for name, kv in blocks.items()))
 
 
 def run_scenario(sc: Scenario, outdir) -> RunOutcome:

@@ -276,7 +276,7 @@ def reflection_run():
     # comb spacing leaves > 4 pulse widths between the window end and the
     # periodic ghost of the input, keeping its tail below the norm budget
     grid = ContinuumGrid(n_q=8800, delta_max=60.0, gamma=gamma2)
-    return reflect_port2(grid, pulse, t_final), gamma2
+    return reflect_port2(grid, project_pulse(grid, pulse), t_final), gamma2
 
 
 def test_criterion_08d_reflection_norm(reflection_run):

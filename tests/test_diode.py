@@ -238,7 +238,7 @@ def test_reflection_unit_norm_and_delay():
     gamma2 = 4.0
     pulse = gaussian_pulse(t0=36.0, duration=12.0)
     grid = ContinuumGrid(n_q=700, delta_max=20.0, gamma=gamma2)
-    ref = reflect_port2(grid, pulse, simulation_window(pulse, gamma2))
+    ref = reflect_port2(grid, project_pulse(grid, pulse), simulation_window(pulse, gamma2))
     assert ref.out_norm == pytest.approx(1.0, abs=1e-8)
     predicted = (4.0 / gamma2) * (1.0 - gamma2 / (np.pi * grid.delta_max))
     assert ref.delay == pytest.approx(predicted, rel=0.03)
@@ -249,7 +249,7 @@ def test_reflection_without_cavity_has_no_delay():
     gamma2 = 1e-12
     pulse = gaussian_pulse(t0=30.0, duration=10.0)
     grid = ContinuumGrid(n_q=400, delta_max=10.0, gamma=gamma2)
-    ref = reflect_port2(grid, pulse, 110.0)
+    ref = reflect_port2(grid, project_pulse(grid, pulse), 110.0)
     assert abs(ref.delay) <= 1e-6
     assert ref.out_norm == pytest.approx(1.0, abs=1e-10)
 
@@ -261,7 +261,7 @@ def test_reflection_detuned_pulse_has_reduced_delay():
     env = (np.pi * 12.0**2) ** -0.25 * np.exp(-((ts - 36.0) ** 2) / (2 * 12.0**2))
     pulse = custom_pulse(ts, env * np.exp(-1j * carrier * ts))
     grid = ContinuumGrid(n_q=1600, delta_max=45.0, gamma=gamma2)
-    ref = reflect_port2(grid, pulse, 85.0)
+    ref = reflect_port2(grid, project_pulse(grid, pulse), 85.0)
     on_resonance = 4.0 / gamma2
     # Lorentzian dispersion: delay/(4/g2) = 1/(1+(2 delta/g2)^2) = 1/37
     assert ref.delay <= 0.1 * on_resonance
@@ -275,7 +275,7 @@ def test_reflection_memory_stays_blocked():
     pulse = gaussian_pulse(t0=33.0, duration=10.0)
     tracemalloc.start()
     try:
-        reflect_port2(grid, pulse, 86.0)
+        reflect_port2(grid, project_pulse(grid, pulse), 86.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

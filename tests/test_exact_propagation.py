@@ -65,7 +65,7 @@ from photonflow._integrate import (_BLOCK, _ExactPropagator, _arrowhead_eigensys
                                    _block_slices, _comb_spacing, _polygamma, comb_sum, exp_sum,
                                    fft_size, sample_steps, steps_for, taylor_propagate)
 from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
-                              _START_ITERATIONS, _BathChannels, _cavity2, _generator_norm,
+                              _START_ITERATIONS, _BathChannels, _generator_norm,
                               _interval_rule, _kernel_integrals, _quadrature_grid,
                               _solve_cavity, intensity_centroid)
 from photonflow.lindblad import _superoperator
@@ -653,7 +653,7 @@ def router_taylor(grid1, grid2, spec, p0, t_final, dt):
     n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
     nsteps, dt = steps_for(t_final, dt)
     stride = max(1, int(round(0.1 / dt)))
-    norm = _generator_norm(grid1, _cavity2(grid2), spec)
+    norm = _generator_norm(grid1, grid2.cavity, spec)
     om = spec.frequencies()
     k1, k2, g = grid1.kappa, grid2.kappa, complex(spec.coupling)
     md1 = -1j * grid1.detunings()
@@ -770,7 +770,7 @@ def evolve_full_per_class(grid1, grid2, spec, p0, t_final, dt):
     the samples of evolve_full and the final lab-frame (P, R, S)."""
     n1, f, n2 = grid1.n_q, spec.f, grid2.n_q
     d1, k1, om = grid1.detunings(), grid1.kappa, spec.frequencies()
-    c2 = _cavity2(grid2)
+    c2 = grid2.cavity
     steps, dt, marks, h, n = _quadrature_grid(grid1, c2, spec, t_final, dt)
     step_f = np.zeros(n, dtype=complex)
     step_k = np.zeros(n, dtype=complex)
@@ -866,7 +866,7 @@ def test_router_matches_per_class_filters(eps_max, channels):
 def test_solve_cavity_matches_direct_solve_on_the_router_kernel():
     c = validate_scenario(parse_scenario_text(ROUTER_BENCHMARK))
     p0 = project_pulse(c.grid1, c.pulse)
-    c2 = _cavity2(c.grid2)
+    c2 = c.grid2.cavity
     _, _, _, h, n = _quadrature_grid(c.grid1, c2, c.spec, c.t_final, c.dt)
     bath = _BathChannels.build(c.spec.frequencies(), c.t_final)
     int_f, kc = _kernel_integrals(c.grid1, c.spec, p0, c2, bath, h, n)
@@ -1005,7 +1005,7 @@ def test_kernel_integrals_match_16_point_rule(n_q, spectrum):
     grid1 = ContinuumGrid(n_q=n_q, delta_max=3.0, gamma=1.0)
     grid2 = ContinuumGrid(n_q=160, delta_max=3.0, gamma=gamma2)
     p0 = project_pulse(grid1, gaussian_pulse(t0=50.0, duration=duration))
-    c2 = _cavity2(grid2)
+    c2 = grid2.cavity
     _, _, _, h, n = _quadrature_grid(grid1, c2, spec, t_final, 0.02)
     bath = _BathChannels.build(spec.frequencies(), t_final)
     assert bath.basis is not None
@@ -1044,8 +1044,9 @@ def test_reflection_matches_rk4(n_q, delta_max, gamma2, duration):
     pulse = gaussian_pulse(t0=3 * duration, duration=duration)
     grid = ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=gamma2)
     t_final = simulation_window(pulse, gamma2)
-    ref = reflect_port2(grid, pulse, t_final)
-    s_rk4 = reflection_rk4(grid, project_pulse(grid, pulse), t_final, 0.005)
+    s0 = project_pulse(grid, pulse)
+    ref = reflect_port2(grid, s0, t_final)
+    s_rk4 = reflection_rk4(grid, s0, t_final, 0.005)
     field = reconstruct_field(grid, s_rk4, ref.times, t_ref=t_final)
     assert np.max(np.abs(ref.out_field - field)) <= 1e-6 * np.max(np.abs(field))
     delay = intensity_centroid(ref.times, field) - intensity_centroid(ref.times, ref.in_field)

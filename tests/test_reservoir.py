@@ -252,11 +252,9 @@ def test_free_run_and_zeno_scan_share_one_eigensystem(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(reservoir, "_ExactPropagator", CountingPropagator)
-    reservoir._propagator.cache_clear()
     spec = flat_spec(f=60)
     free = evolve_exact(spec, t_final=1.0)
     scan = zeno_scan(spec, [0.04, 0.02], n_measurements=10)
-    reservoir._propagator.cache_clear()
     assert len(built) == 1
     assert free.survival[-1] < 1.0 and len(scan) == 2
 

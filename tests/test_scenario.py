@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,59 @@ delta_max = 4.0
 
 [pulse]
 duration = 4.0
+"""
+
+# a Port2Reflection with every key set
+PORT2_FILE = """
+[scenario]
+name = refl
+kind = Port2Reflection
+
+[diode]
+gamma2 = {gamma2}
+
+[grid2]
+n_q = {n_q}
+delta_max = {delta_max}
+
+[pulse]
+duration = {duration}
+t0 = {t0}
+
+[run]
+t_final = {t_final}
+"""
+
+# a DiodeFull whose port-1 comb resynthesizes its pulse with 2.18% error; the
+# rest of its build holds (quadrature_steps = 6004)
+DIODE_RESYNTHESIS = """
+[scenario]
+name = router
+kind = DiodeFull
+
+[reservoir]
+f = 20
+eps_max = 0.0005
+target_gamma = 1
+
+[diode]
+gamma1 = 1
+gamma2 = 20
+
+[grid1]
+n_q = 100
+delta_max = 2.5
+
+[grid2]
+n_q = 160
+delta_max = 3
+
+[pulse]
+duration = 25
+t0 = 60
+
+[run]
+t_final = 120
 """
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -441,14 +495,51 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):
      "fit.window"),
     (PORT2_SCENARIO + "\n[run]\ndt = 5.0\n", "run.dt"),
     (LINDBLAD_SCENARIO.replace("state = fock 1 0", "state ="), "initial.state"),
-], ids=["zeno-dt", "decay-window", "port2-dt", "empty-state"])
+    # each case below was checked only by the run: the pulse resynthesizes from its
+    # projection with 2.18% error, over the 1% bound ...
+    (PORT2_FILE.format(gamma2=1, n_q=100, delta_max=2.5, duration=25, t0=60, t_final=120),
+     "grid2"),
+    (DIODE_RESYNTHESIS, "grid1"),
+    # ... the reflected fields would take 8e7 samples, more than one comb_sum takes ...
+    (PORT2_FILE.format(gamma2=0.0001, n_q=2000, delta_max=0.001, duration=6000, t0=30000,
+                       t_final=4e6), "run.t_final"),
+    # ... and the photon pair outgrows mode 2 of the closed-form map
+    (LINDBLAD_SCENARIO.replace("LindbladTransfer", "PurificationMap")
+     .replace("dims = 3 4", "dims = 2 2").replace("fock 1 0", "fock 1 1"), "space.dims"),
+], ids=["zeno-dt", "decay-window", "port2-dt", "empty-state", "port2-resynthesis",
+        "diode-full-resynthesis", "port2-samples", "purification-truncation"])
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, text, key):
     path = write(tmp_path, "v.ini", text)
     assert main(["validate", path]) == 2
     assert key in capsys.readouterr().err
-    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    # the run stops at its build, before it allocates what the file asks for (the
+    # 8e7 reflection samples took 644 MiB) or writes anything
+    tracemalloc.start()
+    try:
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_zeno_scan_whose_survival_underflows_fails_its_invariants(tmp_path, capsys):
+    # 60 periods of 2 and 1 at target_gamma = 20 leave a no-decay probability below
+    # the float range: a result of the run, which ends in exit 3 with its manifest
+    sections = sections_of((SCENARIO_DIR / "zeno_scan.ini").read_text())
+    sections["reservoir"]["target_gamma"] = "20.0"
+    sections["zeno"]["taus"] = "2.0 1.0"
+    path = write(tmp_path, "z.ini", text_of(sections))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert "gamma_eff_nonnegative_0" in capsys.readouterr().err
+    run = tmp_path / "out" / "zeno-scan"
+    assert (run / "summary.csv").is_file()
+    manifest = (run / "manifest.ini").read_text()
+    assert "gamma_eff_nonnegative_0 = nan\n" in manifest
+    assert "failures = gamma_eff_nonnegative_0 gamma_eff_nonnegative_1\n" in manifest
 
 
 def test_cli_scan_checks_every_point_before_running(tmp_path, capsys):
@@ -845,7 +936,7 @@ def _derived(out: Path) -> configparser.SectionProxy:
 
 
 def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
-    # the parse builds the scenario once, and evolve_full reuses the build's C2
+    # the parse builds the scenario once, and evolve_full uses the C2 its grid2 keeps
     calls = []
     solve = diode._arrowhead_eigensystem
 
@@ -853,7 +944,6 @@ def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
         calls.append(poles)
         return solve(poles, z)
 
-    diode._cavity2.cache_clear()
     monkeypatch.setattr(diode, "_arrowhead_eigensystem", counted_solve)
     path = tmp_path / "router.ini"
     path.write_text(ROUTER_SCENARIO)
@@ -863,6 +953,39 @@ def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
     assert 0 < int(derived["secular_iterations"]) <= 8
     # x = eps_max t_final / 2 = 0.074 cuts the Taylor series of the 40 classes at 11 terms
     assert float(derived["t_final"]) == 74.0 and int(derived["bath_channels"]) == 11
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_point_runs_the_cavity2_its_build_solved(tmp_path, monkeypatch, jobs):
+    # each point's build solves C2 on its grid2 and its run, also in a --jobs worker,
+    # uses that solve; the count is kept in a file, so forked workers count too
+    from photonflow import scenario as sc_mod
+
+    log = tmp_path / "solves.log"
+    solve = diode._arrowhead_eigensystem
+    kind = sc_mod._KINDS["DiodeFull"]
+    run = kind.run
+    running = []
+
+    def counted_solve(poles, z):
+        with open(log, "a") as fh:
+            fh.write(f"{'run' if running else 'build'} {poles.size}\n")
+        return solve(poles, z)
+
+    def marked_run(inputs):
+        running.append(True)
+        try:
+            return run(inputs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(diode, "_arrowhead_eigensystem", counted_solve)
+    monkeypatch.setattr(kind, "run", marked_run)
+    sc = parse_scenario_text(ROUTER_SCENARIO)
+    log.write_text("")
+    rows = scan_scenario(sc, "grid2.n_q", [160, 170], tmp_path / "scan", jobs=jobs)
+    assert [value for value, _ in rows] == [160, 170]
+    assert log.read_text().splitlines() == ["build 160", "build 170"]
 
 
 def test_validate_states_the_quadrature_steps_of_a_diode_full_run(tmp_path, capsys):
