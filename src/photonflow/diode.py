@@ -965,9 +965,16 @@ def intensity_centroid(times: np.ndarray, field: np.ndarray) -> float:
 
 
 def _reflection_samples(t_final: float) -> tuple[float, int]:
-    """Step and count of the reflected fields' samples before t_final, at most 2^26."""
+    """Step and count of the reflected fields' samples before t_final, at most 2^26.
+
+    The step must be a normal double: a subnormal one holds too few bits for
+    the sample times, and the intensity integrals over it underflow to 0.
+    """
     step = min(0.05, t_final / 2000.0)
-    if not (step > 0.0 and t_final / step <= _MAX_COUNT):
+    if not step >= np.finfo(float).tiny:
+        raise ConfigurationError(f"t_final = {t_final:.3g} puts the field samples {step:.3g} "
+                                 f"apart, below the smallest normal double")
+    if t_final / step > _MAX_COUNT:
         raise ConfigurationError(f"t_final = {t_final:.3g} needs over 2^26 samples of {step:.3g}")
     return step, math.ceil(t_final / step)
 

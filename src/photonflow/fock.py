@@ -15,6 +15,11 @@ Conventions
 * All scalars are complex double precision.
 * Operator products go through ``np.einsum``, not BLAS, so their bits
   do not depend on the BLAS thread count.
+* LAPACK (``eigvalsh``) runs only in ``DensityMatrix.min_eigenvalue`` and
+  ``trace_distance``.  The master equation takes the lowest eigenvalue of
+  its snapshots block by block on their support
+  (``lindblad.EvolutionResult.min_eigenvalues``), so a Fock-diagonal
+  state needs no LAPACK there; the DensityMatrix methods are its oracle.
 """
 
 from __future__ import annotations

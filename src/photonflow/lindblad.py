@@ -23,11 +23,20 @@ The time step ``dt`` is only the sampling interval, by default
 0.05 / (max_rate n_max^2) where n_max is the largest photon number the
 space can hold.  Outputs are never renormalized; trace drift is measured
 and reported instead.
+
+The snapshots stay on that support, one (n_snap, s) array, and every
+observable and invariant of all snapshots is taken from it at once with
+elementwise products and sums, never BLAS.  The lowest eigenvalue is
+taken block by block over the connected components of the support graph:
+a 1x1 block is its diagonal entry, so LAPACK's ``eigvalsh`` runs only on
+larger blocks (coherences, a Hamiltonian).  Full d x d matrices are built
+only on demand (``EvolutionResult.state``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +49,6 @@ from .fock import (
     SparseOperator,
     annihilation,
     creation,
-    number,
 )
 
 __all__ = [
@@ -86,14 +94,118 @@ class LindbladModel:
 
 @dataclass
 class EvolutionResult:
-    """Snapshots and named observable time series from one evolution."""
+    """Snapshots of one evolution on its reachable support, and named observables.
+
+    Snapshot j of the d x d density matrix is ``support[j]`` at the
+    row-major flat indices ``entries`` (entry (r, c) at r d + c); every
+    other entry is exactly 0.  The invariants of the snapshots are read
+    from that array; ``state(j)`` builds one snapshot as a full matrix and
+    ``states`` all of them, snapshot 0 being ``rho0`` itself.
+    """
 
     times: np.ndarray
-    states: list
-    observables: dict
-    trace_drift: float
-    propagated_entries: int  # vectorized entries of rho on the reachable support
-    generator_products: int  # products with the generator on that support
+    rho0: DensityMatrix = field(repr=False)
+    entries: np.ndarray = field(repr=False)  # sorted flat indices of the support
+    support: np.ndarray = field(repr=False)  # (n_snap, entries.size)
+    generator_products: int  # products with the generator on the support
+
+    @property
+    def propagated_entries(self) -> int:
+        return int(self.entries.size)
+
+    @cached_property
+    def observables(self) -> dict:
+        """``trace``, ``purity`` and ``pop_mode<k>`` of each snapshot.
+
+        The diagonal is spread over all d indices, so that the trace is
+        summed in the order of ``np.trace``; tr(rho^2) = sum_ij rho_ij rho_ji.
+        """
+        space = self.rho0.space
+        rows, cols, mirror = self._pairs
+        on = rows == cols
+        diag = np.zeros((self.times.size, space.total_dim), dtype=complex)
+        diag[:, rows[on]] = self.support[:, on]
+        obs = {
+            "trace": np.real(np.sum(diag, axis=1)),
+            "purity": np.real(np.sum(self.support * self.support[:, mirror], axis=1)),
+        }
+        occupations = np.indices(space.mode_dims).reshape(space.n_modes, space.total_dim)
+        for k, n_k in enumerate(occupations):
+            obs[f"pop_mode{k + 1}"] = np.sum(diag.real * n_k, axis=1)
+        return obs
+
+    @property
+    def trace_drift(self) -> float:
+        return float(abs(self.observables["trace"][-1] - np.real(self.rho0.trace())))
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and mirror position (of entry (c, r)) of each support entry."""
+        d = self.rho0.space.total_dim
+        rows, cols = np.divmod(self.entries, d)
+        return rows, cols, np.searchsorted(self.entries, cols * d + rows)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """Index sets of the connected components of the support graph, where
+        entry (r, c) joins r and c, by smallest index.  An index that no
+        entry covers is in none."""
+        rows, cols, _ = self._pairs
+        label = np.arange(self.rho0.space.total_dim)
+        while True:  # the support is closed under (r, c) -> (c, r)
+            lower = label.copy()
+            np.minimum.at(lower, rows, label[cols])
+            if np.array_equal(lower, label):
+                break
+            label = lower
+        covered = np.zeros(label.size, dtype=bool)
+        covered[rows] = True
+        # each component is labelled by its smallest index
+        roots = np.flatnonzero(covered & (label == np.arange(label.size)))
+        return tuple(np.flatnonzero(covered & (label == r)) for r in roots)
+
+    def hermiticity_defects(self) -> np.ndarray:
+        """max |rho - rho^+| of each snapshot."""
+        *_, mirror = self._pairs
+        diff = self.support - self.support[:, mirror].conj()
+        return np.max(np.abs(diff), axis=1, initial=0.0)
+
+    def min_eigenvalues(self) -> np.ndarray:
+        """Lowest eigenvalue of the Hermitian part of each snapshot.
+
+        A 1x1 block is its real diagonal entry, a larger block one
+        ``eigvalsh`` over all snapshots, and an index outside every block
+        the exact 0 of its empty row.
+        """
+        rows, cols, mirror = self._pairs
+        herm = 0.5 * (self.support + self.support[:, mirror].conj())
+        d, n_snap = self.rho0.space.total_dim, self.times.size
+        covered = sum(b.size for b in self.blocks)
+        lowest = np.full(n_snap, np.inf if covered == d else 0.0)
+        local = np.empty(d, dtype=int)
+        for b in self.blocks:
+            k = b.size
+            local[b] = np.arange(k)
+            on = np.flatnonzero(np.isin(rows, b))
+            m = np.zeros((n_snap, k * k), dtype=complex)
+            m[:, local[rows[on]] * k + local[cols[on]]] = herm[:, on]
+            low = m[:, 0].real if k == 1 else np.linalg.eigvalsh(m.reshape(n_snap, k, k))[:, 0]
+            lowest = np.minimum(lowest, low)
+        return lowest
+
+    def state(self, j: int) -> DensityMatrix:
+        """Snapshot ``j`` as a full d x d matrix; snapshot 0 is ``rho0``."""
+        j = range(self.times.size)[j]
+        if j == 0:
+            return self.rho0
+        d = self.rho0.space.total_dim
+        m = np.zeros(d * d, dtype=complex)
+        m[self.entries] = self.support[j]
+        return DensityMatrix(self.rho0.space, m.reshape(d, d))
+
+    @cached_property
+    def states(self) -> list:
+        return [self.state(j) for j in range(self.times.size)]
 
 
 def transfer_jump(space: ModeSpace, source: int = 0, target: int = 1) -> SparseOperator:
@@ -161,9 +273,10 @@ def evolve(
 ) -> EvolutionResult:
     """Propagate the master equation exactly, sampled on the grid t = j dt.
 
-    Snapshots (including the final state) are stored every
-    ``snapshot_stride`` samples as full d x d matrices.  Built-in
-    observables: ``trace``, ``purity`` and ``pop_mode<k>`` for every mode.
+    Snapshots (including the final state) are kept every
+    ``snapshot_stride`` samples, as rows of one array over the reachable
+    support.  Built-in observables: ``trace``, ``purity`` and
+    ``pop_mode<k>`` for every mode, all taken on that support.
     """
     if rho0.space.mode_dims != model.space.mode_dims:
         raise InvalidInput("initial state lives on a different space than the model")
@@ -192,43 +305,24 @@ def evolve(
         # asymmetry back to keep the 1e-12 bound over long runs
         return 0.5 * (v + v[mirror].conj())
 
-    def snapshot(v):
-        m = np.zeros(d * d, dtype=complex)
-        m[idx] = v
-        return DensityMatrix(model.space, m.reshape(d, d))
-
     # the full generator's 1-norm bounds the restriction's and fixes the sub-steps
     norm1 = gen.onenorm()
     steps = sample_steps(nsteps, snapshot_stride)
-    states = [DensityMatrix(model.space, y.reshape(d, d))]
-    y = y[idx]
-    for prev, step in zip([0] + steps, steps):
-        y = taylor_propagate(matvec, y, (step - prev) * dt, norm1, fold)
-        states.append(snapshot(y))
+    snaps = np.empty((len(steps) + 1, idx.size), dtype=complex)
+    snaps[0] = y = y[idx]
+    for j, (prev, step) in enumerate(zip([0] + steps, steps), start=1):
+        snaps[j] = y = taylor_propagate(matvec, y, (step - prev) * dt, norm1, fold)
 
-    obs: dict = {
-        "trace": [np.real(np.trace(dm.matrix)) for dm in states],
-        "purity": [dm.purity() for dm in states],
-    }
-    for k in range(model.space.n_modes):
-        op = number(model.space, k)
-        obs[f"pop_mode{k + 1}"] = [np.real(dm.expectation(op)) for dm in states]
-
-    drift = abs(np.real(np.trace(states[-1].matrix)) - np.real(rho0.trace()))
-    return EvolutionResult(
-        times=np.array([0] + steps) * dt,
-        states=states,
-        observables={k: np.asarray(v) for k, v in obs.items()},
-        trace_drift=float(drift),
-        propagated_entries=int(idx.size),
-        generator_products=products,
-    )
+    return EvolutionResult(times=np.array([0] + steps) * dt, rho0=rho0, entries=idx,
+                           support=snaps, generator_products=products)
 
 
-def state_fidelity(states: Sequence[DensityMatrix], psi: np.ndarray) -> np.ndarray:
-    """<psi| rho |psi> for each state, for a normalized state vector psi."""
-    outer = np.conj(psi)[:, None] * psi[None, :]
-    return np.array([np.real(np.sum(outer * dm.matrix)) for dm in states])
+def state_fidelity(result: EvolutionResult, psi: np.ndarray) -> np.ndarray:
+    """<psi| rho |psi> = sum_ij conj(psi_i) psi_j rho_ij of each snapshot of
+    ``result``, read from its support, for a normalized state vector psi."""
+    rows, cols, _ = result._pairs
+    weights = np.conj(psi)[rows] * psi[cols]
+    return np.real(np.sum(weights * result.support, axis=1))
 
 
 _SUPPORT_TOL = 1e-12  # population allowed beyond the mode-2 truncation
@@ -329,4 +423,4 @@ def dark_state_check(
     v = v / np.linalg.norm(v)
     rho0 = DensityMatrix.from_state_vector(model.space, v)
     res = evolve(model, rho0, t_final, dt=dt, snapshot_stride=snapshot_stride)
-    return res.times, state_fidelity(res.states, v)
+    return res.times, state_fidelity(res, v)

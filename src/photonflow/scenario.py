@@ -512,13 +512,16 @@ def _check(outcome: RunOutcome, name: str, value: float, ok: bool) -> None:
 
 
 def _master_report(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
-    """The propagator's work in [derived] and the invariants of every state."""
+    """The propagator's work and the support's blocks in [derived], and the
+    invariants of every snapshot; ``largest_block > 1`` means LAPACK ran."""
     outcome.derived["propagated_entries"] = res.propagated_entries
     outcome.derived["generator_products"] = res.generator_products
+    outcome.derived["support_blocks"] = len(res.blocks)
+    outcome.derived["largest_block"] = max((b.size for b in res.blocks), default=0)
     _check(outcome, "trace_drift", res.trace_drift, res.trace_drift <= 1e-8)
-    min_eig = min(dm.min_eigenvalue() for dm in res.states)
+    min_eig = float(np.min(res.min_eigenvalues()))
     _check(outcome, "min_eigenvalue", min_eig, min_eig >= -1e-8)
-    herm = max(dm.hermiticity_defect() for dm in res.states)
+    herm = float(np.max(res.hermiticity_defects()))
     _check(outcome, "hermiticity_defect", herm, herm <= 1e-12)
 
 
@@ -548,7 +551,7 @@ def _run_lindblad_transfer(c: SimpleNamespace) -> RunOutcome:
 def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
     report = c.report  # the closed-form map, applied by the build
-    dist = fock.trace_distance(res.states[-1], report.final_state)
+    dist = fock.trace_distance(res.state(-1), report.final_state)
     out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
     if report.witness is not None:
         out.derived["witness_abs"] = " ".join(_fmt(a) for a in np.abs(report.witness))
@@ -566,7 +569,7 @@ def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
 
 def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
-    fid = lindblad.state_fidelity(res.states, c.psi)
+    fid = lindblad.state_fidelity(res, c.psi)
     out = RunOutcome(derived={"gamma": c.gamma})
     _master_report(out, res)
     rate, residual = reservoir.fit_decay_rate(
@@ -582,6 +585,15 @@ def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
     return out
 
 
+def _free_decay_fit(traj: reservoir.DecayTrajectory, window: tuple) -> tuple[float, float]:
+    """The decay fit of a free run on ``window``, or (nan, nan) when the survival
+    there is not positive: a result of the run, which fails its rate invariant."""
+    s = traj.survival[reservoir._window_mask(traj.times, window)]
+    if not np.all(s > 0.0):
+        return math.nan, math.nan
+    return reservoir.fit_decay_rate(traj.times, traj.survival, window)
+
+
 def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
     spec = c.spec
     traj = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt, snapshot_stride=10**9)
@@ -592,8 +604,9 @@ def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
     if spec.spectrum == "equidistant":
         out.derived["recurrence_time"] = reservoir.recurrence_time(spec)
         out.results["gamma_markov"] = reservoir.markov_rate(spec)
-    gamma_fit, residual = reservoir.fit_decay_rate(traj.times, traj.survival, c.window)
+    gamma_fit, residual = _free_decay_fit(traj, c.window)
     _check(out, "norm_drift", drift, drift <= 1e-9 * max(1.0, c.t_final))
+    _check(out, "gamma_fit_finite", gamma_fit, math.isfinite(gamma_fit))
     idx = [0] + sample_steps(traj.times.size - 1, c.stride)
     out.tables["timeseries.csv"] = {"t": traj.times[idx], "survival": traj.survival[idx]}
     out.results.update(gamma_fit=gamma_fit, fit_residual=residual,
@@ -604,7 +617,7 @@ def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
 def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
     spec = c.spec
     free = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt)
-    gamma_free, _ = reservoir.fit_decay_rate(free.times, free.survival, c.window)
+    gamma_free, _ = _free_decay_fit(free, c.window)
 
     results = reservoir.zeno_scan(spec, c.taus, n_measurements=c.n_meas)
     out = RunOutcome(derived={"coupling": float(abs(spec.coupling)), "spectrum": spec.spectrum,

@@ -122,15 +122,20 @@ def _python(args, threads=None, cwd=None):
     )
 
 
+MASTER_KINDS = ("LindbladTransfer", "PurificationMap", "DarkState")
+
+
 @pytest.mark.parametrize("text", [MICRO, INTERFERENCE, LINDBLAD, PORT2,
-                                  (SCENARIOS / "dark_state.ini").read_text(), DIODE,
+                                  (SCENARIOS / "dark_state.ini").read_text(),
+                                  (SCENARIOS / "purification.ini").read_text(), DIODE,
                                   (SCENARIOS / "diode_full.ini").read_text()],
                          ids=["micro", "interference", "lindblad-transfer", "port2-reflection",
-                              "dark-state", "diode-full", "shipped-diode-full"])
+                              "dark-state", "shipped-purification", "diode-full",
+                              "shipped-diode-full"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)
-    digests, results = [], []
+    digests, results, invariants = [], [], []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
         proc = _python(["-m", "photonflow.cli", "run", str(scenario), "--out", str(out)], threads)
@@ -140,10 +145,14 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
         manifest = configparser.ConfigParser()
         manifest.read(csv.parent / "manifest.ini")
         results.append(dict(manifest["results"]))
+        invariants.append(dict(manifest["invariants"]))
     assert digests[0] == digests[1]
     # the DiodeFull results, port-2 decomposition included, are computed without BLAS
     if "kind = DiodeFull" in text:
         assert results[0] == results[1]
+    # the master-equation invariants come from the support; LAPACK sees only its blocks
+    if any(f"kind = {kind}" in text for kind in MASTER_KINDS):
+        assert invariants[0] == invariants[1]
 
 
 def test_import_loads_no_dense_linear_algebra():

@@ -10,6 +10,7 @@ per-block Cauchy sums that the batched kernels replaced, the general secular sol
 that the closed form for uniform combs bypasses, scipy.special's digamma and
 trigamma, the scipy.sparse.kron construction of the master-equation generator,
 the propagation of all d^2 density-matrix entries that the reachable support replaced,
+the DensityMatrix methods that the observables and invariants on that support replaced,
 the router's per-class bath filters and 8-point kernel sums that its bath channels and
 closed-form kernel replaced, a 16-point Gauss-Legendre rule for those kernel sums,
 the per-step solve for the cavity amplitude that its online FFT convolution replaced,
@@ -68,8 +69,8 @@ from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
                               _START_ITERATIONS, _BathChannels, _generator_norm,
                               _interval_rule, _kernel_integrals, _quadrature_grid,
                               _solve_cavity, intensity_centroid)
-from photonflow.lindblad import _superoperator
-from photonflow.scenario import parse_scenario_text, validate_scenario
+from photonflow.lindblad import _superoperator, state_fidelity
+from photonflow.scenario import RunOutcome, _master_report, parse_scenario_text, validate_scenario
 
 
 # --- RK4 reference path ----------------------------------------------------------
@@ -563,6 +564,61 @@ def test_reachable_support_is_closed(make_case):
         # a Hermitian generator's pattern is transpose-symmetric on its own
         seed = rho0.matrix + rho0.matrix.T
         assert np.array_equal(gen.reachable(seed.reshape(-1)), idx)
+
+
+@pytest.mark.parametrize("make_case", SUPPORT_CASES, ids=SUPPORT_IDS)
+def test_support_observables_match_density_matrices(make_case):
+    model, rho0 = make_case()
+    res = evolve(model, rho0, 2.0, dt=0.05, snapshot_stride=4)
+    states = res.states
+    assert states[0] is rho0
+    assert np.array_equal(res.hermiticity_defects(), [dm.hermiticity_defect() for dm in states])
+    # a 1x1 block is its diagonal entry and a block of every index the full
+    # matrix, so LAPACK sees what it sees on the full matrix; a larger block
+    # inside it is reduced without the indices between its own, and may
+    # differ from the full matrix in the last bit
+    d = model.space.total_dim
+    exact = all(b.size in (1, d) for b in res.blocks)
+    full = np.array([dm.min_eigenvalue() for dm in states])
+    bound = 0.0 if exact else 4e-16 * np.max(np.abs(res.support), initial=1.0)
+    assert np.max(np.abs(res.min_eigenvalues() - full)) <= bound
+    ref = {"trace": [np.real(dm.trace()) for dm in states],
+           "purity": [dm.purity() for dm in states]}
+    for k in range(model.space.n_modes):
+        op = number(model.space, k)
+        ref[f"pop_mode{k + 1}"] = [np.real(dm.expectation(op)) for dm in states]
+    assert list(res.observables) == list(ref)
+    for name, col in ref.items():
+        # the sums run over the support alone, so they regroup
+        assert np.max(np.abs(res.observables[name] - col)) <= 4e-16 * np.max(np.abs(col)), name
+    psi = np.random.default_rng(2).normal(size=model.space.total_dim) + 0j
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+    dense = [np.real(np.sum(np.conj(psi)[:, None] * psi[None, :] * dm.matrix)) for dm in states]
+    assert np.max(np.abs(state_fidelity(res, psi) - dense)) <= 4e-16 * np.max(np.abs(dense))
+    # the blocks split the covered indices, and no entry joins two of them
+    covered = np.concatenate([np.array([], dtype=int), *res.blocks])
+    assert np.array_equal(np.sort(covered), np.unique(res.entries // d))
+    matrices = np.array([dm.matrix for dm in states])
+    for b in res.blocks:
+        assert not np.any(matrices[:, b][:, :, np.setdiff1d(np.arange(d), b)])
+
+
+def test_fock_mixture_invariants_need_no_lapack(monkeypatch):
+    model, rho0 = purification_4x8()
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd", "solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    res = evolve(model, rho0, 20.0, dt=0.0016, snapshot_stride=10)
+    outcome = RunOutcome()
+    _master_report(outcome, res)
+    assert outcome.invariant_failures == []
+    assert outcome.derived["largest_block"] == 1
+    assert outcome.derived["support_blocks"] == len(res.blocks) > 1
+    with pytest.raises(AssertionError, match="LAPACK"):
+        res.state(-1).min_eigenvalue()
 
 
 # --- four-port router against RK4 --------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photonflow import diode
+from photonflow import diode, reservoir
 from photonflow._integrate import SparseGenerator
 from photonflow.cli import main
 from photonflow.errors import ScenarioError
@@ -506,8 +506,12 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):
     # ... and the photon pair outgrows mode 2 of the closed-form map
     (LINDBLAD_SCENARIO.replace("LindbladTransfer", "PurificationMap")
      .replace("dims = 3 4", "dims = 2 2").replace("fock 1 0", "fock 1 1"), "space.dims"),
+    # samples 5e-324 apart: the trapezoid of the reflected intensity underflowed to 0
+    (PORT2_FILE.format(gamma2=4, n_q=400, delta_max=10, duration=10, t0=0, t_final="1e-320"),
+     "run.t_final"),
 ], ids=["zeno-dt", "decay-window", "port2-dt", "empty-state", "port2-resynthesis",
-        "diode-full-resynthesis", "port2-samples", "purification-truncation"])
+        "diode-full-resynthesis", "port2-samples", "purification-truncation",
+        "port2-subnormal-samples"])
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, text, key):
     path = write(tmp_path, "v.ini", text)
     assert main(["validate", path]) == 2
@@ -523,6 +527,39 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, text, key):
     assert peak <= 16 * 2**20
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_reflects_a_pulse_over_a_1e_300_window(tmp_path):
+    # samples 5e-304 apart are normal doubles, so the centroids stay finite
+    path = write(tmp_path, "r.ini", PORT2_FILE.format(gamma2=4, n_q=400, delta_max=10,
+                                                      duration=10, t0=0, t_final="1e-300"))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name, named", [
+    ("markov_decay", "gamma_fit_finite"),
+    ("zeno_scan", "gamma_free_positive"),
+    ("anti_zeno_scan", "gamma_free_positive"),
+])
+def test_free_decay_whose_survival_vanishes_fails_its_invariants(tmp_path, capsys, monkeypatch,
+                                                                 name, named):
+    # survival that is 0 in the fit window leaves no rate: the run ends in exit 3
+    # with its manifest, not in exit 2 after a clean validate
+    evolve_exact = reservoir.evolve_exact
+
+    def vanishing(*args, **kwargs):
+        traj = evolve_exact(*args, **kwargs)
+        traj.survival[traj.times.size // 2:] = 0.0
+        return traj
+
+    monkeypatch.setattr(reservoir, "evolve_exact", vanishing)
+    path = str(SCENARIO_DIR / f"{name}.ini")
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert named in capsys.readouterr().err
+    (manifest,) = (tmp_path / "out").rglob("manifest.ini")
+    assert f"failures = {named}\n" in manifest.read_text()
 
 
 def test_zeno_scan_whose_survival_underflows_fails_its_invariants(tmp_path, capsys):
