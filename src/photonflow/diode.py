@@ -970,11 +970,13 @@ def _reflection_samples(t_final: float) -> tuple[float, int]:
     The step must be a normal double: a subnormal one holds too few bits for
     the sample times, and the intensity integrals over it underflow to 0.
     """
+    if not 0.0 < t_final < math.inf:
+        raise ConfigurationError(f"t_final = {t_final:.3g} must be positive and finite")
     step = min(0.05, t_final / 2000.0)
-    if not step >= np.finfo(float).tiny:
+    if step < np.finfo(float).tiny:
         raise ConfigurationError(f"t_final = {t_final:.3g} puts the field samples {step:.3g} "
                                  f"apart, below the smallest normal double")
-    if t_final / step > _MAX_COUNT:
+    if not t_final / step <= _MAX_COUNT:
         raise ConfigurationError(f"t_final = {t_final:.3g} needs over 2^26 samples of {step:.3g}")
     return step, math.ceil(t_final / step)
 

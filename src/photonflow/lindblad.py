@@ -30,14 +30,15 @@ elementwise products and sums, never BLAS.  The lowest eigenvalue is
 taken block by block over the connected components of the support graph:
 a 1x1 block is its diagonal entry, so LAPACK's ``eigvalsh`` runs only on
 larger blocks (coherences, a Hamiltonian).  Full d x d matrices are built
-only on demand (``EvolutionResult.state``).
+only on demand (``EvolutionResult.states``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -99,8 +100,8 @@ class EvolutionResult:
     Snapshot j of the d x d density matrix is ``support[j]`` at the
     row-major flat indices ``entries`` (entry (r, c) at r d + c); every
     other entry is exactly 0.  The invariants of the snapshots are read
-    from that array; ``state(j)`` builds one snapshot as a full matrix and
-    ``states`` all of them, snapshot 0 being ``rho0`` itself.
+    from that array; ``states`` builds a snapshot as a full matrix when it
+    is read, snapshot 0 being ``rho0`` itself.
     """
 
     times: np.ndarray
@@ -193,19 +194,31 @@ class EvolutionResult:
             lowest = np.minimum(lowest, low)
         return lowest
 
-    def state(self, j: int) -> DensityMatrix:
-        """Snapshot ``j`` as a full d x d matrix; snapshot 0 is ``rho0``."""
-        j = range(self.times.size)[j]
-        if j == 0:
-            return self.rho0
-        d = self.rho0.space.total_dim
-        m = np.zeros(d * d, dtype=complex)
-        m[self.entries] = self.support[j]
-        return DensityMatrix(self.rho0.space, m.reshape(d, d))
+    @property
+    def states(self) -> Sequence[DensityMatrix]:
+        return _Snapshots(self)
 
-    @cached_property
-    def states(self) -> list:
-        return [self.state(j) for j in range(self.times.size)]
+
+class _Snapshots(Sequence):
+    """The snapshots of an EvolutionResult as full d x d matrices, each one
+    built when it is read; ``len`` builds none."""
+
+    def __init__(self, result: EvolutionResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return self._result.times.size
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(len(self))[j]]
+        res = self._result
+        if range(len(self))[j] == 0:
+            return res.rho0
+        d = res.rho0.space.total_dim
+        m = np.zeros(d * d, dtype=complex)
+        m[res.entries] = res.support[j]
+        return DensityMatrix(res.rho0.space, m.reshape(d, d))
 
 
 def transfer_jump(space: ModeSpace, source: int = 0, target: int = 1) -> SparseOperator:

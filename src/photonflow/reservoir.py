@@ -63,6 +63,7 @@ __all__ = [
     "recurrence_time",
     "evolve_exact",
     "fit_decay_rate",
+    "fit_decay_rate_or_nan",
     "zeno_evolve",
     "zeno_scan",
     "interference_evolve",
@@ -347,6 +348,18 @@ def fit_decay_rate(
     return float(0.0 - b / span), residual  # 0.0 - keeps a flat curve's rate at +0
 
 
+def fit_decay_rate_or_nan(
+    times: np.ndarray, survival: np.ndarray, window: tuple[float, float]
+) -> tuple[float, float]:
+    """``fit_decay_rate``, or (nan, nan) when the survival in the window is
+    not positive: a curve that vanished leaves no rate, which the caller
+    reports as a failed invariant of its run."""
+    mask = _window_mask(np.asarray(times, dtype=float), window)
+    if not np.all(np.asarray(survival, dtype=float)[mask] > 0.0):
+        return np.nan, np.nan
+    return fit_decay_rate(times, survival, window)
+
+
 def zeno_evolve(
     spec: ReservoirSpec,
     state0: Optional[SingleExcitationState] = None,
@@ -387,8 +400,7 @@ def zeno_evolve(
     cumulative[0] = 1.0
     cumulative[1:] = p_first * p_reset ** np.arange(n_meas)
 
-    gamma_eff, residual = (fit_decay_rate(times, cumulative, (times[0], times[-1]))
-                           if np.all(cumulative > 0.0) else (np.nan, np.nan))
+    gamma_eff, residual = fit_decay_rate_or_nan(times, cumulative, (times[0], times[-1]))
     return ZenoResult(
         tau_m=tau_m,
         times=times,

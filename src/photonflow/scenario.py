@@ -513,7 +513,8 @@ def _check(outcome: RunOutcome, name: str, value: float, ok: bool) -> None:
 
 def _master_report(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
     """The propagator's work and the support's blocks in [derived], and the
-    invariants of every snapshot; ``largest_block > 1`` means LAPACK ran."""
+    invariants of every snapshot; ``largest_block > 1`` means LAPACK ran.
+    The last snapshot, built in full, checks the support's observables."""
     outcome.derived["propagated_entries"] = res.propagated_entries
     outcome.derived["generator_products"] = res.generator_products
     outcome.derived["support_blocks"] = len(res.blocks)
@@ -523,6 +524,8 @@ def _master_report(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
     _check(outcome, "min_eigenvalue", min_eig, min_eig >= -1e-8)
     herm = float(np.max(res.hermiticity_defects()))
     _check(outcome, "hermiticity_defect", herm, herm <= 1e-12)
+    full = abs(res.observables["purity"][-1] - res.states[-1].purity())
+    _check(outcome, "purity_vs_full_matrix", full, full <= 1e-12)
 
 
 def _evolve_master(c: SimpleNamespace) -> lindblad.EvolutionResult:
@@ -551,7 +554,7 @@ def _run_lindblad_transfer(c: SimpleNamespace) -> RunOutcome:
 def _run_purification_map(c: SimpleNamespace) -> RunOutcome:
     res = _evolve_master(c)
     report = c.report  # the closed-form map, applied by the build
-    dist = fock.trace_distance(res.state(-1), report.final_state)
+    dist = fock.trace_distance(res.states[-1], report.final_state)
     out = RunOutcome(derived={"gamma": c.gamma, "total_dim": c.space.total_dim})
     if report.witness is not None:
         out.derived["witness_abs"] = " ".join(_fmt(a) for a in np.abs(report.witness))
@@ -585,15 +588,6 @@ def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
     return out
 
 
-def _free_decay_fit(traj: reservoir.DecayTrajectory, window: tuple) -> tuple[float, float]:
-    """The decay fit of a free run on ``window``, or (nan, nan) when the survival
-    there is not positive: a result of the run, which fails its rate invariant."""
-    s = traj.survival[reservoir._window_mask(traj.times, window)]
-    if not np.all(s > 0.0):
-        return math.nan, math.nan
-    return reservoir.fit_decay_rate(traj.times, traj.survival, window)
-
-
 def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
     spec = c.spec
     traj = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt, snapshot_stride=10**9)
@@ -604,7 +598,7 @@ def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
     if spec.spectrum == "equidistant":
         out.derived["recurrence_time"] = reservoir.recurrence_time(spec)
         out.results["gamma_markov"] = reservoir.markov_rate(spec)
-    gamma_fit, residual = _free_decay_fit(traj, c.window)
+    gamma_fit, residual = reservoir.fit_decay_rate_or_nan(traj.times, traj.survival, c.window)
     _check(out, "norm_drift", drift, drift <= 1e-9 * max(1.0, c.t_final))
     _check(out, "gamma_fit_finite", gamma_fit, math.isfinite(gamma_fit))
     idx = [0] + sample_steps(traj.times.size - 1, c.stride)
@@ -617,7 +611,7 @@ def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
 def _run_zeno_scan(c: SimpleNamespace) -> RunOutcome:
     spec = c.spec
     free = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt)
-    gamma_free, _ = _free_decay_fit(free, c.window)
+    gamma_free, _ = reservoir.fit_decay_rate_or_nan(free.times, free.survival, c.window)
 
     results = reservoir.zeno_scan(spec, c.taus, n_measurements=c.n_meas)
     out = RunOutcome(derived={"coupling": float(abs(spec.coupling)), "spectrum": spec.spectrum,

@@ -268,6 +268,14 @@ def test_reflection_detuned_pulse_has_reduced_delay():
     assert ref.out_norm == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("t_final", [np.nan, -1.0])
+def test_reflection_rejects_a_window_that_is_not_positive(t_final):
+    grid = ContinuumGrid(n_q=400, delta_max=10.0, gamma=4.0)
+    s0 = project_pulse(grid, gaussian_pulse(t0=0.0, duration=10.0))
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        reflect_port2(grid, s0, t_final)
+
+
 def test_reflection_memory_stays_blocked():
     # the dense (n_t, n_q) phase matrix of each resynthesized field took
     # 147 MiB here; blocks of 32 samples need a few MiB

@@ -618,7 +618,7 @@ def test_fock_mixture_invariants_need_no_lapack(monkeypatch):
     assert outcome.derived["largest_block"] == 1
     assert outcome.derived["support_blocks"] == len(res.blocks) > 1
     with pytest.raises(AssertionError, match="LAPACK"):
-        res.state(-1).min_eigenvalue()
+        res.states[-1].min_eigenvalue()
 
 
 # --- four-port router against RK4 --------------------------------------------------------
