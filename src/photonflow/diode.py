@@ -36,44 +36,29 @@ Model conventions
       G  = sum_k V_0k^2 exp(-i lambda_k tau),   W = sum_l exp(i w_l tau).
 
   Its integrated form, with Kc = int_0^tau K and Kc(0) = 0, is discretized
-  on a uniform grid of step h (h times the generator norm bound <= 0.15):
-  the convolution has Gregory weights of order 8 and Q_1..Q_7 solve one
-  small system.  From Q_8 on the discrete equation is a unit lower-
-  triangular Toeplitz system, solved as an online convolution in O(n log^2
-  n): blocks of 128 steps, each one product with the inverse of its
-  Toeplitz block (the same for all), and FFT convolutions that carry each
-  solved half into the next.  int F and the port-1 part of Kc are closed
-  forms, one chirp-z ``comb_sum`` for both on the grid, since int_0^t
-  exp(-i d s) ds = (1 - exp(-i d t)) / (i d) (t for a mode at d = 0).  W is
-  a power series about the band centre w_bar, evaluated by Horner's rule
-  (see the bath channels below); only |g|^2 G W keeps an 8-point
-  Gauss-Legendre rule per step, with G summed over the C2 roots by
-  ``exp_sum``.
+  on a uniform grid of step h (h times the generator norm bound <= 0.15)
+  with Gregory weights of order 8: Q_1..Q_7 solve one small system, and the
+  rest is a unit lower-triangular Toeplitz system, solved as an online
+  convolution in O(n log^2 n) (``_solve_cavity``).  int F and the port-1
+  part of Kc are closed forms, one chirp-z ``comb_sum`` on the grid; |g|^2
+  G W takes an 8-point Gauss-Legendre rule per step, G summed over the C2
+  roots by ``exp_sum`` and W a power series about the band centre w_bar.
 
-  Between samples each bath mode of frequency e moves by its exact filter
-  x <- exp(-i e Delta) x + int exp(-i e (Delta - s)) drive(s) Q(s) ds, the
-  integral taken by the same Gauss-Legendre rule in panels of at most 8
-  steps, with Q interpolated at the nodes on 8 grid points around each
-  step.  The classes enter as bath channels: over the window [0, T] the
-  class phase exp(-i (w_l - w_bar) s) is a Taylor series in u = 2 s / T - 1
-  that reaches 2^-60 after M terms, M = 9 for f = 80 classes on the
-  benchmark's router file and 11 for f = 200 on the shipped one.  Its
-  matrix A_lm (class l, power m) is orthonormalized once, A = U R, by
-  Householder reflections, and channel n holds the C2 eigenmodes at
-  lambda_k - w_bar driven by sum_m R_nm u^m Q; class l is exp(i dw_l t)
-  sum_n U_ln times the channels.  The class population is then the
-  channels' norm, and mode 2's that of their cavity-2 components.  Where
-  M is not below f, or x = max|w_l - w_bar| T / 2 exceeds 2 so that the
-  series cancels, the channels are the classes themselves (U = I).  The
-  filters of the sample intervals that share one rule are batched: one
-  ``einsum`` gives Q at their nodes, one their forcing, and only
-  x <- decay x + forcing runs per interval.  The final R' and S' of the
-  channels (S' through ``_Eigensystem.cauchy``) go back to the lab frame
-  and are the run's final state; class l's are sum_n U_ln times them, and
-  the orthonormal columns of U give both the same norm, so the norm drift
-  is measured on the channels.  The port-2 reflection off the bare cavity is
-  propagated through the closed-form eigenpairs of its arrowhead generator
-  (``_integrate._ExactPropagator``).
+  The classes enter as bath channels: over [0, T] the class phase
+  exp(-i (w_l - w_bar) s) is a Taylor series in u = 2 s / T - 1 that
+  reaches 2^-60 after M terms (M = 9 for f = 80 classes on the benchmark's
+  router file, 11 for f = 200 on the shipped one).  With A = U R for its
+  matrix A_lm, channel m holds the C2 eigenmodes at lambda_k - w_bar driven
+  by u_m = sum_k R_mk u^k Q, and class l is exp(i dw_l t) sum_m U_lm times
+  the channels (U = I where M is not below f or the series cancels).  No
+  mode is propagated: each channel's cavity-2 amplitude rho_m = i conj(g)
+  int G(t - s) u_m(s) ds and the port-1 field sum_q P_q are product
+  integrals of G (about w_bar) and D = sum_q exp(-i d1_q tau) against Q
+  (``_ProductRule``).  Mode 2 is sum_m |rho_m|^2, port 1 and the channel
+  norms N_m are Gregory integrals of their fluxes, port 2 is sum_m N_m -
+  mode 2, and the final P and S are comb sums of Q and rho_m.  The port-2
+  reflection off the bare cavity uses the closed-form eigenpairs of its
+  arrowhead generator (``_integrate._ExactPropagator``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
@@ -433,17 +418,13 @@ _NODE_WEIGHTS = 0.5 * np.concatenate((_GL_W[::-1], _GL_W))
 _GREGORY = np.array([-2558783, 1908311, -2696283, 2899075,
                      -2134045, 1012293, -278921, 33953]) / 3628800
 _ORDER = _GREGORY.size
-_STENCIL = 8  # grid points that interpolate Q at a node of a filter
+_STENCIL = 8  # grid points that interpolate a drive around a step
 _STEP_NORM = 0.15  # quadrature step times the generator norm bound
-# a router file with 196,844 steps ran 4.1 s on a 2-core Xeon, 0.3 s of it in the solve
-# for Q and most of it in the bath filters and the sums over the C2 roots
+# a router file with 196,844 steps ran 3.7 s on a 2-core Xeon: 1.5 s in the kernel sums over
+# the C2 roots, 1.4 s in the channels' product integrals and comb sums
 _MAX_QUADRATURE_STEPS = 2 * 10**5
 _START_ITERATIONS = 60  # 0.51^60 < 2^-53
 _LEAF = 128  # steps of Q per Toeplitz product; 64 and 256 took 1.2 times as long on 20,504
-# quadrature steps at most per Gauss-Legendre panel of a filter: a filter integrand
-# oscillates below twice the norm bound, so a panel spans at most 2.4 rad of it,
-# where the rule of order 8 errs by about 2e-17 of the integral
-_PANEL = 8
 
 
 def _lagrange(points: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -466,6 +447,94 @@ def _stencil(i: int, n: int) -> int:
 _START_BASIS = _lagrange(np.arange(_ORDER), (np.arange(_ORDER - 1)[:, None] + _NODES).ravel())
 _START = np.cumsum(np.vstack([np.zeros(_ORDER), np.einsum(
     "i,jim->jm", _NODE_WEIGHTS, _START_BASIS.reshape(_ORDER - 1, _NODES.size, _ORDER))]), axis=0)
+
+
+# A return function f enters as I_J = int_0^J f((J - s) h) u(s) ds over the interpolant of
+# its drive u: the step i ends m = J - 1 - i steps before J, and its node 1 - x sits at the
+# lag (m + x) h.  The unclamped stencil of step i starts _REACH points before it.
+_REACH = _STENCIL // 2 - 1
+_STEP_BASIS = _lagrange(np.arange(_STENCIL) - _REACH, 1.0 - _NODES)  # (node, point)
+# u past n from the polynomial through its last 8 points: with these 3 ghosts the unclamped
+# stencils of the last steps give their clamped interpolant
+_GHOSTS = _lagrange(np.arange(_STENCIL), np.arange(_STENCIL, _STENCIL + _REACH))
+
+
+class _ProductRule:
+    """I_J = h int_0^J f((J - s) h) u(s) ds, J = 0..n, over the interpolant of u on the
+    stencil of each step by the Gauss-Legendre rule (Hairer, Lubich & Schlichte, SIAM J.
+    Sci. Stat. Comput. 6, 532, 1985), from f at the node lags (m + x) h, m = -3..n + 3,
+    zero below 0 (``lagged``).  Unclamped stencils give u_j a weight by J - j: one FFT
+    convolution with the folded kernel, u extended past n by its ghosts.  The edge term
+    puts the true steps 0..2 in place of the kernel's and takes out its steps before 0.
+    """
+
+    def __init__(self, lagged: np.ndarray, h: float):
+        n, weights = lagged.shape[1] - 2 * _REACH - 1, h * _NODE_WEIGHTS
+        kernel = np.zeros(n + _REACH + 1, dtype=complex)  # u_j's weight in I_J at J - j + 3
+        for p in range(_STENCIL):
+            kernel[_STENCIL - 1 - p:] += np.einsum("g,gm->m", weights * _STEP_BASIS[:, p],
+                                                   lagged[:, _REACH:n + p])
+        # [r, g, j]: the basis of the step i = 2 - r at its node g on the points j = 0..7 (its
+        # clamped stencil for i >= 0, none for i < 0) less the unclamped one the kernel gives it
+        edge = np.zeros((2 * _REACH + 1, _NODES.size, _ORDER))
+        for r, i in enumerate(range(_REACH - 1, -_REACH - 2, -1)):
+            if i >= 0:
+                edge[r] = _lagrange(np.arange(_ORDER) - i, 1.0 - _NODES)
+            lo = max(i - _REACH, 0)
+            edge[r, :, lo:i + _STENCIL - _REACH] -= _STEP_BASIS[:, lo - i + _REACH:]
+        self.lagged, self.edge = lagged, weights[:, None] * edge
+        self.spectrum = np.fft.fft(kernel, fft_size(2 * n + _REACH + 1))
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.spectrum.size, dtype=complex)
+        x[:u.size + _REACH] = np.append(u, np.einsum("kj,j->k", _GHOSTS, u[-_STENCIL:]))
+        np.fft.fft(x, out=x)
+        x *= self.spectrum
+        out = np.einsum("gjr,rg->j", sliding_window_view(self.lagged, 2 * _REACH + 1, axis=1),
+                        np.einsum("rgj,j->rg", self.edge, u[:_ORDER]))
+        out += np.fft.ifft(x, out=x)[_REACH:u.size + _REACH]
+        return out
+
+
+class _Marks:
+    """The sample marks on the quadrature grid, the last at the time ``end``: grid points
+    but for the last, J + frac, reached over the interpolant on the stencil of J."""
+
+    def __init__(self, marks: list, n: int, h: float, end: float):
+        self.inner, self.last = np.array(marks[:-1], dtype=int), math.floor(marks[-1])
+        self.frac, first = marks[-1] - self.last, _stencil(self.last, n)
+        self.stencil = slice(first, first + _STENCIL)
+        # the basis at J + frac, then at the nodes of [J, J + frac]
+        self.basis = _lagrange(np.arange(_STENCIL) + first - self.last,
+                               self.frac * np.append(1.0, _NODES))
+        self.h, self.end = h, end
+
+    def values(self, v: np.ndarray) -> np.ndarray:
+        """v at the marks, from v on the grid."""
+        return np.append(v[self.inner], np.einsum("p,p->", self.basis[0], v[self.stencil]))
+
+    def integrals(self, f: np.ndarray) -> np.ndarray:
+        """int_0^t f at the marks t: start rows, then Gregory, interpolated at the last."""
+        out = np.cumsum(f)
+        out[_ORDER:] += np.einsum("i,i->", _GREGORY, f[:_ORDER]) + np.einsum(
+            "ji,i->j", sliding_window_view(f, _ORDER)[1:], _GREGORY[::-1])
+        out[:_ORDER] = np.einsum("jm,m->j", _START, f[:_ORDER])
+        return self.values(self.h * out)
+
+    def comb(self, grid: ContinuumGrid, shift: float, v: np.ndarray) -> np.ndarray:
+        """int_0^T exp(-i (d_q - shift)(T - s)) v(s) ds for the modes d_q of ``grid``: the
+        weights to J in one ``comb_sum``, then the Gauss-Legendre rule on [J, T]."""
+        w = _START[self.last] if self.last < _ORDER else np.ones(self.last + 1)
+        if self.last >= _ORDER:
+            w[:_ORDER] += _GREGORY
+            w[-_ORDER:] += _GREGORY[::-1]
+        weights = v[:w.size] * w
+        weights *= self.h
+        freqs, step = grid.detunings() - shift, self.frac * self.h
+        at_nodes = step * _NODE_WEIGHTS * np.einsum("gp,p->g", self.basis[1:], v[self.stencil])
+        return (comb_sum(-self.end, self.h, weights, freqs[0], grid.spacing, grid.n_q)
+                + np.einsum("qg,g->q", np.exp(-1j * np.outer(freqs, (1.0 - _NODES) * step)),
+                            at_nodes))
 
 
 def _quadrature_grid(grid1: ContinuumGrid, c2: _Eigensystem, spec: ReservoirSpec,
@@ -578,12 +647,19 @@ class _BathChannels:
     def channels(self) -> int:
         return self.om.size if self.basis is None else self.basis.shape[1]
 
-    def drive(self, s: np.ndarray) -> np.ndarray:
-        """phi_n(s), channel n along a new last axis."""
+    def power_sum(self, coefs: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """sum_m coefs_m u^m at u = 2 s / T - 1, by Horner's rule."""
+        u = 2.0 * s / self.span - 1.0
+        out = np.full(s.shape, coefs[-1])
+        for c in coefs[-2::-1]:
+            out = out * u + c
+        return out
+
+    def drive(self, s: np.ndarray, n: int) -> np.ndarray:
+        """phi_n(s) of channel n."""
         if self.basis is None:
-            return np.exp(-1j * s[..., None] * (self.om - self.centre))
-        powers = (2.0 * s[..., None] / self.span - 1.0) ** np.arange(self.channels)
-        return np.einsum("...m,nm->...n", powers, self.mix)
+            return np.exp(-1j * s * (self.om[n] - self.centre))
+        return self.power_sum(self.mix[n], s)
 
     def classes(self, y: np.ndarray) -> np.ndarray:
         """sum_n U_ln y_n..., channel n along the first axis of ``y``."""
@@ -594,11 +670,7 @@ class _BathChannels:
         exp(i w_bar tau) sum_m (sum_l conj(A_lm)) u^m for channels, else ``exp_sum``."""
         if self.basis is None:
             return exp_sum(self.om, np.ones(self.om.size), tau)
-        u = 2.0 * tau / self.span - 1.0
-        out = np.full(tau.shape, self.series[-1])
-        for c in self.series[-2::-1]:
-            out = out * u + c
-        return np.exp(1j * self.centre * tau) * out
+        return np.exp(1j * self.centre * tau) * self.power_sum(self.series, tau)
 
 
 def _mode_integrals(grid: ContinuumGrid, weights: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -625,18 +697,23 @@ def _mode_integrals(grid: ContinuumGrid, weights: np.ndarray, h: float, n: int) 
 
 def _kernel_integrals(grid1: ContinuumGrid, spec: ReservoirSpec, p0: np.ndarray,
                       c2: _Eigensystem, bath: _BathChannels, h: float,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
+                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """int_0^t F and int_0^t K at t = j h, j = 0..n: int F and the port-1 part of K
-    in closed form, |g|^2 G W from the Gauss-Legendre rule in each step."""
-    int_f, port1 = _mode_integrals(grid1, np.array([-1j * grid1.kappa * p0,
-                                                    np.ones(grid1.n_q)]), h, n)
+    in closed form, |g|^2 G W from the Gauss-Legendre rule in each step; and from G
+    there the ``_ProductRule`` samples of the bath channels' exp(i w_bar tau) G(tau)."""
     step = np.zeros(n, dtype=complex)
-    for x, w in zip(_NODES, _NODE_WEIGHTS):
-        t = (np.arange(n) + x) * h
-        step += w * (exp_sum(-c2.roots, c2.inv_norm**2, t) * bath.w_sum(t))
-    kc = grid1.kappa**2 * port1
+    lagged = np.zeros((_NODES.size, n + 2 * _REACH + 1), dtype=complex)
+    for g, (x, w) in enumerate(zip(_NODES, _NODE_WEIGHTS)):
+        t = (np.arange(n + _REACH + 1) + x) * h
+        samples = exp_sum(-c2.roots, c2.inv_norm**2, t)
+        step += w * (samples[:n] * bath.w_sum(t[:n]))
+        np.multiply(np.exp(1j * bath.centre * t), samples, out=lagged[g, _REACH:])
+    # after the sums over the roots, whose temporaries would otherwise meet these
+    int_f, kc = _mode_integrals(grid1, np.array([-1j * grid1.kappa * p0, np.ones(grid1.n_q)]),
+                                h, n)
+    kc *= grid1.kappa**2
     kc[1:] += spec.coupling_sq * np.cumsum(h * step)
-    return int_f, kc
+    return int_f, kc, lagged
 
 
 def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
@@ -691,8 +768,9 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
     inv[0] = 1.0
     for d in range(1, _LEAF):
         inv[d] = -h * np.einsum("i,i->", kmod[1:d + 1], inv[d - 1::-1])
-    lags = np.arange(_LEAF)[:, None] - np.arange(_LEAF)
-    leaf = np.where(lags >= 0, inv[np.maximum(lags, 0)], 0.0)
+    # leaf_ij = inv_(i-j) for i >= j, else 0
+    leaf = np.ascontiguousarray(sliding_window_view(
+        np.concatenate((np.zeros(_LEAF - 1), inv)), _LEAF)[:, ::-1])
 
     def solve(lo, hi):
         if hi - lo <= _LEAF:
@@ -705,46 +783,8 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
         solve(mid, hi)
 
     solve(_ORDER, n + 1)
+    del solve  # it holds itself, and with it this frame's arrays, until a collection
     return q
-
-
-def _interval_rule(start: int, length: float, n: int):
-    """Gauss-Legendre rule of order 8 for int_0^length u(start + x) phi(x) dx, in
-    equal panels of at most ``_PANEL`` steps, for u known on the grid points 0..n.
-
-    Returns the nodes x, their weights, the first grid point used and the matrix
-    that interpolates u at each node and, in its last row, at x = length, each on
-    the ``_STENCIL`` points around the step that holds it.
-    """
-    panels = math.ceil(length / _PANEL)
-    width = length / panels
-    x = np.append(np.concatenate([(p + _NODES) * width for p in range(panels)]), length)
-    firsts = [_stencil(start + int(xi), n) for xi in x]
-    lo = min(firsts)
-    interp = np.zeros((x.size, max(firsts) + _STENCIL - lo))
-    for g, first in enumerate(firsts):
-        points = np.arange(first, first + _STENCIL) - start
-        interp[g, first - lo:first - lo + _STENCIL] = _lagrange(points, x[g:g + 1])[0]
-    return x[:-1], np.tile(width * _NODE_WEIGHTS, panels), lo, interp
-
-
-_BLOCK_ENTRIES = 2**16  # complex bath amplitudes held per block of sample intervals
-
-
-def _interval_blocks(marks: list, rows: int):
-    """Runs of at most ``rows`` consecutive sample intervals [start, end] (in steps,
-    start floored) that share one ``_interval_rule``: the first interval, the one
-    after the last, their starts, and the rule's key (clamped start, length)."""
-    ends = np.array(marks)
-    starts = np.floor(np.concatenate(([0.0], ends[:-1]))).astype(int)
-    # _stencil clamps only for start < 3, so later intervals of one length share a rule
-    clamped, lengths = np.minimum(starts, _STENCIL // 2 - 1), ends - starts
-    new_rule = (clamped[1:] != clamped[:-1]) | (lengths[1:] != lengths[:-1])
-    bounds = [0, *(np.flatnonzero(new_rule) + 1).tolist(), ends.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        for j in range(lo, hi, rows):
-            k = min(j + rows, hi)
-            yield j, k, starts[j:k], (int(clamped[j]), float(lengths[j]))
 
 
 def evolve_full(
@@ -759,73 +799,55 @@ def evolve_full(
 
     The cavity amplitudes start empty.  The populations are recorded on
     the grid t = j dt every max(1, round(0.1 / dt)) steps and at t_final.
-    Q comes from the Volterra equation of the module docstring on a grid of
-    step h = (sample interval) / ceil((sample interval) norm / 0.15); the
-    port-1 modes and the cavity-2 eigenmodes of every bath channel are exact
-    filters of Q between samples.
+    Q solves the Volterra equation of the module docstring on a grid of step
+    h = (sample interval) / ceil((sample interval) norm / 0.15); the rest
+    follows from Q through the return functions G and D.
     """
-    n1, n2 = grid1.n_q, grid2.n_q
     p0 = np.asarray(p0, dtype=complex)
-    if p0.size != n1:
+    if p0.size != grid1.n_q:
         raise InvalidInput("initial amplitudes do not match the port-1 grid")
     _check_window(grid1, t_final, "port-1")
     _check_window(grid2, t_final, "port-2")
     c2 = grid2.cavity
     steps, dt, marks, h, n = _quadrature_grid(grid1, c2, spec, t_final, dt)
     bath = _BathChannels.build(spec.frequencies(), t_final)
-    int_f, kc = _kernel_integrals(grid1, spec, p0, c2, bath, h, n)
+    int_f, kc, lagged = _kernel_integrals(grid1, spec, p0, c2, bath, h, n)
     q = _solve_cavity(int_f, kc, h)
+    del int_f, kc
+    bath_return, marks = _ProductRule(lagged, h), _Marks(marks, n, h, t_final)
 
-    # port-1 modes P_q, then the C2 eigenmodes y_mk of every channel m, at lambda_k - w_bar
-    v0 = c2.inv_norm
-    m, modes = bath.channels, n2 + 1
-    freqs = np.concatenate((grid1.detunings(), c2.roots - bath.centre))
-    drive = np.concatenate((np.full(n1, -1j * grid1.kappa),
-                            1j * np.conj(complex(spec.coupling)) * v0))
-    size = n1 + m * modes
-    x = np.zeros(size, dtype=complex)
-    x[:n1] = p0
-    rows = max(1, _BLOCK_ENTRIES // size)
-    buf = np.empty((rows, size), dtype=complex)
-    tmp = np.empty(size, dtype=complex)
-    pops = np.empty((4, len(steps) + 1))
-    pops[:, 0] = [np.sum(np.abs(p0) ** 2), 0.0, 0.0, 0.0]
-    rules = {}
-    for first, stop, starts, key in _interval_blocks(marks, rows):
-        length = key[1]
-        if key not in rules:
-            nodes, node_weights, lo, interp = _interval_rule(starts[0], length, n)
-            phase = np.exp(-1j * h * np.outer(length - nodes, freqs))
-            decay = np.exp(-1j * h * length * freqs)
-            rules[key] = (nodes, (h * node_weights)[:, None] * drive * phase, lo - starts[0],
-                          interp, np.concatenate((decay[:n1], np.tile(decay[n1:], m))))
-        nodes, weights, offset, interp, decay = rules[key]
-        block = buf[:stop - first]
-        window = q[(starts + offset)[:, None] + np.arange(interp.shape[1])]
-        at_nodes = np.einsum("gm,jm->jg", interp, window)
-        qn, q_end = at_nodes[:, :-1], at_nodes[:, -1]
-        y = block[:, n1:].reshape(-1, m, modes)
-        np.einsum("gq,jg->jq", weights[:, :n1], qn, out=block[:, :n1])
-        np.einsum("gk,jgm->jmk", weights[:, n1:], bath.drive((starts[:, None] + nodes) * h)
-                  * qn[..., None], out=y)
-        prev = x
-        for row in block:
-            row += np.multiply(decay, prev, out=tmp)
-            prev = row
-        x[:] = prev
-        port1, bath_modes = block[:, :n1].view(float), block[:, n1:].view(float)
-        rho = np.einsum("jmk,k->jm", y, v0).view(float)
-        mode2 = np.einsum("ji,ji->j", rho, rho)
-        pops[:, first + 1:stop + 1] = [np.einsum("ji,ji->j", port1, port1), np.abs(q_end) ** 2,
-                                       mode2, np.einsum("ji,ji->j", bath_modes, bath_modes) - mode2]
+    pops = np.zeros((4, len(steps) + 1))
+    q_end = marks.values(q)
+    pops[1, 1:] = np.abs(q_end) ** 2
+    # channel m's cavity-2 amplitude rho_m = i conj(g) int G(t - s) u_m(s) ds, u_m = phi_m Q,
+    # in the frame of w_bar; its bath norm N_m has the flux 2 Re(i conj(g) u_m conj(rho_m)),
+    # and its port-2 amplitudes are -i k2 int exp(-i (d2_q - w_bar)(T - s)) rho_m(s) ds
+    drive = 1j * np.conj(complex(spec.coupling))
+    r, s = np.empty(bath.channels, complex), np.empty((bath.channels, grid2.n_q), complex)
+    for m in range(bath.channels):
+        u = bath.drive(np.arange(n + 1) * h, m) * q
+        rho = bath_return(u)
+        rho *= drive
+        at_marks = marks.values(rho)
+        pops[2, 1:] += np.abs(at_marks) ** 2
+        pops[3, 1:] += marks.integrals(2.0 * np.real(drive * u * np.conj(rho)))
+        del u  # few arrays of the grid's length while the comb sum runs
+        r[m], s[m] = at_marks[-1], -1j * grid2.kappa * marks.comb(grid2, bath.centre, rho)
+    pops[3] -= pops[2]
+    del lagged, bath_return  # one table of samples at a time
+    # port 1 has the flux 2 Re(-i k1 Q conj(sigma)), sigma = sum_q P_q = sum_q p0_q exp(-i d1_q t)
+    # - i k1 int D(t - s) Q(s) ds with the comb's return function D(tau) = sum_q exp(-i d1_q tau)
+    k1, f0, df = grid1.kappa, 0.5 * (grid1.n_q - 1) * grid1.spacing, -grid1.spacing
+    lagged = np.zeros((_NODES.size, n + 2 * _REACH + 1), dtype=complex)
+    for g, x in enumerate(_NODES):
+        lagged[g, _REACH:] = comb_sum(f0, df, np.ones(grid1.n_q), x * h, h, n + _REACH + 1)
+    sigma = comb_sum(f0, df, p0, 0.0, h, n + 1) - 1j * k1 * _ProductRule(lagged, h)(q)
+    pops[0, 0] = np.sum(np.abs(p0) ** 2)
+    pops[0, 1:] = pops[0, 0] + marks.integrals(2.0 * np.real(-1j * k1 * q * np.conj(sigma)))
+    p = np.exp(-1j * grid1.detunings() * t_final) * p0 - 1j * k1 * marks.comb(grid1, 0.0, q)
 
-    # channel n of S_ql is exp(-i w_bar t) k2 sum_k V_qk y_nk in the lab frame, with
-    # V_qk = inv_norm_k k2 / (lambda_k - d2_q)
-    y = x[n1:].reshape(m, modes)
     lab = np.exp(-1j * bath.centre * t_final)
-    final = DiodeState(p=x[:n1].copy(), q=complex(q_end[-1]),
-                       r=lab * np.einsum("nk,k->n", y, v0),
-                       s=lab * grid2.kappa * c2.cauchy(y * v0, over_roots=True), t=t_final)
+    final = DiodeState(p=p, q=complex(q_end[-1]), r=lab * r, s=lab * s, t=t_final)
     norm = (np.sum(np.abs(final.p) ** 2) + abs(final.q) ** 2 + np.sum(np.abs(final.r) ** 2)
             + np.sum(np.abs(final.s) ** 2))
     return DiodeTrajectory(

@@ -31,4 +31,8 @@ class ScenarioError(PhotonflowError):
 
 
 class InvariantViolation(PhotonflowError):
-    """A physical invariant check failed during or after a run."""
+    """A physical invariant check failed during or after a run, whose results it keeps."""
+
+    def __init__(self, message: str, results: dict | None = None):
+        super().__init__(message)
+        self.results = results

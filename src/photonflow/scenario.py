@@ -868,14 +868,17 @@ def run_scenario(sc: Scenario, outdir) -> RunOutcome:
     if outcome.invariant_failures:
         raise InvariantViolation(
             f"scenario {sc.name!r}: invariant checks failed: "
-            + ", ".join(outcome.invariant_failures)
+            + ", ".join(outcome.invariant_failures), outcome.results
         )
     return outcome
 
 
 def _scan_point(args):
     value, sc, outdir = args
-    return value, run_scenario(sc, outdir).results
+    try:
+        return value, run_scenario(sc, outdir).results, None
+    except InvariantViolation as exc:
+        return value, exc.results, f"{Path(outdir).name} ({exc})"
 
 
 def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
@@ -888,6 +891,7 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     has the axis and the first point's result names as its header; rows
     appear in the order of ``values`` regardless of execution order, and
     each row is identical to an independent run of the modified scenario.
+    Every point runs; the scan then raises InvariantViolation naming those that failed.
     """
     if "." not in axis:
         raise ScenarioError(f"axis must be 'section.key', got {axis!r}")
@@ -917,11 +921,16 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_point, tasks))
+            points = list(pool.map(_scan_point, tasks))
     else:
-        rows = [_scan_point(t) for t in tasks]
+        points = [_scan_point(t) for t in tasks]
     # the points differ only in one number, so they share the kind, the
     # spectrum and with them the result names
+    rows = [(value, res) for value, res, _ in points]
     _write_csv(out / "scan_summary.csv",
                {axis: values, **{name: [res[name] for _, res in rows] for name in rows[0][1]}})
+    failed = "; ".join(failure for _, _, failure in points if failure)
+    if failed:
+        raise InvariantViolation(f"scan over {axis}: {failed}; summary in "
+                                 f"{out / 'scan_summary.csv'}")
     return rows

@@ -66,9 +66,9 @@ from photonflow._integrate import (_BLOCK, _ExactPropagator, _arrowhead_eigensys
                                    _block_slices, _comb_spacing, _polygamma, comb_sum, exp_sum,
                                    fft_size, sample_steps, steps_for, taylor_propagate)
 from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
-                              _START_ITERATIONS, _BathChannels, _generator_norm,
-                              _interval_rule, _kernel_integrals, _quadrature_grid,
-                              _solve_cavity, intensity_centroid)
+                              _START_ITERATIONS, _STENCIL, _BathChannels, _generator_norm,
+                              _kernel_integrals, _lagrange, _quadrature_grid, _solve_cavity,
+                              _stencil, intensity_centroid)
 from photonflow.lindblad import _superoperator, state_fidelity
 from photonflow.scenario import RunOutcome, _master_report, parse_scenario_text, validate_scenario
 
@@ -819,6 +819,32 @@ def test_solve_cavity_matches_direct_solve(n):
     assert np.max(np.abs(q - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
+# quadrature steps at most per Gauss-Legendre panel of a filter: a filter integrand
+# oscillates below twice the norm bound, so a panel spans at most 2.4 rad of it,
+# where the rule of order 8 errs by about 2e-17 of the integral
+_PANEL = 8
+
+
+def _interval_rule(start: int, length: float, n: int):
+    """Gauss-Legendre rule of order 8 for int_0^length u(start + x) phi(x) dx, in
+    equal panels of at most ``_PANEL`` steps, for u known on the grid points 0..n.
+
+    Returns the nodes x, their weights, the first grid point used and the matrix
+    that interpolates u at each node and, in its last row, at x = length, each on
+    the ``_STENCIL`` points around the step that holds it.
+    """
+    panels = math.ceil(length / _PANEL)
+    width = length / panels
+    x = np.append(np.concatenate([(p + _NODES) * width for p in range(panels)]), length)
+    firsts = [_stencil(start + int(xi), n) for xi in x]
+    lo = min(firsts)
+    interp = np.zeros((x.size, max(firsts) + _STENCIL - lo))
+    for g, first in enumerate(firsts):
+        points = np.arange(first, first + _STENCIL) - start
+        interp[g, first - lo:first - lo + _STENCIL] = _lagrange(points, x[g:g + 1])[0]
+    return x[:-1], np.tile(width * _NODE_WEIGHTS, panels), lo, interp
+
+
 def evolve_full_per_class(grid1, grid2, spec, p0, t_final, dt):
     """The router as it was before its bath channels and closed-form kernel sums:
     int F and Kc from the 8-point rule in each step over all four sums, and every
@@ -901,14 +927,21 @@ dt = 0.02
 """
 
 
-@pytest.mark.parametrize("eps_max, channels", [("0.0005", 9), ("0.05", 80)],
-                         ids=["channels", "wide-band-classes"])
-def test_router_matches_per_class_filters(eps_max, channels):
-    c = validate_scenario(parse_scenario_text(
-        ROUTER_BENCHMARK.replace("eps_max = 0.0005", f"eps_max = {eps_max}")))
+@pytest.mark.parametrize("edits, channels, last_mark", [
+    ({}, 9, 7100.0),
+    ({"eps_max = 0.0005": "eps_max = 0.05"}, 80, 7100.0),
+    # 28,398 steps of dt: the last sample falls half a quadrature step off the grid
+    ({"t_final = 142.0": "t_final = 141.99", "dt = 0.02": "dt = 0.005"}, 9, 7099.5),
+], ids=["channels", "wide-band-classes", "off-grid-last-mark"])
+def test_router_matches_per_class_filters(edits, channels, last_mark):
+    text = ROUTER_BENCHMARK
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    c = validate_scenario(parse_scenario_text(text))
     p0 = project_pulse(c.grid1, c.pulse)
     traj = evolve_full(c.grid1, c.grid2, c.spec, p0, c.t_final, c.dt)
     assert traj.bath.channels == channels
+    assert _quadrature_grid(c.grid1, c.grid2.cavity, c.spec, c.t_final, c.dt)[2][-1] == last_mark
     pops, p, r, s = evolve_full_per_class(c.grid1, c.grid2, c.spec, p0, c.t_final, c.dt)
     for got, ref in zip([traj.port1, traj.cavity1, traj.mode2, traj.port2], pops):
         assert np.max(np.abs(got - ref)) <= 2e-12 * np.max(ref)
@@ -919,13 +952,55 @@ def test_router_matches_per_class_filters(eps_max, channels):
     assert np.max(np.abs(classes(final.s) - s)) <= 2e-12 * np.max(np.abs(s))
 
 
+# the reflection file of the router benchmark (seed 1): its 2400-mode comb sets the memory
+# high-water mark of that workload
+ROUTER_REFLECTION = """
+[scenario]
+name = router-port2-reflection
+kind = Port2Reflection
+
+[diode]
+gamma2 = 20.630340
+
+[grid2]
+n_q = 2400
+delta_max = 45.0
+
+[pulse]
+duration = 10.0
+t0 = 33.684924
+
+[run]
+t_final = 86.0
+"""
+
+
+def test_router_memory_stays_below_its_reflection():
+    # evolve_full keeps one table of return-function samples, (8, n + 7), and the arrays
+    # of one bath channel at a time
+    router = validate_scenario(parse_scenario_text(ROUTER_BENCHMARK))
+    reflection = validate_scenario(parse_scenario_text(ROUTER_REFLECTION))
+    peaks = []
+    for call in (lambda: evolve_full(router.grid1, router.grid2, router.spec, router.p0,
+                                     router.t_final, router.dt),
+                 lambda: reflect_port2(reflection.grid2, reflection.s0, reflection.t_final)):
+        call()  # a first call fills the caches that both keep
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
+
+
 def test_solve_cavity_matches_direct_solve_on_the_router_kernel():
     c = validate_scenario(parse_scenario_text(ROUTER_BENCHMARK))
     p0 = project_pulse(c.grid1, c.pulse)
     c2 = c.grid2.cavity
     _, _, _, h, n = _quadrature_grid(c.grid1, c2, c.spec, c.t_final, c.dt)
     bath = _BathChannels.build(c.spec.frequencies(), c.t_final)
-    int_f, kc = _kernel_integrals(c.grid1, c.spec, p0, c2, bath, h, n)
+    int_f, kc, _ = _kernel_integrals(c.grid1, c.spec, p0, c2, bath, h, n)
     assert n == 7104
     ref = solve_cavity_direct(int_f, kc, h)
     assert np.max(np.abs(_solve_cavity(int_f, kc, h) - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -1030,7 +1105,7 @@ def test_bath_channels_cut_the_series_at_its_first_term_below_2_to_minus_60(f, e
     assert np.max(np.abs(bath.basis @ bath.mix - taylor)) <= 1e-14 * np.max(np.abs(taylor))
     assert np.max(np.abs(bath.basis.conj().T @ bath.basis - np.eye(m))) <= 1e-14
     s = (u + 1.0) * t_final / 2
-    phases = bath.classes(bath.drive(s).T)
+    phases = bath.classes(np.array([bath.drive(s, n) for n in range(m)]))
     assert np.max(np.abs(phases - np.exp(-1j * np.outer(om - bath.centre, s)))) <= 1e-14
 
 
@@ -1065,7 +1140,7 @@ def test_kernel_integrals_match_16_point_rule(n_q, spectrum):
     _, _, _, h, n = _quadrature_grid(grid1, c2, spec, t_final, 0.02)
     bath = _BathChannels.build(spec.frequencies(), t_final)
     assert bath.basis is not None
-    int_f, kc = _kernel_integrals(grid1, spec, p0, c2, bath, h, n)
+    int_f, kc, _ = _kernel_integrals(grid1, spec, p0, c2, bath, h, n)
     ref_f, ref_k = kernel_integrals_16(grid1, spec, p0, c2, h, n)
     assert int_f[0] == kc[0] == 0.0
     assert np.max(np.abs(int_f - ref_f)) <= 1e-13 * np.max(np.abs(ref_f))

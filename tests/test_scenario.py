@@ -590,6 +590,22 @@ def test_cli_scan_checks_every_point_before_running(tmp_path, capsys):
     assert not (tmp_path / "scan").exists()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_runs_every_point_past_an_invariant_failure(tmp_path, capsys, jobs):
+    # at target_gamma = 1e-300 the free decay rate is 0, which fails the second point
+    rc = main(["scan", str(SCENARIO_DIR / "zeno_scan.ini"), "--axis", "reservoir.target_gamma",
+               "--values", "1.0,1e-300,1.1", "--out", str(tmp_path), "--jobs", str(jobs)])
+    assert rc == 3
+    assert "point_001 (scenario 'zeno-scan': invariant checks failed" in capsys.readouterr().err
+    scan = tmp_path / "zeno-scan_scan"
+    assert len(list(scan.glob("point_00[0-2]/manifest.ini"))) == 3
+    assert "all_ok = false" in (scan / "point_001" / "manifest.ini").read_text()
+    lines = (scan / "scan_summary.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 1e-300, 1.1]
+    assert "nan" in lines[2].split(",")
+
+
 @pytest.mark.parametrize("n_points, cpus", [(2, 64), (3, 2)])
 def test_scan_clamps_worker_count(tmp_path, monkeypatch, n_points, cpus):
     import concurrent.futures
