@@ -23,15 +23,12 @@ from .errors import (
 from .fock import (
     DensityMatrix,
     ModeSpace,
-    SparseOperator,
+    Operator,
     annihilation,
-    apply,
     creation,
     fock_density,
     fock_state,
     mixed_fock_density,
-    number,
-    partial_trace,
     tensor_embed,
     trace_distance,
 )
@@ -39,10 +36,8 @@ from .lindblad import (
     EvolutionResult,
     LindbladModel,
     asymptotic_transfer_map,
-    dark_state_check,
     evolve,
     interference_transfer_jump,
-    lindblad_rhs,
     purification_predicate,
     transfer_jump,
 )
@@ -51,13 +46,11 @@ from .reservoir import (
     SingleExcitationState,
     TwoUpperModeState,
     coupling_for_rate,
-    equidistant_response_closed_form,
     evolve_exact,
     fit_decay_rate,
     interference_evolve,
     markov_rate,
     recurrence_time,
-    response_function,
     zeno_evolve,
     zeno_scan,
 )
@@ -74,7 +67,6 @@ from .diode import (
     loaded_transfer_rate,
     port2_output_decomposition,
     project_pulse,
-    reconstruct_field,
     reflect_port2,
     simulation_window,
 )

@@ -3,12 +3,13 @@
 Every generator here is time-independent, in the frame its caller picks,
 so propagation is exact up to roundoff, not stepped:
 
-* ``_ExactPropagator``: exp(i K t) for a real-symmetric arrowhead K (one
-  mode coupled equally to classes at fixed frequencies) through its
-  closed-form eigenpairs (O'Leary & Stewart, J. Comput. Phys. 90, 497,
-  1990).  Used by the reservoir level and the port-2 reflection, and its
-  eigensystem by the four-port router's memory kernel.  When the poles
-  form a uniform comb with equal couplings (the port continua and the
+* ``_arrowhead_eigensystem``: the closed-form eigenpairs of a
+  real-symmetric arrowhead K, one mode coupled to classes at fixed
+  frequencies (O'Leary & Stewart, J. Comput. Phys. 90, 497, 1990).  The
+  reservoir level propagates exp(i K t) on them; the bare cavity-2 comb
+  keeps its own (``diode.ContinuumGrid.cavity``) for the four-port
+  router's memory kernel and the port-2 reflection.  When the poles form
+  a uniform comb with equal couplings (the port continua and the
   equidistant reservoir), the secular function and its slope are sums of
   digamma and trigamma values, so each root costs O(1) per iteration
   instead of O(m); other spectra sum over the poles.  Every product with
@@ -452,66 +453,6 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
             origin[ks], offset[ks] = o, mu
             inv_norm[ks] = sums.inv_norm(mu)
     return _Eigensystem(poles, z, origin, offset, inv_norm, iterations)
-
-
-class _ExactPropagator:
-    """exp(i K tau) for one upper mode coupled to classes at ``omegas``.
-
-    K = [[0, |g| 1^T], [|g| 1, diag(omegas)]].  Classes of equal frequency
-    are merged: with uniform coupling only their symmetric combination
-    couples, with |g| sqrt(n), and the rest is dark.  Groups whose coupling
-    is negligible against the spectral scale are deflated as dark too.
-    Class amplitudes b_l here are in the frame where K does not depend on
-    time; ``to_frame`` and ``classes_at`` convert from and to the
-    interaction picture c_l = exp(-i (theta + omega_l t)) b_l, with theta
-    the phase of g, and at t = 0 with real positive g the two coincide.
-    """
-
-    def __init__(self, omegas: np.ndarray, coupling: complex):
-        om = np.asarray(omegas, dtype=float)
-        g = abs(coupling)
-        self.omegas = om
-        self.gauge = np.exp(1j * np.angle(coupling))
-        scale = max(float(np.max(np.abs(om))), g * np.sqrt(om.size))
-        tol = 8.0 * _EPS * scale
-        order = np.argsort(om, kind="stable")
-        first = np.concatenate(([True], np.diff(om[order]) > tol))
-        group = np.empty(om.size, dtype=int)
-        group[order] = np.cumsum(first) - 1
-        counts = np.bincount(group)
-        z = g * np.sqrt(counts)
-        coupled = z > tol
-        column = np.cumsum(coupled) - 1
-        self.column = np.where(coupled[group], column[group], -1)  # -1: dark class
-        self.share = 1.0 / np.sqrt(counts[group])  # class share of its bright mode
-        self.eig = _arrowhead_eigensystem(om[order][first][coupled], z[coupled])
-
-    def to_frame(self, c: np.ndarray, t: float) -> np.ndarray:
-        return self.gauge * np.exp(1j * self.omegas * t) * c
-
-    def modes(self, c0: complex, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of (c0, b) on the eigenvectors, and the dark remainder of b."""
-        eig = self.eig
-        bright = np.zeros(eig.poles.size, dtype=complex)
-        on = self.column >= 0
-        np.add.at(bright, self.column[on], b[on] * self.share[on])
-        dark = b.astype(complex)
-        dark[on] -= bright[self.column[on]] * self.share[on]
-        coef = np.full(eig.roots.size, complex(c0))
-        if np.any(bright):
-            coef += eig.cauchy(eig.z * bright, over_roots=False)
-        return coef * eig.inv_norm, dark
-
-    def classes_at(self, coef: np.ndarray, dark: np.ndarray, tau: float, t: float) -> np.ndarray:
-        """Interaction-picture class amplitudes c_l at tau after the start, time t."""
-        eig = self.eig
-        weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
-        bright = eig.z * eig.cauchy(weight, over_roots=True)
-        # the dark part is frozen in the interaction picture
-        c = np.exp(-1j * self.omegas * (t - tau)) * dark
-        on = self.column >= 0
-        c[on] += np.exp(-1j * self.omegas[on] * t) * bright[self.column[on]] * self.share[on]
-        return c / self.gauge
 
 
 _TERM_TOL = 2.0**-53

@@ -57,8 +57,8 @@ Model conventions
   (``_ProductRule``).  Mode 2 is sum_m |rho_m|^2, port 1 and the channel
   norms N_m are Gregory integrals of their fluxes, port 2 is sum_m N_m -
   mode 2, and the final P and S are comb sums of Q and rho_m.  The port-2
-  reflection off the bare cavity uses the closed-form eigenpairs of its
-  arrowhead generator (``_integrate._ExactPropagator``).
+  reflection off the bare cavity is C2 with C -> -C and the comb reversed,
+  so it runs on the same eigenpairs (``ContinuumGrid.cavity``).
 * Fields are reconstructed at the cavity mirror (z = 0 phase origin):
   Phi(t) = sqrt(dw / 2 pi) sum_q A_q exp(-i d_q (t - t_ref)), normalized
   so the integral of |Phi|^2 over the wavepacket is the photon count.
@@ -104,8 +104,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._integrate import (_MAX_COUNT, _arrowhead_eigensystem, _Eigensystem, _ExactPropagator,
-                         comb_sum, exp_sum, fft_size, sample_steps, steps_for)
+from ._integrate import (_MAX_COUNT, _arrowhead_eigensystem, _Eigensystem, comb_sum, exp_sum,
+                         fft_size, sample_steps, steps_for)
 from .errors import ConfigurationError, InvalidInput
 from .reservoir import ReservoirSpec
 
@@ -116,7 +116,6 @@ __all__ = [
     "exponential_pulse",
     "custom_pulse",
     "project_pulse",
-    "reconstruct_field",
     "simulation_window",
     "coupling_for_diode_rate",
     "loaded_transfer_rate",
@@ -279,19 +278,6 @@ def project_pulse(grid: ContinuumGrid, pulse: Pulse) -> np.ndarray:
                 "the grid cannot represent this envelope"
             )
     return amps
-
-
-def reconstruct_field(
-    grid: ContinuumGrid, amplitudes: np.ndarray, times: np.ndarray, t_ref: float = 0.0
-) -> np.ndarray:
-    """Field at the cavity mirror at uniformly spaced ``times`` from comb
-    amplitudes known at t_ref; the step is (times[-1] - times[0]) / (n - 1)."""
-    tt = np.asarray(times, dtype=float)
-    n = tt.size
-    h = float(tt[-1] - tt[0]) / (n - 1) if n > 1 else 0.0
-    if np.any(np.abs(np.diff(tt) - h) > 1e-9 * abs(h)):
-        raise InvalidInput("reconstruct_field needs uniformly spaced times")
-    return _comb_field(grid, amplitudes, float(tt[0]) - t_ref if n else 0.0, h, n)
 
 
 def _comb_field(grid: ContinuumGrid, amplitudes: np.ndarray, t0: float, h: float,
@@ -1013,17 +999,20 @@ def reflect_port2(grid2: ContinuumGrid, s0: np.ndarray, t_final: float) -> Refle
 
         dS_q/dt = -i d_q S_q - i kappa C,   dC/dt = -i kappa sum_q S_q.
 
-    With C -> -C this is dy/dt = i K y for the arrowhead K with poles -d_q
-    and border kappa, so the state at t_final comes from its closed-form
-    eigenpairs without stepping.  The output keeps unit norm; the delay is
-    the centroid shift of the reflected intensity against free propagation.
+    With C -> -C and the comb reversed, S'_q = S_{n-1-q}, this is dy/dt =
+    i K y for the arrowhead K with poles -d_{n-1-q} = d_q and border kappa:
+    C2 itself.  So the state at t_final comes from C2's closed-form
+    eigenpairs (``grid2.cavity``) without stepping.  The output keeps unit
+    norm; the delay is the centroid shift of the reflected intensity
+    against free propagation.
     """
     _check_window(grid2, t_final, "port-2")
     step, n = _reflection_samples(t_final)
-    prop = _ExactPropagator(-grid2.detunings(), grid2.kappa)
-    coef, dark = prop.modes(0.0, s0)
-    # at t = 0 the interaction picture is the frame itself: this is S(t_final)
-    s_final = prop.classes_at(coef, dark, t_final, 0.0)
+    c2 = grid2.cavity
+    coef = c2.inv_norm * c2.cauchy(c2.z * s0[::-1], over_roots=False)
+    weight = coef * c2.inv_norm * np.exp(1j * c2.roots * t_final)
+    # a copy: numpy sums a reversed view in memory order, which would change out_norm's bits
+    s_final = (c2.z * c2.cauchy(weight, over_roots=True))[::-1].copy()
 
     ts = np.arange(n) * step
     out_field = _comb_field(grid2, s_final, -t_final, step, n)
@@ -1031,7 +1020,7 @@ def reflect_port2(grid2: ContinuumGrid, s0: np.ndarray, t_final: float) -> Refle
     out_norm = float(np.sum(np.abs(s_final) ** 2))
     delay = intensity_centroid(ts, out_field) - intensity_centroid(ts, in_field)
     return ReflectionResult(times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm,
-                            delay=delay, secular_iterations=prop.eig.iterations)
+                            delay=delay, secular_iterations=c2.iterations)
 
 
 @dataclass

@@ -25,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -33,15 +33,11 @@ from .errors import InvalidInput
 
 __all__ = [
     "ModeSpace",
-    "SparseOperator",
+    "Operator",
     "DensityMatrix",
-    "identity",
     "annihilation",
     "creation",
-    "number",
     "tensor_embed",
-    "apply",
-    "partial_trace",
     "fock_state",
     "fock_density",
     "mixed_fock_density",
@@ -82,30 +78,20 @@ class ModeSpace:
                 raise InvalidInput(f"occupation {tuple(occupations)} outside {self.mode_dims}")
         return int(np.ravel_multi_index(tuple(occupations), self.mode_dims))
 
-    def unflatten(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.total_dim:
-            raise InvalidInput(f"flat index {index} outside [0, {self.total_dim})")
-        return tuple(int(i) for i in np.unravel_index(index, self.mode_dims))
-
-
-def _dense(m) -> np.ndarray:
-    """Complex ndarray of an array-like or of anything with ``toarray()``."""
-    return np.asarray(m.toarray() if hasattr(m, "toarray") else m, dtype=complex)
-
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, b)
 
 
 @dataclass(frozen=True)
-class SparseOperator:
+class Operator:
     """Linear operator on a ModeSpace, held as a dense complex matrix."""
 
     space: ModeSpace
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = _dense(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.space.total_dim, self.space.total_dim):
             raise InvalidInput(
                 f"operator shape {m.shape} does not match space dimension "
@@ -113,22 +99,19 @@ class SparseOperator:
             )
         object.__setattr__(self, "matrix", m)
 
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.space, self.matrix.conj().T)
+    def adjoint(self) -> "Operator":
+        return Operator(self.space, self.matrix.conj().T)
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.copy()
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
+    def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_space(self.space, other.space)
-        return SparseOperator(self.space, _product(self.matrix, other.matrix))
+        return Operator(self.space, _product(self.matrix, other.matrix))
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+    def __add__(self, other: "Operator") -> "Operator":
         _check_same_space(self.space, other.space)
-        return SparseOperator(self.space, self.matrix + other.matrix)
+        return Operator(self.space, self.matrix + other.matrix)
 
-    def __mul__(self, scalar: complex) -> "SparseOperator":
-        return SparseOperator(self.space, self.matrix * complex(scalar))
+    def __mul__(self, scalar: complex) -> "Operator":
+        return Operator(self.space, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -173,7 +156,7 @@ class DensityMatrix:
         h = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(h)[0])
 
-    def expectation(self, op: SparseOperator) -> complex:
+    def expectation(self, op: Operator) -> complex:
         _check_same_space(self.space, op.space)
         # tr(A rho) = sum_ij A_ij rho_ji
         return complex(np.sum(op.matrix * self.matrix.T))
@@ -193,34 +176,25 @@ def _check_mode(space: ModeSpace, mode: int) -> None:
         raise InvalidInput(f"mode index {mode} outside [0, {space.n_modes})")
 
 
-def identity(space: ModeSpace) -> SparseOperator:
-    return SparseOperator(space, np.eye(space.total_dim))
-
-
-def annihilation(space: ModeSpace, mode: int) -> SparseOperator:
+def annihilation(space: ModeSpace, mode: int) -> Operator:
     """Lowering operator of one mode, identity on the rest."""
     _check_mode(space, mode)
     # <n-1| a |n> = sqrt(n); the top level is removed by hard truncation
     return tensor_embed(space, np.diag(np.sqrt(np.arange(1, space.mode_dims[mode])), 1), mode)
 
 
-def creation(space: ModeSpace, mode: int) -> SparseOperator:
+def creation(space: ModeSpace, mode: int) -> Operator:
     return annihilation(space, mode).adjoint()
 
 
-def number(space: ModeSpace, mode: int) -> SparseOperator:
-    _check_mode(space, mode)
-    return tensor_embed(space, np.diag(np.arange(space.mode_dims[mode], dtype=float)), mode)
-
-
-def tensor_embed(space: ModeSpace, single_mode_op, mode: int) -> SparseOperator:
+def tensor_embed(space: ModeSpace, single_mode_op, mode: int) -> Operator:
     """Embed a single-mode operator into the joint space.
 
     Acts as the given operator on ``mode`` and as the identity on all
     other modes.
     """
     _check_mode(space, mode)
-    op = _dense(single_mode_op)
+    op = np.asarray(single_mode_op, dtype=complex)
     d = space.mode_dims[mode]
     if op.shape != (d, d):
         raise InvalidInput(
@@ -228,61 +202,7 @@ def tensor_embed(space: ModeSpace, single_mode_op, mode: int) -> SparseOperator:
         )
     before = int(np.prod(space.mode_dims[:mode], initial=1))
     after = int(np.prod(space.mode_dims[mode + 1 :], initial=1))
-    return SparseOperator(space, np.kron(np.kron(np.eye(before), op), np.eye(after)))
-
-
-def apply(op: SparseOperator, target: Union[np.ndarray, DensityMatrix]):
-    """Apply an operator: matrix-vector or plain matrix-matrix product.
-
-    No normalization is performed; applying to a DensityMatrix returns
-    the raw product ``A rho`` in a DensityMatrix container.
-    """
-    if isinstance(target, DensityMatrix):
-        _check_same_space(op.space, target.space)
-        return DensityMatrix(op.space, _product(op.matrix, target.matrix))
-    vec = np.asarray(target, dtype=complex).reshape(-1)
-    if vec.size != op.space.total_dim:
-        raise InvalidInput("state vector length does not match operator space")
-    return np.einsum("ij,j->i", op.matrix, vec)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out all modes not in ``keep``.
-
-    The kept modes retain their relative order.  Preserves trace and
-    Hermiticity exactly (sums of diagonal blocks).
-    """
-    keep_list = sorted(set(int(k) for k in keep))
-    if not keep_list:
-        raise InvalidInput("keep set must name at least one mode")
-    for k in keep_list:
-        _check_mode(rho.space, k)
-    dims = rho.space.mode_dims
-    n = len(dims)
-    tensor = rho.matrix.reshape(dims + dims)
-
-    # einsum subscripts: traced modes share a letter between bra and ket
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n > len(letters):
-        raise InvalidInput("too many modes for partial trace")
-    bra = list(letters[:n])
-    ket = []
-    out_bra, out_ket = [], []
-    next_free = n
-    for m in range(n):
-        if m in keep_list:
-            ket.append(letters[next_free])
-            next_free += 1
-            out_bra.append(bra[m])
-            out_ket.append(ket[m])
-        else:
-            ket.append(bra[m])
-    spec = "".join(bra) + "".join(ket) + "->" + "".join(out_bra) + "".join(out_ket)
-    reduced = np.einsum(spec, tensor)
-
-    new_space = ModeSpace([dims[m] for m in keep_list])
-    d = new_space.total_dim
-    return DensityMatrix(new_space, reduced.reshape(d, d))
+    return Operator(space, np.kron(np.kron(np.eye(before), op), np.eye(after)))
 
 
 def fock_state(space: ModeSpace, occupations: Sequence[int]) -> np.ndarray:

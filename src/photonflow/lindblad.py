@@ -47,7 +47,7 @@ from .errors import ConfigurationError, InvalidInput
 from .fock import (
     DensityMatrix,
     ModeSpace,
-    SparseOperator,
+    Operator,
     annihilation,
     creation,
 )
@@ -58,12 +58,10 @@ __all__ = [
     "PurificationReport",
     "transfer_jump",
     "interference_transfer_jump",
-    "lindblad_rhs",
     "evolve",
     "state_fidelity",
     "asymptotic_transfer_map",
     "purification_predicate",
-    "dark_state_check",
 ]
 
 
@@ -73,7 +71,7 @@ class LindbladModel:
 
     space: ModeSpace
     jumps: tuple
-    hamiltonian: Optional[SparseOperator] = None
+    hamiltonian: Optional[Operator] = None
 
     def __init__(self, space, jumps, hamiltonian=None):
         jumps = tuple((op, float(rate)) for op, rate in jumps)
@@ -221,14 +219,14 @@ class _Snapshots(Sequence):
         return DensityMatrix(res.rho0.space, m.reshape(d, d))
 
 
-def transfer_jump(space: ModeSpace, source: int = 0, target: int = 1) -> SparseOperator:
+def transfer_jump(space: ModeSpace, source: int = 0, target: int = 1) -> Operator:
     """Jump operator moving one photon from ``source`` to ``target``."""
     return annihilation(space, source) @ creation(space, target)
 
 
 def interference_transfer_jump(
     space: ModeSpace, sources: Sequence[int] = (0, 1), target: int = 2
-) -> SparseOperator:
+) -> Operator:
     """Two source modes decaying through one common channel.
 
     The summed lowering operator makes the antisymmetric single-photon
@@ -238,23 +236,6 @@ def interference_transfer_jump(
     for s in sources[1:]:
         low = low + annihilation(space, s)
     return low @ creation(space, target)
-
-
-def lindblad_rhs(model: LindbladModel, rho: DensityMatrix) -> DensityMatrix:
-    """Right-hand side of the master equation (traceless, Hermitian)."""
-    if rho.space.mode_dims != model.space.mode_dims:
-        raise InvalidInput("state lives on a different space than the model")
-    m = rho.matrix
-    out = np.zeros_like(m)
-    if model.hamiltonian is not None:
-        h = model.hamiltonian.matrix
-        out += -1j * (h @ m - m @ h)
-    for op, rate in model.jumps:
-        l = op.matrix
-        ld = l.conj().T
-        ldl = ld @ l
-        out += rate * (l @ m @ ld - 0.5 * (ldl @ m + m @ ldl))
-    return DensityMatrix(rho.space, out)
 
 
 def _superoperator(model: LindbladModel) -> SparseGenerator:
@@ -422,18 +403,3 @@ def purification_predicate(rho0: DensityMatrix) -> PurificationReport:
             f"exceeds {_WITNESS_TOL:.1e}"
         )
     return PurificationReport(True, purity, beta, defect, fin)
-
-
-def dark_state_check(
-    model: LindbladModel,
-    psi: np.ndarray,
-    t_final: float,
-    dt: Optional[float] = None,
-    snapshot_stride: int = 10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fidelity <psi| rho(t) |psi> along the evolution of |psi><psi|."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    v = v / np.linalg.norm(v)
-    rho0 = DensityMatrix.from_state_vector(model.space, v)
-    res = evolve(model, rho0, t_final, dt=dt, snapshot_stride=snapshot_stride)
-    return res.times, state_fidelity(res, v)

@@ -29,14 +29,16 @@ matrix
 
     K = [[0, |g_c| 1^T], [|g_c| 1, diag(omega_l)]]       (H = -K)
 
-which ``_integrate._ExactPropagator`` diagonalizes in closed form (roots
-of a secular equation).  The survival amplitude of the excited upper mode
-is c0(t) = sum_k w_k exp(i kappa_k t) over the eigenvalues kappa_k, with
-weights w_k = 1 / (1 + |g_c|^2 sum_l (kappa_k - omega_l)^-2).  The time
-step ``dt`` only sets the sampling grid, and no BLAS call is on the data
-path, so the results do not depend on the BLAS thread count.  A spec keeps
-its eigensystem (``propagator``, solved on first use), so a free run and
-a Zeno scan of one spec solve the secular equation once.
+which ``_ExactPropagator`` diagonalizes in closed form (the roots of a
+secular equation, ``_integrate._arrowhead_eigensystem``).  The survival
+amplitude of the excited upper mode is c0(t) = sum_k w_k exp(i kappa_k t)
+over the eigenvalues kappa_k, with weights w_k = 1 / (1 + |g_c|^2 sum_l
+(kappa_k - omega_l)^-2).  A free run records c0 at every sample and the
+class amplitudes at its end.  The time step ``dt`` only sets the sampling
+grid, and no BLAS call is on the data path, so the results do not depend
+on the BLAS thread count.  A spec keeps its eigensystem (``propagator``,
+solved on first use), so a free run and a Zeno scan of one spec solve the
+secular equation once.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _ExactPropagator, exp_sum, sample_steps, steps_for
+from ._integrate import _EPS, _arrowhead_eigensystem, exp_sum, steps_for
 from .errors import ConfigurationError, InvalidInput
 
 __all__ = [
@@ -56,8 +58,6 @@ __all__ = [
     "TwoUpperModeState",
     "DecayTrajectory",
     "ZenoResult",
-    "response_function",
-    "equidistant_response_closed_form",
     "markov_rate",
     "coupling_for_rate",
     "recurrence_time",
@@ -70,6 +70,66 @@ __all__ = [
 ]
 
 SPECTRA = ("equidistant", "lorentzian", "custom")
+
+
+class _ExactPropagator:
+    """exp(i K tau) for one upper mode coupled to classes at ``omegas``.
+
+    K = [[0, |g| 1^T], [|g| 1, diag(omegas)]].  Classes of equal frequency
+    are merged: with uniform coupling only their symmetric combination
+    couples, with |g| sqrt(n), and the rest is dark.  Groups whose coupling
+    is negligible against the spectral scale are deflated as dark too.
+    Class amplitudes b_l here are in the frame where K does not depend on
+    time; ``to_frame`` and ``classes_at`` convert from and to the
+    interaction picture c_l = exp(-i (theta + omega_l t)) b_l, with theta
+    the phase of g, and at t = 0 with real positive g the two coincide.
+    """
+
+    def __init__(self, omegas: np.ndarray, coupling: complex):
+        om = np.asarray(omegas, dtype=float)
+        g = abs(coupling)
+        self.omegas = om
+        self.gauge = np.exp(1j * np.angle(coupling))
+        scale = max(float(np.max(np.abs(om))), g * np.sqrt(om.size))
+        tol = 8.0 * _EPS * scale
+        order = np.argsort(om, kind="stable")
+        first = np.concatenate(([True], np.diff(om[order]) > tol))
+        group = np.empty(om.size, dtype=int)
+        group[order] = np.cumsum(first) - 1
+        counts = np.bincount(group)
+        z = g * np.sqrt(counts)
+        coupled = z > tol
+        column = np.cumsum(coupled) - 1
+        self.column = np.where(coupled[group], column[group], -1)  # -1: dark class
+        self.share = 1.0 / np.sqrt(counts[group])  # class share of its bright mode
+        self.eig = _arrowhead_eigensystem(om[order][first][coupled], z[coupled])
+
+    def to_frame(self, c: np.ndarray, t: float) -> np.ndarray:
+        return self.gauge * np.exp(1j * self.omegas * t) * c
+
+    def modes(self, c0: complex, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of (c0, b) on the eigenvectors, and the dark remainder of b."""
+        eig = self.eig
+        bright = np.zeros(eig.poles.size, dtype=complex)
+        on = self.column >= 0
+        np.add.at(bright, self.column[on], b[on] * self.share[on])
+        dark = b.astype(complex)
+        dark[on] -= bright[self.column[on]] * self.share[on]
+        coef = np.full(eig.roots.size, complex(c0))
+        if np.any(bright):
+            coef += eig.cauchy(eig.z * bright, over_roots=False)
+        return coef * eig.inv_norm, dark
+
+    def classes_at(self, coef: np.ndarray, dark: np.ndarray, tau: float, t: float) -> np.ndarray:
+        """Interaction-picture class amplitudes c_l at tau after the start, time t."""
+        eig = self.eig
+        weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
+        bright = eig.z * eig.cauchy(weight, over_roots=True)
+        # the dark part is frozen in the interaction picture
+        c = np.exp(-1j * self.omegas * (t - tau)) * dark
+        on = self.column >= 0
+        c[on] += np.exp(-1j * self.omegas[on] * t) * bright[self.column[on]] * self.share[on]
+        return c / self.gauge
 
 
 @dataclass(frozen=True)
@@ -178,8 +238,12 @@ class TwoUpperModeState:
 @dataclass
 class DecayTrajectory:
     times: np.ndarray
-    survival: np.ndarray
-    snapshots: list
+    c0: np.ndarray  # upper amplitude at every sample
+    c_final: np.ndarray  # class amplitudes at the last sample
+
+    @property
+    def survival(self) -> np.ndarray:
+        return np.abs(self.c0) ** 2
 
 
 @dataclass
@@ -200,29 +264,6 @@ class ZenoResult:
     survival: np.ndarray
     gamma_eff: float
     fit_residual: float
-
-
-def response_function(spec: ReservoirSpec, t) -> np.ndarray:
-    """Reservoir response kernel g(t) by direct summation over classes."""
-    om = spec.frequencies()
-    tt = np.asarray(t, dtype=float)
-    g = spec.coupling_sq * np.sum(np.exp(1j * np.outer(tt, om)), axis=1)
-    return g if tt.ndim else complex(g[0])
-
-
-def equidistant_response_closed_form(spec: ReservoirSpec, t) -> np.ndarray:
-    """g(t) for the equidistant comb: |g_c|^2 sin(e t) / sin(e t / f)."""
-    if spec.spectrum != "equidistant":
-        raise ConfigurationError("closed form only holds for the equidistant spectrum")
-    tt = np.asarray(t, dtype=float)
-    x = spec.eps_max * tt
-    num = np.sin(x)
-    den = np.sin(x / spec.f)
-    small = np.abs(den) < 1e-12
-    safe = np.where(small, 1.0, den)
-    ratio = np.where(small, spec.f * np.cos(x) / np.cos(x / spec.f), num / safe)
-    g = spec.coupling_sq * ratio
-    return g if tt.ndim else complex(g)
 
 
 def markov_rate(spec: ReservoirSpec) -> float:
@@ -262,23 +303,14 @@ def _check_dt(spec: ReservoirSpec, dt: float) -> None:
 
 
 def _sampled_evolution(
-    prop: _ExactPropagator,
-    c0: complex,
-    c: np.ndarray,
-    t0: float,
-    nsteps: int,
-    dt: float,
-    snapshot_steps=(),
+    prop: _ExactPropagator, c0: complex, c: np.ndarray, t0: float, nsteps: int, dt: float
 ):
-    """Upper amplitude at t0 + j dt (j = 0..nsteps) and (c0, c) at the given steps."""
+    """Eigenvector coefficients and dark remainder of (c0, c) at t0, and the upper
+    amplitude at t0 + j dt (j = 0..nsteps)."""
     coef, dark = prop.modes(c0, prop.to_frame(c, t0))
     upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, np.arange(nsteps + 1) * dt)
     upper[0] = c0  # the sample at tau = 0 is the initial state itself
-    snaps = [
-        (complex(upper[j]), prop.classes_at(coef, dark, j * dt, t0 + j * dt))
-        for j in snapshot_steps
-    ]
-    return upper, snaps
+    return coef, dark, upper
 
 
 def evolve_exact(
@@ -286,13 +318,12 @@ def evolve_exact(
     state0: Optional[SingleExcitationState] = None,
     t_final: float = 1.0,
     dt: Optional[float] = None,
-    snapshot_stride: int = 0,
 ) -> DecayTrajectory:
     """Exact single-excitation amplitudes on the grid t0 + j dt.
 
     ``dt`` is the sampling interval (step guard: dt <= 0.05 / eps_max).
-    Survival |c0(t)|^2 is recorded at every sample; (c0, c) snapshots
-    every ``snapshot_stride`` samples and at the end when the stride is > 0.
+    The upper amplitude c0 is recorded at every sample, the class
+    amplitudes at the last one.
     """
     if dt is None:
         dt = _default_dt(spec)
@@ -303,13 +334,10 @@ def evolve_exact(
         raise InvalidInput("state has a different number of reservoir classes than the spec")
 
     nsteps, dt = steps_for(t_final, dt)
-    steps = sample_steps(nsteps, snapshot_stride) if snapshot_stride else []
-    upper, snaps = _sampled_evolution(
-        spec.propagator, state0.c0, state0.c, state0.t, nsteps, dt, steps
-    )
-    times = state0.t + np.arange(nsteps + 1) * dt
-    snapshots = [(times[j], c0, c) for j, (c0, c) in zip(steps, snaps)]
-    return DecayTrajectory(times=times, survival=np.abs(upper) ** 2, snapshots=snapshots)
+    prop = spec.propagator
+    coef, dark, upper = _sampled_evolution(prop, state0.c0, state0.c, state0.t, nsteps, dt)
+    c_final = prop.classes_at(coef, dark, nsteps * dt, state0.t + nsteps * dt)
+    return DecayTrajectory(times=state0.t + np.arange(nsteps + 1) * dt, c0=upper, c_final=c_final)
 
 
 def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -445,7 +473,7 @@ def interference_evolve(
     root2 = np.sqrt(2.0)
     sym0 = (state0.c0 + state0.c0p) / root2
     prop = _ExactPropagator(spec.frequencies(), root2 * spec.coupling)
-    sym, _ = _sampled_evolution(prop, sym0, state0.c, state0.t, nsteps, dt)
+    *_, sym = _sampled_evolution(prop, sym0, state0.c, state0.t, nsteps, dt)
     # the antisymmetric part is constant, so each mode moves by the same amount
     shift = (sym - sym0) / root2
     return InterferenceTrajectory(

@@ -359,10 +359,16 @@ def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.
         if spectrum != "equidistant":
             raise _err("reservoir.target_gamma", "rate inversion needs the equidistant spectrum")
         coupling = reservoir.coupling_for_rate(f, eps_max, target)
-    return _guard(
+    spec = _guard(
         "reservoir", reservoir.ReservoirSpec,
         f=f, eps_max=eps_max, coupling=coupling, spectrum=spectrum, **kwargs,
     )
+    # the secular equation sums f |coupling|^2, which must stay a float
+    if not math.isfinite(spec.f * spec.coupling_sq):
+        raise _err("reservoir.coupling" if target is None else "reservoir.target_gamma",
+                   f"f |coupling|^2 overflows (f = {spec.f}, "
+                   f"|coupling|^2 = {spec.coupling_sq:.3g})")
+    return spec
 
 
 def _reservoir_run(sc: Scenario) -> tuple:
@@ -590,9 +596,8 @@ def _run_dark_state(c: SimpleNamespace) -> RunOutcome:
 
 def _run_microscopic_decay(c: SimpleNamespace) -> RunOutcome:
     spec = c.spec
-    traj = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt, snapshot_stride=10**9)
-    _, c0_f, c_f = traj.snapshots[-1]
-    drift = abs(abs(c0_f) ** 2 + float(np.sum(np.abs(c_f) ** 2)) - 1.0)
+    traj = reservoir.evolve_exact(spec, None, t_final=c.t_final, dt=c.dt)
+    drift = abs(abs(traj.c0[-1]) ** 2 + float(np.sum(np.abs(traj.c_final) ** 2)) - 1.0)
     out = RunOutcome(derived={"coupling": float(abs(spec.coupling)), "spectrum": spec.spectrum})
     # the golden rule and the comb recurrence hold only for the equidistant comb
     if spec.spectrum == "equidistant":

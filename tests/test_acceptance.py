@@ -22,7 +22,6 @@ from photonflow import (
     TwoUpperModeState,
     coupling_for_diode_rate,
     coupling_for_rate,
-    dark_state_check,
     evolve,
     evolve_exact,
     evolve_full,
@@ -44,6 +43,7 @@ from photonflow import (
     transfer_jump,
     asymptotic_transfer_map,
 )
+from reference import dark_state_check
 
 
 def report(tag: str, ok: bool, detail: str) -> None:

