@@ -18,15 +18,19 @@ so propagation is exact up to roundoff, not stepped:
 * ``taylor_propagate``: exp(h A) y by truncated Taylor series in
   ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
   scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
-  serves the master equation, with the exact 1-norm of a
-  ``SparseGenerator``; the tests also run the four-port router with it as
-  an oracle.  ``SparseGenerator`` holds the nonzeros of a sum of
-  Kronecker products sorted by (row, col); its matrix-vector product is
-  one ``np.bincount`` over the interleaved real and imaginary parts, which
-  adds each row's terms in column order.  ``reachable`` closes a set of
-  coordinates under its pattern and ``restrict`` keeps the entries inside
-  one, in the same order, so a vector that vanishes outside that set is
-  propagated on it alone with the same bits.
+  builds the master equation's interval propagators h phi_1(h S), all
+  their columns at once, as the exponential of the augmented generator
+  [[S, I], [0, 0]] on a ``SparseGenerator``, with the exact 1-norm of S
+  plus 1; the tests also run the four-port router and the per-interval
+  master equation with it as oracles.  ``SparseGenerator`` holds the
+  nonzeros of a sum of Kronecker products sorted by (row, col); its
+  matrix-vector product is one ``np.bincount`` over the interleaved real
+  and imaginary parts, which adds each row's terms in column order.
+  ``reachable`` closes a set of coordinates under its pattern and
+  ``restrict`` keeps the entries inside one, in the same order, so a
+  vector that vanishes outside that set is propagated on it alone with
+  the same bits.  ``components`` labels the connected components of a
+  pattern: the propagator's columns and the support's blocks.
 * ``comb_sum``: sum_k a_k exp(i (f0 + k df)(t0 + j h)), a uniform comb on a
   uniform time grid, as Bluestein's chirp-z transform (Rabiner, Schafer &
   Rader, IEEE Trans. Audio Electroacoust. 17, 86, 1969): with kj = (k^2 +
@@ -530,6 +534,19 @@ class SparseGenerator:
         sub = SparseGenerator.__new__(SparseGenerator)
         sub._set(idx.size, rows[keep], cols[keep], self.vals[keep])
         return sub
+
+
+def components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label of each of the nodes 0..n-1: the smallest node of its connected
+    component in the graph where each pair (rows[k], cols[k]) joins its nodes."""
+    label = np.arange(n)
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, rows, label[cols])
+        np.minimum.at(lower, cols, label[rows])
+        if np.array_equal(lower, label):
+            return label
+        label = lower
 
 
 def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float, fold) -> np.ndarray:

@@ -11,14 +11,22 @@ the propagator, so the two serve as mutual oracles) and a purity
 predicate for the final state.
 
 The generator S of the vectorized master equation does not depend on
-time, so the state is propagated exactly: exp(h S) between samples, by a
-truncated Taylor series in ceil(h ||S||_1) sub-steps
-(``_integrate.taylor_propagate``).  Only the reachable support of rho0 is
-propagated: the entries that S can reach from the nonzeros of rho0 and of
-its transpose.  The transfer dissipator keeps Fock states and their
-mixtures diagonal, so that is a few dozen of the d^2 entries; every other
-entry stays exactly 0 in the full propagation too, and the sub-steps
-still come from the full ||S||_1, so the snapshots have the same bits.
+time, so the state is propagated exactly: between samples h apart,
+exp(h S) y = y + Phi_h (S y) with Phi_h = h phi_1(h S) = sum_k h^(k+1)
+S^k / (k+1)!, folded back to Hermitian after each interval.  Phi_h is
+built once for each interval length (the stride interval and a shorter
+last one) and kept as its nonzeros, so a snapshot costs two sparse
+products (Moler & Van Loan, SIAM Review 45, 3, 2003).  Its columns come
+from a truncated Taylor series of the augmented generator [[S, I], [0,
+0]] in ceil(h (||S||_1 + 1)) sub-steps (``_integrate.taylor_propagate``),
+each column on its connected component of S's pattern alone.  A
+stationary state, for which S y is exactly 0 (the dark state), comes back
+with the same bits.  Only the reachable support of rho0 is propagated:
+the entries that S can reach from the nonzeros of rho0 and of its
+transpose.  The transfer dissipator keeps Fock states and their mixtures
+diagonal, so that is a few dozen of the d^2 entries; every other entry
+stays exactly 0 in the full propagation too, and the sub-steps still come
+from the full ||S||_1, so the snapshots have the same bits.
 The time step ``dt`` is only the sampling interval, by default
 0.05 / (max_rate n_max^2) where n_max is the largest photon number the
 space can hold.  Outputs are never renormalized; trace drift is measured
@@ -42,7 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._integrate import SparseGenerator, sample_steps, steps_for, taylor_propagate
+from ._integrate import (SparseGenerator, components, sample_steps, steps_for,
+                         taylor_propagate)
 from .errors import ConfigurationError, InvalidInput
 from .fock import (
     DensityMatrix,
@@ -106,7 +115,8 @@ class EvolutionResult:
     rho0: DensityMatrix = field(repr=False)
     entries: np.ndarray = field(repr=False)  # sorted flat indices of the support
     support: np.ndarray = field(repr=False)  # (n_snap, entries.size)
-    generator_products: int  # products with the generator on the support
+    generator_products: int  # sparse products: the propagators' build and two per snapshot
+    propagator_entries: int  # nonzeros of the interval propagators Phi_h
 
     @property
     def propagated_entries(self) -> int:
@@ -150,13 +160,7 @@ class EvolutionResult:
         entry (r, c) joins r and c, by smallest index.  An index that no
         entry covers is in none."""
         rows, cols, _ = self._pairs
-        label = np.arange(self.rho0.space.total_dim)
-        while True:  # the support is closed under (r, c) -> (c, r)
-            lower = label.copy()
-            np.minimum.at(lower, rows, label[cols])
-            if np.array_equal(lower, label):
-                break
-            label = lower
+        label = components(self.rho0.space.total_dim, rows, cols)
         covered = np.zeros(label.size, dtype=bool)
         covered[rows] = True
         # each component is labelled by its smallest index
@@ -258,6 +262,63 @@ def _default_dt(model: LindbladModel) -> float:
     return 0.05 / (model.max_rate * (max(model.space.mode_dims) - 1) ** 2)
 
 
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """0..c-1 for each c of ``counts``, concatenated."""
+    return np.arange(np.sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _phi(gen: SparseGenerator, h: float, norm: float) -> tuple[SparseGenerator, int]:
+    """Phi_h = h phi_1(h S) = sum_k h^(k+1) S^k / (k+1)! of the generator S = ``gen``,
+    as its nonzeros, and the number of products its build took.
+
+    Column j of Phi_h is the upper half of exp(h A) (0, e_j) for the augmented
+    generator A = [[S, I], [0, 0]] (Al-Mohy & Higham 2011), whose lower half stays
+    e_j, so exp(h A) composes exactly over the sub-steps of ``taylor_propagate``;
+    ||A||_1 <= ``norm`` + 1 for a bound ``norm`` on ||S||_1.  A column is nonzero
+    only on its connected component of S's pattern, so each is carried on its
+    component alone, and all of them at once as one block-diagonal vector of
+    sum b^2 entries, b the component sizes: column j's block holds entry r at
+    rank(j) b + rank(r), ranks counted within the component.
+    """
+    _, comp, size = np.unique(components(gen.n, gen.rows, gen.cols),
+                              return_inverse=True, return_counts=True)
+    nodes = np.argsort(comp, kind="stable")  # by component, ascending within each
+    first = np.cumsum(size) - size  # position in ``nodes`` of each component's first node
+    rank = np.empty(gen.n, dtype=int)
+    rank[nodes] = _ranges(size)
+    base = np.cumsum(size * size) - size * size  # where each component's blocks start
+    total = int(np.sum(size * size))
+    # every entry of S once per column of its component, then the identity block
+    k = comp[gen.rows]
+    e = np.repeat(np.arange(k.size), size[k])
+    block = base[k[e]] + _ranges(size[k]) * size[k[e]]
+    rows = np.concatenate((block + rank[gen.rows[e]], np.arange(total)))
+    cols = np.concatenate((block + rank[gen.cols[e]], total + np.arange(total)))
+    vals = np.concatenate((gen.vals[e], np.ones(total, dtype=complex)))
+    order = np.argsort(rows, kind="stable")  # each row's columns are in order already
+    aug = SparseGenerator.__new__(SparseGenerator)
+    aug._set(2 * total, rows[order], cols[order], vals[order])
+    calls = 0
+
+    def matvec(v):
+        nonlocal calls
+        calls += 1
+        return aug @ v
+
+    v = np.zeros(2 * total, dtype=complex)
+    v[total + base[comp] + rank * (size[comp] + 1)] = 1.0
+    x = taylor_propagate(matvec, v, h, norm + 1.0, lambda w: w)[:total]
+    # entry p of component k's blocks is Phi_h[row, col], col of rank t and row of rank u
+    k = np.repeat(np.arange(size.size), size * size)
+    t, u = np.divmod(_ranges(size * size), size[k])
+    row, col = nodes[first[k] + u], nodes[first[k] + t]
+    keep = np.flatnonzero(x)
+    keep = keep[np.lexsort((col[keep], row[keep]))]
+    phi = SparseGenerator.__new__(SparseGenerator)
+    phi._set(gen.n, row[keep], col[keep], x[keep])
+    return phi, calls
+
+
 def evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -287,28 +348,27 @@ def evolve(
     idx = gen.reachable(y, mirror=flip)
     mirror = np.searchsorted(idx, flip[idx])
     sub = gen.restrict(idx)
-    products = 0
-
-    def matvec(v):
-        nonlocal products
-        products += 1
-        return sub @ v
-
-    def fold(v):
-        # exp(h S) preserves Hermiticity in exact arithmetic; fold roundoff
-        # asymmetry back to keep the 1e-12 bound over long runs
-        return 0.5 * (v + v[mirror].conj())
-
-    # the full generator's 1-norm bounds the restriction's and fixes the sub-steps
-    norm1 = gen.onenorm()
     steps = sample_steps(nsteps, snapshot_stride)
+    lengths = np.diff([0] + steps)  # samples per interval: the stride, and a shorter last one
     snaps = np.empty((len(steps) + 1, idx.size), dtype=complex)
     snaps[0] = y = y[idx]
-    for j, (prev, step) in enumerate(zip([0] + steps, steps), start=1):
-        snaps[j] = y = taylor_propagate(matvec, y, (step - prev) * dt, norm1, fold)
+    phis, products = {}, 0
+    if idx.size:  # an empty support makes no product
+        # the full generator's 1-norm bounds the restriction's and fixes the sub-steps
+        norm1 = gen.onenorm()
+        for n in sorted(set(lengths)):
+            phis[n], calls = _phi(sub, n * dt, norm1)
+            products += calls
+        for j, n in enumerate(lengths, start=1):
+            v = y + phis[n] @ (sub @ y)
+            # exp(h S) preserves Hermiticity in exact arithmetic; fold roundoff
+            # asymmetry back to keep the 1e-12 bound over long runs
+            snaps[j] = y = 0.5 * (v + v[mirror].conj())
+        products += 2 * lengths.size
 
     return EvolutionResult(times=np.array([0] + steps) * dt, rho0=rho0, entries=idx,
-                           support=snaps, generator_products=products)
+                           support=snaps, generator_products=products,
+                           propagator_entries=sum(phi.vals.size for phi in phis.values()))
 
 
 def state_fidelity(result: EvolutionResult, psi: np.ndarray) -> np.ndarray:

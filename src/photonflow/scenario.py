@@ -483,6 +483,11 @@ def _build_impedance_scan(sc: Scenario) -> SimpleNamespace:
     gamma = _get(sc, "diode.gamma", _as_positive)
     gamma2 = _get(sc, "diode.gamma2", _as_positive)
     ratios = [_positive("scan.ratios", r) for r in _get(sc, "scan.ratios", _float_list)]
+    for ratio in ratios:  # the rate products that diode.evolve_markov takes must stay floats
+        gamma1 = ratio * gamma
+        if not (math.isfinite(gamma1 * gamma2 * gamma) and math.isfinite(gamma1 * gamma)):
+            raise _err("diode.gamma", f"the Markov rate products overflow at gamma1/gamma = "
+                                      f"{ratio:.3g} (gamma = {gamma:.3g}, gamma2 = {gamma2:.3g})")
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma2), 0.02)
     return SimpleNamespace(gamma=gamma, gamma2=gamma2, ratios=ratios, pulse=pulse,
                            t_final=t_final, dt=dt)
@@ -523,6 +528,7 @@ def _master_report(outcome: RunOutcome, res: lindblad.EvolutionResult) -> None:
     The last snapshot, built in full, checks the support's observables."""
     outcome.derived["propagated_entries"] = res.propagated_entries
     outcome.derived["generator_products"] = res.generator_products
+    outcome.derived["propagator_entries"] = res.propagator_entries
     outcome.derived["support_blocks"] = len(res.blocks)
     outcome.derived["largest_block"] = max((b.size for b in res.blocks), default=0)
     _check(outcome, "trace_drift", res.trace_drift, res.trace_drift <= 1e-8)

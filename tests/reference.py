@@ -2,10 +2,12 @@
 
 No run calls these, so they live with the tests: Fock-space helpers, the
 dense master-equation right-hand side and a dark-state fidelity, the
-reservoir response kernel by direct summation and in closed form, a comb
-field on any uniform time grid, and the port-2 reflection through its own
-secular solve of the arrowhead with poles -d_q (the path that
-``diode.reflect_port2`` took before it ran on ``ContinuumGrid.cavity``).
+per-interval Taylor propagation of the master equation that its interval
+propagators replaced, the reservoir response kernel by direct summation and
+in closed form, a comb field on any uniform time grid, and the port-2
+reflection through its own secular solve of the arrowhead with poles -d_q
+(the path that ``diode.reflect_port2`` took before it ran on
+``ContinuumGrid.cavity``).
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from photonflow._integrate import sample_steps, steps_for, taylor_propagate
 from photonflow.diode import (ContinuumGrid, ReflectionResult, _check_window, _comb_field,
                               _reflection_samples, intensity_centroid)
 from photonflow.errors import ConfigurationError, InvalidInput
 from photonflow.fock import (DensityMatrix, ModeSpace, Operator, _check_mode, _check_same_space,
                              _product, tensor_embed)
-from photonflow.lindblad import LindbladModel, evolve, state_fidelity
+from photonflow.lindblad import LindbladModel, _superoperator, evolve, state_fidelity
 from photonflow.reservoir import ReservoirSpec, _ExactPropagator
 
 # --- fock ----------------------------------------------------------------------------------
@@ -112,6 +115,28 @@ def lindblad_rhs(model: LindbladModel, rho: DensityMatrix) -> DensityMatrix:
         ldl = ld @ l
         out += rate * (l @ m @ ld - 0.5 * (ldl @ m + m @ ldl))
     return DensityMatrix(rho.space, out)
+
+
+def taylor_evolve(model: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float,
+                  snapshot_stride: int) -> np.ndarray:
+    """The snapshots of ``lindblad.evolve`` on its reachable support, each interval
+    propagated by the Taylor series of exp(h S) again, in ceil(h ||S||_1) sub-steps
+    with the Hermitian fold after each one."""
+    nsteps, dt = steps_for(t_final, dt)
+    gen = _superoperator(model)
+    d = model.space.total_dim
+    y = rho0.matrix.reshape(-1).astype(complex)
+    flip = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    idx = gen.reachable(y, mirror=flip)
+    mirror = np.searchsorted(idx, flip[idx])
+    sub = gen.restrict(idx)
+    steps = sample_steps(nsteps, snapshot_stride)
+    snaps = np.empty((len(steps) + 1, idx.size), dtype=complex)
+    snaps[0] = y = y[idx]
+    for j, (prev, step) in enumerate(zip([0] + steps, steps), start=1):
+        snaps[j] = y = taylor_propagate(sub.__matmul__, y, (step - prev) * dt, gen.onenorm(),
+                                        lambda v: 0.5 * (v + v[mirror].conj()))
+    return snaps
 
 
 def dark_state_check(

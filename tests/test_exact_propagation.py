@@ -10,6 +10,7 @@ per-block Cauchy sums that the batched kernels replaced, the general secular sol
 that the closed form for uniform combs bypasses, scipy.special's digamma and
 trigamma, the scipy.sparse.kron construction of the master-equation generator,
 the propagation of all d^2 density-matrix entries that the reachable support replaced,
+the per-interval Taylor propagation that the master equation's interval propagators replaced,
 the DensityMatrix methods that the observables and invariants on that support replaced,
 the router's per-class bath filters and 8-point kernel sums that its bath channels and
 closed-form kernel replaced, a 16-point Gauss-Legendre rule for those kernel sums,
@@ -70,10 +71,10 @@ from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
                               _START_ITERATIONS, _STENCIL, _BathChannels, _generator_norm,
                               _kernel_integrals, _lagrange, _quadrature_grid, _solve_cavity,
                               _stencil, intensity_centroid)
-from photonflow.lindblad import _superoperator, state_fidelity
+from photonflow.lindblad import _phi, _superoperator, state_fidelity
 from photonflow.reservoir import _ExactPropagator
 from photonflow.scenario import RunOutcome, _master_report, parse_scenario_text, validate_scenario
-from reference import number, reconstruct_field, reflect_port2_mirrored
+from reference import number, reconstruct_field, reflect_port2_mirrored, taylor_evolve
 
 
 # --- RK4 reference path ----------------------------------------------------------
@@ -467,8 +468,9 @@ def test_generator_matches_scipy_kron(make_model):
 
 
 def full_space_evolve(model, rho0, t_final, dt, stride):
-    """Every snapshot of the propagation of all d^2 entries, folded as d x d
-    matrices: the loop that the propagation on the reachable support replaced."""
+    """Every snapshot of the propagation of all d^2 entries, y + Phi_h (S y) folded as
+    d x d matrices, with Phi_h built on the whole generator: the loop that the
+    propagation on the reachable support replaced."""
     gen = _superoperator(model)
     d = model.space.total_dim
     nsteps, dt = steps_for(t_final, dt)
@@ -481,7 +483,8 @@ def full_space_evolve(model, rho0, t_final, dt, stride):
     states = [y]
     steps = list(range(stride, nsteps, stride)) + [nsteps]
     for prev, step in zip([0] + steps, steps):
-        y = taylor_propagate(gen.__matmul__, y, (step - prev) * dt, gen.onenorm(), fold)
+        phi, _ = _phi(gen, (step - prev) * dt, gen.onenorm())
+        y = fold(y + phi @ (gen @ y))
         states.append(y)
     return [v.reshape(d, d) for v in states]
 
@@ -540,6 +543,43 @@ def test_support_propagation_matches_full_space(make_case):
     # the support holds every entry that is ever nonzero (the dark state's stay 0 by cancellation)
     assert res.propagated_entries >= np.count_nonzero(np.any(np.array(ref) != 0, axis=0))
     assert (res.generator_products > 0) == (res.propagated_entries > 0)
+
+
+@pytest.mark.parametrize("make_case", SUPPORT_CASES, ids=SUPPORT_IDS)
+def test_interval_propagators_match_per_interval_taylor(make_case):
+    # 40 samples at stride 3: twelve intervals of 3 samples and a last one of 1
+    model, rho0 = make_case()
+    res = evolve(model, rho0, 2.0, dt=0.05, snapshot_stride=3)
+    ref = taylor_evolve(model, rho0, 2.0, 0.05, 3)
+    assert res.support.shape == ref.shape
+    scale = np.max(np.abs(ref), initial=0.0)
+    assert np.max(np.abs(res.support - ref), initial=0.0) <= 1e-13 * scale
+
+
+def test_full_random_state_propagators_stay_on_their_components():
+    # every one of the 1024 entries of a random 4x8 state is propagated; the transfer
+    # joins them in 583 chains of at most 4 entries, so Phi_h keeps at most sum b^2 of them
+    space = ModeSpace([4, 8])
+    model = LindbladModel(space, [(transfer_jump(space), 1.0)])
+    rho0 = random_density(np.random.default_rng(3), space)
+    res = evolve(model, rho0, 2.0, dt=0.05, snapshot_stride=4)  # one interval length
+    gen = _superoperator(model)
+    sizes = np.bincount(_integrate.components(gen.n, gen.rows, gen.cols))
+    sizes = sizes[sizes > 0]
+    assert res.propagated_entries == 1024
+    assert (sizes.size, sizes.max(), np.sum(sizes**2)) == (583, 4, 2244)
+    assert 0 < res.propagator_entries <= 2244
+    ref = taylor_evolve(model, rho0, 2.0, 0.05, 4)
+    assert np.max(np.abs(res.support - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_dark_state_support_is_stationary():
+    # S y is exactly 0 on the dark state, so y + Phi_h (S y) is y bit for bit; only
+    # the first fold turns the -0 imaginary parts of rho0's outer product into +0
+    model, rho0 = interference_state(-1.0)()
+    res = evolve(model, rho0, 2.0, dt=0.05, snapshot_stride=3)
+    assert np.array_equal(res.support, np.broadcast_to(res.support[0], res.support.shape))
+    assert len({row.tobytes() for row in res.support[1:]}) == 1
 
 
 @pytest.mark.parametrize("make_case", SUPPORT_CASES, ids=SUPPORT_IDS)

@@ -815,6 +815,7 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("lindblad_transfer", "initial", "state", "mixed 1.7e308 1 0 ; 1.7e308 0 1", 2,
      "initial.state"),
     ("interference", "reservoir", "coupling", "1e300", 2, "reservoir.coupling"),
+    ("impedance_scan", "diode", "gamma", "1e300", 2, "diode.gamma"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
@@ -1075,8 +1076,10 @@ def test_lorentzian_decay_leaves_out_results_that_do_not_apply(tmp_path, capsys)
 
 
 def test_master_run_records_support_and_products(tmp_path, monkeypatch):
-    # fock 1 0 on 3 x 4 modes: only the photon's two diagonal entries of the 144 move
-    sizes = []  # the length of every vector the generator multiplies
+    # fock 1 0 on 3 x 4 modes: only the photon's two diagonal entries of the 144 move,
+    # one component of S's pattern, so the build carries 2 columns of 2 entries and
+    # their identity part (8 entries), and each snapshot multiplies S and Phi_h by 2
+    sizes = []  # the length of every vector a SparseGenerator multiplies
     matmul = SparseGenerator.__matmul__
 
     def counted(self, y):
@@ -1089,7 +1092,8 @@ def test_master_run_records_support_and_products(tmp_path, monkeypatch):
     derived = _derived(tmp_path / "out")
     assert int(derived["total_dim"]) ** 2 == 144
     assert int(derived["propagated_entries"]) == 2
-    assert int(derived["generator_products"]) == len(sizes) > 0 and set(sizes) == {2}
+    assert int(derived["generator_products"]) == len(sizes) > 0 and set(sizes) == {2, 8}
+    assert int(derived["propagator_entries"]) == 3  # no entry leads back to the source
 
 
 # --- the exit-code contract under single-key edits -------------------------------------------
