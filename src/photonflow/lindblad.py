@@ -308,10 +308,10 @@ def _phi(gen: SparseGenerator, h: float, norm: float) -> tuple[SparseGenerator, 
     v = np.zeros(2 * total, dtype=complex)
     v[total + base[comp] + rank * (size[comp] + 1)] = 1.0
     x = taylor_propagate(matvec, v, h, norm + 1.0, lambda w: w)[:total]
-    # entry p of component k's blocks is Phi_h[row, col], col of rank t and row of rank u
-    k = np.repeat(np.arange(size.size), size * size)
-    t, u = np.divmod(_ranges(size * size), size[k])
-    row, col = nodes[first[k] + u], nodes[first[k] + t]
+    # entry p of component c's blocks is Phi_h[row, col], col of rank t and row of rank u
+    c = np.repeat(np.arange(size.size), size * size)
+    t, u = np.divmod(_ranges(size * size), size[c])
+    row, col = nodes[first[c] + u], nodes[first[c] + t]
     keep = np.flatnonzero(x)
     keep = keep[np.lexsort((col[keep], row[keep]))]
     phi = SparseGenerator.__new__(SparseGenerator)
