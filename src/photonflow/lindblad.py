@@ -10,8 +10,10 @@ closed-form long-time transfer map (pure index algebra, independent of
 the propagator, so the two serve as mutual oracles) and a purity
 predicate for the final state.
 
-The generator S of the vectorized master equation does not depend on
-time, so the state is propagated exactly: between samples h apart,
+The generator S of the vectorized master equation, which
+``_superoperator`` assembles from Kronecker products of the jump and
+Hamiltonian matrices, does not depend on time, so the state is
+propagated exactly: between samples h apart,
 exp(h S) y = y + Phi_h (S y) with Phi_h = h phi_1(h S) = sum_k h^(k+1)
 S^k / (k+1)!, folded back to Hermitian after each interval.  Phi_h is
 built once for each interval length (the stride interval and a shorter
@@ -26,11 +28,10 @@ the entries that S can reach from the nonzeros of rho0 and of its
 transpose.  The transfer dissipator keeps Fock states and their mixtures
 diagonal, so that is a few dozen of the d^2 entries; every other entry
 stays exactly 0 in the full propagation too, and the sub-steps still come
-from the full ||S||_1, so the snapshots have the same bits.
-The time step ``dt`` is only the sampling interval, by default
-0.05 / (max_rate n_max^2) where n_max is the largest photon number the
-space can hold.  Outputs are never renormalized; trace drift is measured
-and reported instead.
+from the full ||S||_1, so the snapshots have the same bits.  The time
+step ``dt`` is only the sampling interval, by default 0.05 / (max_rate
+n_max^2), n_max the largest photon number the space can hold.  Outputs
+are never renormalized; trace drift is measured and reported instead.
 
 The snapshots stay on that support, one (n_snap, s) array, and every
 observable and invariant of all snapshots is taken from it at once with
@@ -212,8 +213,6 @@ class _Snapshots(Sequence):
         return self._result.times.size
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(len(self))[j]]
         res = self._result
         if range(len(self))[j] == 0:
             return res.rho0
@@ -242,9 +241,21 @@ def interference_transfer_jump(
     return low @ creation(space, target)
 
 
+def _merge(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys, each with the sum of its values in input order."""
+    keys, where = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(where, weights=vals.real) + 1j * np.bincount(where, weights=vals.imag)
+
+
 def _superoperator(model: LindbladModel) -> SparseGenerator:
-    """Vectorized generator: drho_vec/dt = S rho_vec (row-major vec)."""
+    """Vectorized generator: drho_vec/dt = S rho_vec (row-major vec).
+
+    S = sum_g scale_g sum_t coef_t kron(a_t, b_t), a group for the Hamiltonian and
+    one per jump.  Each group is summed before it is scaled, and the groups are
+    added in order, so every entry is rounded as that formula reads.
+    """
     d = model.space.total_dim
+    n = d * d
     eye = np.eye(d)
     groups = []
     if model.hamiltonian is not None:
@@ -254,7 +265,20 @@ def _superoperator(model: LindbladModel) -> SparseGenerator:
         l = op.matrix
         ldl = (op.adjoint() @ op).matrix
         groups.append((rate, [(1.0, l, l.conj()), (-0.5, ldl, eye), (-0.5, eye, ldl.T)]))
-    return SparseGenerator(d * d, groups)
+    keys, vals = [], []
+    for scale, terms in groups:
+        k, v = [], []
+        for coef, a, b in terms:
+            ai, aj = np.nonzero(a)
+            bi, bj = np.nonzero(b)
+            k.append(((ai[:, None] * d + bi) * n + aj[:, None] * d + bj).ravel())
+            v.append((coef * (a[ai, aj][:, None] * b[bi, bj])).ravel())
+        k, v = _merge(np.concatenate(k), np.concatenate(v))
+        keys.append(k)
+        vals.append(scale * v)
+    keys, vals = _merge(np.concatenate(keys), np.concatenate(vals))
+    keep = vals != 0
+    return SparseGenerator(n, *np.divmod(keys[keep], n), vals[keep])
 
 
 def _default_dt(model: LindbladModel) -> float:
@@ -296,27 +320,17 @@ def _phi(gen: SparseGenerator, h: float, norm: float) -> tuple[SparseGenerator, 
     cols = np.concatenate((block + rank[gen.cols[e]], total + np.arange(total)))
     vals = np.concatenate((gen.vals[e], np.ones(total, dtype=complex)))
     order = np.argsort(rows, kind="stable")  # each row's columns are in order already
-    aug = SparseGenerator.__new__(SparseGenerator)
-    aug._set(2 * total, rows[order], cols[order], vals[order])
-    calls = 0
-
-    def matvec(v):
-        nonlocal calls
-        calls += 1
-        return aug @ v
-
+    aug = SparseGenerator(2 * total, rows[order], cols[order], vals[order])
     v = np.zeros(2 * total, dtype=complex)
     v[total + base[comp] + rank * (size[comp] + 1)] = 1.0
-    x = taylor_propagate(matvec, v, h, norm + 1.0, lambda w: w)[:total]
+    x, products = taylor_propagate(aug.__matmul__, v, h, norm + 1.0)
     # entry p of component c's blocks is Phi_h[row, col], col of rank t and row of rank u
     c = np.repeat(np.arange(size.size), size * size)
     t, u = np.divmod(_ranges(size * size), size[c])
     row, col = nodes[first[c] + u], nodes[first[c] + t]
-    keep = np.flatnonzero(x)
+    keep = np.flatnonzero(x[:total])
     keep = keep[np.lexsort((col[keep], row[keep]))]
-    phi = SparseGenerator.__new__(SparseGenerator)
-    phi._set(gen.n, row[keep], col[keep], x[keep])
-    return phi, calls
+    return SparseGenerator(gen.n, row[keep], col[keep], x[keep]), products
 
 
 def evolve(
@@ -335,11 +349,7 @@ def evolve(
     """
     if rho0.space.mode_dims != model.space.mode_dims:
         raise InvalidInput("initial state lives on a different space than the model")
-    if t_final <= 0:
-        raise InvalidInput(f"t_final must be positive, got {t_final}")
-    if dt is None:
-        dt = _default_dt(model)
-    nsteps, dt = steps_for(t_final, dt)
+    nsteps, dt = steps_for(t_final, _default_dt(model) if dt is None else dt)
 
     gen = _superoperator(model)
     d = model.space.total_dim

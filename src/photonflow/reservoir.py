@@ -19,8 +19,8 @@ valid before the comb recurrence at t_rec = pi * f / eps_max.
 The module also implements repeated projective reservoir measurements
 (decay freezing for short measurement periods on a flat spectrum, decay
 acceleration for a spectrum detuned from the system) and the two-upper-
-mode interference configuration with its exactly dark antisymmetric
-state.
+mode interference configuration, whose antisymmetric state is exactly
+dark and whose symmetric state decays as one mode coupled with sqrt(2) g_c.
 
 Propagation is exact, not stepped.  With g_c = |g_c| exp(i theta), the
 amplitudes y = (c0, b_l) in the frame b_l = exp(i (theta + omega_l t)) c_l
@@ -43,7 +43,7 @@ secular equation once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -295,22 +295,12 @@ def _default_dt(spec: ReservoirSpec) -> float:
 
 
 def _check_dt(spec: ReservoirSpec, dt: float) -> None:
-    if dt > 0.05 / spec.eps_max + 1e-15:
-        raise ConfigurationError(
-            f"dt={dt:.3g} does not resolve the fastest reservoir phase; "
-            f"need dt <= 0.05/eps_max = {0.05 / spec.eps_max:.3g}"
-        )
-
-
-def _sampled_evolution(
-    prop: _ExactPropagator, c0: complex, c: np.ndarray, t0: float, nsteps: int, dt: float
-):
-    """Eigenvector coefficients and dark remainder of (c0, c) at t0, and the upper
-    amplitude at t0 + j dt (j = 0..nsteps)."""
-    coef, dark = prop.modes(c0, prop.to_frame(c, t0))
-    upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, np.arange(nsteps + 1) * dt)
-    upper[0] = c0  # the sample at tau = 0 is the initial state itself
-    return coef, dark, upper
+    """dt <= 0.05 / max(eps_max, |g_c| sqrt(f)): the roots of K reach eps_max + |g_c| sqrt(f)."""
+    scale = max(spec.eps_max, abs(spec.coupling) * np.sqrt(spec.f))
+    if dt > 0.05 / scale * (1.0 + 1e-12):
+        raise ConfigurationError(f"dt={dt:.3g} does not resolve the fastest reservoir phase; "
+                                 f"need dt <= 0.05/max(eps_max, |coupling| sqrt(f)) = "
+                                 f"{0.05 / scale:.3g}")
 
 
 def evolve_exact(
@@ -321,21 +311,21 @@ def evolve_exact(
 ) -> DecayTrajectory:
     """Exact single-excitation amplitudes on the grid t0 + j dt.
 
-    ``dt`` is the sampling interval (step guard: dt <= 0.05 / eps_max).
-    The upper amplitude c0 is recorded at every sample, the class
-    amplitudes at the last one.
+    ``dt`` is the sampling interval (step guard: ``_check_dt``).  The upper
+    amplitude c0 is recorded at every sample, the class amplitudes at the
+    last one.
     """
-    if dt is None:
-        dt = _default_dt(spec)
+    dt = _default_dt(spec) if dt is None else dt
     _check_dt(spec, dt)
-    if state0 is None:
-        state0 = SingleExcitationState.excited(spec.f)
+    state0 = SingleExcitationState.excited(spec.f) if state0 is None else state0
     if state0.c.size != spec.f:
         raise InvalidInput("state has a different number of reservoir classes than the spec")
 
     nsteps, dt = steps_for(t_final, dt)
     prop = spec.propagator
-    coef, dark, upper = _sampled_evolution(prop, state0.c0, state0.c, state0.t, nsteps, dt)
+    coef, dark = prop.modes(state0.c0, prop.to_frame(state0.c, state0.t))
+    upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, np.arange(nsteps + 1) * dt)
+    upper[0] = state0.c0  # the sample at tau = 0 is the initial state itself
     c_final = prop.classes_at(coef, dark, nsteps * dt, state0.t + nsteps * dt)
     return DecayTrajectory(times=state0.t + np.arange(nsteps + 1) * dt, c0=upper, c_final=c_final)
 
@@ -408,6 +398,8 @@ def zeno_evolve(
     no-decay probability p(tau_m) = |sum_k w_k exp(i kappa_k tau_m)|^2
     and the cumulative survival after k segments is p_1 p^(k-1).
     """
+    if not tau_m > 0:
+        raise InvalidInput(f"tau_m must be positive, got {tau_m}")
     n_meas = int(np.floor(t_final / tau_m + 1e-9))
     if n_meas < 10:
         raise ConfigurationError(
@@ -449,6 +441,11 @@ def zeno_scan(
     return [zeno_evolve(spec, None, n_measurements * tau, tau) for tau in taus]
 
 
+def _symmetric_mode(spec: ReservoirSpec) -> ReservoirSpec:
+    """The reservoir as the symmetric mode of two upper modes sees it: at sqrt(2) g_c."""
+    return replace(spec, coupling=np.sqrt(2.0) * spec.coupling)
+
+
 def interference_evolve(
     spec: ReservoirSpec,
     state0: TwoUpperModeState,
@@ -461,23 +458,11 @@ def interference_evolve(
     amplitudes, so the antisymmetric combination (c0 - c0')/sqrt(2) is
     exactly dark and the symmetric one couples with sqrt(2) g_c: it
     decays twice as fast as a single mode.  Only the symmetric
-    combination is propagated.
+    combination is propagated, by ``evolve_exact`` on ``_symmetric_mode``.
     """
-    if dt is None:
-        dt = _default_dt(spec)
-    _check_dt(spec, dt)
-    if state0.c.size != spec.f:
-        raise InvalidInput("state has a different number of reservoir classes than the spec")
-
-    nsteps, dt = steps_for(t_final, dt)
-    root2 = np.sqrt(2.0)
-    sym0 = (state0.c0 + state0.c0p) / root2
-    prop = _ExactPropagator(spec.frequencies(), root2 * spec.coupling)
-    *_, sym = _sampled_evolution(prop, sym0, state0.c, state0.t, nsteps, dt)
+    sym0 = (state0.c0 + state0.c0p) / np.sqrt(2.0)
+    sym = evolve_exact(_symmetric_mode(spec), SingleExcitationState(sym0, state0.c, state0.t),
+                       t_final, dt)
     # the antisymmetric part is constant, so each mode moves by the same amount
-    shift = (sym - sym0) / root2
-    return InterferenceTrajectory(
-        times=state0.t + np.arange(nsteps + 1) * dt,
-        c0=state0.c0 + shift,
-        c0p=state0.c0p + shift,
-    )
+    shift = (sym.c0 - sym0) / np.sqrt(2.0)
+    return InterferenceTrajectory(times=sym.times, c0=state0.c0 + shift, c0p=state0.c0p + shift)

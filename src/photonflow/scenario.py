@@ -365,17 +365,25 @@ def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.
     )
     # the secular equation sums f |coupling|^2, which must stay a float
     if not math.isfinite(spec.f * spec.coupling_sq):
-        raise _err("reservoir.coupling" if target is None else "reservoir.target_gamma",
-                   f"f |coupling|^2 overflows (f = {spec.f}, "
+        raise _err(_coupling_key(sc), f"f |coupling|^2 overflows (f = {spec.f}, "
                    f"|coupling|^2 = {spec.coupling_sq:.3g})")
     return spec
 
 
-def _reservoir_run(sc: Scenario) -> tuple:
-    """Spec, run.t_final and run.dt (the sampling interval) of a reservoir kind."""
+def _coupling_key(sc: Scenario) -> str:
+    """The key that sets the reservoir coupling: target_gamma when the file gives it."""
+    given = sc.get("reservoir", "target_gamma") is not None
+    return "reservoir.target_gamma" if given else "reservoir.coupling"
+
+
+def _reservoir_run(sc: Scenario, propagated: Callable = lambda spec: spec) -> tuple:
+    """Spec, run.t_final and run.dt of a reservoir kind.  dt must resolve ``propagated(spec)``;
+    where the coupling, not eps_max, sets that bound, a dt too long names the coupling."""
     spec = _build_reservoir(sc)
     t_final, dt = _run_times(sc, dt=reservoir._default_dt(spec))
-    _guard("run.dt", reservoir._check_dt, spec, dt)
+    run = propagated(spec)
+    key = _coupling_key(sc) if abs(run.coupling) * math.sqrt(run.f) > run.eps_max else "run.dt"
+    _guard(key, reservoir._check_dt, run, dt)
     return spec, t_final, dt
 
 
@@ -413,7 +421,7 @@ _INTERFERENCE_STATES = {
 
 
 def _build_interference(sc: Scenario) -> SimpleNamespace:
-    spec, t_final, dt = _reservoir_run(sc)
+    spec, t_final, dt = _reservoir_run(sc, reservoir._symmetric_mode)
     name = _get(sc, "initial.state", _one_of(*_INTERFERENCE_STATES))
     return SimpleNamespace(spec=spec, t_final=t_final, dt=dt, state=name, stride=_stride(sc, 1))
 

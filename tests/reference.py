@@ -4,10 +4,10 @@ No run calls these, so they live with the tests: Fock-space helpers, the
 dense master-equation right-hand side and a dark-state fidelity, the
 per-interval Taylor propagation of the master equation that its interval
 propagators replaced, the reservoir response kernel by direct summation and
-in closed form, a comb field on any uniform time grid, and the port-2
-reflection through its own secular solve of the arrowhead with poles -d_q
-(the path that ``diode.reflect_port2`` took before it ran on
-``ContinuumGrid.cavity``).
+in closed form, the two-upper-mode interference through a propagator of its
+own, a comb field on any uniform time grid, and the port-2 reflection
+through its own secular solve of the arrowhead with poles -d_q (the path
+that ``diode.reflect_port2`` took before it ran on ``ContinuumGrid.cavity``).
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from photonflow._integrate import sample_steps, steps_for, taylor_propagate
+from photonflow._integrate import exp_sum, sample_steps, steps_for, taylor_propagate
 from photonflow.diode import (ContinuumGrid, ReflectionResult, _check_window, _comb_field,
                               _reflection_samples, intensity_centroid)
 from photonflow.errors import ConfigurationError, InvalidInput
 from photonflow.fock import (DensityMatrix, ModeSpace, Operator, _check_mode, _check_same_space,
                              _product, tensor_embed)
 from photonflow.lindblad import LindbladModel, _superoperator, evolve, state_fidelity
-from photonflow.reservoir import ReservoirSpec, _ExactPropagator
+from photonflow.reservoir import (InterferenceTrajectory, ReservoirSpec, TwoUpperModeState,
+                                  _ExactPropagator, _default_dt)
 
 # --- fock ----------------------------------------------------------------------------------
 
@@ -121,7 +122,10 @@ def taylor_evolve(model: LindbladModel, rho0: DensityMatrix, t_final: float, dt:
                   snapshot_stride: int) -> np.ndarray:
     """The snapshots of ``lindblad.evolve`` on its reachable support, each interval
     propagated by the Taylor series of exp(h S) again, in ceil(h ||S||_1) sub-steps
-    with the Hermitian fold after each one."""
+    with the Hermitian fold after each one.
+
+    Each sub-step is one ``taylor_propagate`` call with norm 0, which sums one
+    series over the whole (sub-)interval it is given."""
     nsteps, dt = steps_for(t_final, dt)
     gen = _superoperator(model)
     d = model.space.total_dim
@@ -133,9 +137,14 @@ def taylor_evolve(model: LindbladModel, rho0: DensityMatrix, t_final: float, dt:
     steps = sample_steps(nsteps, snapshot_stride)
     snaps = np.empty((len(steps) + 1, idx.size), dtype=complex)
     snaps[0] = y = y[idx]
+    norm = gen.onenorm()
     for j, (prev, step) in enumerate(zip([0] + steps, steps), start=1):
-        snaps[j] = y = taylor_propagate(sub.__matmul__, y, (step - prev) * dt, gen.onenorm(),
-                                        lambda v: 0.5 * (v + v[mirror].conj()))
+        h = (step - prev) * dt
+        s = max(1, int(np.ceil(h * norm)))
+        for _ in range(s):
+            v = taylor_propagate(sub.__matmul__, y, h / s, 0.0)[0]
+            y = 0.5 * (v + v[mirror].conj())
+        snaps[j] = y
     return snaps
 
 
@@ -178,6 +187,23 @@ def equidistant_response_closed_form(spec: ReservoirSpec, t) -> np.ndarray:
     ratio = np.where(small, spec.f * np.cos(x) / np.cos(x / spec.f), num / safe)
     g = spec.coupling_sq * ratio
     return g if tt.ndim else complex(g)
+
+
+def interference_own_propagator(spec: ReservoirSpec, state0: TwoUpperModeState, t_final: float,
+                                dt: Optional[float] = None) -> InterferenceTrajectory:
+    """``reservoir.interference_evolve`` through an ``_ExactPropagator`` of its own
+    at sqrt(2) g_c and the sampled sum of the symmetric amplitude, the path it
+    took before it ran ``evolve_exact`` on the symmetric mode's spec."""
+    nsteps, dt = steps_for(t_final, _default_dt(spec) if dt is None else dt)
+    root2 = np.sqrt(2.0)
+    sym0 = (state0.c0 + state0.c0p) / root2
+    prop = _ExactPropagator(spec.frequencies(), root2 * spec.coupling)
+    coef, _ = prop.modes(sym0, prop.to_frame(state0.c, state0.t))
+    sym = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, np.arange(nsteps + 1) * dt)
+    sym[0] = sym0
+    shift = (sym - sym0) / root2
+    return InterferenceTrajectory(times=state0.t + np.arange(nsteps + 1) * dt,
+                                  c0=state0.c0 + shift, c0p=state0.c0p + shift)
 
 
 # --- diode ---------------------------------------------------------------------------------

@@ -18,13 +18,16 @@ the per-step solve for the cavity amplitude that its online FFT convolution repl
 long-double direct sums for the chirp-z comb sums, the per-level rules for the
 recorded steps that ``sample_steps`` replaced, and the port-2 reflection through a
 secular solve of its own (``reference.reflect_port2_mirrored``), which the reflection
-on C2 replaced.
+on C2 replaced, and the two-upper-mode interference through a propagator of its own
+(``reference.interference_own_propagator``), which ``evolve_exact`` on the symmetric
+mode replaced.
 """
 
 import dataclasses
 import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,7 @@ from photonflow import (
     simulation_window,
     transfer_jump,
     zeno_evolve,
+    zeno_scan,
 )
 from photonflow._integrate import (_BLOCK, _arrowhead_eigensystem,
                                    _block_slices, _comb_spacing, _polygamma, comb_sum, exp_sum,
@@ -73,8 +77,13 @@ from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
                               _stencil, intensity_centroid)
 from photonflow.lindblad import _phi, _superoperator, state_fidelity
 from photonflow.reservoir import _ExactPropagator
-from photonflow.scenario import RunOutcome, _master_report, parse_scenario_text, validate_scenario
-from reference import number, reconstruct_field, reflect_port2_mirrored, taylor_evolve
+from photonflow.scenario import (RunOutcome, _master_report, parse_scenario, parse_scenario_text,
+                                 validate_scenario)
+from reference import (interference_own_propagator, number, reconstruct_field,
+                       reflect_port2_mirrored, taylor_evolve)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 # --- RK4 reference path ----------------------------------------------------------
@@ -362,6 +371,28 @@ def test_interference_matches_two_mode_rk4(ctor):
     assert np.max(np.abs(ref[:, 1] - traj.c0p)) <= 1e-9
 
 
+@pytest.mark.parametrize("setup", ["shipped-antisymmetric", "shipped-symmetric", "shipped-single",
+                                   "complex-coupling-t0"])
+def test_interference_matches_its_own_propagator(setup):
+    # interference_evolve is evolve_exact on the symmetric mode's spec; the path it
+    # replaced builds the sqrt(2) g_c propagator itself and gives the same bits
+    if setup.startswith("shipped"):
+        c = parse_scenario(SCENARIO_DIR / "interference.ini").inputs
+        spec, t_final, dt = c.spec, c.t_final, c.dt
+        state = getattr(TwoUpperModeState, setup.split("-")[1])(spec.f)
+    else:
+        spec = ReservoirSpec(f=80, eps_max=10.0,
+                             coupling=coupling_for_rate(80, 10.0, 1.0) * np.exp(0.7j))
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=spec.f + 2) + 1j * rng.normal(size=spec.f + 2)
+        state = TwoUpperModeState(z[0], z[1], z[2:], t=0.37)
+        t_final, dt = 2.0, None
+    traj = interference_evolve(spec, state, t_final, dt=dt)
+    ref = interference_own_propagator(spec, state, t_final, dt=dt)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.c0, ref.c0) and np.array_equal(traj.c0p, ref.c0p)
+
+
 # --- Markov ports against RK4 ------------------------------------------------------
 
 
@@ -601,7 +632,7 @@ def test_reachable_support_is_closed(make_case):
     if model.hamiltonian is None or make_case is hamiltonian_fock:
         # a Hermitian generator's pattern is transpose-symmetric on its own
         seed = rho0.matrix + rho0.matrix.T
-        assert np.array_equal(gen.reachable(seed.reshape(-1)), idx)
+        assert np.array_equal(gen.reachable(seed.reshape(-1), np.arange(gen.n)), idx)
 
 
 @pytest.mark.parametrize("make_case", SUPPORT_CASES, ids=SUPPORT_IDS)
@@ -769,7 +800,7 @@ def router_taylor(grid1, grid2, spec, p0, t_final, dt):
     parts = (slice(0, n1), iq, ir, is_)
     pops = [[np.sum(np.abs(y[part]) ** 2) for part in parts]]
     for prev, step in zip([0] + steps, steps):
-        y = taylor_propagate(generator, y, (step - prev) * dt, norm, lambda v: v)
+        y, _ = taylor_propagate(generator, y, (step - prev) * dt, norm)
         pops.append([np.sum(np.abs(y[part]) ** 2) for part in parts])
     lab = np.exp(-1j * om * t_final)
     return np.array(pops).T, y[:n1], y[iq], lab * y[ir], lab[:, None] * y[is_].reshape(f, n2)
@@ -1322,6 +1353,42 @@ def test_sample_steps_matches_every_rule_it_replaced(rule):
     for nsteps in range(1, 60):
         for stride in range(1, 70):
             assert sample_steps(nsteps, stride) == rule(nsteps, stride), (nsteps, stride)
+
+
+def _small_router():
+    pulse = gaussian_pulse(t0=6.0, duration=2.0)
+    grid1 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=1.0)
+    grid2 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=5.0)
+    spec = ReservoirSpec(f=6, eps_max=0.05, coupling=coupling_for_diode_rate(6, 0.05, 5.0, 1.0))
+    return grid1, grid2, spec, project_pulse(grid1, pulse)
+
+
+def _transfer_case():
+    space = ModeSpace([2, 3])
+    model = LindbladModel(space, [(transfer_jump(space, 0, 1), 1.0)])
+    return model, fock_density(space, (1, 0))
+
+
+_FLAT = ReservoirSpec(f=40, eps_max=10.0, coupling=coupling_for_rate(40, 10.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: steps_for(1.0, -0.1),
+    lambda: steps_for(-1.0, 0.1),
+    lambda: sample_steps(10, 0),
+    lambda: evolve(*_transfer_case(), 1.0, dt=-0.1),
+    lambda: evolve(*_transfer_case(), 1.0, snapshot_stride=0),
+    lambda: evolve_markov(1.0, 1.0, 5.0, gaussian_pulse(t0=6.0, duration=2.0), 20.0, dt=-0.02),
+    lambda: evolve_full(*_small_router(), 20.0, dt=-0.02),
+    lambda: evolve_exact(_FLAT, t_final=-1.0),
+    lambda: interference_evolve(_FLAT, TwoUpperModeState.single(_FLAT.f), -1.0),
+    lambda: zeno_evolve(_FLAT, tau_m=0.0),
+    lambda: zeno_scan(_FLAT, [0.0]),
+], ids=["steps-dt", "steps-t_final", "sample-stride", "evolve-dt", "evolve-stride", "markov-dt",
+        "full-dt", "exact-t_final", "interference-t_final", "zeno-tau", "zeno-scan-tau"])
+def test_propagators_reject_a_bad_step(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 # --- chirp-z sums over a uniform comb ---------------------------------------------------

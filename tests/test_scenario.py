@@ -816,6 +816,10 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
      "initial.state"),
     ("interference", "reservoir", "coupling", "1e300", 2, "reservoir.coupling"),
     ("impedance_scan", "diode", "gamma", "1e300", 2, "diode.gamma"),
+    # the coupling, not eps_max, sets the fastest phase that dt must resolve
+    ("markov_decay", "reservoir", "coupling", "1e140", 2, "reservoir.coupling"),
+    ("markov_decay", "reservoir", "target_gamma", "1e300", 2, "reservoir.target_gamma"),
+    ("zeno_scan", "reservoir", "target_gamma", "1e300", 2, "reservoir.target_gamma"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
