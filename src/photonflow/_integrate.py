@@ -18,19 +18,19 @@ so propagation is exact up to roundoff, not stepped:
 * ``taylor_propagate``: exp(h A) y by truncated Taylor series in
   ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
   scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
-  builds the master equation's interval propagators h phi_1(h S), all
-  their columns at once, as the exponential of the augmented generator
-  [[S, I], [0, 0]] on a ``SparseGenerator``, with the exact 1-norm of S
-  plus 1; the tests also run the four-port router and the per-interval
-  master equation with it as oracles.  ``SparseGenerator`` is a matrix given
-  by its nonzeros sorted by (row, col); its matrix-vector product is one
-  ``np.bincount`` over the interleaved real and imaginary parts, which adds
-  each row's terms in column order.  ``reachable`` closes a set of
-  coordinates under its pattern and a mirror; ``restrict`` keeps the entries
-  inside such a set, in the same order, so a vector that vanishes outside it
-  is propagated on it alone with the same bits.  ``components`` labels the
-  connected components of a pattern: the propagator's columns and the
-  support's blocks.
+  builds the master equation's interval propagators h phi_1(h S), all their
+  columns at once, as the exponential of the augmented generator
+  [[S, I], [0, 0]] on a ``SparseGenerator`` in ceil(h ||S||_1) sub-steps,
+  since its powers are [[S^k, S^(k-1)], [0, 0]]; the tests also run the
+  four-port router and the per-interval master equation with it as oracles.
+  ``SparseGenerator`` is a matrix given by its nonzeros sorted by (row, col);
+  its matrix-vector product is one ``np.bincount`` over the interleaved real
+  and imaginary parts, which adds each row's terms in column order.
+  ``reachable`` closes a set of coordinates under its pattern and a mirror;
+  ``restrict`` keeps the entries inside such a set, in the same order, so a
+  vector that vanishes outside it is propagated on it alone with the same
+  bits.  ``components`` labels the connected components of a pattern: the
+  propagator's columns and the support's blocks.
 * ``comb_sum``: sum_k a_k exp(i (f0 + k df)(t0 + j h)), a uniform comb on a
   uniform time grid, as Bluestein's chirp-z transform (Rabiner, Schafer &
   Rader, IEEE Trans. Audio Electroacoust. 17, 86, 1969): with kj = (k^2 +
@@ -100,8 +100,8 @@ def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.nda
     in blocks of 32 samples that share one table of in-block phases.
 
     Whole blocks go through numpy together, as many per pass as keep the
-    product within ``_BATCH`` entries (at least one); each block's arithmetic
-    is the same either way.
+    product within ``_BATCH`` entries (at least one), a short last one summed
+    whole and cut; each block's arithmetic is the same either way.
     """
     times = np.asarray(times, dtype=float)
     n = times.size
@@ -109,18 +109,13 @@ def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.nda
     # every block starts at its own sample time, so only drift within a block counts
     if np.any(np.abs(np.diff(times) - h) > 1e-9 * abs(h)):
         raise InvalidInput("exp_sum needs uniformly spaced times")
-    within = np.exp(1j * np.outer(np.arange(min(n, _BLOCK)) * h, freqs))
-    out = np.empty(n, dtype=complex)
-    whole = n - n % _BLOCK
+    within = np.exp(1j * np.outer(np.arange(_BLOCK) * h, freqs))
+    out = np.empty(-(-n // _BLOCK) * _BLOCK, dtype=complex)
     rows = max(1, _BATCH // within.size) * _BLOCK
-    for lo in range(0, whole, rows):
-        hi = min(lo + rows, whole)
-        start = weights * np.exp(1j * freqs * times[lo:hi:_BLOCK, None])
-        out[lo:hi] = np.sum(within * start[:, None, :], axis=2).ravel()
-    if whole < n:
-        start = weights * np.exp(1j * freqs * times[whole])
-        out[whole:] = np.sum(within[: n - whole] * start, axis=1)
-    return out
+    for lo in range(0, n, rows):
+        start = weights * np.exp(1j * freqs * times[lo:lo + rows:_BLOCK, None])
+        out[lo:lo + start.shape[0] * _BLOCK] = np.sum(within * start[:, None, :], axis=2).ravel()
+    return out[:n]
 
 
 def fft_size(n: int) -> int:
@@ -389,26 +384,26 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         comb = _comb_spacing(poles, z)
+        drift = 0.0 if comb is None else comb[1]
+
+        def sums_at(k, o, on_left):  # the sums of F - kappa about the roots' origins o
+            if comb is None:
+                return _PoleSums(poles, rho, k, o)
+            return _CombSums(poles, comb[0], rho[0], k, o, on_left)
+
         for ks in _block_slices(m + 1) if comb is None else [slice(0, m + 1)]:
             k = np.arange(ks.start, ks.stop)
             inner = (k > 0) & (k < m)
             left = np.where(k > 0, poles[np.maximum(k - 1, 0)], lower)
             right = np.where(k < m, poles[np.minimum(k, m - 1)], upper)
             mid = 0.5 * (left + right)
-            if comb is None:
-                terms = rho / (poles - mid[:, None])
-                f_mid = mid + np.sum(terms, axis=1)
-                tol = 8.0 * _EPS * (np.abs(mid) + np.sum(np.abs(terms), axis=1))
-                del terms
-            else:
-                anchor = np.where(k > 0, left, right)
-                sums = _CombSums(poles, comb[0], rho[0], k, anchor, k > 0)
-                psi, phi, dpsi, dphi = sums(mid - anchor)
-                f_mid = mid + psi + phi
-                # this anchors the ideal comb at the bracket's left pole, the iteration may
-                # anchor it at the right one: their far poles differ by up to twice the
-                # drift bound, so F is known here only to that times its slope
-                tol = 8.0 * _EPS * (np.abs(mid) + phi - psi) + 2.0 * comb[1] * (dpsi + dphi)
+            anchor = np.where(k > 0, left, right)
+            psi, phi, dpsi, dphi = sums_at(k, anchor, k > 0)(mid - anchor)
+            f_mid = mid + psi + phi
+            # on a comb this anchors the ideal comb at the bracket's left pole, the
+            # iteration may anchor it at the right one: their far poles differ by up to
+            # twice the drift bound, so F is known here only to that times its slope
+            tol = 8.0 * _EPS * (np.abs(mid) + phi - psi) + 2.0 * drift * (dpsi + dphi)
             # a root on the midpoint (a symmetric spectrum) is found already
             done = np.abs(f_mid) <= tol
             in_left_half = f_mid > 0.0
@@ -419,10 +414,7 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
             lo, hi = lo_abs - o, hi_abs - o
             d_left = poles[np.maximum(k - 1, 0)] - o
             d_right = poles[np.minimum(k, m - 1)] - o
-            if comb is None:
-                sums = _PoleSums(poles, rho, k, o)
-            else:
-                sums = _CombSums(poles, comb[0], rho[0], k, o, use_left)
+            sums = sums_at(k, o, use_left)
             mu = np.where(done, mid - o, 0.5 * (lo + hi))
             for it in range(_MAX_ITER):
                 psi, phi, dpsi, dphi = sums(mu)
@@ -523,7 +515,8 @@ def components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float) -> tuple[np.ndarray, int]:
     """exp(h A) y in s = ceil(h norm) equal sub-steps, and the number of products
-    ``matvec(v)`` = A v it took, for a bound ``norm`` on an operator norm of A.
+    ``matvec(v)`` = A v it took.  ``norm`` bounds an operator norm of A, or ||S||_1 for
+    A = [[S, I], [0, 0]] on y = (0, e_j), whose term k is at most tau (tau norm)^(k-1) / k!.
 
     Each sub-step sums the Taylor series of exp((h / s) A) y until two successive
     terms fall below 2^-53 of the partial sum (max norm).  The term and the partial

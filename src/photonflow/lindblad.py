@@ -10,28 +10,28 @@ closed-form long-time transfer map (pure index algebra, independent of
 the propagator, so the two serve as mutual oracles) and a purity
 predicate for the final state.
 
-The generator S of the vectorized master equation, which
-``_superoperator`` assembles from Kronecker products of the jump and
-Hamiltonian matrices, does not depend on time, so the state is
-propagated exactly: between samples h apart,
-exp(h S) y = y + Phi_h (S y) with Phi_h = h phi_1(h S) = sum_k h^(k+1)
-S^k / (k+1)!, folded back to Hermitian after each interval.  Phi_h is
-built once for each interval length (the stride interval and a shorter
-last one) and kept as its nonzeros, so a snapshot costs two sparse
+The generator S of the vectorized master equation, which ``_superoperator``
+assembles from Kronecker products of the jump and Hamiltonian matrices,
+does not depend on time, so the state is propagated exactly: between
+samples h apart, exp(h S) y = y + Phi_h (S y) with Phi_h = h phi_1(h S) =
+sum_k h^(k+1) S^k / (k+1)!, folded back to Hermitian after each interval.
+Phi_h is built once for each interval length (the stride interval and a
+shorter last one) and kept as its nonzeros, so a snapshot costs two sparse
 products (Moler & Van Loan, SIAM Review 45, 3, 2003).  Its columns come
-from a truncated Taylor series of the augmented generator [[S, I], [0,
-0]] in ceil(h (||S||_1 + 1)) sub-steps (``_integrate.taylor_propagate``),
-each column on its connected component of S's pattern alone.  A
+from a truncated Taylor series of the augmented generator A = [[S, I], [0,
+0]] in ceil(h ||S||_1) sub-steps (``_integrate.taylor_propagate``; A^k =
+[[S^k, S^(k-1)], [0, 0]], so the identity block sizes Phi_h but does not
+slow the series), each on its connected component of S's pattern alone.  A
 stationary state, for which S y is exactly 0 (the dark state), comes back
-with the same bits.  Only the reachable support of rho0 is propagated:
-the entries that S can reach from the nonzeros of rho0 and of its
-transpose.  The transfer dissipator keeps Fock states and their mixtures
-diagonal, so that is a few dozen of the d^2 entries; every other entry
-stays exactly 0 in the full propagation too, and the sub-steps still come
-from the full ||S||_1, so the snapshots have the same bits.  The time
-step ``dt`` is only the sampling interval, by default 0.05 / (max_rate
-n_max^2), n_max the largest photon number the space can hold.  Outputs
-are never renormalized; trace drift is measured and reported instead.
+with the same bits.  Only the reachable support of rho0 is propagated: the
+entries that S can reach from the nonzeros of rho0 and of its transpose.
+The transfer dissipator keeps Fock states and their mixtures diagonal, so
+that is a few dozen of the d^2 entries; every other entry stays exactly 0
+in the full propagation too, and the sub-steps still come from the full
+||S||_1, so the snapshots have the same bits.  The time step ``dt`` is only
+the sampling interval, by default 0.05 / (max_rate n_max^2), n_max the
+largest photon number the space can hold.  Outputs are never renormalized;
+trace drift is measured and reported instead.
 
 The snapshots stay on that support, one (n_snap, s) array, and every
 observable and invariant of all snapshots is taken from it at once with
@@ -297,12 +297,12 @@ def _phi(gen: SparseGenerator, h: float, norm: float) -> tuple[SparseGenerator, 
 
     Column j of Phi_h is the upper half of exp(h A) (0, e_j) for the augmented
     generator A = [[S, I], [0, 0]] (Al-Mohy & Higham 2011), whose lower half stays
-    e_j, so exp(h A) composes exactly over the sub-steps of ``taylor_propagate``;
-    ||A||_1 <= ``norm`` + 1 for a bound ``norm`` on ||S||_1.  A column is nonzero
-    only on its connected component of S's pattern, so each is carried on its
-    component alone, and all of them at once as one block-diagonal vector of
-    sum b^2 entries, b the component sizes: column j's block holds entry r at
-    rank(j) b + rank(r), ranks counted within the component.
+    e_j, so exp(h A) composes exactly over the sub-steps of ``taylor_propagate``.
+    As A^k = [[S^k, S^(k-1)], [0, 0]], term k is at most tau (tau ``norm``)^(k-1) / k!
+    for a bound ``norm`` on ||S||_1, against a sum of size tau: ``norm`` alone sets
+    the sub-steps.  A column is nonzero only on its component of S's pattern, and
+    all are carried at once as one block-diagonal vector of sum b^2 entries, b the
+    component sizes: column j's block holds entry r at rank(j) b + rank(r).
     """
     _, comp, size = np.unique(components(gen.n, gen.rows, gen.cols),
                               return_inverse=True, return_counts=True)
@@ -323,7 +323,7 @@ def _phi(gen: SparseGenerator, h: float, norm: float) -> tuple[SparseGenerator, 
     aug = SparseGenerator(2 * total, rows[order], cols[order], vals[order])
     v = np.zeros(2 * total, dtype=complex)
     v[total + base[comp] + rank * (size[comp] + 1)] = 1.0
-    x, products = taylor_propagate(aug.__matmul__, v, h, norm + 1.0)
+    x, products = taylor_propagate(aug.__matmul__, v, h, norm)
     # entry p of component c's blocks is Phi_h[row, col], col of rank t and row of rank u
     c = np.repeat(np.arange(size.size), size * size)
     t, u = np.divmod(_ranges(size * size), size[c])
@@ -410,11 +410,8 @@ def asymptotic_transfer_map(rho0: DensityMatrix) -> DensityMatrix:
     d1, d2 = rho0.space.mode_dims
     t = rho0.matrix.reshape(d1, d2, d1, d2)
 
-    lost = 0.0
-    for n in range(d1):
-        for m in range(d2):
-            if n + m >= d2:
-                lost += abs(t[n, m, n, m])
+    n, m = np.indices((d1, d2))
+    lost = np.sum(np.abs(t[n, m, n, m])[n + m >= d2])
     if lost > _SUPPORT_TOL:
         raise ConfigurationError(
             f"mode-2 truncation too small: population {lost:.3e} sits in sectors "
@@ -422,13 +419,8 @@ def asymptotic_transfer_map(rho0: DensityMatrix) -> DensityMatrix:
         )
 
     out = np.zeros((d1, d2, d1, d2), dtype=complex)
-    for p in range(d2):
-        for pp in range(d2):
-            q_hi = min(d1 - 1, p, pp)
-            acc = 0.0 + 0.0j
-            for q in range(q_hi + 1):
-                acc += t[q, p - q, q, pp - q]
-            out[0, p, 0, pp] = acc
+    for q in range(min(d1, d2)):  # ascending q, the order of the sum above
+        out[0, q:, 0, q:] += t[q, : d2 - q, q, : d2 - q]
     return DensityMatrix(rho0.space, out.reshape(rho0.space.total_dim, rho0.space.total_dim))
 
 

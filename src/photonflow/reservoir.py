@@ -33,19 +33,19 @@ which ``_ExactPropagator`` diagonalizes in closed form (the roots of a
 secular equation, ``_integrate._arrowhead_eigensystem``).  The survival
 amplitude of the excited upper mode is c0(t) = sum_k w_k exp(i kappa_k t)
 over the eigenvalues kappa_k, with weights w_k = 1 / (1 + |g_c|^2 sum_l
-(kappa_k - omega_l)^-2).  A free run records c0 at every sample and the
-class amplitudes at its end.  The time step ``dt`` only sets the sampling
-grid, and no BLAS call is on the data path, so the results do not depend
-on the BLAS thread count.  A spec keeps its eigensystem (``propagator``,
-solved on first use), so a free run and a Zeno scan of one spec solve the
-secular equation once.
+(kappa_k - omega_l)^-2).  A free run records c0 at every sample, and the
+class amplitudes at its end when they are read.  The time step ``dt``
+only sets the sampling grid, and no BLAS call is on the data path, so the
+results do not depend on the BLAS thread count.  A spec keeps its
+eigensystem (``propagator``, solved on first use), so a free run and a
+Zeno scan of one spec solve the secular equation once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -239,7 +239,11 @@ class TwoUpperModeState:
 class DecayTrajectory:
     times: np.ndarray
     c0: np.ndarray  # upper amplitude at every sample
-    c_final: np.ndarray  # class amplitudes at the last sample
+    classes: Callable[[], np.ndarray] = field(repr=False)  # what c_final is built from
+
+    @cached_property
+    def c_final(self) -> np.ndarray:  # class amplitudes at the last sample, built when read
+        return self.classes()
 
     @property
     def survival(self) -> np.ndarray:
@@ -312,8 +316,8 @@ def evolve_exact(
     """Exact single-excitation amplitudes on the grid t0 + j dt.
 
     ``dt`` is the sampling interval (step guard: ``_check_dt``).  The upper
-    amplitude c0 is recorded at every sample, the class amplitudes at the
-    last one.
+    amplitude c0 is recorded at every sample; the class amplitudes at the
+    last one (``c_final``) are built when first read.
     """
     dt = _default_dt(spec) if dt is None else dt
     _check_dt(spec, dt)
@@ -326,8 +330,8 @@ def evolve_exact(
     coef, dark = prop.modes(state0.c0, prop.to_frame(state0.c, state0.t))
     upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, np.arange(nsteps + 1) * dt)
     upper[0] = state0.c0  # the sample at tau = 0 is the initial state itself
-    c_final = prop.classes_at(coef, dark, nsteps * dt, state0.t + nsteps * dt)
-    return DecayTrajectory(times=state0.t + np.arange(nsteps + 1) * dt, c0=upper, c_final=c_final)
+    classes = partial(prop.classes_at, coef, dark, nsteps * dt, state0.t + nsteps * dt)
+    return DecayTrajectory(times=state0.t + np.arange(nsteps + 1) * dt, c0=upper, classes=classes)
 
 
 def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -412,9 +416,10 @@ def zeno_evolve(
     prop = spec.propagator
     eig = prop.eig
     coef, _ = prop.modes(state.c0, prop.to_frame(state.c, state.t))
-    p_first = abs(exp_sum(eig.roots, coef * eig.inv_norm, [tau_m])[0]) ** 2 / state.norm_sq()
+    phase = np.exp(1j * eig.roots * tau_m)
+    p_first = abs(np.sum(coef * eig.inv_norm * phase)) ** 2 / state.norm_sq()
     reset, _ = prop.modes(1.0, np.zeros(spec.f))
-    p_reset = abs(exp_sum(eig.roots, reset * eig.inv_norm, [tau_m])[0]) ** 2
+    p_reset = abs(np.sum(reset * eig.inv_norm * phase)) ** 2
     times = state.t + np.arange(n_meas + 1) * tau_m
     cumulative = np.empty(n_meas + 1)
     cumulative[0] = 1.0

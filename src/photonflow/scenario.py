@@ -460,10 +460,19 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     p0 = _guard("grid1", dio.project_pulse, grid1, pulse)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
-    *_, steps = _guard("run.t_final", dio._quadrature_grid, grid1, grid2.cavity, spec, t_final, dt)
+    samples, step, *_, n = _guard("run.t_final", dio._quadrature_grid, grid1, grid2.cavity, spec,
+                                  t_final, dt)
+    # the run compares with the Markov |q|^2 on its samples and rho_out on the output grid,
+    # where each is positive
+    mk = _guard("run.t_final", dio.evolve_markov, gamma_eff, gamma1, gamma2, pulse, t_final, 0.02)
+    markov = (np.interp(np.array([0] + samples) * step, mk.times, np.abs(mk.q) ** 2),
+              np.interp(np.arange(0.0, t_final, dio._SAMPLE_SPACING), mk.times, mk.rho_out))
+    if not all(np.max(ref) > 0.0 for ref in markov):
+        raise _err("run.t_final", f"t_final = {t_final:g} ends before the Markov reference "
+                                  "has a cavity-1 population and a port-2 output to compare with")
     return SimpleNamespace(spec=spec, gamma_eff=gamma_eff, gamma1=gamma1, gamma2=gamma2,
                            grid1=grid1, grid2=grid2, pulse=pulse, p0=p0, t_final=t_final,
-                           dt=dt, quadrature_steps=steps)
+                           dt=dt, markov=markov, quadrature_steps=n)
 
 
 def _build_diode_markov(sc: Scenario) -> SimpleNamespace:
@@ -691,15 +700,10 @@ def _max_rel_err(got: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> float:
 
 def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
     traj = dio.evolve_full(c.grid1, c.grid2, c.spec, c.p0, c.t_final, dt=c.dt)
-    mk = dio.evolve_markov(c.gamma_eff, c.gamma1, c.gamma2, c.pulse, c.t_final, dt=0.02)
     dec = dio.port2_output_decomposition(traj)
-
-    qf = traj.cavity1
-    qm = np.interp(traj.times, mk.times, np.abs(mk.q) ** 2)
+    qm, rho_m = c.markov  # on traj.times and dec.times
     # floor excludes the turn-on transient of the hard t=0 start
-    floor = 1e-3 * qm.max()
-    q_err = _max_rel_err(qf, qm, qm > floor)
-    rho_m = np.interp(dec.times, mk.times, mk.rho_out)
+    q_err = _max_rel_err(traj.cavity1, qm, qm > 1e-3 * qm.max())
     rho_err = _max_rel_err(dec.rho_out, rho_m, rho_m > 0.01 * rho_m.max())
 
     out = RunOutcome(derived={
@@ -730,7 +734,6 @@ def _run_diode_full(c: SimpleNamespace) -> RunOutcome:
         "weighted_purity": dec.weighted_purity,
         "norm_drift": traj.norm_drift,
     }
-    # the Markov comparisons are nan when the window ends before the photon arrives
     finite = bool(np.all(np.isfinite(list(out.results.values()))))
     _check(out, "results_finite", finite, finite)
     return out

@@ -393,6 +393,32 @@ def test_interference_matches_its_own_propagator(setup):
     assert np.array_equal(traj.c0, ref.c0) and np.array_equal(traj.c0p, ref.c0p)
 
 
+def test_interference_makes_no_cauchy_product(monkeypatch):
+    # the class amplitudes at the end are built only when read, and interference never
+    # reads them; the shipped states start with an empty reservoir, so modes() needs none
+    c = parse_scenario(SCENARIO_DIR / "interference.ini").inputs
+    calls = []
+    cauchy = _integrate._Eigensystem.cauchy
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return cauchy(self, *args, **kwargs)
+
+    monkeypatch.setattr(_integrate._Eigensystem, "cauchy", counted)
+    interference_evolve(c.spec, getattr(TwoUpperModeState, c.state)(c.spec.f), c.t_final, c.dt)
+    assert calls == []
+
+
+def test_decay_builds_its_final_classes_when_read():
+    c = parse_scenario(SCENARIO_DIR / "markov_decay.ini").inputs
+    traj = evolve_exact(c.spec, None, c.t_final, c.dt)
+    prop = c.spec.propagator
+    coef, dark = prop.modes(1.0, prop.to_frame(np.zeros(c.spec.f, dtype=complex), 0.0))
+    tau = traj.times[-1]  # t0 = 0
+    assert np.array_equal(traj.c_final, prop.classes_at(coef, dark, tau, tau))
+    assert traj.c_final is traj.c_final  # built once
+
+
 # --- Markov ports against RK4 ------------------------------------------------------
 
 
