@@ -452,6 +452,7 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
             iterations = max(iterations, it if done.all() else _MAX_ITER)
             origin[ks], offset[ks] = o, mu
             inv_norm[ks] = sums.inv_norm(mu)
+            del sums  # before the next block's midpoint sums: one block's tables at a time
     return _Eigensystem(poles, z, origin, offset, inv_norm, iterations)
 
 

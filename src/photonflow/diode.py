@@ -98,7 +98,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -894,12 +894,20 @@ def _filter_weights(rate: float, dt: float):
     return math.exp(-rate * dt), full, math.exp(-0.5 * rate * dt), half
 
 
+_CHUNK = 1024  # Python numbers alive at once in the filter recurrence
+
+
 def _linear_filter(rate: float, dt: float, u: np.ndarray, u_mid: np.ndarray):
-    """y' = -rate y + u(t), y(0) = 0, on the grid and at the step midpoints."""
+    """y' = -rate y + u(t), y(0) = 0, on the grid and at the step midpoints.
+
+    The recurrence runs on Python numbers, drawn ``_CHUNK`` at a time: the pages
+    of a whole ``tolist()`` stay resident after it is freed.
+    """
     decay, w, decay_half, v = _filter_weights(rate, dt)
     drive = w[0] * u[:-1] + w[1] * u_mid + w[2] * u[1:]
+    chunks = (drive[i:i + _CHUNK].tolist() for i in range(0, drive.size, _CHUNK))
     y = np.fromiter(
-        accumulate(drive.tolist(), lambda prev, d: decay * prev + d, initial=0.0),
+        accumulate(chain.from_iterable(chunks), lambda prev, d: decay * prev + d, initial=0.0),
         dtype=drive.dtype,
         count=u.size,
     )

@@ -1,8 +1,8 @@
 """Reference implementations that the tests check photonflow against.
 
 No run calls these, so they live with the tests: Fock-space helpers, the
-dense master-equation right-hand side and a dark-state fidelity, the
-per-interval Taylor propagation of the master equation that its interval
+dense master-equation right-hand side, the closed-form transfer map entry
+by entry and a dark-state fidelity, the per-interval Taylor propagation of the master equation that its interval
 propagators replaced, the reservoir response kernel by direct summation and
 in closed form, the two-upper-mode interference through a propagator of its
 own, a comb field on any uniform time grid, and the port-2 reflection
@@ -146,6 +146,22 @@ def taylor_evolve(model: LindbladModel, rho0: DensityMatrix, t_final: float, dt:
             y = 0.5 * (v + v[mirror].conj())
         snaps[j] = y
     return snaps
+
+
+def transfer_map_entries(rho0: DensityMatrix) -> np.ndarray:
+    """out[0, p, 0, p'] = sum_q rho0[(q, p-q), (q, p'-q)] of the closed-form transfer
+    map, entry by entry in ascending q: the loop ``lindblad.asymptotic_transfer_map``
+    ran before it added one slice per q."""
+    d1, d2 = rho0.space.mode_dims
+    t = rho0.matrix.reshape(d1, d2, d1, d2)
+    out = np.zeros((d1, d2, d1, d2), dtype=complex)
+    for p in range(d2):
+        for pp in range(d2):
+            acc = 0.0 + 0.0j
+            for q in range(min(d1 - 1, p, pp) + 1):
+                acc += t[q, p - q, q, pp - q]
+            out[0, p, 0, pp] = acc
+    return out.reshape(rho0.space.total_dim, rho0.space.total_dim)
 
 
 def dark_state_check(

@@ -19,7 +19,7 @@ from photonflow import (
     transfer_jump,
 )
 from photonflow.lindblad import _superoperator
-from reference import dark_state_check, lindblad_rhs, number
+from reference import dark_state_check, lindblad_rhs, number, transfer_map_entries
 
 
 def two_mode_model(dims=(2, 2), gamma=1.0):
@@ -199,6 +199,19 @@ def test_map_preserves_photon_number_and_validity():
     # mode 1 exactly in vacuum
     t = fin.matrix.reshape(3, 7, 3, 7)
     assert np.allclose(t[1:, :, :, :], 0.0) and np.allclose(t[:, :, 1:, :], 0.0)
+
+
+@pytest.mark.parametrize("dims", [(3, 7), (4, 4), (5, 3)])
+def test_map_adds_the_entries_of_the_loop(dims):
+    # a random state on the sectors that mode 2 holds, mode-1 coherences included
+    sp = ModeSpace(list(dims))
+    rng = np.random.default_rng(sum(dims))
+    n1, n2 = np.indices(dims)
+    keep = ((n1 + n2) < dims[1]).ravel()
+    a = (rng.normal(size=(sp.total_dim,) * 2) + 1j * rng.normal(size=(sp.total_dim,) * 2))
+    a *= np.outer(keep, keep)
+    rho0 = DensityMatrix(sp, a @ a.conj().T / np.trace(a @ a.conj().T))
+    assert np.array_equal(asymptotic_transfer_map(rho0).matrix, transfer_map_entries(rho0))
 
 
 def test_map_rejects_insufficient_truncation():
