@@ -894,15 +894,13 @@ def _filter_weights(rate: float, dt: float):
     return math.exp(-rate * dt), full, math.exp(-0.5 * rate * dt), half
 
 
-_CHUNK = 1024  # Python numbers alive at once in the filter recurrence
+# the filter recurrence runs on Python numbers, drawn this many at a time: the pool
+# pages of a whole tolist() stay resident after it is freed
+_CHUNK = 1024
 
 
 def _linear_filter(rate: float, dt: float, u: np.ndarray, u_mid: np.ndarray):
-    """y' = -rate y + u(t), y(0) = 0, on the grid and at the step midpoints.
-
-    The recurrence runs on Python numbers, drawn ``_CHUNK`` at a time: the pages
-    of a whole ``tolist()`` stay resident after it is freed.
-    """
+    """y' = -rate y + u(t), y(0) = 0, on the grid and at the step midpoints."""
     decay, w, decay_half, v = _filter_weights(rate, dt)
     drive = w[0] * u[:-1] + w[1] * u_mid + w[2] * u[1:]
     chunks = (drive[i:i + _CHUNK].tolist() for i in range(0, drive.size, _CHUNK))
