@@ -110,12 +110,12 @@ def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.nda
     if np.any(np.abs(np.diff(times) - h) > 1e-9 * abs(h)):
         raise InvalidInput("exp_sum needs uniformly spaced times")
     within = np.exp(1j * np.outer(np.arange(_BLOCK) * h, freqs))
-    out = np.empty(-(-n // _BLOCK) * _BLOCK, dtype=complex)
+    out = np.empty(n, dtype=complex)
     rows = max(1, _BATCH // within.size) * _BLOCK
     for lo in range(0, n, rows):
         start = weights * np.exp(1j * freqs * times[lo:lo + rows:_BLOCK, None])
-        out[lo:lo + start.shape[0] * _BLOCK] = np.sum(within * start[:, None, :], axis=2).ravel()
-    return out[:n]
+        out[lo:lo + rows] = np.sum(within * start[:, None, :], axis=2).ravel()[: n - lo]
+    return out
 
 
 def fft_size(n: int) -> int:
@@ -515,7 +515,7 @@ def components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float) -> tuple[np.ndarray, int]:
-    """exp(h A) y in s = ceil(h norm) equal sub-steps, and the number of products
+    """exp(h A) y in s = ceil(h norm) sub-steps of tau = h / s, and the number of products
     ``matvec(v)`` = A v it took.  ``norm`` bounds an operator norm of A, or ||S||_1 for
     A = [[S, I], [0, 0]] on y = (0, e_j), whose term k is at most tau (tau norm)^(k-1) / k!.
 

@@ -2,12 +2,13 @@
 
 No run calls these, so they live with the tests: Fock-space helpers, the
 dense master-equation right-hand side, the closed-form transfer map entry
-by entry and a dark-state fidelity, the per-interval Taylor propagation of the master equation that its interval
-propagators replaced, the reservoir response kernel by direct summation and
-in closed form, the two-upper-mode interference through a propagator of its
-own, a comb field on any uniform time grid, and the port-2 reflection
-through its own secular solve of the arrowhead with poles -d_q (the path
-that ``diode.reflect_port2`` took before it ran on ``ContinuumGrid.cavity``).
+by entry and a dark-state fidelity, the per-interval Taylor propagation of
+the master equation that its interval propagators replaced, the reservoir
+response kernel by direct summation and in closed form, the two-upper-mode
+interference through a propagator of its own, a comb field on any uniform
+time grid, and the port-2 reflection through its own secular solve of the
+arrowhead with poles -d_q (the path that ``diode.reflect_port2`` took
+before it ran on ``ContinuumGrid.cavity``).
 """
 
 from __future__ import annotations
