@@ -741,14 +741,14 @@ CALL_LIMIT_S = 30.0  # no call of the exit-code tests takes a second; a hang fai
 
 
 @contextlib.contextmanager
-def time_limit(seconds: float = CALL_LIMIT_S):
-    """Raise TimeoutError in the block once it has run ``seconds`` (SIGALRM: a forked
-    scan worker inherits no timer, and the pool stops with the call)."""
+def time_limit():
+    """Raise TimeoutError in the block once it has run ``CALL_LIMIT_S`` (SIGALRM: a
+    forked scan worker inherits no timer, and the pool stops with the call)."""
     def expire(signum, frame):
-        raise TimeoutError(f"call still running after {seconds:g} s")
+        raise TimeoutError(f"call still running after {CALL_LIMIT_S:g} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, CALL_LIMIT_S)
     try:
         yield
     finally:
