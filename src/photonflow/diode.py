@@ -79,9 +79,9 @@ Model conventions
   on the output grid by an exponential integrator (Hochbruck & Ostermann,
   Acta Numerica 19, 2010) that interpolates the drive quadratically
   through each step and its midpoint; it is stable for any rate times
-  step.  The photon counts are Simpson sums on the
-  same grid, and integral rho_out dt = gamma1 gamma integral |F|^2 dt -
-  rho_out(T) / gamma2 follows from the rho_out equation.
+  step; its step recurrence is one doubling scan.  The photon counts are
+  Simpson sums on the same grid, and integral rho_out dt = gamma1 gamma
+  integral |F|^2 dt - rho_out(T) / gamma2 follows from the rho_out equation.
 * The transfer rate realized by a reservoir behind a cavity that loses
   photons at gamma2 is the loss-filtered golden-rule sum
 
@@ -98,7 +98,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -894,21 +893,16 @@ def _filter_weights(rate: float, dt: float):
     return math.exp(-rate * dt), full, math.exp(-0.5 * rate * dt), half
 
 
-# the filter recurrence runs on Python numbers, drawn this many at a time: the pool
-# pages of a whole tolist() stay resident after it is freed
-_CHUNK = 1024
-
-
 def _linear_filter(rate: float, dt: float, u: np.ndarray, u_mid: np.ndarray):
-    """y' = -rate y + u(t), y(0) = 0, on the grid and at the step midpoints."""
+    """y' = -rate y + u(t), y(0) = 0, on the grid and at the step midpoints.  The step
+    recurrence y_(j+1) = decay y_j + drive_j is a Hillis-Steele doubling scan (Commun. ACM
+    29, 1170, 1986): after the pass of span s, y_j sums the last 2 s drives."""
     decay, w, decay_half, v = _filter_weights(rate, dt)
-    drive = w[0] * u[:-1] + w[1] * u_mid + w[2] * u[1:]
-    chunks = (drive[i:i + _CHUNK].tolist() for i in range(0, drive.size, _CHUNK))
-    y = np.fromiter(
-        accumulate(chain.from_iterable(chunks), lambda prev, d: decay * prev + d, initial=0.0),
-        dtype=drive.dtype,
-        count=u.size,
-    )
+    y = np.concatenate(([0.0], w[0] * u[:-1] + w[1] * u_mid + w[2] * u[1:]))
+    span = 1
+    while span < y.size and decay**span > 0:
+        y[span:] += decay**span * y[:-span]
+        span *= 2
     y_mid = decay_half * y[:-1] + v[0] * u[:-1] + v[1] * u_mid + v[2] * u[1:]
     return y, y_mid
 

@@ -161,10 +161,6 @@ class DensityMatrix:
         # tr(A rho) = sum_ij A_ij rho_ji
         return complex(np.sum(op.matrix * self.matrix.T))
 
-    def population(self, occupations: Sequence[int]) -> float:
-        i = self.space.flatten(occupations)
-        return float(np.real(self.matrix[i, i]))
-
 
 def _check_same_space(a: ModeSpace, b: ModeSpace) -> None:
     if a.mode_dims != b.mode_dims:

@@ -31,8 +31,8 @@ message names the offending ``section.key``.
 Each run writes ``timeseries.csv`` and/or ``summary.csv`` plus a
 ``manifest.ini`` that echoes the scenario, lists derived quantities,
 results, and the outcome of the physical invariant checks.  Outputs are
-deterministic: fixed summation orders, floats serialized with 17
-significant digits, so identical input files give byte-identical CSVs.
+deterministic: fixed summation orders, CSV cells all floats printed with
+17 significant digits, so identical inputs give byte-identical CSVs.
 
 Every kind is one ``_Kind`` record in ``_KINDS``: a build that reads its
 keys into typed inputs, derives what needs only the file (projected
@@ -847,11 +847,12 @@ def validate_scenario(sc: Scenario) -> SimpleNamespace:
 
 
 def _write_csv(path: Path, table: dict) -> None:
-    """The column names as the header, then one row per entry of the columns."""
+    """The column names as the header, then one row of floats per entry of the columns, each
+    row formatted whole; columns of unequal length raise ValueError."""
+    line = ",".join(["%.17g"] * len(table)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(table) + "\n")
-        for row in zip(*table.values()):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(line % row for row in zip(*table.values(), strict=True))
 
 
 def _write_manifest(path: Path, sc: Scenario, outcome: RunOutcome, wall: float, files) -> None:

@@ -6,26 +6,31 @@ by entry and a dark-state fidelity, the per-interval Taylor propagation of
 the master equation that its interval propagators replaced, the reservoir
 response kernel by direct summation and in closed form, the two-upper-mode
 interference through a propagator of its own, a comb field on any uniform
-time grid, and the port-2 reflection through its own secular solve of the
+time grid, the port-2 reflection through its own secular solve of the
 arrowhead with poles -d_q (the path that ``diode.reflect_port2`` took
-before it ran on ``ContinuumGrid.cavity``).
+before it ran on ``ContinuumGrid.cavity``), the Markov port filter as the
+sequential step recurrence that its doubling scan replaced, and the CSV
+writer that formatted one cell at a time through ``_fmt``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from itertools import accumulate
+from pathlib import Path
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from photonflow._integrate import exp_sum, sample_steps, steps_for, taylor_propagate
 from photonflow.diode import (ContinuumGrid, ReflectionResult, _check_window, _comb_field,
-                              _reflection_samples, intensity_centroid)
+                              _filter_weights, _reflection_samples, intensity_centroid)
 from photonflow.errors import ConfigurationError, InvalidInput
 from photonflow.fock import (DensityMatrix, ModeSpace, Operator, _check_mode, _check_same_space,
                              _product, tensor_embed)
 from photonflow.lindblad import LindbladModel, _superoperator, evolve, state_fidelity
 from photonflow.reservoir import (InterferenceTrajectory, ReservoirSpec, TwoUpperModeState,
                                   _ExactPropagator, _default_dt)
+from photonflow.scenario import _fmt
 
 # --- fock ----------------------------------------------------------------------------------
 
@@ -34,6 +39,11 @@ def unflatten(space: ModeSpace, index: int) -> tuple[int, ...]:
     if not 0 <= index < space.total_dim:
         raise InvalidInput(f"flat index {index} outside [0, {space.total_dim})")
     return tuple(int(i) for i in np.unravel_index(index, space.mode_dims))
+
+
+def population(rho: DensityMatrix, occupations: Sequence[int]) -> float:
+    i = rho.space.flatten(occupations)
+    return float(np.real(rho.matrix[i, i]))
 
 
 def identity(space: ModeSpace) -> Operator:
@@ -258,3 +268,27 @@ def reflect_port2_mirrored(grid2: ContinuumGrid, s0: np.ndarray,
     delay = intensity_centroid(ts, out_field) - intensity_centroid(ts, in_field)
     return ReflectionResult(times=ts, out_field=out_field, in_field=in_field, out_norm=out_norm,
                             delay=delay, secular_iterations=prop.eig.iterations)
+
+
+def linear_filter_recurrence(rate: float, dt: float, u: np.ndarray, u_mid: np.ndarray):
+    """``diode._linear_filter`` with its step recurrence y_(j+1) = decay y_j + drive_j
+    run one step at a time on Python numbers, as it was before the doubling scan."""
+    decay, w, decay_half, v = _filter_weights(rate, dt)
+    drive = w[0] * u[:-1] + w[1] * u_mid + w[2] * u[1:]
+    y = np.fromiter(accumulate(drive.tolist(), lambda prev, d: decay * prev + d, initial=0.0),
+                    dtype=drive.dtype, count=u.size)
+    y_mid = decay_half * y[:-1] + v[0] * u[:-1] + v[1] * u_mid + v[2] * u[1:]
+    return y, y_mid
+
+
+# --- scenario ------------------------------------------------------------------------------
+
+
+def write_csv_rows(path: Path, table: dict) -> None:
+    """``scenario._write_csv`` as it was before it formatted each row whole: the
+    header, then one row per entry of the columns (``zip`` stops at the shortest),
+    each cell through ``_fmt``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(table) + "\n")
+        for row in zip(*table.values()):
+            fh.write(",".join(_fmt(x) for x in row) + "\n")

@@ -43,7 +43,7 @@ from photonflow import (
     transfer_jump,
     asymptotic_transfer_map,
 )
-from reference import dark_state_check
+from reference import dark_state_check, population
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -116,7 +116,7 @@ def test_criterion_04_purification():
     rho0 = mixed_fock_density(space, {(1, 0): 0.5, (0, 1): 0.5})
     res = evolve(model, rho0, 30.0, snapshot_stride=10**9)
     purity = res.states[-1].purity()
-    pop = res.states[-1].population((0, 1))
+    pop = population(res.states[-1], (0, 1))
     report(
         "criterion 04 purification",
         purity >= 1.0 - 1e-6 and abs(pop - 1.0) <= 1e-6,

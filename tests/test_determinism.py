@@ -128,10 +128,11 @@ MASTER_KINDS = ("LindbladTransfer", "PurificationMap", "DarkState")
 @pytest.mark.parametrize("text", [MICRO, INTERFERENCE, LINDBLAD, PORT2,
                                   (SCENARIOS / "dark_state.ini").read_text(),
                                   (SCENARIOS / "purification.ini").read_text(), DIODE,
-                                  (SCENARIOS / "diode_full.ini").read_text()],
+                                  (SCENARIOS / "diode_full.ini").read_text(),
+                                  (SCENARIOS / "diode_markov.ini").read_text()],
                          ids=["micro", "interference", "lindblad-transfer", "port2-reflection",
                               "dark-state", "shipped-purification", "diode-full",
-                              "shipped-diode-full"])
+                              "shipped-diode-full", "shipped-diode-markov"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)

@@ -16,7 +16,8 @@ the router's per-class bath filters and 8-point kernel sums that its bath channe
 closed-form kernel replaced, a 16-point Gauss-Legendre rule for those kernel sums,
 the per-step solve for the cavity amplitude that its online FFT convolution replaced,
 long-double direct sums for the chirp-z comb sums, the per-level rules for the
-recorded steps that ``sample_steps`` replaced, and the port-2 reflection through a
+recorded steps that ``sample_steps`` replaced, the Markov filter's sequential step
+recurrence that its doubling scan replaced, and the port-2 reflection through a
 secular solve of its own (``reference.reflect_port2_mirrored``), which the reflection
 on C2 replaced, and the two-upper-mode interference through a propagator of its own
 (``reference.interference_own_propagator``), which ``evolve_exact`` on the symmetric
@@ -73,14 +74,14 @@ from photonflow._integrate import (_BLOCK, _arrowhead_eigensystem,
                                    fft_size, sample_steps, steps_for, taylor_propagate)
 from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
                               _START_ITERATIONS, _STENCIL, _BathChannels, _generator_norm,
-                              _kernel_integrals, _lagrange, _quadrature_grid, _solve_cavity,
-                              _stencil, intensity_centroid)
+                              _kernel_integrals, _lagrange, _linear_filter, _quadrature_grid,
+                              _solve_cavity, _stencil, intensity_centroid)
 from photonflow.lindblad import _phi, _superoperator, state_fidelity
 from photonflow.reservoir import _ExactPropagator
 from photonflow.scenario import (RunOutcome, _master_report, parse_scenario, parse_scenario_text,
                                  validate_scenario)
-from reference import (interference_own_propagator, number, reconstruct_field,
-                       reflect_port2_mirrored, taylor_evolve)
+from reference import (interference_own_propagator, linear_filter_recurrence, number,
+                       reconstruct_field, reflect_port2_mirrored, taylor_evolve)
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -441,6 +442,22 @@ def test_markov_is_stable_beyond_the_rk4_limit():
     mk = evolve_markov(1.0, 1.0, 200.0, pulse, simulation_window(pulse, 1.0, 200.0), dt=0.02)
     assert np.all(np.isfinite(mk.rho_out))
     assert mk.leakage + mk.yield_convolved == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("rate_dt", [2e-5, 0.0125, 0.02, 0.4, 4.0, 40.0])
+@pytest.mark.parametrize("n", [6501, 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_linear_filter_scan_matches_sequential_recurrence(rate_dt, n, dtype):
+    # 2e-5 is nearly a prefix sum; at 40 the scan stops where decay**span underflows
+    dt = 0.02
+    rng = np.random.default_rng(28)
+    u, u_mid = (rng.standard_normal(m) + (1j * rng.standard_normal(m) if dtype is complex else 0)
+                for m in (n, n - 1))
+    y, y_mid = _linear_filter(rate_dt / dt, dt, u, u_mid)
+    ref, ref_mid = linear_filter_recurrence(rate_dt / dt, dt, u, u_mid)
+    assert y.dtype == ref.dtype and y.shape == ref.shape and y[0] == 0.0
+    assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(y_mid - ref_mid)) <= 1e-13 * np.max(np.abs(ref_mid))
 
 
 # --- master equation against RK4 on the same superoperator ---------------------------

@@ -14,7 +14,7 @@ from photonflow import (
     mixed_fock_density,
     tensor_embed,
 )
-from reference import apply, identity, number, partial_trace, unflatten
+from reference import apply, identity, number, partial_trace, population, unflatten
 
 
 def test_mode_space_dimensions():
@@ -209,7 +209,7 @@ def test_mixed_fock_density_normalizes():
     sp = ModeSpace([2, 2])
     rho = mixed_fock_density(sp, {(1, 0): 2.0, (0, 1): 2.0})
     assert rho.trace() == pytest.approx(1.0)
-    assert rho.population((1, 0)) == pytest.approx(0.5)
+    assert population(rho, (1, 0)) == pytest.approx(0.5)
 
 
 def test_density_matrix_invariant_helpers():

@@ -22,11 +22,13 @@ from photonflow.errors import ScenarioError
 from photonflow.scenario import (
     KINDS,
     RunOutcome,
+    _write_csv,
     parse_scenario,
     parse_scenario_text,
     run_scenario,
     scan_scenario,
 )
+from reference import write_csv_rows
 
 LINDBLAD_SCENARIO = """
 [scenario]
@@ -296,6 +298,19 @@ def test_run_is_deterministic(tmp_path):
     a = (tmp_path / "a" / "timeseries.csv").read_bytes()
     b = (tmp_path / "b" / "timeseries.csv").read_bytes()
     assert a == b
+
+
+def test_csv_writer_writes_the_bytes_of_the_row_loop_and_rejects_ragged_columns(tmp_path):
+    odd = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 3, -7.0, 1e17, 0.1, 2.0 / 3.0]
+    tables = [{"t": np.arange(len(odd)) * 0.02, "odd": odd, "whole": list(range(len(odd)))},
+              {"x": [1.5], "y": np.array([-2.0])}]
+    for i, table in enumerate(tables):
+        _write_csv(tmp_path / f"new{i}.csv", table)
+        write_csv_rows(tmp_path / f"old{i}.csv", table)
+        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
+    # the row loop cut every column to the shortest without a word
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "ragged.csv", {"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})
 
 
 def test_zeno_scan_summary_is_monotone(tmp_path):
