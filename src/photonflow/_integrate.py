@@ -12,9 +12,11 @@ so propagation is exact up to roundoff, not stepped:
   a uniform comb with equal couplings (the port continua and the
   equidistant reservoir), the secular function and its slope are sums of
   digamma and trigamma values, so each root costs O(1) per iteration
-  instead of O(m); other spectra sum over the poles.  Every product with
-  the Cauchy matrix 1 / (kappa_k - p_u) of the eigenvectors goes through
-  ``_Eigensystem.cauchy``.
+  instead of O(m); other spectra sum over the poles.  The eigenvectors
+  apply themselves: ``_Eigensystem.coefficients`` writes a state into the
+  eigenbasis and ``_Eigensystem.lower_at`` reads its lower components back
+  after a time, the only products with their Cauchy matrix
+  1 / (kappa_k - p_u).
 * ``taylor_propagate``: exp(h A) y by truncated Taylor series in
   ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
   scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
@@ -224,30 +226,38 @@ class _Eigensystem:
         """kappa_k - p_u for the roots ``ks`` (rows) and every pole (columns)."""
         return self.offset[ks, None] - (self.poles[None, :] - self.origin[ks, None])
 
-    def cauchy(self, x: np.ndarray, over_roots: bool) -> np.ndarray:
-        """Products with the Cauchy matrix C_ku = 1 / (kappa_k - p_u), 32 roots at a time.
+    def coefficients(self, upper: complex, lower: np.ndarray) -> np.ndarray:
+        """Coefficients on the eigenvectors of the state (upper, lower):
+        (upper + sum_u z_u lower_u / (kappa_k - p_u)) / N_k, 32 roots at a time.
 
-        With ``over_roots`` the last axis of ``x`` runs over the roots and the
-        result is x C, from real ``np.einsum`` products of the real and
-        imaginary parts of x with each block's reciprocals; otherwise ``x``
-        runs over the poles and the result is C x, whose complex products keep
-        numpy's pairwise sums of complex terms.  numpy divides a complex by a
-        real by multiplying with the reciprocal, so either product has the
-        bits of a division by the gaps.
+        The sum over the poles is a complex product with each block's
+        reciprocals, which keeps numpy's pairwise sums of complex terms; numpy
+        divides a complex by a real by multiplying with the reciprocal, so it
+        has the bits of a division by the gaps.  A zero ``lower`` takes none.
         """
-        if not over_roots:
-            out = np.empty(self.roots.size, dtype=complex)
-            for ks in _block_slices(out.size):
-                out[ks] = np.sum(x * (1.0 / self.gaps(ks)), axis=1)
-            return out
-        re, im = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
-        out_re = np.zeros(x.shape[:-1] + self.poles.shape)
-        out_im = np.zeros_like(out_re)
-        for ks in _block_slices(x.shape[-1]):
+        coef = np.full(self.roots.size, complex(upper))
+        if np.any(lower):
+            x = self.z * lower
+            for ks in _block_slices(coef.size):
+                coef[ks] += np.sum(x * (1.0 / self.gaps(ks)), axis=1)
+        coef *= self.inv_norm
+        return coef
+
+    def lower_at(self, coef: np.ndarray, tau: float) -> np.ndarray:
+        """Lower components tau after the state with eigenvector coefficients ``coef``,
+        propagated by exp(i K tau): z_u sum_k coef_k exp(i kappa_k tau) / (N_k (kappa_k - p_u)).
+
+        The sum over the roots takes real ``np.einsum`` products of the real and
+        imaginary parts of the weights with each block's reciprocals.
+        """
+        weight = coef * self.inv_norm * np.exp(1j * self.roots * tau)
+        re, im = np.ascontiguousarray(weight.real), np.ascontiguousarray(weight.imag)
+        out_re, out_im = np.zeros(self.poles.size), np.zeros(self.poles.size)
+        for ks in _block_slices(weight.size):
             inv = 1.0 / self.gaps(ks)
-            out_re += np.einsum("...k,ku->...u", re[..., ks], inv)
-            out_im += np.einsum("...k,ku->...u", im[..., ks], inv)
-        return out_re + 1j * out_im
+            out_re += np.einsum("k,ku->u", re[ks], inv)
+            out_im += np.einsum("k,ku->u", im[ks], inv)
+        return self.z * (out_re + 1j * out_im)
 
 
 _SHIFTS = 16  # recurrence steps of psi and psi' before their asymptotic series

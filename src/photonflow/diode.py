@@ -1002,17 +1002,17 @@ def reflect_port2(grid2: ContinuumGrid, s0: np.ndarray, t_final: float) -> Refle
     With C -> -C and the comb reversed, S'_q = S_{n-1-q}, this is dy/dt =
     i K y for the arrowhead K with poles -d_{n-1-q} = d_q and border kappa:
     C2 itself.  So the state at t_final comes from C2's closed-form
-    eigenpairs (``grid2.cavity``) without stepping.  The output keeps unit
+    eigenpairs (``grid2.cavity``) without stepping: (0, S') written into
+    their basis (``coefficients``), its comb part read back at t_final
+    (``lower_at``) and reversed.  The output keeps unit
     norm; the delay is the centroid shift of the reflected intensity
     against free propagation.
     """
     _check_window(grid2, t_final, "port-2")
     step, n = _reflection_samples(t_final)
     c2 = grid2.cavity
-    coef = c2.inv_norm * c2.cauchy(c2.z * s0[::-1], over_roots=False)
-    weight = coef * c2.inv_norm * np.exp(1j * c2.roots * t_final)
     # a copy: numpy sums a reversed view in memory order, which would change out_norm's bits
-    s_final = (c2.z * c2.cauchy(weight, over_roots=True))[::-1].copy()
+    s_final = c2.lower_at(c2.coefficients(0.0, s0[::-1]), t_final)[::-1].copy()
 
     ts = np.arange(n) * step
     out_field = _comb_field(grid2, s_final, -t_final, step, n)

@@ -115,16 +115,11 @@ class _ExactPropagator:
         np.add.at(bright, self.column[on], b[on] * self.share[on])
         dark = b.astype(complex)
         dark[on] -= bright[self.column[on]] * self.share[on]
-        coef = np.full(eig.roots.size, complex(c0))
-        if np.any(bright):
-            coef += eig.cauchy(eig.z * bright, over_roots=False)
-        return coef * eig.inv_norm, dark
+        return eig.coefficients(c0, bright), dark
 
     def classes_at(self, coef: np.ndarray, dark: np.ndarray, tau: float, t: float) -> np.ndarray:
         """Interaction-picture class amplitudes c_l at tau after the start, time t."""
-        eig = self.eig
-        weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
-        bright = eig.z * eig.cauchy(weight, over_roots=True)
+        bright = self.eig.lower_at(coef, tau)
         # the dark part is frozen in the interaction picture
         c = np.exp(-1j * self.omegas * (t - tau)) * dark
         on = self.column >= 0

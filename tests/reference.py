@@ -5,7 +5,9 @@ dense master-equation right-hand side, the closed-form transfer map entry
 by entry and a dark-state fidelity, the per-interval Taylor propagation of
 the master equation that its interval propagators replaced, the reservoir
 response kernel by direct summation and in closed form, the two-upper-mode
-interference through a propagator of its own, a comb field on any uniform
+interference through a propagator of its own, the products of an arrowhead's
+eigenvectors divided block by block (the arithmetic that
+``_Eigensystem.coefficients`` and ``.lower_at`` keep), a comb field on any uniform
 time grid, the port-2 reflection through its own secular solve of the
 arrowhead with poles -d_q (the path that ``diode.reflect_port2`` took
 before it ran on ``ContinuumGrid.cavity``), the Markov port filter as the
@@ -21,7 +23,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from photonflow._integrate import exp_sum, sample_steps, steps_for, taylor_propagate
+from photonflow._integrate import (_block_slices, _Eigensystem, exp_sum, sample_steps, steps_for,
+                                   taylor_propagate)
 from photonflow.diode import (ContinuumGrid, ReflectionResult, _check_window, _comb_field,
                               _filter_weights, _reflection_samples, intensity_centroid)
 from photonflow.errors import ConfigurationError, InvalidInput
@@ -231,6 +234,23 @@ def interference_own_propagator(spec: ReservoirSpec, state0: TwoUpperModeState, 
     shift = (sym - sym0) / root2
     return InterferenceTrajectory(times=state0.t + np.arange(nsteps + 1) * dt,
                                   c0=state0.c0 + shift, c0p=state0.c0p + shift)
+
+
+def modes_per_block(eig: _Eigensystem, c0: complex, bright: np.ndarray) -> np.ndarray:
+    """``_Eigensystem.coefficients`` with its Cauchy sums divided block by block."""
+    coef = np.full(eig.roots.size, complex(c0))
+    for ks in _block_slices(coef.size):
+        coef[ks] += np.sum(eig.z * bright / eig.gaps(ks), axis=1)
+    return coef * eig.inv_norm
+
+
+def classes_per_block(eig: _Eigensystem, coef: np.ndarray, tau: float) -> np.ndarray:
+    """``_Eigensystem.lower_at`` with its Cauchy sums divided block by block."""
+    weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
+    bright = np.zeros(eig.poles.size, dtype=complex)
+    for ks in _block_slices(weight.size):
+        bright += np.sum(weight[ks, None] / eig.gaps(ks), axis=0)
+    return bright * eig.z
 
 
 # --- diode ---------------------------------------------------------------------------------

@@ -80,8 +80,9 @@ from photonflow.lindblad import _phi, _superoperator, state_fidelity
 from photonflow.reservoir import _ExactPropagator
 from photonflow.scenario import (RunOutcome, _master_report, parse_scenario, parse_scenario_text,
                                  validate_scenario)
-from reference import (interference_own_propagator, linear_filter_recurrence, number,
-                       reconstruct_field, reflect_port2_mirrored, taylor_evolve)
+from reference import (classes_per_block, interference_own_propagator, linear_filter_recurrence,
+                       modes_per_block, number, reconstruct_field, reflect_port2_mirrored,
+                       taylor_evolve)
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -242,28 +243,6 @@ def test_perturbed_comb_takes_general_path(monkeypatch):
         assert np.array_equal(ours.inv_norm, general.inv_norm)
 
 
-def modes_per_block(prop, c0, b):
-    """_ExactPropagator.modes with its Cauchy sums divided block by block."""
-    eig = prop.eig
-    bright = np.zeros(eig.poles.size, dtype=complex)
-    on = prop.column >= 0
-    np.add.at(bright, prop.column[on], b[on] * prop.share[on])
-    coef = np.full(eig.roots.size, complex(c0))
-    for ks in _block_slices(coef.size):
-        coef[ks] += np.sum(eig.z * bright / eig.gaps(ks), axis=1)
-    return coef * eig.inv_norm
-
-
-def classes_per_block(prop, coef, tau):
-    """The bright part of _ExactPropagator.classes_at, divided block by block."""
-    eig = prop.eig
-    weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
-    bright = np.zeros(eig.poles.size, dtype=complex)
-    for ks in _block_slices(weight.size):
-        bright += np.sum(weight[ks, None] / eig.gaps(ks), axis=0)
-    return bright * eig.z
-
-
 @pytest.mark.parametrize("omegas", [
     -ContinuumGrid(n_q=400, delta_max=10.0, gamma=4.0).detunings(),
     ReservoirSpec(f=90, eps_max=10.0, coupling=0.2, spectrum="lorentzian",
@@ -271,20 +250,31 @@ def classes_per_block(prop, coef, tau):
 ], ids=["comb", "lorentzian"])
 def test_cauchy_kernel_matches_per_block_division(omegas):
     rng = np.random.default_rng(omegas.size)
-    prop = _ExactPropagator(omegas, 0.3)
-    eig = prop.eig
-    b = rng.normal(size=omegas.size) + 1j * rng.normal(size=omegas.size)
-    coef, _ = prop.modes(0.2 - 0.1j, b)
-    assert np.array_equal(coef, modes_per_block(prop, 0.2 - 0.1j, b))
-    weight = coef * eig.inv_norm * np.exp(1j * eig.roots * 3.7)
-    assert np.array_equal(eig.z * eig.cauchy(weight, over_roots=True),
-                          classes_per_block(prop, coef, 3.7))
-    # the final S of evolve_full: several rows at once
-    rows = rng.normal(size=(5, eig.roots.size)) + 1j * rng.normal(size=(5, eig.roots.size))
-    ref = np.zeros((5, eig.poles.size), dtype=complex)
-    for ks in _block_slices(eig.roots.size):
-        ref += np.einsum("lk,kq->lq", rows[:, ks], 1.0 / eig.gaps(ks))
-    assert np.array_equal(eig.cauchy(rows, over_roots=True), ref)
+    eig = _ExactPropagator(omegas, 0.3).eig
+    bright = rng.normal(size=eig.poles.size) + 1j * rng.normal(size=eig.poles.size)
+    coef = eig.coefficients(0.2 - 0.1j, bright)
+    assert np.array_equal(coef, modes_per_block(eig, 0.2 - 0.1j, bright))
+    assert np.array_equal(eig.lower_at(coef, 3.7), classes_per_block(eig, coef, 3.7))
+
+
+@pytest.mark.parametrize("eig", [
+    _ExactPropagator(ReservoirSpec(f=400, eps_max=10.0, coupling=0.3).frequencies(), 0.3).eig,
+    _ExactPropagator(ReservoirSpec(f=90, eps_max=10.0, coupling=0.2, spectrum="lorentzian",
+                                   center=6.0, width=2.0).frequencies(), 0.2).eig,
+    ContinuumGrid(n_q=160, delta_max=4.0, gamma=20.0).cavity,
+    ContinuumGrid(n_q=2400, delta_max=45.0, gamma=20.0).cavity,
+], ids=["equidistant-f400", "lorentzian-f90", "c2-n160", "c2-n2400"])
+def test_eigenbasis_coefficients_and_lower_components_invert(eig):
+    # the eigenvectors are orthonormal: writing a state into their basis and reading it
+    # back at tau = 0 returns it, and keeps its upper component and its norm
+    rng = np.random.default_rng(eig.poles.size)
+    c0 = 0.4 - 0.7j
+    b = rng.normal(size=eig.poles.size) + 1j * rng.normal(size=eig.poles.size)
+    coef = eig.coefficients(c0, b)
+    assert np.max(np.abs(eig.lower_at(coef, 0.0) - b)) <= 1e-13 * np.max(np.abs(b))
+    assert abs(np.sum(coef * eig.inv_norm) - c0) <= 1e-13 * abs(c0)
+    norm_sq = abs(c0) ** 2 + np.sum(np.abs(b) ** 2)
+    assert abs(np.sum(np.abs(coef) ** 2) - norm_sq) <= 1e-13 * norm_sq
 
 
 def test_negligible_coupling_is_deflated():
@@ -399,13 +389,13 @@ def test_interference_makes_no_cauchy_product(monkeypatch):
     # reads them; the shipped states start with an empty reservoir, so modes() needs none
     c = parse_scenario(SCENARIO_DIR / "interference.ini").inputs
     calls = []
-    cauchy = _integrate._Eigensystem.cauchy
+    gaps = _integrate._Eigensystem.gaps
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return cauchy(self, *args, **kwargs)
+    def counted(self, ks):
+        calls.append(ks)
+        return gaps(self, ks)
 
-    monkeypatch.setattr(_integrate._Eigensystem, "cauchy", counted)
+    monkeypatch.setattr(_integrate._Eigensystem, "gaps", counted)
     interference_evolve(c.spec, getattr(TwoUpperModeState, c.state)(c.spec.f), c.t_final, c.dt)
     assert calls == []
 
@@ -1002,7 +992,7 @@ def evolve_full_per_class(grid1, grid2, spec, p0, t_final, dt):
         pops.append([np.sum(np.abs(x[:n1]) ** 2), abs(q_end) ** 2, mode2,
                      np.sum(np.abs(b) ** 2) - mode2])
     lab = np.exp(-1j * om * t_final)
-    s = grid2.kappa * c2.cauchy(b * v0, over_roots=True)
+    s = np.array([classes_per_block(c2, row, 0.0) for row in b])
     return np.array(pops).T, x[:n1].copy(), lab * r, lab[:, None] * s
 
 
