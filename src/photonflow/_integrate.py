@@ -12,11 +12,9 @@ so propagation is exact up to roundoff, not stepped:
   a uniform comb with equal couplings (the port continua and the
   equidistant reservoir), the secular function and its slope are sums of
   digamma and trigamma values, so each root costs O(1) per iteration
-  instead of O(m); other spectra sum over the poles.  The eigenvectors
-  apply themselves: ``_Eigensystem.coefficients`` writes a state into the
-  eigenbasis and ``_Eigensystem.lower_at`` reads its lower components back
-  after a time, the only products with their Cauchy matrix
-  1 / (kappa_k - p_u).
+  instead of O(m); other spectra sum over the poles.  A state enters the
+  eigenbasis by ``_Eigensystem.coefficients`` and leaves it by ``.lower_at``,
+  the only products with the eigenvectors' Cauchy matrix 1 / (kappa_k - p_u).
 * ``taylor_propagate``: exp(h A) y by truncated Taylor series in
   ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
   scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
@@ -227,29 +225,20 @@ class _Eigensystem:
         return self.offset[ks, None] - (self.poles[None, :] - self.origin[ks, None])
 
     def coefficients(self, upper: complex, lower: np.ndarray) -> np.ndarray:
-        """Coefficients on the eigenvectors of the state (upper, lower):
-        (upper + sum_u z_u lower_u / (kappa_k - p_u)) / N_k, 32 roots at a time.
-
-        The sum over the poles is a complex product with each block's
-        reciprocals, which keeps numpy's pairwise sums of complex terms; numpy
-        divides a complex by a real by multiplying with the reciprocal, so it
-        has the bits of a division by the gaps.  A zero ``lower`` takes none.
-        """
+        """The state (upper, lower) on the eigenvectors: (upper + sum_u z_u lower_u /
+        (kappa_k - p_u)) / N_k, by complex products with each 32-root block's reciprocals,
+        which keep numpy's pairwise sums and the bits of a division by the gaps."""
         coef = np.full(self.roots.size, complex(upper))
         if np.any(lower):
             x = self.z * lower
             for ks in _block_slices(coef.size):
                 coef[ks] += np.sum(x * (1.0 / self.gaps(ks)), axis=1)
-        coef *= self.inv_norm
-        return coef
+        return np.multiply(coef, self.inv_norm, out=coef)
 
     def lower_at(self, coef: np.ndarray, tau: float) -> np.ndarray:
-        """Lower components tau after the state with eigenvector coefficients ``coef``,
-        propagated by exp(i K tau): z_u sum_k coef_k exp(i kappa_k tau) / (N_k (kappa_k - p_u)).
-
-        The sum over the roots takes real ``np.einsum`` products of the real and
-        imaginary parts of the weights with each block's reciprocals.
-        """
+        """The lower components at tau of exp(i K tau) on the state ``coef``: z_u sum_k
+        coef_k exp(i kappa_k tau) / (N_k (kappa_k - p_u)), by real ``np.einsum`` products
+        of the weights' real and imaginary parts with each block's reciprocals."""
         weight = coef * self.inv_norm * np.exp(1j * self.roots * tau)
         re, im = np.ascontiguousarray(weight.real), np.ascontiguousarray(weight.imag)
         out_re, out_im = np.zeros(self.poles.size), np.zeros(self.poles.size)

@@ -208,13 +208,10 @@ class Pulse:
 
     @property
     def bandwidth(self) -> float:
+        """Spectral width of an analytic pulse: 1 / duration, or the exponential's rate."""
         if self.kind == "gaussian":
             return 1.0 / self.duration
-        if self.kind == "exponential":
-            return self.rate
-        times = np.asarray(self.sample_times, dtype=float)
-        span = times[-1] - times[0]
-        return 2.0 * np.pi / max(span, 1e-30)
+        return self.rate
 
     def support(self) -> tuple[float, float]:
         if self.kind == "gaussian":
@@ -710,11 +707,12 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
     solves Q_j + h sum_(8 <= m < j) kmod_(j-m) Q_m = int_f_j - h (start_j + sum_(m < 8)
     kmod_(j-m) Q_m), a unit lower-triangular Toeplitz system.  It is solved as
     an online convolution (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-    Comput. 6, 532, 1985): solve the left half of [lo, hi), add its part of
-    the sum to the right half by one FFT convolution, solve the right half.
-    A leaf of ``_LEAF`` steps is one product with the inverse of I + h T, T
-    the Toeplitz matrix of kmod_1..kmod_(L-1), which every leaf shares.
-    O(n log^2 n) in all.
+    Comput. 6, 532, 1985) on leaves of ``_LEAF`` steps, in order.  A leaf is
+    one product with the inverse of I + h T, T the Toeplitz matrix of
+    kmod_1..kmod_(L-1), which every leaf shares.  After leaf b (from 1), the
+    aligned block of 2^k leaves that ends there and is the left half of one
+    of 2^(k+1), 2^k the largest power of 2 dividing b, adds its part of the
+    sum to the right half by one FFT convolution.  O(n log^2 n) in all.
     """
     n = int_f.size - 1
     q = np.zeros(n + 1, dtype=complex)
@@ -757,18 +755,13 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
     leaf = np.ascontiguousarray(sliding_window_view(
         np.concatenate((np.zeros(_LEAF - 1), inv)), _LEAF)[:, ::-1])
 
-    def solve(lo, hi):
-        if hi - lo <= _LEAF:
-            k = hi - lo
-            q[lo:hi] = np.einsum("ij,j->i", leaf[:k, :k], int_f[lo:hi] - h * acc[lo:hi])
-            return
-        mid = lo + _LEAF * -(-(hi - lo) // (2 * _LEAF))  # the larger half of the leaves
-        solve(lo, mid)
-        carry(lo, mid, hi)
-        solve(mid, hi)
-
-    solve(_ORDER, n + 1)
-    del solve  # it holds itself, and with it this frame's arrays, until a collection
+    for b, lo in enumerate(range(_ORDER, n + 1, _LEAF), 1):
+        hi = min(lo + _LEAF, n + 1)
+        q[lo:hi] = np.einsum("ij,j->i", leaf[:hi - lo, :hi - lo], int_f[lo:hi] - h * acc[lo:hi])
+        if hi <= n:
+            # leaf b = 2^k odd ends the aligned block of 2^k leaves that is a left half
+            width = _LEAF * (b & -b)
+            carry(hi - width, hi, min(hi + width, n + 1))
     return q
 
 

@@ -911,9 +911,13 @@ def random_kernel(n, seed):
     return int_f, kc, h
 
 
-@pytest.mark.parametrize("n", [20, 4264, 12000, _LEAF + 8, 2 * _LEAF + 7, 2 * _LEAF + 9],
+# leaf counts that are odd and leave partial blocks at several levels of the carries
+@pytest.mark.parametrize("n", [20, 4264, 12000, _LEAF + 8, 2 * _LEAF + 7, 2 * _LEAF + 9,
+                               3 * _LEAF + 8, 5 * _LEAF + 100, 8 * _LEAF + 8, 8 * _LEAF + 9],
                          ids=["20", "4264", "12000", "one-leaf-and-one", "two-leaves",
-                              "two-leaves-and-two"])
+                              "two-leaves-and-two", "three-leaves-and-one",
+                              "five-leaves-and-a-part", "eight-leaves-and-one",
+                              "eight-leaves-and-two"])
 def test_solve_cavity_matches_direct_solve(n):
     int_f, kc, h = random_kernel(n, seed=n)
     q = _solve_cavity(int_f, kc, h)
