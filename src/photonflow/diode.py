@@ -759,7 +759,7 @@ def _solve_cavity(int_f: np.ndarray, kc: np.ndarray, h: float) -> np.ndarray:
         hi = min(lo + _LEAF, n + 1)
         q[lo:hi] = np.einsum("ij,j->i", leaf[:hi - lo, :hi - lo], int_f[lo:hi] - h * acc[lo:hi])
         if hi <= n:
-            # leaf b = 2^k odd ends the aligned block of 2^k leaves that is a left half
+            # with b = 2^k times an odd number, leaf b ends a left half of 2^k leaves
             width = _LEAF * (b & -b)
             carry(hi - width, hi, min(hi + width, n + 1))
     return q
@@ -997,9 +997,8 @@ def reflect_port2(grid2: ContinuumGrid, s0: np.ndarray, t_final: float) -> Refle
     C2 itself.  So the state at t_final comes from C2's closed-form
     eigenpairs (``grid2.cavity``) without stepping: (0, S') written into
     their basis (``coefficients``), its comb part read back at t_final
-    (``lower_at``) and reversed.  The output keeps unit
-    norm; the delay is the centroid shift of the reflected intensity
-    against free propagation.
+    (``lower_at``) and reversed.  The output keeps unit norm; the delay is
+    the centroid shift of the reflected intensity against free propagation.
     """
     _check_window(grid2, t_final, "port-2")
     step, n = _reflection_samples(t_final)
