@@ -40,11 +40,12 @@ so propagation is exact up to roundoff, not stepped:
   modulo 2 pi exactly (``_turns``), so only the FFTs' roundoff is left,
   however far the chirp runs.  The router's comb fields and the port-1
   integrals of its memory kernel go through it.
-* ``exp_sum``: sum_k a_k exp(i w_k t) at any frequencies on a uniform grid
-  of t, in blocks of 32 samples, several blocks per numpy pass when the
-  frequencies are few: the reservoir survival and Zeno no-decay
-  probabilities, the sums over the C2 roots and the reservoir classes in the
-  router's memory kernel and the spectrum of a sampled pulse.
+* ``exp_sum``: sum_k a_k exp(i w_k (t0 + j h)) at any frequencies, a type-1
+  nonuniform FFT by Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput.
+  14, 1368, 1993; Greengard & Lee, SIAM Rev. 46, 443, 2004) in O(n log n +
+  32 m): the reservoir survival, the sums over the C2 roots (all eight
+  quadrature nodes in one call) and the reservoir classes in the router's
+  memory kernel, and the spectrum of a sampled pulse.
 
 All of them use elementwise operations, numpy reductions and numpy.fft
 (pocketfft) only, never BLAS, so their bits do not depend on the BLAS
@@ -82,7 +83,7 @@ def sample_steps(nsteps: int, stride: int) -> list[int]:
     return list(range(stride, nsteps, stride)) + [nsteps]
 
 
-_BLOCK = 32  # roots or sample times per vectorized block
+_BLOCK = 32  # roots per vectorized block
 _EPS = float(np.finfo(float).eps)
 _MAX_ITER = 100
 
@@ -90,32 +91,6 @@ _MAX_ITER = 100
 def _block_slices(n: int):
     for start in range(0, n, _BLOCK):
         yield slice(start, min(start + _BLOCK, n))
-
-
-_BATCH = 2**15  # complex entries of the (blocks, 32, freqs) product of one exp_sum pass
-
-
-def exp_sum(freqs: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] exp(i freqs[k] t) at every t of the uniform grid ``times``,
-    in blocks of 32 samples that share one table of in-block phases.
-
-    Whole blocks go through numpy together, as many per pass as keep the
-    product within ``_BATCH`` entries (at least one), a short last one summed
-    whole and cut; each block's arithmetic is the same either way.
-    """
-    times = np.asarray(times, dtype=float)
-    n = times.size
-    h = float(times[1] - times[0]) if n > 1 else 0.0
-    # every block starts at its own sample time, so only drift within a block counts
-    if np.any(np.abs(np.diff(times) - h) > 1e-9 * abs(h)):
-        raise InvalidInput("exp_sum needs uniformly spaced times")
-    within = np.exp(1j * np.outer(np.arange(_BLOCK) * h, freqs))
-    out = np.empty(n, dtype=complex)
-    rows = max(1, _BATCH // within.size) * _BLOCK
-    for lo in range(0, n, rows):
-        start = weights * np.exp(1j * freqs * times[lo:lo + rows:_BLOCK, None])
-        out[lo:lo + rows] = np.sum(within * start[:, None, :], axis=2).ravel()[: n - lo]
-    return out
 
 
 def fft_size(n: int) -> int:
@@ -139,19 +114,24 @@ _TURN = 54157620742477409023451113735280473968  # 2^128 / 2 pi, rounded
 _MAX_COUNT = 2**26  # samples or modes of a comb_sum: m^2 < 2^52 leaves _turns a part of 1 bit
 
 
-def _turns(a: float, b: float, n: np.ndarray) -> np.ndarray:
-    """a b n / 2 pi less its nearest integer, for integer-valued floats n, |n| < 2^52.
-
-    a b / 2 pi is hi + lo to about 2^-105 of itself, from the exact integer ratios
-    of a and b.  hi is cut into parts of 53 - bits(max|n|) bits, so that each part
-    times n is an exact float and loses its nearest integer exactly; lo n is
-    below 2^-52 of hi n and needs no care.
-    """
+def _over_two_pi(a: float, b: float) -> tuple[float, float]:
+    """a b / 2 pi as hi + lo to about 2^-105 of itself, from the exact integer ratios
+    of a and b."""
     (pa, qa), (pb, qb) = float(a).as_integer_ratio(), float(b).as_integer_ratio()
     num, den = pa * pb * _TURN, qa * qb << _TURN_BITS
     hi = num / den  # int / int rounds correctly
     ph, qh = hi.as_integer_ratio()
-    lo = (num * qh - ph * den) / (den * qh)
+    return hi, (num * qh - ph * den) / (den * qh)
+
+
+def _turns(a: float, b: float, n: np.ndarray) -> np.ndarray:
+    """a b n / 2 pi less its nearest integer, for integer-valued floats n, |n| < 2^52.
+
+    With a b / 2 pi = hi + lo (``_over_two_pi``), hi is cut into parts of 53 -
+    bits(max|n|) bits, so that each part times n is an exact float and loses its
+    nearest integer exactly; lo n is below 2^-52 of hi n and needs no care.
+    """
+    hi, lo = _over_two_pi(a, b)
     bits = 53 - int(np.max(np.abs(n), initial=0)).bit_length()
     assert bits >= 1, "integer factor of a phase above 2^52"
     e = math.frexp(hi)[1]
@@ -196,6 +176,59 @@ def comb_sum(f0: float, df: float, weights: np.ndarray, t0: float, h: float,
     spectrum *= np.fft.fft(kernel, out=kernel)
     out = np.fft.ifft(spectrum, out=spectrum)[..., :n]
     out *= rotor(_turns(f0, t0, np.ones(1)) + _turns(f0, h, m[:n]) + chirp[:n])
+    return out
+
+
+_SPREAD = 16  # grid points on each side of a frequency that its Gaussian reaches
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter of a float into two 26-bit halves
+
+
+def _two_product(a, b):
+    """fl(a b) and the exact rest a b - fl(a b) (Dekker, Numer. Math. 18, 224, 1971)."""
+    p = a * b
+    a_hi, b_hi = _SPLIT * a - (_SPLIT * a - a), _SPLIT * b - (_SPLIT * b - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def exp_sum(freqs: np.ndarray, weights: np.ndarray, t0: float, h: float,
+            n: int) -> np.ndarray:
+    """sum_k weights[..., k] exp(i freqs[k] (t0 + j h)) for j = 0..n-1, by Gaussian gridding.
+
+    With c = n // 2 and l = j - c this is sum_k a_k exp(i l x_k), a_k = weights[k]
+    exp(i freqs[k] (t0 + c h)) and x_k = freqs[k] h.  Each a_k is spread onto the 32
+    points of a periodic grid of M = fft_size(max(2 n, 32)) around x_k, weighted by
+    exp(-(2 pi m / M - x_k)^2 / (4 tau)) (``np.bincount``); one inverse FFT gives the
+    sum times sqrt(tau / pi) exp(-l^2 tau), which is divided out.  tau = 16 pi / (M (M -
+    n / 2)) balances the Gaussian's truncation against its aliasing.  x_k, c x_k and
+    the place of x_k on the grid (an integer taken modulo M and a fraction) are
+    carried with their exact rests, so the FFT's l never multiplies a rounded phase
+    and no phase is reduced modulo 2 pi.  Leading axes of ``weights`` are separate
+    sums on one spreading table, each transformed alone.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    weights = np.asarray(weights, dtype=complex)
+    size, centre = fft_size(max(2 * n, 32)), n // 2
+    scale, scale_lo = _over_two_pi(size, 1.0)
+    x, x_lo = _two_product(freqs, h)
+    u, u_lo = _two_product(x, scale)
+    base = np.floor(u)
+    frac = (u - base) + (u_lo + x_lo * scale + x * scale_lo)
+    s = np.arange(1 - _SPREAD, _SPREAD + 1)
+    tau = np.pi * _SPREAD / (size * (size - 0.5 * n))
+    spread = np.exp(-(np.pi**2 / (size * size * tau)) * (s - frac[:, None]) ** 2)
+    slots = (2 * ((base.astype(np.int64)[:, None] + s) % size)[..., None] + np.arange(2)).ravel()
+    xc, xc_lo = _two_product(x, float(centre))
+    start = np.exp(1j * freqs * t0) * np.exp(1j * xc) * np.exp(1j * (xc_lo + x_lo * centre))
+    deconv = math.sqrt(np.pi / tau) * np.exp(tau * (np.arange(n) - centre) ** 2)
+    out = np.empty(weights.shape[:-1] + (n,), dtype=complex)
+    for row in np.ndindex(weights.shape[:-1]):
+        a = weights[row] * start
+        grid = np.bincount(slots, weights=(a[:, None] * spread).view(float).ravel(),
+                           minlength=2 * size).view(complex)
+        grid = np.fft.ifft(grid, out=grid)  # l < 0 at its end
+        np.multiply(grid[size - centre:], deconv[:centre], out=out[row][:centre])
+        np.multiply(grid[:n - centre], deconv[centre:], out=out[row][centre:])
     return out
 
 

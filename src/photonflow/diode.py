@@ -42,7 +42,8 @@ Model conventions
   convolution in O(n log^2 n) (``_solve_cavity``).  int F and the port-1
   part of Kc are closed forms, one chirp-z ``comb_sum`` on the grid; |g|^2
   G W takes an 8-point Gauss-Legendre rule per step, G summed over the C2
-  roots by ``exp_sum`` and W a power series about the band centre w_bar.
+  roots at all eight nodes by one nonuniform FFT (``exp_sum``) and W a power
+  series about the band centre w_bar.
 
   The classes enter as bath channels: over [0, T] the class phase
   exp(-i (w_l - w_bar) s) is a Taylor series in u = 2 s / T - 1 that
@@ -194,7 +195,8 @@ class Pulse:
 
     def spectrum(self, omega) -> np.ndarray:
         """Fourier coefficients integral phi(t) exp(+i w t) dt (custom pulses:
-        trapezoid rule over the samples, at uniformly spaced ``omega``)."""
+        trapezoid rule over the samples, at uniformly spaced ``omega``, whose step is
+        their span over their count less one)."""
         w = np.asarray(omega, dtype=float)
         if self.kind == "gaussian":
             norm = (4.0 * np.pi * self.duration**2) ** 0.25
@@ -204,7 +206,11 @@ class Pulse:
         times = np.asarray(self.sample_times, dtype=float)
         vals = np.asarray(self.sample_values, dtype=complex)
         trapezoid = np.convolve(np.diff(times), [0.5, 0.5])
-        return exp_sum(times, trapezoid * vals, w)
+        n = w.size
+        h = (w[-1] - w[0]) / (n - 1) if n > 1 else 0.0
+        if np.any(np.abs(w - (w[:1] + np.arange(n) * h)) > 1e-9 * abs(h)):
+            raise InvalidInput("the spectrum of a sampled pulse needs uniformly spaced omega")
+        return exp_sum(times, trapezoid * vals, float(w[0]) if n else 0.0, h, n)
 
     @property
     def bandwidth(self) -> float:
@@ -647,11 +653,12 @@ class _BathChannels:
         """sum_n U_ln y_n..., channel n along the first axis of ``y``."""
         return y if self.basis is None else np.einsum("ln,n...->l...", self.basis, y)
 
-    def w_sum(self, tau: np.ndarray) -> np.ndarray:
-        """W(tau) = sum_l exp(i w_l tau) on the uniform grid ``tau``: Horner's rule on
+    def w_sum(self, x: float, h: float, n: int) -> np.ndarray:
+        """W(tau) = sum_l exp(i w_l tau) at tau = (j + x) h, j = 0..n-1: Horner's rule on
         exp(i w_bar tau) sum_m (sum_l conj(A_lm)) u^m for channels, else ``exp_sum``."""
         if self.basis is None:
-            return exp_sum(self.om, np.ones(self.om.size), tau)
+            return exp_sum(self.om, np.ones(self.om.size), x * h, h, n)
+        tau = (np.arange(n) + x) * h
         return np.exp(1j * self.centre * tau) * self.power_sum(self.series, tau)
 
 
@@ -684,12 +691,15 @@ def _kernel_integrals(grid1: ContinuumGrid, spec: ReservoirSpec, p0: np.ndarray,
     in closed form, |g|^2 G W from the Gauss-Legendre rule in each step; and from G
     there the ``_ProductRule`` samples of the bath channels' exp(i w_bar tau) G(tau)."""
     step = np.zeros(n, dtype=complex)
-    lagged = np.zeros((_NODES.size, n + 2 * _REACH + 1), dtype=complex)
+    # G at (j + x) h, j = -3..n + 3, for every node x: one sum, the node's phase exp(-i
+    # lambda_k x h) on the weights; the lags below 0 are zeroed
+    at_nodes = c2.inv_norm**2 * np.exp(-1j * np.outer(_NODES * h, c2.roots))
+    lagged = exp_sum(-c2.roots, at_nodes, -_REACH * h, h, n + 2 * _REACH + 1)
+    lagged[:, :_REACH] = 0.0
     for g, (x, w) in enumerate(zip(_NODES, _NODE_WEIGHTS)):
-        t = (np.arange(n + _REACH + 1) + x) * h
-        samples = exp_sum(-c2.roots, c2.inv_norm**2, t)
-        step += w * (samples[:n] * bath.w_sum(t[:n]))
-        np.multiply(np.exp(1j * bath.centre * t), samples, out=lagged[g, _REACH:])
+        samples = lagged[g, _REACH:]
+        step += w * (samples[:n] * bath.w_sum(x, h, n))
+        samples *= np.exp(1j * bath.centre * (np.arange(n + _REACH + 1) + x) * h)
     # after the sums over the roots, whose temporaries would otherwise meet these
     int_f, kc = _mode_integrals(grid1, np.array([-1j * grid1.kappa * p0, np.ones(grid1.n_q)]),
                                 h, n)

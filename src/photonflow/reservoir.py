@@ -323,7 +323,7 @@ def evolve_exact(
     nsteps, dt = steps_for(t_final, dt)
     prop = spec.propagator
     coef, dark = prop.modes(state0.c0, prop.to_frame(state0.c, state0.t))
-    upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, np.arange(nsteps + 1) * dt)
+    upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, 0.0, dt, nsteps + 1)
     upper[0] = state0.c0  # the sample at tau = 0 is the initial state itself
     classes = partial(prop.classes_at, coef, dark, nsteps * dt, state0.t + nsteps * dt)
     return DecayTrajectory(times=state0.t + np.arange(nsteps + 1) * dt, c0=upper, classes=classes)

@@ -129,10 +129,11 @@ MASTER_KINDS = ("LindbladTransfer", "PurificationMap", "DarkState")
                                   (SCENARIOS / "dark_state.ini").read_text(),
                                   (SCENARIOS / "purification.ini").read_text(), DIODE,
                                   (SCENARIOS / "diode_full.ini").read_text(),
-                                  (SCENARIOS / "diode_markov.ini").read_text()],
+                                  (SCENARIOS / "diode_markov.ini").read_text(),
+                                  (SCENARIOS / "anti_zeno_scan.ini").read_text()],
                          ids=["micro", "interference", "lindblad-transfer", "port2-reflection",
                               "dark-state", "shipped-purification", "diode-full",
-                              "shipped-diode-full", "shipped-diode-markov"])
+                              "shipped-diode-full", "shipped-diode-markov", "shipped-anti-zeno"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
     scenario = tmp_path / "sc.ini"
     scenario.write_text(text)
@@ -141,10 +142,12 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, text):
         out = tmp_path / f"threads{threads}"
         proc = _python(["-m", "photonflow.cli", "run", str(scenario), "--out", str(out)], threads)
         assert proc.returncode == 0, proc.stderr
-        (csv,) = out.rglob("timeseries.csv")
-        digests.append(csv.read_bytes())
+        # a timeseries, or a Zeno kind's summary of its periods
+        csvs = sorted(out.rglob("*.csv"))
+        assert csvs
+        digests.append({csv.relative_to(out): csv.read_bytes() for csv in csvs})
         manifest = configparser.ConfigParser()
-        manifest.read(csv.parent / "manifest.ini")
+        manifest.read(csvs[0].parent / "manifest.ini")
         results.append(dict(manifest["results"]))
         invariants.append(dict(manifest["invariants"]))
     assert digests[0] == digests[1]

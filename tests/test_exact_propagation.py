@@ -69,19 +69,19 @@ from photonflow import (
     zeno_evolve,
     zeno_scan,
 )
-from photonflow._integrate import (_BLOCK, _arrowhead_eigensystem,
+from photonflow._integrate import (_arrowhead_eigensystem,
                                    _block_slices, _comb_spacing, _polygamma, comb_sum, exp_sum,
                                    fft_size, sample_steps, steps_for, taylor_propagate)
-from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _START,
+from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _REACH, _START,
                               _START_ITERATIONS, _STENCIL, _BathChannels, _generator_norm,
                               _kernel_integrals, _lagrange, _linear_filter, _quadrature_grid,
                               _solve_cavity, _stencil, intensity_centroid)
 from photonflow.lindblad import _phi, _superoperator, state_fidelity
-from photonflow.reservoir import _ExactPropagator
+from photonflow.reservoir import _default_dt, _ExactPropagator
 from photonflow.scenario import (RunOutcome, _master_report, parse_scenario, parse_scenario_text,
                                  validate_scenario)
-from reference import (classes_per_block, interference_own_propagator, linear_filter_recurrence,
-                       modes_per_block, number, reconstruct_field, reflect_port2_mirrored,
+from reference import (classes_per_block, exp_sum_blocked, exp_sum_per_block,
+                       interference_own_propagator, linear_filter_recurrence, modes_per_block, number, reconstruct_field, reflect_port2_mirrored,
                        taylor_evolve)
 
 
@@ -963,10 +963,10 @@ def evolve_full_per_class(grid1, grid2, spec, p0, t_final, dt):
     step_f = np.zeros(n, dtype=complex)
     step_k = np.zeros(n, dtype=complex)
     for x, w in zip(_NODES, _NODE_WEIGHTS):
-        t = (np.arange(n) + x) * h
-        step_f += w * exp_sum(-d1, -1j * k1 * p0, t)
-        gw = exp_sum(-c2.roots, c2.inv_norm**2, t) * exp_sum(om, np.ones(f), t)
-        step_k += w * (k1 * k1 * exp_sum(-d1, np.ones(n1), t) + spec.coupling_sq * gw)
+        t0 = x * h
+        step_f += w * exp_sum(-d1, -1j * k1 * p0, t0, h, n)
+        gw = exp_sum(-c2.roots, c2.inv_norm**2, t0, h, n) * exp_sum(om, np.ones(f), t0, h, n)
+        step_k += w * (k1 * k1 * exp_sum(-d1, np.ones(n1), t0, h, n) + spec.coupling_sq * gw)
     q = solve_cavity_direct(np.concatenate(([0], np.cumsum(h * step_f))),
                             np.concatenate(([0], np.cumsum(h * step_k))), h)
 
@@ -1030,6 +1030,33 @@ t0 = 50.081053
 [run]
 t_final = 142.0
 dt = 0.02
+"""
+
+# the quadrature-step cap: the small router at coupling 62 takes 196,844 steps
+ROUTER_COUPLING_62 = """
+[scenario]
+name = router
+kind = DiodeFull
+
+[reservoir]
+f = 40
+eps_max = 0.002
+coupling = 62
+
+[diode]
+gamma1 = 1.0
+gamma2 = 20.0
+
+[grid1]
+n_q = 160
+delta_max = 4.0
+
+[grid2]
+n_q = 160
+delta_max = 4.0
+
+[pulse]
+duration = 8.0
 """
 
 
@@ -1227,10 +1254,10 @@ def kernel_integrals_16(grid1, spec, p0, c2, h, n):
     step_f = np.zeros(n, dtype=complex)
     step_k = np.zeros(n, dtype=complex)
     for x, w in zip(0.5 * (1.0 + x16), 0.5 * w16):
-        t = (np.arange(n) + x) * h
-        step_f += w * exp_sum(-d1, -1j * k1 * p0, t)
-        gw = exp_sum(-c2.roots, c2.inv_norm**2, t) * exp_sum(om, np.ones(om.size), t)
-        step_k += w * (k1 * k1 * exp_sum(-d1, np.ones(d1.size), t) + spec.coupling_sq * gw)
+        t0 = x * h
+        step_f += w * exp_sum(-d1, -1j * k1 * p0, t0, h, n)
+        gw = exp_sum(-c2.roots, c2.inv_norm**2, t0, h, n) * exp_sum(om, np.ones(om.size), t0, h, n)
+        step_k += w * (k1 * k1 * exp_sum(-d1, np.ones(d1.size), t0, h, n) + spec.coupling_sq * gw)
     return (np.concatenate(([0], np.cumsum(h * step_f))),
             np.concatenate(([0], np.cumsum(h * step_k))))
 
@@ -1314,31 +1341,21 @@ def test_reflection_on_c2_equals_the_mirrored_solve(n_q, delta_max, gamma2, dura
     assert got.secular_iterations == grid.cavity.iterations
 
 
-# --- blocked exponential sums --------------------------------------------------------
-
-
-def exp_sum_per_block(freqs, weights, times):
-    """exp_sum one block of 32 samples per numpy pass."""
-    n = times.size
-    h = times[1] - times[0] if n > 1 else 0.0
-    within = np.exp(1j * np.outer(np.arange(min(n, _BLOCK)) * h, freqs))
-    out = np.empty(n, dtype=complex)
-    for js in _block_slices(n):
-        start = weights * np.exp(1j * freqs * times[js.start])
-        out[js] = np.sum(within[: js.stop - js.start] * start, axis=1)
-    return out
+# --- exponential sums by a nonuniform FFT ---------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 1000])
 def test_exp_sum_matches_dense_phase_matrix(n):
     rng = np.random.default_rng(n)
-    freqs = rng.uniform(-40.0, 40.0, 57)  # 17 blocks per numpy pass
+    freqs = rng.uniform(-40.0, 40.0, 57)
     weights = rng.normal(size=57) + 1j * rng.normal(size=57)
     times = -3.0 + np.arange(n) * 0.0371
     dense = weights @ np.exp(1j * np.outer(freqs, times))
-    got = exp_sum(freqs, weights, times)
+    got = exp_sum(freqs, weights, -3.0, 0.0371, n)
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
-    assert np.array_equal(got, exp_sum_per_block(freqs, weights, times))
+    # the direct sum kept as an oracle: 17 blocks per numpy pass give the bits of one
+    assert np.array_equal(exp_sum_blocked(freqs, weights, times),
+                          exp_sum_per_block(freqs, weights, times))
 
 
 def test_exp_sum_with_many_frequencies_matches_per_block_passes():
@@ -1346,12 +1363,92 @@ def test_exp_sum_with_many_frequencies_matches_per_block_passes():
     freqs = rng.uniform(-40.0, 40.0, 1100)  # one block per numpy pass
     weights = rng.normal(size=1100) + 1j * rng.normal(size=1100)
     times = 0.5 + np.arange(100) * 0.0371
-    assert np.array_equal(exp_sum(freqs, weights, times), exp_sum_per_block(freqs, weights, times))
+    assert np.array_equal(exp_sum_blocked(freqs, weights, times),
+                          exp_sum_per_block(freqs, weights, times))
 
 
-def test_exp_sum_rejects_nonuniform_times():
+def exp_sum_long_double(freqs, weights, t0, h, js):
+    """sum_k weights[..., k] exp(i freqs_k (t0 + j h)) at the samples ``js``, every phase
+    and its cosine and sine in long double."""
+    ld = np.longdouble
+    out = np.empty(weights.shape[:-1] + (len(js),), dtype=complex)
+    re, im = weights.real.astype(ld), weights.imag.astype(ld)
+    for i, j in enumerate(js):
+        phase = freqs.astype(ld) * (ld(t0) + ld(int(j)) * ld(h))
+        cos, sin = np.cos(phase), np.sin(phase)
+        out[..., i] = (np.sum(re * cos - im * sin, axis=-1).astype(float)
+                       + 1j * np.sum(re * sin + im * cos, axis=-1).astype(float))
+    return out
+
+
+def _survival_sum(name):
+    """The free run's sum of ``evolve_exact`` on a shipped reservoir file."""
+    c = parse_scenario(SCENARIO_DIR / name).inputs
+    nsteps, dt = steps_for(c.t_final, _default_dt(c.spec) if c.dt is None else c.dt)
+    prop = c.spec.propagator
+    coef, _ = prop.modes(1.0, np.zeros(c.spec.f, dtype=complex))
+    return prop.eig.roots, coef * prop.eig.inv_norm, 0.0, dt, nsteps + 1
+
+
+def _kernel_sum(text):
+    """The one sum of ``_kernel_integrals`` over the C2 roots at its eight nodes."""
+    c = validate_scenario(parse_scenario_text(text))
+    c2 = c.grid2.cavity
+    _, _, _, h, n = _quadrature_grid(c.grid1, c2, c.spec, c.t_final, c.dt)
+    at_nodes = c2.inv_norm**2 * np.exp(-1j * np.outer(_NODES * h, c2.roots))
+    return -c2.roots, at_nodes, -_REACH * h, h, n + 2 * _REACH + 1
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is not extended")
+@pytest.mark.parametrize("case, m, n_t", [
+    (lambda: _survival_sum("markov_decay.ini"), 401, 7501),
+    (lambda: _survival_sum("anti_zeno_scan.ini"), 401, 7501),
+    (lambda: _kernel_sum(ROUTER_BENCHMARK), 161, 7111),
+    (lambda: _kernel_sum((SCENARIO_DIR / "diode_full.ini").read_text()), 401, 20511),
+    (lambda: _kernel_sum(ROUTER_COUPLING_62), 161, 196851),
+], ids=["markov-decay-survival", "anti-zeno-survival", "router-kernel", "shipped-kernel",
+        "coupling-62-kernel"])
+def test_exp_sum_matches_long_double_sum(case, m, n_t):
+    freqs, weights, t0, h, n = case()
+    assert (freqs.size, n) == (m, n_t)
+    js = np.unique(np.linspace(0, n - 1, 61).astype(int))
+    ref = exp_sum_long_double(freqs, weights, t0, h, js)
+    err = np.abs(exp_sum(freqs, weights, t0, h, n)[..., js] - ref)
+    # of each sum's sum |w|, which bounds every sample
+    assert np.all(err <= 3e-14 * np.sum(np.abs(weights), axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("m, n, spread, t0", [
+    (7, 1, 40.0, 0.3), (7, 2, 40.0, 0.3), (1, 500, 40.0, 0.3), (1, 1, 40.0, 0.0),
+    (200, 300, 300.0, -0.7),  # phases w h of up to 15 rad per sample
+], ids=["n=1", "n=2", "m=1", "m=1-n=1", "phases-beyond-pi"])
+def test_exp_sum_edge_sizes_match_long_double_sum(m, n, spread, t0):
+    rng = np.random.default_rng(m * 1000 + n)
+    freqs = rng.uniform(-spread, spread, m)
+    weights = rng.normal(size=m) + 1j * rng.normal(size=m)
+    ref = exp_sum_long_double(freqs, weights, t0, 0.05, range(n))
+    err = np.max(np.abs(exp_sum(freqs, weights, t0, 0.05, n) - ref))
+    assert err <= 3e-14 * np.sum(np.abs(weights))
+
+
+def test_exp_sum_rows_are_separate_sums_and_zero_weights_give_zeros():
+    rng = np.random.default_rng(11)
+    freqs = rng.uniform(-4.0, 4.0, 161)
+    weights = rng.normal(size=(2, 4, 161)) + 1j * rng.normal(size=(2, 4, 161))
+    weights[1, 2] = 0.0
+    got = exp_sum(freqs, weights, 0.13, 0.02, 700)
+    assert got.shape == (2, 4, 700)
+    for row in np.ndindex(2, 4):
+        assert np.array_equal(got[row], exp_sum(freqs, weights[row], 0.13, 0.02, 700))
+    # an all-zero sum is exactly zero: the dark antisymmetric state stays exactly dark
+    assert np.all(got[1, 2] == 0.0)
+    assert np.all(exp_sum(freqs, np.zeros(161), 0.0, 0.02, 33) == 0.0)
+
+
+def test_custom_pulse_spectrum_rejects_nonuniform_omega():
+    ts = np.linspace(0.0, 20.0, 31)
     with pytest.raises(InvalidInput):
-        exp_sum(np.ones(3), np.ones(3), np.array([0.0, 1.0, 3.0]))
+        custom_pulse(ts, np.exp(-((ts - 10.0) ** 2))).spectrum(np.array([0.0, 1.0, 3.0]))
 
 
 def test_custom_pulse_spectrum_matches_dense_trapezoid():
@@ -1463,7 +1560,7 @@ def test_comb_sum_matches_long_double_sum(n_q, delta_max, n_t, t0, h):
     scale = np.max(np.abs(ref))
     err = np.max(np.abs(comb_sum(f0, df, weights, t0, h, n_t)[js] - ref)) / scale
     times = t0 + np.arange(n_t) * h
-    err_exp_sum = np.max(np.abs(exp_sum(-d, weights, times)[js] - ref)) / scale
+    err_exp_sum = np.max(np.abs(exp_sum_blocked(-d, weights, times)[js] - ref)) / scale
     assert err <= max(err_exp_sum, 3e-12)
     # the phases reduced exactly leave the FFTs' roundoff, about 1e-15 here; phases
     # rounded once at their full size (up to 2.4e4 rad) erred by up to 1.6e-12
