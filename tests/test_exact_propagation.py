@@ -5,7 +5,8 @@ level, the Markov ports, the master equation, the port-2 reflection and
 the four-port router used before they were propagated exactly, kept here at reduced size, the
 router's co-rotating Taylor propagation that its memory-kernel solve replaced, plus
 numpy.linalg.eigh, closed forms, the dense phase matrices that the
-blocked exponential sums replaced, the one-block-per-pass exponential sums and
+exponential sums replaced, the blocked direct exponential sum that their nonuniform FFT
+replaced and its one-block-per-pass form, long-double direct sums at every caller's size,
 per-block Cauchy sums that the batched kernels replaced, the general secular solve
 that the closed form for uniform combs bypasses, scipy.special's digamma and
 trigamma, the scipy.sparse.kron construction of the master-equation generator,
@@ -69,9 +70,9 @@ from photonflow import (
     zeno_evolve,
     zeno_scan,
 )
-from photonflow._integrate import (_arrowhead_eigensystem,
-                                   _block_slices, _comb_spacing, _polygamma, comb_sum, exp_sum,
-                                   fft_size, sample_steps, steps_for, taylor_propagate)
+from photonflow._integrate import (_arrowhead_eigensystem, _block_slices, _comb_spacing,
+                                   _polygamma, comb_sum, exp_sum, fft_size, sample_steps,
+                                   steps_for, taylor_propagate)
 from photonflow.diode import (_GREGORY, _LEAF, _NODE_WEIGHTS, _NODES, _REACH, _START,
                               _START_ITERATIONS, _STENCIL, _BathChannels, _generator_norm,
                               _kernel_integrals, _lagrange, _linear_filter, _quadrature_grid,
@@ -81,8 +82,8 @@ from photonflow.reservoir import _default_dt, _ExactPropagator
 from photonflow.scenario import (RunOutcome, _master_report, parse_scenario, parse_scenario_text,
                                  validate_scenario)
 from reference import (classes_per_block, exp_sum_blocked, exp_sum_per_block,
-                       interference_own_propagator, linear_filter_recurrence, modes_per_block, number, reconstruct_field, reflect_port2_mirrored,
-                       taylor_evolve)
+                       interference_own_propagator, linear_filter_recurrence, modes_per_block,
+                       number, reconstruct_field, reflect_port2_mirrored, taylor_evolve)
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
