@@ -59,27 +59,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInput
+from .errors import ConfigurationError, InvalidInput, check_count, check_positive
 
 _MAX_STEPS = 10**7  # the shipped, benchmark and test grids stay near 10^5
 
 
 def steps_for(t_final: float, dt: float) -> tuple[int, float]:
     """Number of equal steps covering [0, t_final] with step <= dt."""
-    if not (t_final > 0 and dt > 0):
-        raise InvalidInput(f"t_final and dt must be positive, got {t_final:.3g} and {dt:.3g}")
-    ratio = t_final / dt
+    ratio = check_positive("t_final", t_final) / check_positive("dt", dt)
     if not ratio <= _MAX_STEPS:  # also catches an overflow to inf
         raise ConfigurationError(f"t_final = {t_final:.3g} at dt = {dt:.3g} needs "
-                                 f"{ratio:.3g} steps, more than {_MAX_STEPS:.0e}")
+                                 f"{ratio:.3g} steps, more than {_MAX_STEPS:.0e}", arg="t_final")
     n = max(1, int(np.ceil(ratio - 1e-12)))
     return n, t_final / n
 
 
 def sample_steps(nsteps: int, stride: int) -> list[int]:
     """Every ``stride``-th of the steps 1..nsteps, then the last."""
-    if stride < 1:
-        raise InvalidInput(f"snapshot stride must be at least 1, got {stride}")
+    check_count("nsteps", nsteps)
+    check_count("stride", stride)
     return list(range(stride, nsteps, stride)) + [nsteps]
 
 
@@ -408,13 +406,14 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
     if m == 0:
         one = np.ones(1)
         return _Eigensystem(poles, z, np.zeros(1), np.zeros(1), one)
-    rho = z * z
-    znorm = float(np.sqrt(np.sum(rho)))
-    lower = min(poles[0], 0.0) - 2.0 * znorm  # F(lower) < 0
-    upper = max(poles[-1], 0.0) + 2.0 * znorm  # F(upper) > 0
     origin, offset, inv_norm = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
     iterations = 0
+    # past the float range the eigenpairs are not finite, which fails below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = z * z
+        znorm = float(np.sqrt(np.sum(rho)))
+        lower = min(poles[0], 0.0) - 2.0 * znorm  # F(lower) < 0
+        upper = max(poles[-1], 0.0) + 2.0 * znorm  # F(upper) > 0
         comb = _comb_spacing(poles, z)
         drift = 0.0 if comb is None else comb[1]
 
@@ -485,6 +484,8 @@ def _arrowhead_eigensystem(poles: np.ndarray, z: np.ndarray) -> _Eigensystem:
             origin[ks], offset[ks] = o, mu
             inv_norm[ks] = sums.inv_norm(mu)
             del sums  # before the next block's midpoint sums: one block's tables at a time
+    if not (np.all(np.isfinite(offset)) and np.all(np.isfinite(inv_norm))):
+        raise ConfigurationError("the arrowhead's eigenpairs leave the float range")
     return _Eigensystem(poles, z, origin, offset, inv_norm, iterations)
 
 
@@ -558,6 +559,8 @@ def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float) -> tuple[np.n
     """
     if not y.size:
         return y, 0
+    if not float(h) * float(norm) <= _MAX_STEPS:  # also catches an overflow to inf
+        raise ConfigurationError(f"exp(h A) at h = {h:.3g} needs over {_MAX_STEPS:.0e} sub-steps")
     s = max(1, math.ceil(h * norm))
     hs = h / s
     out = np.empty_like(y)

@@ -106,8 +106,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._integrate import (_MAX_COUNT, _arrowhead_eigensystem, _Eigensystem, comb_sum, exp_sum,
                          fft_size, sample_steps, steps_for)
-from .errors import ConfigurationError, InvalidInput
-from .reservoir import ReservoirSpec
+from .errors import (ConfigurationError, InvalidInput, check_count, check_finite, check_positive,
+                     check_sequence)
+from .reservoir import ReservoirSpec, _finite_coupling
 
 __all__ = [
     "ContinuumGrid",
@@ -137,12 +138,9 @@ class ContinuumGrid:
     gamma: float
 
     def __post_init__(self):
-        if self.n_q < 1:
-            raise InvalidInput(f"need at least one continuum mode, got {self.n_q}")
-        if self.delta_max <= 0:
-            raise InvalidInput(f"delta_max must be positive, got {self.delta_max}")
-        if self.gamma < 0:
-            raise InvalidInput(f"loss rate must be nonnegative, got {self.gamma}")
+        check_count("n_q", self.n_q)
+        check_positive("delta_max", self.delta_max)
+        check_positive("gamma", self.gamma)
 
     @property
     def spacing(self) -> float:
@@ -182,8 +180,9 @@ class Pulse:
     def amplitude(self, t) -> np.ndarray:
         tt = np.asarray(t, dtype=float)
         if self.kind == "gaussian":
-            norm = (np.pi * self.duration**2) ** -0.25
-            return norm * np.exp(-((tt - self.t0) ** 2) / (2.0 * self.duration**2)) + 0j
+            d2 = np.float64(self.duration) ** 2  # the float's power, but inf past the range
+            norm = (np.pi * d2) ** -0.25
+            return norm * np.exp(-((tt - self.t0) ** 2) / (2.0 * d2)) + 0j
         if self.kind == "exponential":
             amp = np.sqrt(self.rate) * np.exp(0.5 * self.rate * (tt - self.t_stop))
             return np.where(tt <= self.t_stop, amp, 0.0) + 0j
@@ -199,18 +198,20 @@ class Pulse:
         their span over their count less one)."""
         w = np.asarray(omega, dtype=float)
         if self.kind == "gaussian":
-            norm = (4.0 * np.pi * self.duration**2) ** 0.25
-            return norm * np.exp(1j * w * self.t0) * np.exp(-(w**2) * self.duration**2 / 2.0)
+            d2 = np.float64(self.duration) ** 2
+            norm = (4.0 * np.pi * d2) ** 0.25
+            return norm * np.exp(1j * w * self.t0) * np.exp(-(w**2) * d2 / 2.0)
         if self.kind == "exponential":
             return np.sqrt(self.rate) * np.exp(1j * w * self.t_stop) / (0.5 * self.rate + 1j * w)
         times = np.asarray(self.sample_times, dtype=float)
         vals = np.asarray(self.sample_values, dtype=complex)
         trapezoid = np.convolve(np.diff(times), [0.5, 0.5])
-        n = w.size
-        h = (w[-1] - w[0]) / (n - 1) if n > 1 else 0.0
-        if np.any(np.abs(w - (w[:1] + np.arange(n) * h)) > 1e-9 * abs(h)):
+        flat = w.reshape(-1)
+        n = flat.size
+        h = (flat[-1] - flat[0]) / (n - 1) if n > 1 else 0.0
+        if np.any(np.abs(flat - (flat[:1] + np.arange(n) * h)) > 1e-9 * abs(h)):
             raise InvalidInput("the spectrum of a sampled pulse needs uniformly spaced omega")
-        return exp_sum(times, trapezoid * vals, float(w[0]) if n else 0.0, h, n)
+        return exp_sum(times, trapezoid * vals, float(flat[0]) if n else 0.0, h, n).reshape(w.shape)
 
     @property
     def bandwidth(self) -> float:
@@ -229,24 +230,24 @@ class Pulse:
 
 
 def gaussian_pulse(t0: float, duration: float) -> Pulse:
-    if duration <= 0:
-        raise InvalidInput("pulse duration must be positive")
-    if duration * duration == 0.0:
-        raise InvalidInput(f"pulse duration {duration:g} is too short: its square underflows to 0")
+    check_finite("t0", t0)
+    d = check_positive("duration", duration)
+    if d * d == 0.0:
+        raise InvalidInput(f"pulse duration {d:g} is too short: its square underflows to 0",
+                           arg="duration")
     return Pulse(kind="gaussian", t0=t0, duration=duration)
 
 
 def exponential_pulse(rate: float, t_stop: float) -> Pulse:
-    if rate <= 0:
-        raise InvalidInput("pulse rise rate must be positive")
+    check_positive("rate", rate)
+    check_finite("t_stop", t_stop)
     return Pulse(kind="exponential", rate=rate, t_stop=t_stop)
 
 
 def custom_pulse(times: Sequence[float], values: Sequence[complex]) -> Pulse:
-    times = tuple(float(t) for t in times)
-    values = tuple(complex(v) for v in values)
-    if len(times) != len(values) or len(times) < 2:
-        raise InvalidInput("custom pulse needs matching times/values with >= 2 samples")
+    check_sequence("values", values, size=len(check_sequence("times", times, least=2)))
+    times = tuple(check_finite("times", t) for t in times)
+    values = tuple(check_finite("values", v, complex) for v in values)
     return Pulse(kind="custom", sample_times=times, sample_values=values)
 
 
@@ -258,10 +259,11 @@ def project_pulse(grid: ContinuumGrid, pulse: Pulse) -> np.ndarray:
     must resynthesize the target envelope to 1 percent.
     """
     _check_bandwidth(grid, pulse)
-    amps = np.sqrt(grid.spacing / (2.0 * np.pi)) * pulse.spectrum(grid.detunings())
+    with np.errstate(over="ignore", invalid="ignore"):  # phases past the float range give nan
+        amps = np.sqrt(grid.spacing / (2.0 * np.pi)) * pulse.spectrum(grid.detunings())
     norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise ConfigurationError("pulse has no overlap with the grid")
+    if not 0 < norm < math.inf:
+        raise ConfigurationError(f"pulse has no finite, nonzero overlap with the grid: {norm:.3g}")
     amps = amps / norm
     if grid.n_q > 2:
         lo, hi = pulse.support()
@@ -305,13 +307,16 @@ def simulation_window(pulse: Pulse, *rates: float) -> float:
 
 
 def loaded_transfer_rate(spec: ReservoirSpec, gamma2: float) -> float:
-    """Transfer rate of a reservoir drained through a cavity losing at gamma2."""
-    if gamma2 <= 0:
-        raise InvalidInput("gamma2 must be positive")
+    """Transfer rate of a reservoir drained through a cavity losing at gamma2, which
+    must come out positive and finite."""
+    half = 0.5 * check_positive("gamma2", gamma2)
     om = spec.frequencies()
-    half = 0.5 * gamma2
     with np.errstate(over="ignore", divide="ignore"):  # squares out of float range give 0 or inf
-        return float(2.0 * spec.coupling_sq * np.sum(half / (half * half + om**2)))
+        rate = float(2.0 * spec.coupling_sq * np.sum(half / (half * half + om**2)))
+    if not 0.0 < rate < math.inf:
+        raise ConfigurationError(f"a reservoir with eps_max = {spec.eps_max:.3g} transfers at "
+                                 f"{rate:.3g} behind gamma2 = {gamma2:.3g}, not a positive float")
+    return rate
 
 
 def coupling_for_diode_rate(
@@ -323,19 +328,11 @@ def coupling_for_diode_rate(
     **spectrum_kwargs,
 ) -> float:
     """Coupling amplitude that realizes a target loaded transfer rate."""
-    if gamma_target <= 0:
-        raise InvalidInput("target rate must be positive")
+    check_positive("gamma_target", gamma_target)
     probe = ReservoirSpec(
         f=f, eps_max=eps_max, coupling=1.0, spectrum=spectrum, **spectrum_kwargs
     )
-    unit = loaded_transfer_rate(probe, gamma2)
-    if not 0.0 < unit < math.inf:
-        raise ConfigurationError(
-            f"a reservoir with eps_max = {eps_max:.3g} behind a cavity with gamma2 = "
-            f"{gamma2:.3g} transfers at {unit:.3g} per unit coupling squared; no finite "
-            f"coupling gives the rate {gamma_target:.3g}"
-        )
-    return float(np.sqrt(gamma_target / unit))
+    return _finite_coupling(gamma_target / loaded_transfer_rate(probe, gamma2), gamma_target)
 
 
 @dataclass
@@ -791,9 +788,7 @@ def evolve_full(
     h = (sample interval) / ceil((sample interval) norm / 0.15); the rest
     follows from Q through the return functions G and D.
     """
-    p0 = np.asarray(p0, dtype=complex)
-    if p0.size != grid1.n_q:
-        raise InvalidInput("initial amplitudes do not match the port-1 grid")
+    p0 = np.asarray(check_sequence("p0", p0, size=grid1.n_q), dtype=complex)
     _check_window(grid1, t_final, "port-1")
     _check_window(grid2, t_final, "port-2")
     c2 = grid2.cavity
@@ -910,6 +905,14 @@ def _linear_filter(rate: float, dt: float, u: np.ndarray, u_mid: np.ndarray):
     return y, y_mid
 
 
+def _check_rates(gamma: float, gamma1: float, gamma2: float) -> None:
+    """The Markov rates are positive and finite, and so are the products it scales by."""
+    g, g1, g2 = map(check_positive, ("gamma", "gamma1", "gamma2"), (gamma, gamma1, gamma2))
+    if not (math.isfinite(g1 * g2 * g) and math.isfinite(g1 * g)):
+        raise ConfigurationError(f"the Markov rate products overflow (gamma = {g:.3g}, "
+                                 f"gamma1 = {g1:.3g}, gamma2 = {g2:.3g})")
+
+
 def _simpson(g: np.ndarray, g_mid: np.ndarray, dt: float) -> float:
     return float(dt / 6.0 * (g[0] + g[-1] + 2.0 * np.sum(g[1:-1]) + 4.0 * np.sum(g_mid)))
 
@@ -928,33 +931,35 @@ def evolve_markov(
     docstring (stable for any rate times dt, no stepping of a right-hand
     side); leakage and yields are quadratures on the same grid.
     """
-    for name, val in (("gamma", gamma), ("gamma1", gamma1), ("gamma2", gamma2)):
-        if val <= 0:
-            raise InvalidInput(f"{name} must be positive, got {val}")
+    _check_rates(gamma, gamma1, gamma2)
     nsteps, dt = steps_for(t_final, dt)
     times = np.arange(nsteps + 1) * dt
-    phi_in = pulse.amplitude(times)
-    phi_mid = pulse.amplitude(times[:-1] + 0.5 * dt)
-    f_amp, f_mid = _linear_filter(0.5 * (gamma + gamma1), dt, phi_in, phi_mid)
-    f_abs2, f_mid_abs2 = np.abs(f_amp) ** 2, np.abs(f_mid) ** 2
-    rho, _ = _linear_filter(gamma2, dt, f_abs2, f_mid_abs2)
-    rho *= gamma1 * gamma2 * gamma
+    with np.errstate(over="ignore", invalid="ignore"):  # a pulse past the float range fails below
+        phi_in = pulse.amplitude(times)
+        phi_mid = pulse.amplitude(times[:-1] + 0.5 * dt)
+        f_amp, f_mid = _linear_filter(0.5 * (gamma + gamma1), dt, phi_in, phi_mid)
+        f_abs2, f_mid_abs2 = np.abs(f_amp) ** 2, np.abs(f_mid) ** 2
+        rho, _ = _linear_filter(gamma2, dt, f_abs2, f_mid_abs2)
+        rho *= gamma1 * gamma2 * gamma
 
-    phi_out1 = phi_in - gamma1 * f_amp
-    leakage = _simpson(np.abs(phi_out1) ** 2, np.abs(phi_mid - gamma1 * f_mid) ** 2, dt)
-    factorized = gamma1 * gamma * _simpson(f_abs2, f_mid_abs2, dt)
-    return MarkovResult(
-        times=times,
-        f_amp=f_amp,
-        q=-1j * np.sqrt(gamma1) * f_amp,
-        phi_in=phi_in,
-        phi_out1=phi_out1,
-        rho_out=rho,
-        phi_out2=np.sqrt(gamma1 * gamma) * f_amp,
-        leakage=leakage,
-        yield_convolved=factorized - float(rho[-1]) / gamma2,
-        yield_factorized=factorized,
-    )
+        phi_out1 = phi_in - gamma1 * f_amp
+        leakage = _simpson(np.abs(phi_out1) ** 2, np.abs(phi_mid - gamma1 * f_mid) ** 2, dt)
+        factorized = gamma1 * gamma * _simpson(f_abs2, f_mid_abs2, dt)
+        res = MarkovResult(
+            times=times,
+            f_amp=f_amp,
+            q=-1j * np.sqrt(gamma1) * f_amp,
+            phi_in=phi_in,
+            phi_out1=phi_out1,
+            rho_out=rho,
+            phi_out2=np.sqrt(gamma1 * gamma) * f_amp,
+            leakage=leakage,
+            yield_convolved=factorized - float(rho[-1]) / gamma2,
+            yield_factorized=factorized,
+        )
+    if not all(np.all(np.isfinite(x)) for x in (res.rho_out, res.leakage, res.yield_convolved)):
+        raise ConfigurationError("the Markov run leaves the float range")
+    return res
 
 
 @dataclass
@@ -981,8 +986,7 @@ def _reflection_samples(t_final: float) -> tuple[float, int]:
     The step must be a normal double: a subnormal one holds too few bits for
     the sample times, and the intensity integrals over it underflow to 0.
     """
-    if not 0.0 < t_final < math.inf:
-        raise ConfigurationError(f"t_final = {t_final:.3g} must be positive and finite")
+    check_positive("t_final", t_final, ConfigurationError)
     step = min(0.05, t_final / 2000.0)
     if step < np.finfo(float).tiny:
         raise ConfigurationError(f"t_final = {t_final:.3g} puts the field samples {step:.3g} "
@@ -1010,8 +1014,9 @@ def reflect_port2(grid2: ContinuumGrid, s0: np.ndarray, t_final: float) -> Refle
     (``lower_at``) and reversed.  The output keeps unit norm; the delay is
     the centroid shift of the reflected intensity against free propagation.
     """
-    _check_window(grid2, t_final, "port-2")
+    check_sequence("s0", s0, size=grid2.n_q)
     step, n = _reflection_samples(t_final)
+    _check_window(grid2, t_final, "port-2")
     c2 = grid2.cavity
     # a copy: numpy sums a reversed view in memory order, which would change out_norm's bits
     s_final = c2.lower_at(c2.coefficients(0.0, s0[::-1]), t_final)[::-1].copy()
@@ -1104,9 +1109,7 @@ def impedance_scan(
     longer than the relaxation times.
     """
     rows = []
-    for ratio in ratios:
-        if ratio <= 0:
-            raise InvalidInput(f"coupling ratio must be positive, got {ratio}")
+    for ratio in check_sequence("ratios", ratios, least=1):  # evolve_markov checks each gamma1
         res = evolve_markov(gamma, ratio * gamma, gamma2, pulse, t_final, dt)
         rows.append((float(ratio), res.leakage, res.yield_convolved))
     return rows

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_count, check_finite, check_sequence
 
 __all__ = [
     "ModeSpace",
@@ -52,11 +52,8 @@ class ModeSpace:
     mode_dims: tuple[int, ...]
 
     def __init__(self, mode_dims: Sequence[int]):
-        dims = tuple(int(d) for d in mode_dims)
-        if len(dims) == 0:
-            raise InvalidInput("a mode space needs at least one mode")
-        if any(d < 2 for d in dims):
-            raise InvalidInput(f"every mode dimension must be >= 2, got {dims}")
+        check_sequence("mode_dims", mode_dims, least=1)
+        dims = tuple(check_count("mode_dims", d, 2) for d in mode_dims)
         object.__setattr__(self, "mode_dims", dims)
 
     @property
@@ -69,10 +66,7 @@ class ModeSpace:
 
     def flatten(self, occupations: Sequence[int]) -> int:
         """Flat index of a Fock multi-index (last mode fastest)."""
-        if len(occupations) != self.n_modes:
-            raise InvalidInput(
-                f"expected {self.n_modes} occupation numbers, got {len(occupations)}"
-            )
+        check_sequence("occupations", occupations, size=self.n_modes)
         for n, d in zip(occupations, self.mode_dims):
             if not 0 <= n < d:
                 raise InvalidInput(f"occupation {tuple(occupations)} outside {self.mode_dims}")
@@ -218,15 +212,13 @@ def mixed_fock_density(space: ModeSpace, weights: dict) -> DensityMatrix:
     ``weights`` maps occupation tuples to nonnegative weights; they are
     normalized to unit trace.
     """
-    if not weights:
-        raise InvalidInput("mixture needs at least one component")
-    total = float(sum(weights.values()))
-    if not 0 < total < np.inf:  # an overflowed total would scale every weight to 0
-        raise InvalidInput(f"mixture weights must sum to a positive finite value, got {total}")
+    ws = [check_finite("weights", w) for w in weights.values()]
+    total = float(sum(ws))
+    if not (ws and min(ws) >= 0 and 0 < total < np.inf):  # an overflowed total would zero all
+        raise InvalidInput(f"mixture weights must be nonnegative with a positive finite sum, "
+                           f"got {ws}", arg="weights")
     m = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for occ, w in weights.items():
-        if w < 0:
-            raise InvalidInput("mixture weights must be nonnegative")
+    for occ, w in zip(weights, ws):
         i = space.flatten(occ)
         m[i, i] += w / total
     return DensityMatrix(space, m)

@@ -53,11 +53,12 @@ import numpy as np
 
 from ._integrate import (SparseGenerator, components, sample_steps, steps_for,
                          taylor_propagate)
-from .errors import ConfigurationError, InvalidInput
+from .errors import ConfigurationError, InvalidInput, check_positive
 from .fock import (
     DensityMatrix,
     ModeSpace,
     Operator,
+    _check_same_space,
     annihilation,
     creation,
 )
@@ -84,14 +85,13 @@ class LindbladModel:
     hamiltonian: Optional[Operator] = None
 
     def __init__(self, space, jumps, hamiltonian=None):
-        jumps = tuple((op, float(rate)) for op, rate in jumps)
-        for op, rate in jumps:
-            if rate <= 0:
-                raise InvalidInput(f"jump rate must be positive, got {rate}")
-            if op.space.mode_dims != space.mode_dims:
-                raise InvalidInput("jump operator lives on a different space")
-        if hamiltonian is not None and hamiltonian.space.mode_dims != space.mode_dims:
-            raise InvalidInput("hamiltonian lives on a different space")
+        jumps = tuple((op, check_positive("rate", rate)) for op, rate in jumps)
+        if not jumps:
+            raise InvalidInput("a model needs at least one jump operator", arg="jumps")
+        for op, _ in jumps:
+            _check_same_space(op.space, space)
+        if hamiltonian is not None:
+            _check_same_space(hamiltonian.space, space)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "hamiltonian", hamiltonian)
@@ -347,11 +347,11 @@ def evolve(
     support.  Built-in observables: ``trace``, ``purity`` and
     ``pop_mode<k>`` for every mode, all taken on that support.
     """
-    if rho0.space.mode_dims != model.space.mode_dims:
-        raise InvalidInput("initial state lives on a different space than the model")
+    _check_same_space(rho0.space, model.space)
     nsteps, dt = steps_for(t_final, _default_dt(model) if dt is None else dt)
 
-    gen = _superoperator(model)
+    with np.errstate(over="ignore", invalid="ignore"):  # a generator out of range has no sub-steps
+        gen = _superoperator(model)
     d = model.space.total_dim
     y = rho0.matrix.reshape(-1).astype(complex)
     flip = np.arange(d * d).reshape(d, d).T.reshape(-1)  # (i, j) -> (j, i)

@@ -43,14 +43,16 @@ Zeno scan of one spec solve the secular equation once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._integrate import _EPS, _arrowhead_eigensystem, exp_sum, steps_for
-from .errors import ConfigurationError, InvalidInput
+from ._integrate import _EPS, _MAX_STEPS, _arrowhead_eigensystem, exp_sum, steps_for
+from .errors import (ConfigurationError, InvalidInput, check_count, check_finite, check_positive,
+                     check_sequence)
 
 __all__ = [
     "ReservoirSpec",
@@ -148,21 +150,23 @@ class ReservoirSpec:
     omegas: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.f < 1:
-            raise InvalidInput(f"need at least one spectral class, got f={self.f}")
-        if self.eps_max <= 0:
-            raise InvalidInput(f"eps_max must be positive, got {self.eps_max}")
+        check_count("f", self.f)
+        if not check_positive("eps_max", self.eps_max) * self.f < math.inf:
+            raise InvalidInput(f"f eps_max = {self.f * self.eps_max:.3g} overflows", arg="eps_max")
+        check_finite("coupling", self.coupling, complex)
+        # the secular equation sums f |coupling|^2, which must stay a float
+        if not math.isfinite(self.f * self.coupling_sq):
+            raise InvalidInput(f"f |coupling|^2 = {self.f * self.coupling_sq:.3g} overflows",
+                               arg="coupling")
         if self.spectrum not in SPECTRA:
-            raise InvalidInput(f"unknown spectrum {self.spectrum!r}, expected one of {SPECTRA}")
+            raise InvalidInput(f"unknown spectrum {self.spectrum!r}, expected one of {SPECTRA}",
+                               arg="spectrum")
         if self.spectrum == "lorentzian":
-            if self.center is None or self.width is None:
-                raise InvalidInput("lorentzian spectrum needs center and width")
-            if self.width <= 0:
-                raise InvalidInput("lorentzian width must be positive")
+            check_finite("center", self.center)
+            check_positive("width", self.width)
         if self.spectrum == "custom":
-            if self.omegas is None or len(self.omegas) != self.f:
-                raise InvalidInput("custom spectrum needs exactly f frequencies")
-            object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
+            omegas = check_sequence("omegas", self.omegas, size=self.f)
+            object.__setattr__(self, "omegas", tuple(check_finite("omegas", w) for w in omegas))
 
     def frequencies(self) -> np.ndarray:
         if self.spectrum == "equidistant":
@@ -277,9 +281,17 @@ def markov_rate(spec: ReservoirSpec) -> float:
 
 def coupling_for_rate(f: int, eps_max: float, gamma: float) -> float:
     """Coupling amplitude that makes markov_rate equal gamma."""
-    if gamma <= 0:
-        raise InvalidInput(f"rate must be positive, got {gamma}")
-    return float(np.sqrt(gamma * eps_max / (np.pi * f)))
+    check_count("f", f)
+    check_positive("eps_max", eps_max)
+    check_positive("gamma", gamma)
+    return _finite_coupling(gamma * eps_max / (np.pi * f), gamma)
+
+
+def _finite_coupling(coupling_sq: float, rate: float) -> float:
+    """sqrt(coupling_sq), the coupling that gives ``rate``, if it is a finite float."""
+    if not coupling_sq < math.inf:
+        raise ConfigurationError(f"no finite coupling gives the rate {rate:.3g}")
+    return float(np.sqrt(coupling_sq))
 
 
 def recurrence_time(spec: ReservoirSpec) -> float:
@@ -315,18 +327,18 @@ def evolve_exact(
     last one (``c_final``) are built when first read.
     """
     dt = _default_dt(spec) if dt is None else dt
+    nsteps, step = steps_for(t_final, dt)
     _check_dt(spec, dt)
     state0 = SingleExcitationState.excited(spec.f) if state0 is None else state0
-    if state0.c.size != spec.f:
-        raise InvalidInput("state has a different number of reservoir classes than the spec")
+    check_sequence("state0", state0.c, size=spec.f)
 
-    nsteps, dt = steps_for(t_final, dt)
     prop = spec.propagator
     coef, dark = prop.modes(state0.c0, prop.to_frame(state0.c, state0.t))
-    upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, 0.0, dt, nsteps + 1)
+    upper = exp_sum(prop.eig.roots, coef * prop.eig.inv_norm, 0.0, step, nsteps + 1)
     upper[0] = state0.c0  # the sample at tau = 0 is the initial state itself
-    classes = partial(prop.classes_at, coef, dark, nsteps * dt, state0.t + nsteps * dt)
-    return DecayTrajectory(times=state0.t + np.arange(nsteps + 1) * dt, c0=upper, classes=classes)
+    classes = partial(prop.classes_at, coef, dark, nsteps * step, state0.t + nsteps * step)
+    return DecayTrajectory(times=state0.t + np.arange(nsteps + 1) * step, c0=upper,
+                           classes=classes)
 
 
 def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -397,16 +409,13 @@ def zeno_evolve(
     no-decay probability p(tau_m) = |sum_k w_k exp(i kappa_k tau_m)|^2
     and the cumulative survival after k segments is p_1 p^(k-1).
     """
-    if not tau_m > 0:
-        raise InvalidInput(f"tau_m must be positive, got {tau_m}")
-    n_meas = int(np.floor(t_final / tau_m + 1e-9))
-    if n_meas < 10:
-        raise ConfigurationError(
-            f"need at least 10 measurements, got t_final/tau_m = {t_final / tau_m:.2f}"
-        )
+    ratio = check_positive("t_final", t_final) / check_positive("tau_m", tau_m)
+    if not 10 <= ratio + 1e-9 <= _MAX_STEPS:
+        raise ConfigurationError(f"need 10 to {_MAX_STEPS:.0e} measurements, got "
+                                 f"t_final/tau_m = {ratio:.2f}")
+    n_meas = math.floor(ratio + 1e-9)
     state = state0 if state0 is not None else SingleExcitationState.excited(spec.f)
-    if state.c.size != spec.f:
-        raise InvalidInput("state has a different number of reservoir classes than the spec")
+    check_sequence("state0", state.c, size=spec.f)
 
     prop = spec.propagator
     eig = prop.eig
@@ -436,8 +445,8 @@ def zeno_scan(
     n_measurements: int = 60,
 ) -> list[ZenoResult]:
     """Effective decay rate for a list of measurement periods."""
-    if n_measurements < 10:
-        raise ConfigurationError("need at least 10 measurements per period")
+    check_count("n_measurements", n_measurements, 10)
+    check_sequence("taus", taus, least=1)
     return [zeno_evolve(spec, None, n_measurements * tau, tau) for tau in taus]
 
 

@@ -43,6 +43,13 @@ returns, in their order, are what the command line prints and what a
 scan summarizes.  A ``Scenario`` is built once, when it is made, and
 carries that build as ``inputs``; a run runs it.  A runner returns each
 CSV as its named columns, in order.
+
+A build parses text into numbers; the library owns their ranges.  Each
+value goes to the constructor or function that checks it, under
+``_guard``, which names the key.  A build runs a check itself only for a
+value the library first sees at run time (the Zeno periods and count,
+the scan ratios, ``output.stride``, the ImpedanceScan rate products), so
+a file that validates does not fail its run on a range.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -59,8 +66,9 @@ import numpy as np
 
 from . import diode as dio
 from . import fock, lindblad, reservoir
-from ._integrate import sample_steps, steps_for
-from .errors import ConfigurationError, InvalidInput, InvariantViolation, ScenarioError
+from ._integrate import _MAX_STEPS, sample_steps, steps_for
+from .errors import (ConfigurationError, InvalidInput, InvariantViolation, ScenarioError,
+                     check_count, check_positive, check_sequence)
 
 __all__ = [
     "Scenario",
@@ -162,11 +170,12 @@ def _err(path: str, msg: str) -> ScenarioError:
 
 
 def _guard(path: str, check: Callable, *args, **kwargs):
-    """``check(*args, **kwargs)``, its configuration errors re-raised naming ``path``."""
+    """``check(*args, **kwargs)``, its configuration errors re-raised naming ``path``; under a
+    bare section, an error about one argument names ``section.argument``."""
     try:
         return check(*args, **kwargs)
     except (ConfigurationError, InvalidInput) as exc:
-        raise _err(path, str(exc))
+        raise _err(f"{path}.{exc.arg}" if exc.arg and "." not in path else path, str(exc))
 
 
 _REQUIRED = object()
@@ -206,7 +215,7 @@ def _as_float(path: str, raw: str) -> float:
 
 
 def _as_positive(path: str, raw: str) -> float:
-    return _positive(path, _as_float(path, raw))
+    return _guard(path, check_positive, path.split(".")[1], _as_float(path, raw))
 
 
 def _as_int(path: str, raw: str) -> int:
@@ -230,27 +239,17 @@ def _int_list(path: str, raw: str) -> list[int]:
     return [_as_int(path, t) for t in toks]
 
 
-def _positive(path: str, x: float) -> float:
-    if x <= 0:
-        raise _err(path, f"must be positive, got {x:g}")
-    return x
-
-
 def _stride(sc: Scenario, default: int = 10) -> int:
     n = _get(sc, "output.stride", _as_int, default)
-    if n < 1:
-        raise _err("output.stride", f"stride must be >= 1, got {n}")
-    return n
+    return _guard("output.stride", check_count, "stride", n)
 
 
-def _run_times(sc: Scenario, t_final=_REQUIRED, dt=None) -> tuple:
-    """run.t_final and run.dt, each falling back to the kind's default; t_final,
-    given or not, must be positive, and a known dt must give a grid that
-    ``steps_for`` accepts."""
-    t_final = _positive("run.t_final", _get(sc, "run.t_final", _as_float, t_final))
-    dt = _get(sc, "run.dt", _as_positive, dt)
-    if dt is not None:
-        _guard("run.t_final", steps_for, t_final, dt)
+def _run_times(sc: Scenario, t_final, dt) -> tuple:
+    """run.t_final and run.dt, each falling back to the kind's default, on a grid
+    that ``steps_for`` accepts."""
+    t_final = _get(sc, "run.t_final", _as_float, t_final)
+    dt = _get(sc, "run.dt", _as_float, dt)
+    _guard("run", steps_for, t_final, dt)
     return t_final, dt
 
 
@@ -260,8 +259,7 @@ def _run_times(sc: Scenario, t_final=_REQUIRED, dt=None) -> tuple:
 
 def _mode_space(sc: Scenario, n_modes: int) -> fock.ModeSpace:
     dims = _get(sc, "space.dims", _int_list)
-    if len(dims) != n_modes:
-        raise _err("space.dims", f"this kind needs exactly {n_modes} modes, got {len(dims)}")
+    _guard("space.dims", check_sequence, "dims", dims, size=n_modes)
     return _guard("space.dims", fock.ModeSpace, dims)
 
 
@@ -270,8 +268,6 @@ def _fock_initial(sc: Scenario, space: fock.ModeSpace) -> fock.DensityMatrix:
     toks = raw.split()
     if toks[:1] == ["fock"]:
         occ = [_as_int("initial.state", t) for t in toks[1:]]
-        if len(occ) != space.n_modes:
-            raise _err("initial.state", f"fock needs {space.n_modes} occupation numbers")
         return _guard("initial.state", fock.fock_density, space, occ)
     if toks[:1] == ["mixed"]:
         weights = {}
@@ -298,8 +294,8 @@ def _master_inputs(sc: Scenario, space, jump, rho0, decay_times=None) -> SimpleN
     """Master-equation inputs; run.t_final is required unless ``decay_times``
     gives its default in units of 1/gamma, and run.dt (the sampling
     interval) defaults to lindblad's default."""
-    gamma = _get(sc, "model.gamma", _as_positive)
-    model = lindblad.LindbladModel(space, [(jump, gamma)])
+    gamma = _get(sc, "model.gamma", _as_float)
+    model = _guard("model.gamma", lindblad.LindbladModel, space, [(jump, gamma)])
     t_final = _REQUIRED if decay_times is None else decay_times / gamma
     t_final, dt = _run_times(sc, t_final, lindblad._default_dt(model))
     return SimpleNamespace(
@@ -333,41 +329,37 @@ def _build_dark_state(sc: Scenario) -> SimpleNamespace:
 
 def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.ReservoirSpec:
     """The [reservoir] spec.  ``target_gamma`` is inverted through the golden
-    rule, or through the loss-filtered diode rate when ``gamma2`` is given."""
+    rule, or through the loss-filtered diode rate when ``gamma2`` is given; the spec
+    is checked at unit coupling first, so that each error names its own key."""
     f = _get(sc, "reservoir.f", _as_int)
-    if f < 1:
-        raise _err("reservoir.f", f"need at least one spectral class, got {f}")
-    eps_max = _get(sc, "reservoir.eps_max", _as_positive)
+    eps_max = _get(sc, "reservoir.eps_max", _as_float)
     spectrum = _get(sc, "reservoir.spectrum", _one_of(*reservoir.SPECTRA), "equidistant")
     kwargs: dict = {}
     if spectrum == "lorentzian":
         kwargs["center"] = _get(sc, "reservoir.center", _as_float)
-        kwargs["width"] = _get(sc, "reservoir.width", _as_positive)
+        kwargs["width"] = _get(sc, "reservoir.width", _as_float)
     if spectrum == "custom":
         kwargs["omegas"] = tuple(_get(sc, "reservoir.omegas", _float_list))
 
     coupling = _get(sc, "reservoir.coupling", _as_positive, None)
-    target = _get(sc, "reservoir.target_gamma", _as_positive, None)
+    target = _get(sc, "reservoir.target_gamma", _as_float, None)
     if coupling is None and target is None:
         raise _err("reservoir.coupling", "give either coupling or target_gamma")
     if coupling is not None and target is not None:
         raise _err("reservoir.coupling", "coupling and target_gamma are mutually exclusive")
-    if target is not None and gamma2 is not None:
-        coupling = _guard("reservoir.target_gamma", dio.coupling_for_diode_rate,
-                          f, eps_max, gamma2, target, spectrum, **kwargs)
-    elif target is not None:
-        if spectrum != "equidistant":
-            raise _err("reservoir.target_gamma", "rate inversion needs the equidistant spectrum")
-        coupling = reservoir.coupling_for_rate(f, eps_max, target)
-    spec = _guard(
-        "reservoir", reservoir.ReservoirSpec,
-        f=f, eps_max=eps_max, coupling=coupling, spectrum=spectrum, **kwargs,
-    )
-    # the secular equation sums f |coupling|^2, which must stay a float
-    if not math.isfinite(spec.f * spec.coupling_sq):
-        raise _err(_coupling_key(sc), f"f |coupling|^2 overflows (f = {spec.f}, "
-                   f"|coupling|^2 = {spec.coupling_sq:.3g})")
-    return spec
+    spec = _guard("reservoir", reservoir.ReservoirSpec, f=f, eps_max=eps_max,
+                  coupling=1.0 if coupling is None else coupling, spectrum=spectrum, **kwargs)
+    if target is None:
+        return spec
+    key = "reservoir.target_gamma"
+    if gamma2 is not None:
+        coupling = _guard(key, dio.coupling_for_diode_rate, f, eps_max, gamma2, target, spectrum,
+                          **kwargs)
+    elif spectrum != "equidistant":
+        raise _err(key, "rate inversion needs the equidistant spectrum")
+    else:
+        coupling = _guard(key, reservoir.coupling_for_rate, f, eps_max, target)
+    return _guard(key, replace, spec, coupling=coupling)
 
 
 def _coupling_key(sc: Scenario) -> str:
@@ -380,8 +372,8 @@ def _reservoir_run(sc: Scenario, propagated: Callable = lambda spec: spec) -> tu
     """Spec, run.t_final and run.dt of a reservoir kind.  dt must resolve ``propagated(spec)``;
     where the coupling, not eps_max, sets that bound, a dt too long names the coupling."""
     spec = _build_reservoir(sc)
-    t_final, dt = _run_times(sc, dt=reservoir._default_dt(spec))
-    run = propagated(spec)
+    t_final, dt = _run_times(sc, _REQUIRED, reservoir._default_dt(spec))
+    run = _guard(_coupling_key(sc), propagated, spec)
     key = _coupling_key(sc) if abs(run.coupling) * math.sqrt(run.f) > run.eps_max else "run.dt"
     _guard(key, reservoir._check_dt, run, dt)
     return spec, t_final, dt
@@ -405,10 +397,11 @@ def _build_decay(sc: Scenario) -> SimpleNamespace:
 
 def _build_zeno(sc: Scenario) -> SimpleNamespace:
     spec, t_final, dt = _reservoir_run(sc)
-    taus = [_positive("zeno.taus", t) for t in _get(sc, "zeno.taus", _float_list)]
+    taus = [_guard("zeno.taus", check_positive, "taus", t)
+            for t in _get(sc, "zeno.taus", _float_list)]
     n_meas = _get(sc, "zeno.n_measurements", _as_int, 60)
-    if n_meas < 10:
-        raise _err("zeno.n_measurements", f"need at least 10 measurements, got {n_meas}")
+    if not 10 <= n_meas <= _MAX_STEPS:
+        raise _err("zeno.n_measurements", f"need 10 to {_MAX_STEPS:.0e} measurements, got {n_meas}")
     return SimpleNamespace(spec=spec, t_final=t_final, dt=dt, window=_fit_window(sc, t_final, dt),
                            taus=taus, n_meas=n_meas)
 
@@ -427,9 +420,9 @@ def _build_interference(sc: Scenario) -> SimpleNamespace:
 
 
 def _build_pulse(sc: Scenario) -> dio.Pulse:
-    duration = _get(sc, "pulse.duration", _as_positive)
+    duration = _get(sc, "pulse.duration", _as_float)
     t0 = _get(sc, "pulse.t0", _as_float, 3.0 * duration)
-    pulse = _guard("pulse.duration", dio.gaussian_pulse, t0=t0, duration=duration)
+    pulse = _guard("pulse", dio.gaussian_pulse, t0=t0, duration=duration)
     if not pulse.support()[1] > 0.0:
         raise _err("pulse.t0", f"the pulse ends at t0 + 4 duration = {pulse.support()[1]:g}, "
                                "before the run starts at t = 0")
@@ -440,7 +433,7 @@ def _build_grid(
     sc: Scenario, section: str, port: str, gamma: float, pulse: dio.Pulse, t_final: float
 ) -> dio.ContinuumGrid:
     n_q = _get(sc, f"{section}.n_q", _as_int)
-    delta_max = _get(sc, f"{section}.delta_max", _as_positive)
+    delta_max = _get(sc, f"{section}.delta_max", _as_float)
     grid = _guard(section, dio.ContinuumGrid, n_q=n_q, delta_max=delta_max, gamma=gamma)
     _guard(section, dio._check_bandwidth, grid, pulse)
     _guard(section, dio._check_window, grid, t_final, port)
@@ -452,10 +445,7 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     gamma1 = _get(sc, "diode.gamma1", _as_positive)
     gamma2 = _get(sc, "diode.gamma2", _as_positive)
     spec = _build_reservoir(sc, gamma2)
-    gamma_eff = dio.loaded_transfer_rate(spec, gamma2)
-    if not 0.0 < gamma_eff < math.inf:
-        raise _err("reservoir.coupling", f"gives the transfer rate {gamma_eff:g} through "
-                                         f"gamma2 = {gamma2:g}; it must be positive and finite")
+    gamma_eff = _guard("reservoir.coupling", dio.loaded_transfer_rate, spec, gamma2)
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2), 0.02)
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     p0 = _guard("grid1", dio.project_pulse, grid1, pulse)
@@ -477,9 +467,9 @@ def _build_diode_full(sc: Scenario) -> SimpleNamespace:
 
 def _build_diode_markov(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
-    gamma = _get(sc, "diode.gamma", _as_positive)
-    gamma1 = _get(sc, "diode.gamma1", _as_positive)
-    gamma2 = _get(sc, "diode.gamma2", _as_positive)
+    gamma, gamma1, gamma2 = (_get(sc, f"diode.{k}", _as_float)
+                             for k in ("gamma", "gamma1", "gamma2"))
+    _guard("diode", dio._check_rates, gamma, gamma1, gamma2)
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma1, gamma2), 0.02)
     return SimpleNamespace(gamma=gamma, gamma1=gamma1, gamma2=gamma2, pulse=pulse,
                            t_final=t_final, dt=dt, stride=_stride(sc, 1))
@@ -488,7 +478,7 @@ def _build_diode_markov(sc: Scenario) -> SimpleNamespace:
 def _build_port2_reflection(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
     gamma2 = _get(sc, "diode.gamma2", _as_positive)
-    t_final = _get(sc, "run.t_final", _as_positive, dio.simulation_window(pulse, gamma2))
+    t_final = _get(sc, "run.t_final", _as_float, dio.simulation_window(pulse, gamma2))
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
     s0 = _guard("grid2", dio.project_pulse, grid2, pulse)
     _guard("run.t_final", dio._reflection_samples, t_final)
@@ -499,12 +489,10 @@ def _build_impedance_scan(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
     gamma = _get(sc, "diode.gamma", _as_positive)
     gamma2 = _get(sc, "diode.gamma2", _as_positive)
-    ratios = [_positive("scan.ratios", r) for r in _get(sc, "scan.ratios", _float_list)]
-    for ratio in ratios:  # the rate products that diode.evolve_markov takes must stay floats
-        gamma1 = ratio * gamma
-        if not (math.isfinite(gamma1 * gamma2 * gamma) and math.isfinite(gamma1 * gamma)):
-            raise _err("diode.gamma", f"the Markov rate products overflow at gamma1/gamma = "
-                                      f"{ratio:.3g} (gamma = {gamma:.3g}, gamma2 = {gamma2:.3g})")
+    ratios = [_guard("scan.ratios", check_positive, "ratios", r)
+              for r in _get(sc, "scan.ratios", _float_list)]
+    for ratio in ratios:  # the rates that diode.evolve_markov takes at gamma1 = ratio gamma
+        _guard("diode.gamma", dio._check_rates, gamma, ratio * gamma, gamma2)
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma2), 0.02)
     return SimpleNamespace(gamma=gamma, gamma2=gamma2, ratios=ratios, pulse=pulse,
                            t_final=t_final, dt=dt)

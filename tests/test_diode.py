@@ -12,6 +12,7 @@ from photonflow import (
     custom_pulse,
     evolve_full,
     evolve_markov,
+    exponential_pulse,
     gaussian_pulse,
     impedance_scan,
     loaded_transfer_rate,
@@ -107,6 +108,21 @@ def test_exponential_pulse_normalized():
     ts = np.linspace(-10.0, 10.0, 20001)
     norm = np.trapezoid(np.abs(pulse.amplitude(ts)) ** 2, ts)
     assert norm == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("pulse", [
+    gaussian_pulse(t0=3.0, duration=1.5),
+    exponential_pulse(rate=2.0, t_stop=4.0),
+    custom_pulse([0.0, 0.7, 1.5, 3.0], [0.0, 1.0 + 0.5j, 0.8, 0.0]),
+], ids=["gaussian", "exponential", "custom"])
+def test_spectrum_at_a_scalar_is_its_value_in_a_list(pulse):
+    at = pulse.spectrum(0.5)
+    assert np.ndim(at) == 0
+    assert at == pulse.spectrum([0.5])[0]
+    if pulse.kind == "custom":  # the trapezoid rule over the samples, summed directly
+        t, v = np.array(pulse.sample_times), np.array(pulse.sample_values)
+        g = v * np.exp(0.5j * t)
+        assert abs(at - np.sum(0.5 * np.diff(t) * (g[1:] + g[:-1]))) <= 1e-14
 
 
 # --- transfer-rate mapping ----------------------------------------------------

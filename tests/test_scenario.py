@@ -860,6 +860,26 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("markov_decay", "reservoir", "coupling", "1e140", 2, "reservoir.coupling"),
     ("markov_decay", "reservoir", "target_gamma", "1e300", 2, "reservoir.target_gamma"),
     ("zeno_scan", "reservoir", "target_gamma", "1e300", 2, "reservoir.target_gamma"),
+    # each rule the library owns, run by the build through the constructor that checks it
+    ("markov_decay", "reservoir", "f", "0", 2, "reservoir.f"),
+    ("markov_decay", "reservoir", "eps_max", "-1", 2, "reservoir.eps_max"),
+    ("anti_zeno_scan", "reservoir", "width", "0", 2, "reservoir.width"),
+    ("zeno_scan", "reservoir", "target_gamma", "0", 2, "reservoir.target_gamma"),
+    ("diode_full", "reservoir", "target_gamma", "-1", 2, "reservoir.target_gamma"),
+    ("diode_full", "reservoir", "coupling", "1e-300", 2, "reservoir.coupling"),
+    ("lindblad_transfer", "model", "gamma", "0", 2, "model.gamma"),
+    ("lindblad_transfer", "space", "dims", "3 4 5", 2, "space.dims"),
+    ("lindblad_transfer", "initial", "state", "fock 1 0 0", 2, "initial.state"),
+    ("lindblad_transfer", "run", "t_final", "-1", 2, "run.t_final"),
+    ("lindblad_transfer", "output", "stride", "0", 2, "output.stride"),
+    ("markov_decay", "run", "dt", "0", 2, "run.dt"),
+    ("diode_markov", "pulse", "duration", "0", 2, "pulse.duration"),
+    ("diode_markov", "diode", "gamma1", "0", 2, "diode.gamma1"),
+    ("diode_full", "grid1", "delta_max", "0", 2, "grid1.delta_max"),
+    ("port2_reflection", "grid2", "delta_max", "-1", 2, "grid2.delta_max"),
+    ("port2_reflection", "run", "t_final", "0", 2, "run.t_final"),
+    ("zeno_scan", "zeno", "taus", "0", 2, "zeno.taus"),
+    ("impedance_scan", "scan", "ratios", "-1", 2, "scan.ratios"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
