@@ -85,13 +85,7 @@ class Operator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.total_dim, self.space.total_dim):
-            raise InvalidInput(
-                f"operator shape {m.shape} does not match space dimension "
-                f"{self.space.total_dim}"
-            )
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _square("matrix", self.matrix, self.space.total_dim))
 
     def adjoint(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
@@ -123,11 +117,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.space.total_dim
-        if m.shape != (d, d):
-            raise InvalidInput(f"density matrix shape {m.shape} does not match dimension {d}")
-        self.matrix = m
+        self.matrix = _square("matrix", self.matrix, self.space.total_dim)
 
     @classmethod
     def from_state_vector(cls, space: ModeSpace, vec: np.ndarray) -> "DensityMatrix":
@@ -154,6 +144,14 @@ class DensityMatrix:
         _check_same_space(self.space, op.space)
         # tr(A rho) = sum_ij A_ij rho_ji
         return complex(np.sum(op.matrix * self.matrix.T))
+
+
+def _square(name: str, matrix, d: int) -> np.ndarray:
+    """``matrix`` as a complex array, if it is d x d."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (d, d):
+        raise InvalidInput(f"{name} shape {m.shape} does not match dimension {d}", arg=name)
+    return m
 
 
 def _check_same_space(a: ModeSpace, b: ModeSpace) -> None:
@@ -184,12 +182,7 @@ def tensor_embed(space: ModeSpace, single_mode_op, mode: int) -> Operator:
     other modes.
     """
     _check_mode(space, mode)
-    op = np.asarray(single_mode_op, dtype=complex)
-    d = space.mode_dims[mode]
-    if op.shape != (d, d):
-        raise InvalidInput(
-            f"single-mode operator shape {op.shape} does not match mode dimension {d}"
-        )
+    op = _square("single_mode_op", single_mode_op, space.mode_dims[mode])
     before = int(np.prod(space.mode_dims[:mode], initial=1))
     after = int(np.prod(space.mode_dims[mode + 1 :], initial=1))
     return Operator(space, np.kron(np.kron(np.eye(before), op), np.eye(after)))
