@@ -547,6 +547,14 @@ def components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = lower
 
 
+def substeps(h: float, norm: float) -> int:
+    """ceil(h norm), at least 1: the sub-steps of ``taylor_propagate`` over h for the bound
+    ``norm``, which must be at most _MAX_STEPS."""
+    if not float(h) * float(norm) <= _MAX_STEPS:  # also catches an overflow to inf
+        raise ConfigurationError(f"exp(h A) at h = {h:.3g} needs over {_MAX_STEPS:.0e} sub-steps")
+    return max(1, math.ceil(h * norm))
+
+
 def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float) -> tuple[np.ndarray, int]:
     """exp(h A) y in s = ceil(h norm) sub-steps of tau = h / s, and the number of products
     ``matvec(v)`` = A v it took.  ``norm`` bounds an operator norm of A, or ||S||_1 for
@@ -559,9 +567,7 @@ def taylor_propagate(matvec, y: np.ndarray, h: float, norm: float) -> tuple[np.n
     """
     if not y.size:
         return y, 0
-    if not float(h) * float(norm) <= _MAX_STEPS:  # also catches an overflow to inf
-        raise ConfigurationError(f"exp(h A) at h = {h:.3g} needs over {_MAX_STEPS:.0e} sub-steps")
-    s = max(1, math.ceil(h * norm))
+    s = substeps(h, norm)
     hs = h / s
     out = np.empty_like(y)
     term = np.empty_like(y)

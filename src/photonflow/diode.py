@@ -328,10 +328,13 @@ def coupling_for_diode_rate(
     **spectrum_kwargs,
 ) -> float:
     """Coupling amplitude that realizes a target loaded transfer rate."""
+    probe = ReservoirSpec(f=f, eps_max=eps_max, coupling=1.0, spectrum=spectrum, **spectrum_kwargs)
+    return _coupling_for_loaded_rate(probe, gamma2, gamma_target)
+
+
+def _coupling_for_loaded_rate(probe: ReservoirSpec, gamma2: float, gamma_target: float) -> float:
+    """The coupling at which ``probe``, a spec at unit coupling, transfers at gamma_target."""
     check_positive("gamma_target", gamma_target)
-    probe = ReservoirSpec(
-        f=f, eps_max=eps_max, coupling=1.0, spectrum=spectrum, **spectrum_kwargs
-    )
     return _finite_coupling(gamma_target / loaded_transfer_rate(probe, gamma2), gamma_target)
 
 
@@ -906,11 +909,12 @@ def _linear_filter(rate: float, dt: float, u: np.ndarray, u_mid: np.ndarray):
 
 
 def _check_rates(gamma: float, gamma1: float, gamma2: float) -> None:
-    """The Markov rates are positive and finite, and so are the products it scales by."""
+    """Positive, finite Markov rates whose products stay finite; an overflow names the largest."""
     g, g1, g2 = map(check_positive, ("gamma", "gamma1", "gamma2"), (gamma, gamma1, gamma2))
     if not (math.isfinite(g1 * g2 * g) and math.isfinite(g1 * g)):
         raise ConfigurationError(f"the Markov rate products overflow (gamma = {g:.3g}, "
-                                 f"gamma1 = {g1:.3g}, gamma2 = {g2:.3g})")
+                                 f"gamma1 = {g1:.3g}, gamma2 = {g2:.3g})",
+                                 arg=max(zip((g, g1, g2), ("gamma", "gamma1", "gamma2")))[1])
 
 
 def _simpson(g: np.ndarray, g_mid: np.ndarray, dt: float) -> float:

@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._integrate import (SparseGenerator, components, sample_steps, steps_for,
+from ._integrate import (SparseGenerator, components, sample_steps, steps_for, substeps,
                          taylor_propagate)
 from .errors import ConfigurationError, InvalidInput, check_positive
 from .fock import (
@@ -99,6 +99,12 @@ class LindbladModel:
     @property
     def max_rate(self) -> float:
         return max(rate for _, rate in self.jumps)
+
+    @cached_property
+    def superoperator(self) -> SparseGenerator:
+        """The generator S (``_superoperator``), built on first use and kept with the model."""
+        with np.errstate(over="ignore", invalid="ignore"):  # out of range, it has no sub-steps
+            return _superoperator(self)
 
 
 @dataclass
@@ -286,6 +292,16 @@ def _default_dt(model: LindbladModel) -> float:
     return 0.05 / (model.max_rate * (max(model.space.mode_dims) - 1) ** 2)
 
 
+def _samples(model: LindbladModel, t_final: float, dt: Optional[float],
+             stride: int) -> tuple[list[int], float]:
+    """The snapshot steps of a run and its step; the longest interval, min(stride, nsteps)
+    steps, must take at most _MAX_STEPS sub-steps of ``_phi``."""
+    nsteps, dt = steps_for(t_final, _default_dt(model) if dt is None else dt)
+    steps = sample_steps(nsteps, stride)
+    substeps(min(stride, nsteps) * dt, model.superoperator.onenorm())
+    return steps, dt
+
+
 def _ranges(counts: np.ndarray) -> np.ndarray:
     """0..c-1 for each c of ``counts``, concatenated."""
     return np.arange(np.sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -348,17 +364,14 @@ def evolve(
     ``pop_mode<k>`` for every mode, all taken on that support.
     """
     _check_same_space(rho0.space, model.space)
-    nsteps, dt = steps_for(t_final, _default_dt(model) if dt is None else dt)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # a generator out of range has no sub-steps
-        gen = _superoperator(model)
+    steps, dt = _samples(model, t_final, dt, snapshot_stride)
+    gen = model.superoperator
     d = model.space.total_dim
     y = rho0.matrix.reshape(-1).astype(complex)
     flip = np.arange(d * d).reshape(d, d).T.reshape(-1)  # (i, j) -> (j, i)
     idx = gen.reachable(y, mirror=flip)
     mirror = np.searchsorted(idx, flip[idx])
     sub = gen.restrict(idx)
-    steps = sample_steps(nsteps, snapshot_stride)
     lengths = np.diff([0] + steps)  # samples per interval: the stride, and a shorter last one
     snaps = np.empty((len(steps) + 1, idx.size), dtype=complex)
     snaps[0] = y = y[idx]

@@ -165,8 +165,13 @@ class ReservoirSpec:
             check_finite("center", self.center)
             check_positive("width", self.width)
         if self.spectrum == "custom":
-            omegas = check_sequence("omegas", self.omegas, size=self.f)
-            object.__setattr__(self, "omegas", tuple(check_finite("omegas", w) for w in omegas))
+            omegas = tuple(check_finite("omegas", w)
+                           for w in check_sequence("omegas", self.omegas, size=self.f))
+            # the propagator takes differences of the frequencies, which must stay floats
+            if not math.isfinite(max(omegas) - min(omegas)):
+                raise InvalidInput(f"omegas span {min(omegas):.3g} to {max(omegas):.3g}, which "
+                                   "overflows", arg="omegas")
+            object.__setattr__(self, "omegas", omegas)
 
     def frequencies(self) -> np.ndarray:
         if self.spectrum == "equidistant":
@@ -306,12 +311,14 @@ def _default_dt(spec: ReservoirSpec) -> float:
 
 
 def _check_dt(spec: ReservoirSpec, dt: float) -> None:
-    """dt <= 0.05 / max(eps_max, |g_c| sqrt(f)): the roots of K reach eps_max + |g_c| sqrt(f)."""
-    scale = max(spec.eps_max, abs(spec.coupling) * np.sqrt(spec.f))
+    """dt <= 0.05 / max(eps_max, |g_c| sqrt(f)): the roots of K reach eps_max + |g_c| sqrt(f).
+    An error names the coupling where it, not eps_max, sets that bound, and else dt."""
+    bright = abs(spec.coupling) * np.sqrt(spec.f)
+    scale = max(spec.eps_max, bright)
     if dt > 0.05 / scale * (1.0 + 1e-12):
-        raise ConfigurationError(f"dt={dt:.3g} does not resolve the fastest reservoir phase; "
-                                 f"need dt <= 0.05/max(eps_max, |coupling| sqrt(f)) = "
-                                 f"{0.05 / scale:.3g}")
+        raise ConfigurationError(f"dt={dt:.3g} does not resolve the fastest reservoir phase; need "
+                                 f"dt <= 0.05/max(eps_max, |coupling| sqrt(f)) = {0.05/scale:.3g}",
+                                 arg="coupling" if bright > spec.eps_max else "dt")
 
 
 def evolve_exact(
@@ -342,11 +349,21 @@ def evolve_exact(
 
 
 def _window_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    t_a, t_b = window
+    t_a, t_b = check_sequence("window", window, size=2)
+    if not t_a < t_b:
+        raise InvalidInput(f"window is 't_a t_b' with t_a < t_b, got {window}", arg="window")
     mask = (times >= t_a - 1e-12) & (times <= t_b + 1e-12)
     if np.count_nonzero(mask) < 2:
-        raise InvalidInput(f"fit window [{t_a}, {t_b}] contains fewer than two samples")
+        raise InvalidInput(f"window [{t_a}, {t_b}] holds fewer than two samples", arg="window")
     return mask
+
+
+def _in_window(times, survival, window) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of a survival curve, one per time, in ``window``."""
+    times = np.asarray(check_sequence("times", times), dtype=float)
+    survival = np.asarray(check_sequence("survival", survival, size=times.size), dtype=float)
+    mask = _window_mask(times, window)
+    return times[mask], survival[mask]
 
 
 def fit_decay_rate(
@@ -357,11 +374,7 @@ def fit_decay_rate(
     Returns (rate estimate, max relative residual of the fit).  Rejects
     windows that contain non-positive survival or fewer than two points.
     """
-    times = np.asarray(times, dtype=float)
-    survival = np.asarray(survival, dtype=float)
-    mask = _window_mask(times, window)
-    t = times[mask]
-    s = survival[mask]
+    t, s = _in_window(times, survival, window)
     if np.any(s <= 0):
         raise InvalidInput("fit window contains zero or negative survival")
     # closed-form straight line through log s, in the window's own time unit
@@ -383,60 +396,58 @@ def fit_decay_rate_or_nan(
     """``fit_decay_rate``, or (nan, nan) when the survival in the window is
     not positive: a curve that vanished leaves no rate, which the caller
     reports as a failed invariant of its run."""
-    mask = _window_mask(np.asarray(times, dtype=float), window)
-    if not np.all(np.asarray(survival, dtype=float)[mask] > 0.0):
+    if not np.all(_in_window(times, survival, window)[1] > 0.0):
         return np.nan, np.nan
     return fit_decay_rate(times, survival, window)
 
 
-def zeno_evolve(
-    spec: ReservoirSpec,
-    state0: Optional[SingleExcitationState] = None,
-    t_final: float = 1.0,
-    tau_m: float = 0.1,
-) -> ZenoResult:
-    """Free evolution interrupted by projective reservoir measurements.
+def _measurements(n, arg: str) -> int:
+    """floor(n + 1e-9) measurements of a Zeno run, 10 to _MAX_STEPS; an error names ``arg``."""
+    if not 10 - 1e-9 <= n <= _MAX_STEPS:  # also false for nan
+        raise ConfigurationError(f"a Zeno run takes 10 to {_MAX_STEPS:.0e} measurements", arg=arg)
+    return math.floor(n + 1e-9)
+
+
+def zeno_evolve(spec: ReservoirSpec, t_final: float = 1.0, tau_m: float = 0.1) -> ZenoResult:
+    """Free evolution of the excited upper mode interrupted by projective reservoir
+    measurements, floor(t_final / tau_m) of them.
 
     Every tau_m the reservoir is measured; conditioned on the
     no-excitation outcome the reservoir amplitudes are reset and the
-    cumulative no-decay probability is multiplied by |c0|^2 / norm.
+    cumulative no-decay probability is multiplied by |c0|^2.
     The effective rate is the exponential fit of the cumulative curve (nan
     with its residual when the curve underflows to 0).
 
     A reset leaves the reservoir empty and the upper amplitude a pure
     phase, and the frame of the module docstring makes the generator
-    time-independent, so every segment after the first has the same
-    no-decay probability p(tau_m) = |sum_k w_k exp(i kappa_k tau_m)|^2
-    and the cumulative survival after k segments is p_1 p^(k-1).
+    time-independent, so every segment has the same no-decay probability
+    p(tau_m) = |sum_k w_k exp(i kappa_k tau_m)|^2 and the cumulative
+    survival after k segments is p^k, formed as p p^(k-1).
     """
     ratio = check_positive("t_final", t_final) / check_positive("tau_m", tau_m)
-    if not 10 <= ratio + 1e-9 <= _MAX_STEPS:
-        raise ConfigurationError(f"need 10 to {_MAX_STEPS:.0e} measurements, got "
-                                 f"t_final/tau_m = {ratio:.2f}")
-    n_meas = math.floor(ratio + 1e-9)
-    state = state0 if state0 is not None else SingleExcitationState.excited(spec.f)
-    check_sequence("state0", state.c, size=spec.f)
+    return _zeno_run(spec, tau_m, _measurements(ratio, "t_final"))
 
-    prop = spec.propagator
-    eig = prop.eig
-    coef, _ = prop.modes(state.c0, prop.to_frame(state.c, state.t))
-    phase = np.exp(1j * eig.roots * tau_m)
-    p_first = abs(np.sum(coef * eig.inv_norm * phase)) ** 2 / state.norm_sq()
-    reset, _ = prop.modes(1.0, np.zeros(spec.f))
-    p_reset = abs(np.sum(reset * eig.inv_norm * phase)) ** 2
-    times = state.t + np.arange(n_meas + 1) * tau_m
+
+def _zeno_run(spec: ReservoirSpec, tau_m: float, n_meas: int) -> ZenoResult:
+    """``zeno_evolve`` with ``n_meas`` measurements."""
+    eig = spec.propagator.eig
+    reset, _ = spec.propagator.modes(1.0, np.zeros(spec.f))
+    p = abs(np.sum(reset * eig.inv_norm * np.exp(1j * eig.roots * tau_m))) ** 2
+    times = np.arange(n_meas + 1) * tau_m
     cumulative = np.empty(n_meas + 1)
     cumulative[0] = 1.0
-    cumulative[1:] = p_first * p_reset ** np.arange(n_meas)
+    cumulative[1:] = p * p ** np.arange(n_meas)
 
     gamma_eff, residual = fit_decay_rate_or_nan(times, cumulative, (times[0], times[-1]))
-    return ZenoResult(
-        tau_m=tau_m,
-        times=times,
-        survival=cumulative,
-        gamma_eff=max(gamma_eff, 0.0),
-        fit_residual=residual,
-    )
+    return ZenoResult(tau_m, times, cumulative, max(gamma_eff, 0.0), residual)
+
+
+def _scan_measurements(taus: Sequence[float], n_measurements: int) -> int:
+    """The measurements of each run of a Zeno scan; n_measurements periods must stay a float."""
+    n = _measurements(check_count("n_measurements", n_measurements), "n_measurements")
+    for tau in check_sequence("taus", taus, least=1):
+        check_positive("taus", n * check_positive("taus", tau))
+    return n
 
 
 def zeno_scan(
@@ -444,10 +455,9 @@ def zeno_scan(
     taus: Sequence[float],
     n_measurements: int = 60,
 ) -> list[ZenoResult]:
-    """Effective decay rate for a list of measurement periods."""
-    check_count("n_measurements", n_measurements, 10)
-    check_sequence("taus", taus, least=1)
-    return [zeno_evolve(spec, None, n_measurements * tau, tau) for tau in taus]
+    """Effective decay rate for a list of measurement periods, n_measurements of each."""
+    n = _scan_measurements(taus, n_measurements)
+    return [_zeno_run(spec, tau, n) for tau in taus]
 
 
 def _symmetric_mode(spec: ReservoirSpec) -> ReservoirSpec:

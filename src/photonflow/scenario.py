@@ -45,11 +45,9 @@ carries that build as ``inputs``; a run runs it.  A runner returns each
 CSV as its named columns, in order.
 
 A build parses text into numbers; the library owns their ranges.  Each
-value goes to the constructor or function that checks it, under
-``_guard``, which names the key.  A build runs a check itself only for a
-value the library first sees at run time (the Zeno periods and count,
-the scan ratios, ``output.stride``, the ImpedanceScan rate products), so
-a file that validates does not fail its run on a range.
+value goes to the function that checks it, also where the run first sees
+it, under ``_guard``, which names the key, so a file that validates does
+not fail its run on a range.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ import numpy as np
 
 from . import diode as dio
 from . import fock, lindblad, reservoir
-from ._integrate import _MAX_STEPS, sample_steps, steps_for
+from ._integrate import sample_steps, steps_for
 from .errors import (ConfigurationError, InvalidInput, InvariantViolation, ScenarioError,
                      check_count, check_positive, check_sequence)
 
@@ -169,13 +167,15 @@ def _err(path: str, msg: str) -> ScenarioError:
     return ScenarioError(f"{path}: {msg}")
 
 
-def _guard(path: str, check: Callable, *args, **kwargs):
-    """``check(*args, **kwargs)``, its configuration errors re-raised naming ``path``; under a
-    bare section, an error about one argument names ``section.argument``."""
+def _guard(path: str, check: Callable, *args, names: Optional[dict] = None, **kwargs):
+    """``check(*args, **kwargs)``, its configuration errors re-raised naming a key: the one
+    ``names`` gives the argument at fault, else ``section.argument`` under a bare section
+    ``path``, else ``path``."""
     try:
         return check(*args, **kwargs)
     except (ConfigurationError, InvalidInput) as exc:
-        raise _err(f"{path}.{exc.arg}" if exc.arg and "." not in path else path, str(exc))
+        bare = exc.arg and "." not in path
+        raise _err((names or {}).get(exc.arg) or (f"{path}.{exc.arg}" if bare else path), str(exc))
 
 
 _REQUIRED = object()
@@ -298,10 +298,10 @@ def _master_inputs(sc: Scenario, space, jump, rho0, decay_times=None) -> SimpleN
     model = _guard("model.gamma", lindblad.LindbladModel, space, [(jump, gamma)])
     t_final = _REQUIRED if decay_times is None else decay_times / gamma
     t_final, dt = _run_times(sc, t_final, lindblad._default_dt(model))
-    return SimpleNamespace(
-        space=space, model=model, rho0=rho0, gamma=gamma, t_final=t_final, dt=dt,
-        stride=_stride(sc),
-    )
+    stride = _stride(sc)
+    _guard("run.dt", lindblad._samples, model, t_final, dt, stride)
+    return SimpleNamespace(space=space, model=model, rho0=rho0, gamma=gamma, t_final=t_final,
+                           dt=dt, stride=stride)
 
 
 def _build_transfer(sc: Scenario, decay_times: Optional[float] = None) -> SimpleNamespace:
@@ -328,9 +328,9 @@ def _build_dark_state(sc: Scenario) -> SimpleNamespace:
 
 
 def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.ReservoirSpec:
-    """The [reservoir] spec.  ``target_gamma`` is inverted through the golden
-    rule, or through the loss-filtered diode rate when ``gamma2`` is given; the spec
-    is checked at unit coupling first, so that each error names its own key."""
+    """The [reservoir] spec, checked at unit coupling first so that each error names its own
+    key.  ``target_gamma`` is inverted through the loss-filtered diode rate of that spec
+    when ``gamma2`` is given, and else through the golden rule."""
     f = _get(sc, "reservoir.f", _as_int)
     eps_max = _get(sc, "reservoir.eps_max", _as_float)
     spectrum = _get(sc, "reservoir.spectrum", _one_of(*reservoir.SPECTRA), "equidistant")
@@ -353,8 +353,7 @@ def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.
         return spec
     key = "reservoir.target_gamma"
     if gamma2 is not None:
-        coupling = _guard(key, dio.coupling_for_diode_rate, f, eps_max, gamma2, target, spectrum,
-                          **kwargs)
+        coupling = _guard(key, dio._coupling_for_loaded_rate, spec, gamma2, target)
     elif spectrum != "equidistant":
         raise _err(key, "rate inversion needs the equidistant spectrum")
     else:
@@ -362,31 +361,22 @@ def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.
     return _guard(key, replace, spec, coupling=coupling)
 
 
-def _coupling_key(sc: Scenario) -> str:
-    """The key that sets the reservoir coupling: target_gamma when the file gives it."""
-    given = sc.get("reservoir", "target_gamma") is not None
-    return "reservoir.target_gamma" if given else "reservoir.coupling"
-
-
 def _reservoir_run(sc: Scenario, propagated: Callable = lambda spec: spec) -> tuple:
-    """Spec, run.t_final and run.dt of a reservoir kind.  dt must resolve ``propagated(spec)``;
-    where the coupling, not eps_max, sets that bound, a dt too long names the coupling."""
+    """Spec, run.t_final and run.dt of a reservoir kind; dt must resolve ``propagated(spec)``."""
     spec = _build_reservoir(sc)
     t_final, dt = _run_times(sc, _REQUIRED, reservoir._default_dt(spec))
-    run = _guard(_coupling_key(sc), propagated, spec)
-    key = _coupling_key(sc) if abs(run.coupling) * math.sqrt(run.f) > run.eps_max else "run.dt"
-    _guard(key, reservoir._check_dt, run, dt)
+    coupling = "reservoir.coupling" if sc.get("reservoir", "coupling") else "reservoir.target_gamma"
+    _guard("run.dt", reservoir._check_dt, _guard(coupling, propagated, spec), dt,
+           names={"coupling": coupling})
     return spec, t_final, dt
 
 
 def _fit_window(sc: Scenario, t_final: float, dt: float) -> tuple[float, float]:
     """fit.window (default: the last 90% of the run), with two samples on the run's grid."""
-    w = _get(sc, "fit.window", _float_list, [0.1 * t_final, t_final])
-    if len(w) != 2 or w[0] >= w[1]:
-        raise _err("fit.window", "window is 't_a t_b' with t_a < t_b")
+    w = tuple(_get(sc, "fit.window", _float_list, [0.1 * t_final, t_final]))
     n, step = steps_for(t_final, dt)
     _guard("fit.window", reservoir._window_mask, np.arange(n + 1) * step, w)
-    return (w[0], w[1])
+    return w
 
 
 def _build_decay(sc: Scenario) -> SimpleNamespace:
@@ -397,11 +387,9 @@ def _build_decay(sc: Scenario) -> SimpleNamespace:
 
 def _build_zeno(sc: Scenario) -> SimpleNamespace:
     spec, t_final, dt = _reservoir_run(sc)
-    taus = [_guard("zeno.taus", check_positive, "taus", t)
-            for t in _get(sc, "zeno.taus", _float_list)]
-    n_meas = _get(sc, "zeno.n_measurements", _as_int, 60)
-    if not 10 <= n_meas <= _MAX_STEPS:
-        raise _err("zeno.n_measurements", f"need 10 to {_MAX_STEPS:.0e} measurements, got {n_meas}")
+    taus = _get(sc, "zeno.taus", _float_list)
+    n_meas = _guard("zeno", reservoir._scan_measurements, taus,
+                    _get(sc, "zeno.n_measurements", _as_int, 60))
     return SimpleNamespace(spec=spec, t_final=t_final, dt=dt, window=_fit_window(sc, t_final, dt),
                            taus=taus, n_meas=n_meas)
 
@@ -487,12 +475,11 @@ def _build_port2_reflection(sc: Scenario) -> SimpleNamespace:
 
 def _build_impedance_scan(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
-    gamma = _get(sc, "diode.gamma", _as_positive)
-    gamma2 = _get(sc, "diode.gamma2", _as_positive)
-    ratios = [_guard("scan.ratios", check_positive, "ratios", r)
-              for r in _get(sc, "scan.ratios", _float_list)]
+    gamma, gamma2 = (_get(sc, f"diode.{k}", _as_float) for k in ("gamma", "gamma2"))
+    ratios = _get(sc, "scan.ratios", _float_list)
     for ratio in ratios:  # the rates that diode.evolve_markov takes at gamma1 = ratio gamma
-        _guard("diode.gamma", dio._check_rates, gamma, ratio * gamma, gamma2)
+        _guard("diode", dio._check_rates, gamma, ratio * gamma, gamma2,
+               names={"gamma1": "scan.ratios"})
     t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma2), 0.02)
     return SimpleNamespace(gamma=gamma, gamma2=gamma2, ratios=ratios, pulse=pulse,
                            t_final=t_final, dt=dt)

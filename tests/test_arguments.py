@@ -16,15 +16,16 @@ import math
 import operator
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from photonflow import (ContinuumGrid, ModeSpace, ReservoirSpec, coupling_for_diode_rate,
                         coupling_for_rate, custom_pulse, evolve, evolve_exact, evolve_markov,
-                        exponential_pulse, fock_density, gaussian_pulse, impedance_scan,
-                        loaded_transfer_rate, mixed_fock_density, project_pulse, reflect_port2,
-                        transfer_jump, zeno_evolve, zeno_scan)
+                        exponential_pulse, fit_decay_rate, fock_density, gaussian_pulse,
+                        impedance_scan, loaded_transfer_rate, mixed_fock_density, project_pulse,
+                        reflect_port2, transfer_jump, zeno_evolve, zeno_scan)
 from photonflow._integrate import sample_steps, steps_for
-from photonflow.errors import PhotonflowError
+from photonflow.errors import InvalidInput, PhotonflowError
 from photonflow.lindblad import LindbladModel
 from test_scenario import time_limit
 
@@ -114,13 +115,12 @@ ENTRIES = {
         {**SPEC, "f": (3, count(1)),
          "omegas": ([-1.0, 0.0, 1.0], each(real, size=lambda a: a["f"] if count(1)(a["f"], a)
                                              else -1))}),
-    "zeno_evolve": (lambda t_final, tau_m, **spec: zeno_evolve(reservoir(**spec), None,
-                                                               t_final, tau_m),
+    "zeno_evolve": (lambda t_final, tau_m, **spec: zeno_evolve(reservoir(**spec), t_final,
+                                                               tau_m),
                     {**SPEC, "t_final": (1.0, positive), "tau_m": (0.05, positive)}),
     "zeno_scan": (lambda taus, n_measurements: zeno_scan(reservoir(8, 4.0, 0.5), taus,
                                                          n_measurements),
-                  # zeno_evolve checks each period, and the run n_measurements tau_m
-                  {"taus": ([0.05, 0.1], each(positive, least=1), {"taus", "tau_m", "t_final"}),
+                  {"taus": ([0.05, 0.1], each(positive, least=1)),
                    "n_measurements": (20, count(10))}),
     "coupling_for_rate": (coupling_for_rate, {"f": (8, count(1)), "eps_max": (1.0, positive),
                                               "gamma": (1.0, positive)}),
@@ -210,3 +210,17 @@ def test_every_export_takes_only_arguments_it_can_compute_with(call):
         return
     assert not outside, f"{name} accepted {sorted(outside)} = {[args[a] for a in outside]}"
     assert finite_fields(result), f"{name} returned a value that is not finite"
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: fit_decay_rate(np.arange(5.0), np.ones(4), (0, 4)), "survival"),
+    (lambda: fit_decay_rate(np.arange(5.0), np.ones(5), (0, 2, 4)), "window"),
+    # each frequency is a float, but their differences are not
+    (lambda: evolve_exact(reservoir(2, 1.0, 0.1, spectrum="custom", omegas=(-1e308, 1e308)),
+                          None, 1.0, 0.01), "omegas"),
+], ids=["unequal-lengths", "three-number-window", "omegas-span"])
+def test_sequences_that_do_not_fit_together_are_named(call, named):
+    # the property test edits one entry of a sequence, which reaches neither case
+    with pytest.raises(InvalidInput) as exc:
+        call()
+    assert exc.value.arg == named

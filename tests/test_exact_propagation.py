@@ -335,7 +335,7 @@ def test_zeno_cumulative_matches_segment_loop():
     rhs = single_excitation_rhs(spec)
     for tau in (0.04, 0.004):
         dt = 0.02 / spec.eps_max / 8
-        result = zeno_evolve(spec, None, t_final=20 * tau, tau_m=tau)
+        result = zeno_evolve(spec, t_final=20 * tau, tau_m=tau)
         nsteps, h = steps_for(tau, dt)
         y = np.concatenate(([1.0], np.zeros(spec.f))).astype(complex)
         cumulative, t = [1.0], 0.0

@@ -188,21 +188,21 @@ def test_fit_rejects_zero_survival():
 
 def test_zeno_decoupled_survival_is_one():
     spec = ReservoirSpec(f=20, eps_max=5.0, coupling=1e-30)
-    res = zeno_evolve(spec, None, t_final=2.0, tau_m=0.1)
+    res = zeno_evolve(spec, t_final=2.0, tau_m=0.1)
     assert np.allclose(res.survival, 1.0)
     assert res.gamma_eff == pytest.approx(0.0, abs=1e-9)
 
 
 def test_zeno_long_period_reduces_to_free_decay():
     spec = flat_spec(f=200, eps_max=25.0, gamma=1.0)
-    res = zeno_evolve(spec, None, t_final=20.0, tau_m=2.0)
+    res = zeno_evolve(spec, t_final=20.0, tau_m=2.0)
     assert res.gamma_eff == pytest.approx(markov_rate(spec), rel=0.10)
 
 
 def test_zeno_short_period_freezes_decay():
     spec = flat_spec(f=200, eps_max=25.0, gamma=1.0)
     tau = 0.1 / spec.eps_max
-    res = zeno_evolve(spec, None, t_final=60 * tau, tau_m=tau)
+    res = zeno_evolve(spec, t_final=60 * tau, tau_m=tau)
     # short-time analytic estimate: survival 1 - g(0) tau^2 per segment
     g0 = spec.f * spec.coupling_sq
     estimate = g0 * tau
@@ -236,7 +236,7 @@ def test_anti_zeno_on_detuned_spectrum():
 def test_zeno_requires_enough_measurements():
     spec = flat_spec(f=20, eps_max=5.0)
     with pytest.raises(ConfigurationError):
-        zeno_evolve(spec, None, t_final=0.5, tau_m=0.1)
+        zeno_evolve(spec, t_final=0.5, tau_m=0.1)
 
 
 # --- two interfering upper modes ---------------------------------------------

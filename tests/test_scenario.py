@@ -528,9 +528,12 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):
     # samples 5e-324 apart: the trapezoid of the reflected intensity underflowed to 0
     (PORT2_FILE.format(gamma2=4, n_q=400, delta_max=10, duration=10, t0=0, t_final="1e-320"),
      "run.t_final"),
+    # a snapshot interval of 2 at this rate would take over 1e7 Taylor sub-steps
+    (LINDBLAD_SCENARIO.replace("gamma = 1.0", "gamma = 1e300")
+     .replace("t_final = 5.0", "t_final = 5.0\ndt = 0.1"), "run.dt"),
 ], ids=["zeno-dt", "decay-window", "port2-dt", "empty-state", "port2-resynthesis",
         "diode-full-resynthesis", "port2-samples", "purification-truncation",
-        "port2-subnormal-samples"])
+        "port2-subnormal-samples", "master-substeps"])
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, text, key):
     path = write(tmp_path, "v.ini", text)
     assert main(["validate", path]) == 2
@@ -880,6 +883,13 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("port2_reflection", "run", "t_final", "0", 2, "run.t_final"),
     ("zeno_scan", "zeno", "taus", "0", 2, "zeno.taus"),
     ("impedance_scan", "scan", "ratios", "-1", 2, "scan.ratios"),
+    # each rule the build used to restate, now run by the library function that owns it
+    ("markov_decay", "fit", "window", "0.5 1 2", 2, "fit.window"),
+    ("zeno_scan", "zeno", "n_measurements", "100000000", 2, "zeno.n_measurements"),
+    ("zeno_scan", "zeno", "n_measurements", "1" + "0" * 400, 2, "zeno.n_measurements"),
+    ("zeno_scan", "zeno", "taus", "1e308", 2, "zeno.taus"),  # 60 periods overflow
+    ("impedance_scan", "scan", "ratios", "0", 2, "scan.ratios"),
+    ("impedance_scan", "diode", "gamma2", "-1", 2, "diode.gamma2"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
@@ -1120,6 +1130,22 @@ def test_scan_point_runs_the_cavity2_its_build_solved(tmp_path, monkeypatch, job
     rows = scan_scenario(sc, "grid2.n_q", [160, 170], tmp_path / "scan", jobs=jobs)
     assert [value for value, _ in rows] == [160, 170]
     assert log.read_text().splitlines() == ["build 160", "build 170"]
+
+
+def test_diode_full_build_inverts_target_gamma_on_its_own_spec(monkeypatch):
+    # the spec is made at unit coupling, which the inversion reads, and once more at the
+    # coupling it gives, with the bits of coupling_for_diode_rate's
+    made = []
+    post_init = reservoir.ReservoirSpec.__post_init__
+
+    def counted(self):
+        made.append(self.coupling)
+        post_init(self)
+
+    monkeypatch.setattr(reservoir.ReservoirSpec, "__post_init__", counted)
+    spec = parse_scenario_text(ROUTER_SCENARIO).inputs.spec
+    assert made == [1.0, spec.coupling]
+    assert spec.coupling == diode.coupling_for_diode_rate(40, 0.002, 20.0, 1.0)
 
 
 def test_validate_states_the_quadrature_steps_of_a_diode_full_run(tmp_path, capsys):
