@@ -220,7 +220,7 @@ def test_every_export_takes_only_arguments_it_can_compute_with(call):
                           None, 1.0, 0.01), "omegas"),
 ], ids=["unequal-lengths", "three-number-window", "omegas-span"])
 def test_sequences_that_do_not_fit_together_are_named(call, named):
-    # the property test edits one entry of a sequence, which reaches neither case
+    # the property test edits one entry of a sequence, which reaches none of these
     with pytest.raises(InvalidInput) as exc:
         call()
     assert exc.value.arg == named

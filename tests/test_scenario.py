@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photonflow import diode, reservoir
+from photonflow import diode, lindblad, reservoir
 from photonflow._integrate import SparseGenerator
 from photonflow.cli import main
 from photonflow.errors import ScenarioError
@@ -883,7 +883,7 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("port2_reflection", "run", "t_final", "0", 2, "run.t_final"),
     ("zeno_scan", "zeno", "taus", "0", 2, "zeno.taus"),
     ("impedance_scan", "scan", "ratios", "-1", 2, "scan.ratios"),
-    # each rule the build used to restate, now run by the library function that owns it
+    # the window, the Zeno count and periods and the ImpedanceScan rates, checked by the library
     ("markov_decay", "fit", "window", "0.5 1 2", 2, "fit.window"),
     ("zeno_scan", "zeno", "n_measurements", "100000000", 2, "zeno.n_measurements"),
     ("zeno_scan", "zeno", "n_measurements", "1" + "0" * 400, 2, "zeno.n_measurements"),
@@ -1179,6 +1179,18 @@ def test_lorentzian_decay_leaves_out_results_that_do_not_apply(tmp_path, capsys)
     assert list(manifest["results"]) == ["gamma_fit", "fit_residual", "survival_final"]
     assert "recurrence_time" not in manifest["derived"]
     assert not re.search(r"\b(nan|inf)\b", text)
+
+
+def test_master_build_makes_the_generator_its_run_propagates(tmp_path, monkeypatch):
+    # the build bounds the sub-steps on the generator, which the model keeps for the run
+    made = []
+    superoperator = lindblad._superoperator
+    monkeypatch.setattr(lindblad, "_superoperator", lambda model: made.append(model)
+                        or superoperator(model))
+    sc = parse_scenario_text(LINDBLAD_SCENARIO)
+    assert len(made) == 1 and made[0] is sc.inputs.model
+    run_scenario(sc, tmp_path / "out")
+    assert len(made) == 1
 
 
 def test_master_run_records_support_and_products(tmp_path, monkeypatch):
