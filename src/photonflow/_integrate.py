@@ -15,6 +15,11 @@ so propagation is exact up to roundoff, not stepped:
   instead of O(m); other spectra sum over the poles.  A state enters the
   eigenbasis by ``_Eigensystem.coefficients`` and leaves it by ``.lower_at``,
   the only products with the eigenvectors' Cauchy matrix 1 / (kappa_k - p_u).
+  On a comb they cost O(m log m) (``_CombCauchy``): the 17 nearest poles of
+  each root are summed directly, and the far field is interpolated in the
+  root's offset from its pole at 10 Chebyshev points, one FFT product per
+  point (Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1689, 1996).
+  Other poles divide by the gaps, 32 roots at a time, in O(m^2).
 * ``taylor_propagate``: exp(h A) y by truncated Taylor series in
   ceil(h ||A||) sub-steps, for any bound ||A|| on an operator norm (the
   scaling of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  It
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -251,26 +257,39 @@ class _Eigensystem:
     def roots(self) -> np.ndarray:
         return self.origin + self.offset
 
-    def gaps(self, ks: slice) -> np.ndarray:
+    def gaps(self, ks) -> np.ndarray:
         """kappa_k - p_u for the roots ``ks`` (rows) and every pole (columns)."""
         return self.offset[ks, None] - (self.poles[None, :] - self.origin[ks, None])
 
+    @cached_property
+    def cauchy(self) -> _CombCauchy | None:
+        """The comb's fast Cauchy products, built on first use; None off a comb."""
+        comb = _comb_spacing(self.poles, self.z) if self.poles.size else None
+        return None if comb is None else _CombCauchy(self, comb[0])
+
     def coefficients(self, upper: complex, lower: np.ndarray) -> np.ndarray:
         """The state (upper, lower) on the eigenvectors: (upper + sum_u z_u lower_u /
-        (kappa_k - p_u)) / N_k, by complex products with each 32-root block's reciprocals,
-        which keep numpy's pairwise sums and the bits of a division by the gaps."""
+        (kappa_k - p_u)) / N_k.  On a comb the sums are ``_CombCauchy``'s; on other poles
+        they are complex products with each 32-root block's reciprocals, which keep
+        numpy's pairwise sums and the bits of a division by the gaps."""
         coef = np.full(self.roots.size, complex(upper))
         if np.any(lower):
             x = self.z * lower
-            for ks in _block_slices(coef.size):
-                coef[ks] += np.sum(x * (1.0 / self.gaps(ks)), axis=1)
+            if self.cauchy is not None:
+                coef += self.cauchy.rows(x)
+            else:
+                for ks in _block_slices(coef.size):
+                    coef[ks] += np.sum(x * (1.0 / self.gaps(ks)), axis=1)
         return np.multiply(coef, self.inv_norm, out=coef)
 
     def lower_at(self, coef: np.ndarray, tau: float) -> np.ndarray:
         """The lower components at tau of exp(i K tau) on the state ``coef``: z_u sum_k
-        coef_k exp(i kappa_k tau) / (N_k (kappa_k - p_u)), by real ``np.einsum`` products
-        of the weights' real and imaginary parts with each block's reciprocals."""
+        coef_k exp(i kappa_k tau) / (N_k (kappa_k - p_u)).  On a comb the sums are
+        ``_CombCauchy``'s; on other poles they are real ``np.einsum`` products of the
+        weights' real and imaginary parts with each 32-root block's reciprocals."""
         weight = coef * self.inv_norm * np.exp(1j * self.roots * tau)
+        if self.cauchy is not None:
+            return self.z * self.cauchy.columns(weight)
         re, im = np.ascontiguousarray(weight.real), np.ascontiguousarray(weight.imag)
         out_re, out_im = np.zeros(self.poles.size), np.zeros(self.poles.size)
         for ks in _block_slices(weight.size):
@@ -278,6 +297,91 @@ class _Eigensystem:
             out_re += np.einsum("k,ku->u", re[ks], inv)
             out_im += np.einsum("k,ku->u", im[ks], inv)
         return self.z * (out_re + 1j * out_im)
+
+
+_NEAR = 8  # poles on each side of a root's origin whose Cauchy terms are summed directly
+# Chebyshev points (2nd kind) on [-1/2, 1/2] and their barycentric weights, built from
+# operations the sums above already run: a first numpy cos, power or list conversion
+# pages in code that adds about 0.1 MiB to every process that imports this module
+_CHEB = 0.5 * np.exp(1j * np.pi / 9 * np.arange(10)).real
+_BARY = np.ones(10)
+_BARY[1::2], _BARY[[0, 9]] = -1.0, (0.5, -0.5)
+
+
+class _CombCauchy:
+    """The Cauchy matrix C_ku = 1 / (kappa_k - p_u) of an eigensystem whose m poles are
+    a comb of spacing d, applied to a vector in O(m log m) from either side.
+
+    Root k is its origin pole j_k plus d t_k, so kappa_k - p_u = d (t_k + l) with
+    l = j_k - u.  The near field |l| <= 8 is summed with the exact gaps.  In the far
+    field 1 / (d (t + l)) is interpolated in t at 10 Chebyshev points t_i on
+    [-1/2, 1/2] with barycentric weights ell_i(t_k), to about (4 |l|)^-10 of itself
+    (Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1689, 1996).  Node i is then one
+    Toeplitz product with the real kernel 1 / (d (t_i + l)), |l| > 8, by FFTs of
+    ``size`` = fft_size(2 m - 1).  A real kernel's spectrum is Hermitian, so the first
+    size // 2 + 1 entries are kept and ``_full`` completes them; the FFTs are complex,
+    as in the other sums, since a first real FFT pages in about 0.1 MiB of code.  A
+    root with |t_k| >= 1/2 (the midpoint root of a symmetric comb, an outer root far
+    out) is summed directly over every pole.  Each node and each near offset is taken
+    in turn, so no temporary holds more than a few vectors.
+    """
+
+    def __init__(self, eig: _Eigensystem, spacing: float):
+        m = self.poles = eig.poles.size
+        self.origin = np.searchsorted(eig.poles, eig.origin)  # j_k: every origin is a pole
+        t = eig.offset / spacing
+        near = np.abs(t) < 0.5  # off the interpolation nodes t_i = +-1/2
+        self.direct = np.flatnonzero(~near)
+        self.inv_direct = 1.0 / eig.gaps(self.direct)
+        # row l: 1 / (kappa_k - p_u) at u = j_k + l - 8, 0 off the comb and for a direct root
+        self.inv_near = np.zeros((2 * _NEAR + 1, t.size))
+        for row, u in zip(self.inv_near, self.origin + np.arange(-_NEAR, _NEAR + 1)[:, None]):
+            on = near & (u >= 0) & (u < m)
+            row[on] = 1.0 / (eig.offset[on] - (eig.poles[u[on]] - eig.origin[on]))
+        ell = _BARY[:, None] / (np.where(near, t, 0.0) - _CHEB[:, None])
+        self.ell = np.where(near, ell / np.sum(ell, axis=0), 0.0)  # ell_i(t_k), row i
+        self.size = fft_size(2 * m - 1)
+        self.spectra = np.empty((_CHEB.size, self.size // 2 + 1), dtype=complex)
+        far, kernel = np.arange(_NEAR + 1, m), np.zeros(self.size)
+        for spectrum, node in zip(self.spectra, _CHEB):
+            kernel[far] = 1.0 / (spacing * (node + far))
+            kernel[self.size - far] = 1.0 / (spacing * (node - far))  # l < 0 at the end
+            spectrum[:] = np.fft.fft(kernel)[:spectrum.size]
+
+    def _full(self, half: np.ndarray) -> np.ndarray:
+        """A kernel's whole spectrum from its first size // 2 + 1 entries."""
+        return np.concatenate((half, half[1:self.size - half.size + 1][::-1].conj()))
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """C x: sum_u x_u / (kappa_k - p_u) for every root k."""
+        padded = np.zeros(self.poles + 2 * _NEAR, dtype=complex)
+        padded[_NEAR:-_NEAR] = x
+        out = np.zeros(self.origin.size, dtype=complex)
+        for l, inv in enumerate(self.inv_near):
+            out += padded[self.origin + l] * inv
+        parts = np.fft.fft(x, self.size)
+        for spectrum, ell in zip(self.spectra, self.ell):  # node i's product at j_k
+            out += np.fft.ifft(parts * self._full(spectrum))[self.origin] * ell
+        out[self.direct] += np.sum(x * self.inv_direct, axis=1)
+        return out
+
+    def columns(self, w: np.ndarray) -> np.ndarray:
+        """w C: sum_k w_k / (kappa_k - p_u) for every pole u."""
+        m = self.poles
+        slots = (2 * self.origin[:, None] + np.arange(2)).ravel()  # re, im of j_k
+        parts = np.zeros(self.size, dtype=complex)
+        for spectrum, ell in zip(self.spectra, self.ell):
+            # w ell_i scattered onto j_k correlates with the kernel: the conjugate spectrum
+            spread = np.bincount(slots, weights=(w * ell).view(float), minlength=2 * m)
+            parts += np.fft.fft(spread.view(complex), self.size) * self._full(spectrum).conj()
+        far = np.fft.ifft(parts)[:m]
+        padded = np.zeros(2 * (m + 2 * _NEAR))
+        for l, inv in enumerate(self.inv_near):
+            padded += np.bincount(slots + 2 * l, weights=(w * inv).view(float),
+                                  minlength=padded.size)
+        out = padded.view(complex)[_NEAR:-_NEAR] + far
+        out += np.sum(w[self.direct, None] * self.inv_direct, axis=0)
+        return out
 
 
 _SHIFTS = 16  # recurrence steps of psi and psi' before their asymptotic series

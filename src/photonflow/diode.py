@@ -292,15 +292,15 @@ def _comb_field(grid: ContinuumGrid, amplitudes: np.ndarray, t0: float, h: float
     return np.sqrt(grid.spacing / (2.0 * np.pi)) * field
 
 
-def simulation_window(pulse: Pulse, *rates: float) -> float:
+def simulation_window(pulse: Pulse, **rates: float) -> float:
     """End of run: pulse fully in and out, transients drained.
 
-    For a pulse centered at t0 = 3T this is t0 + 5T + 10/min(rates).
+    For a pulse centered at t0 = 3T this is t0 + 5T + 10/min(rates).  Each rate
+    is passed by its name, under which an error names it.
     """
-    positive = [r for r in rates if r > 0]
-    if not positive:
-        raise InvalidInput("need at least one positive rate")
-    tail = 10.0 / min(positive)
+    if not rates:
+        raise InvalidInput("simulation_window needs at least one rate")
+    tail = 10.0 / min(check_positive(name, rate) for name, rate in rates.items())
     if pulse.kind == "gaussian":
         return pulse.t0 + 5.0 * pulse.duration + tail
     return pulse.support()[1] + tail
@@ -917,6 +917,13 @@ def _check_rates(gamma: float, gamma1: float, gamma2: float) -> None:
                                  arg=max(zip((g, g1, g2), ("gamma", "gamma1", "gamma2")))[1])
 
 
+def _check_scan(gamma: float, gamma2: float, ratios: Sequence[float]) -> None:
+    """At least one ratio, each positive and finite, and the Markov rates at gamma1 =
+    ratio gamma that ``evolve_markov`` takes."""
+    for ratio in check_sequence("ratios", ratios, least=1):
+        _check_rates(gamma, check_positive("ratios", ratio) * gamma, gamma2)
+
+
 def _simpson(g: np.ndarray, g_mid: np.ndarray, dt: float) -> float:
     return float(dt / 6.0 * (g[0] + g[-1] + 2.0 * np.sum(g[1:-1]) + 4.0 * np.sum(g_mid)))
 
@@ -1015,7 +1022,9 @@ def reflect_port2(grid2: ContinuumGrid, s0: np.ndarray, t_final: float) -> Refle
     C2 itself.  So the state at t_final comes from C2's closed-form
     eigenpairs (``grid2.cavity``) without stepping: (0, S') written into
     their basis (``coefficients``), its comb part read back at t_final
-    (``lower_at``) and reversed.  The output keeps unit norm; the delay is
+    (``lower_at``) and reversed.  Both products with the eigenvectors' Cauchy
+    matrix run in O(n_q log n_q) (``_integrate._CombCauchy``), on node spectra
+    that the cavity keeps.  The output keeps unit norm; the delay is
     the centroid shift of the reflected intensity against free propagation.
     """
     check_sequence("s0", s0, size=grid2.n_q)
@@ -1112,8 +1121,9 @@ def impedance_scan(
     reflected fraction; the minimum sits at ratio 1 for pulses much
     longer than the relaxation times.
     """
+    _check_scan(gamma, gamma2, ratios)
     rows = []
-    for ratio in check_sequence("ratios", ratios, least=1):  # evolve_markov checks each gamma1
+    for ratio in ratios:
         res = evolve_markov(gamma, ratio * gamma, gamma2, pulse, t_final, dt)
         rows.append((float(ratio), res.leakage, res.yield_convolved))
     return rows

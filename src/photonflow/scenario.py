@@ -353,7 +353,8 @@ def _build_reservoir(sc: Scenario, gamma2: Optional[float] = None) -> reservoir.
         return spec
     key = "reservoir.target_gamma"
     if gamma2 is not None:
-        coupling = _guard(key, dio._coupling_for_loaded_rate, spec, gamma2, target)
+        coupling = _guard(key, dio._coupling_for_loaded_rate, spec, gamma2, target,
+                          names={"gamma2": "diode.gamma2"})
     elif spectrum != "equidistant":
         raise _err(key, "rate inversion needs the equidistant spectrum")
     else:
@@ -430,11 +431,14 @@ def _build_grid(
 
 def _build_diode_full(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
-    gamma1 = _get(sc, "diode.gamma1", _as_positive)
-    gamma2 = _get(sc, "diode.gamma2", _as_positive)
+    gamma1 = _get(sc, "diode.gamma1", _as_float)
+    gamma2 = _get(sc, "diode.gamma2", _as_float)
     spec = _build_reservoir(sc, gamma2)
-    gamma_eff = _guard("reservoir.coupling", dio.loaded_transfer_rate, spec, gamma2)
-    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma_eff, gamma1, gamma2), 0.02)
+    gamma_eff = _guard("reservoir.coupling", dio.loaded_transfer_rate, spec, gamma2,
+                       names={"gamma2": "diode.gamma2"})
+    window = _guard("diode", dio.simulation_window, pulse, gamma_eff=gamma_eff, gamma1=gamma1,
+                    gamma2=gamma2)
+    t_final, dt = _run_times(sc, window, 0.02)
     grid1 = _build_grid(sc, "grid1", "port-1", gamma1, pulse, t_final)
     p0 = _guard("grid1", dio.project_pulse, grid1, pulse)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
@@ -458,15 +462,17 @@ def _build_diode_markov(sc: Scenario) -> SimpleNamespace:
     gamma, gamma1, gamma2 = (_get(sc, f"diode.{k}", _as_float)
                              for k in ("gamma", "gamma1", "gamma2"))
     _guard("diode", dio._check_rates, gamma, gamma1, gamma2)
-    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma1, gamma2), 0.02)
+    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma=gamma, gamma1=gamma1,
+                                                       gamma2=gamma2), 0.02)
     return SimpleNamespace(gamma=gamma, gamma1=gamma1, gamma2=gamma2, pulse=pulse,
                            t_final=t_final, dt=dt, stride=_stride(sc, 1))
 
 
 def _build_port2_reflection(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
-    gamma2 = _get(sc, "diode.gamma2", _as_positive)
-    t_final = _get(sc, "run.t_final", _as_float, dio.simulation_window(pulse, gamma2))
+    gamma2 = _get(sc, "diode.gamma2", _as_float)
+    window = _guard("diode", dio.simulation_window, pulse, gamma2=gamma2)
+    t_final = _get(sc, "run.t_final", _as_float, window)
     grid2 = _build_grid(sc, "grid2", "port-2", gamma2, pulse, t_final)
     s0 = _guard("grid2", dio.project_pulse, grid2, pulse)
     _guard("run.t_final", dio._reflection_samples, t_final)
@@ -477,10 +483,10 @@ def _build_impedance_scan(sc: Scenario) -> SimpleNamespace:
     pulse = _build_pulse(sc)
     gamma, gamma2 = (_get(sc, f"diode.{k}", _as_float) for k in ("gamma", "gamma2"))
     ratios = _get(sc, "scan.ratios", _float_list)
-    for ratio in ratios:  # the rates that diode.evolve_markov takes at gamma1 = ratio gamma
-        _guard("diode", dio._check_rates, gamma, ratio * gamma, gamma2,
-               names={"gamma1": "scan.ratios"})
-    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma, gamma2), 0.02)
+    # diode.evolve_markov takes gamma1 = ratio gamma
+    _guard("diode", dio._check_scan, gamma, gamma2, ratios,
+           names={"ratios": "scan.ratios", "gamma1": "scan.ratios"})
+    t_final, dt = _run_times(sc, dio.simulation_window(pulse, gamma=gamma, gamma2=gamma2), 0.02)
     return SimpleNamespace(gamma=gamma, gamma2=gamma2, ratios=ratios, pulse=pulse,
                            t_final=t_final, dt=dt)
 
@@ -745,8 +751,11 @@ def _run_diode_markov(c: SimpleNamespace) -> RunOutcome:
 
 def _run_port2_reflection(c: SimpleNamespace) -> RunOutcome:
     ref = dio.reflect_port2(c.grid2, c.s0, c.t_final)
+    cauchy = c.grid2.cavity.cauchy  # the comb's Cauchy products that the reflection ran
     out = RunOutcome(derived={"t_final": c.t_final, "gamma2": c.gamma2,
-                              "secular_iterations": ref.secular_iterations})
+                              "secular_iterations": ref.secular_iterations,
+                              "cauchy_fft_length": cauchy.size,
+                              "cauchy_direct_roots": cauchy.direct.size})
     _check(out, "out_norm", ref.out_norm, abs(ref.out_norm - 1.0) <= 1e-8)
     out.tables["timeseries.csv"] = {"t": ref.times, "out_intensity": np.abs(ref.out_field) ** 2,
                                     "in_intensity": np.abs(ref.in_field) ** 2}

@@ -7,7 +7,8 @@ the master equation that its interval propagators replaced, the reservoir
 response kernel by direct summation and in closed form, the two-upper-mode
 interference through a propagator of its own, the products of an arrowhead's
 eigenvectors divided block by block (the arithmetic that
-``_Eigensystem.coefficients`` and ``.lower_at`` keep), the direct exponential
+``_Eigensystem.coefficients`` and ``.lower_at`` keep off a comb, and had on one
+before its far field went through FFTs) and summed in long double, the direct exponential
 sum in blocks of 32 samples that the nonuniform FFT of ``exp_sum`` replaced, a
 comb field on any uniform time grid, the port-2 reflection through its own
 secular solve of the arrowhead with poles -d_q (the path that
@@ -292,6 +293,35 @@ def classes_per_block(eig: _Eigensystem, coef: np.ndarray, tau: float) -> np.nda
     for ks in _block_slices(weight.size):
         bright += np.sum(weight[ks, None] / eig.gaps(ks), axis=0)
     return bright * eig.z
+
+
+_LONG_ROWS = 256  # roots per block of the long-double sums
+
+
+def _long_double_products(eig: _Eigensystem, x: np.ndarray, w: np.ndarray):
+    """C x and w C for the Cauchy matrix C_ku = 1 / (kappa_k - p_u), summed in long double
+    from the exact gaps, ``_LONG_ROWS`` roots at a time."""
+    ld = np.longdouble
+    poles = eig.poles.astype(ld)
+    rows = np.zeros(eig.roots.size, dtype=complex)
+    cols_re, cols_im = np.zeros(eig.poles.size, dtype=ld), np.zeros(eig.poles.size, dtype=ld)
+    for start in range(0, eig.roots.size, _LONG_ROWS):
+        ks = slice(start, start + _LONG_ROWS)
+        origin, offset = eig.origin[ks].astype(ld), eig.offset[ks].astype(ld)
+        inv = 1 / (offset[:, None] - (poles[None, :] - origin[:, None]))
+        rows[ks] = (inv @ x.real.astype(ld)).astype(float) + 1j * (inv @ x.imag.astype(ld))
+        cols_re += w[ks].real.astype(ld) @ inv
+        cols_im += w[ks].imag.astype(ld) @ inv
+    return rows, cols_re.astype(float) + 1j * cols_im.astype(float)
+
+
+def cauchy_long_double(eig: _Eigensystem, c0: complex, bright: np.ndarray, coef: np.ndarray,
+                       tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_Eigensystem.coefficients(c0, bright)`` and ``.lower_at(coef, tau)`` with their
+    Cauchy sums in long double."""
+    weight = coef * eig.inv_norm * np.exp(1j * eig.roots * tau)
+    rows, cols = _long_double_products(eig, eig.z * bright, weight)
+    return (c0 + rows) * eig.inv_norm, cols * eig.z
 
 
 # --- diode ---------------------------------------------------------------------------------

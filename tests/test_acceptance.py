@@ -220,7 +220,8 @@ def diode_run():
     g = coupling_for_diode_rate(p["f"], p["eps_max"], p["gamma2"], p["gamma"])
     spec = ReservoirSpec(f=p["f"], eps_max=p["eps_max"], coupling=g)
     pulse = gaussian_pulse(t0=3 * p["T"], duration=p["T"])
-    t_final = simulation_window(pulse, p["gamma"], p["gamma1"], p["gamma2"])
+    t_final = simulation_window(pulse, gamma=p["gamma"], gamma1=p["gamma1"],
+                                gamma2=p["gamma2"])
     grid1 = ContinuumGrid(n_q=p["n_q"], delta_max=2.5, gamma=p["gamma1"])
     grid2 = ContinuumGrid(n_q=p["n_q"], delta_max=2.5, gamma=p["gamma2"])
     p0 = project_pulse(grid1, pulse)
@@ -272,7 +273,7 @@ def reflection_run():
     # state is not involved, so a dense wide comb is affordable here
     gamma2, T = DIODE["gamma2"], DIODE["T"]
     pulse = gaussian_pulse(t0=3 * T, duration=T)
-    t_final = simulation_window(pulse, gamma2)
+    t_final = simulation_window(pulse, gamma2=gamma2)
     # comb spacing leaves > 4 pulse widths between the window end and the
     # periodic ghost of the input, keeping its tail below the norm budget
     grid = ContinuumGrid(n_q=8800, delta_max=60.0, gamma=gamma2)

@@ -23,7 +23,8 @@ from photonflow import (ContinuumGrid, ModeSpace, ReservoirSpec, coupling_for_di
                         coupling_for_rate, custom_pulse, evolve, evolve_exact, evolve_markov,
                         exponential_pulse, fit_decay_rate, fock_density, gaussian_pulse,
                         impedance_scan, loaded_transfer_rate, mixed_fock_density, project_pulse,
-                        reflect_port2, transfer_jump, zeno_evolve, zeno_scan)
+                        reflect_port2, simulation_window, transfer_jump, zeno_evolve,
+                        zeno_scan)
 from photonflow._integrate import sample_steps, steps_for
 from photonflow.errors import InvalidInput, PhotonflowError
 from photonflow.lindblad import LindbladModel
@@ -151,6 +152,9 @@ ENTRIES = {
                        {"gamma": (1.0, positive), "gamma2": (5.0, positive),
                         # evolve_markov checks gamma1 = ratio gamma
                         "ratios": ([0.5, 2.0], each(positive, least=1), {"ratios", "gamma1"})}),
+    "simulation_window": (lambda gamma, gamma2: simulation_window(PULSE, gamma=gamma,
+                                                                  gamma2=gamma2),
+                          {"gamma": (1.0, positive), "gamma2": (5.0, positive)}),
     "steps_for": (steps_for, {"t_final": (1.0, positive), "dt": (0.1, positive)}),
     "sample_steps": (sample_steps, {"nsteps": (10, count(1)), "stride": (3, count(1))}),
 }

@@ -39,7 +39,7 @@ def mini_setup():
     pulse = gaussian_pulse(t0=3 * T, duration=T)
     grid1 = ContinuumGrid(n_q=N_Q, delta_max=DMAX, gamma=GAMMA1)
     grid2 = ContinuumGrid(n_q=N_Q, delta_max=DMAX, gamma=GAMMA2)
-    t_final = simulation_window(pulse, GAMMA, GAMMA1, GAMMA2)
+    t_final = simulation_window(pulse, gamma=GAMMA, gamma1=GAMMA1, gamma2=GAMMA2)
     return spec, pulse, grid1, grid2, t_final
 
 
@@ -185,7 +185,7 @@ def test_decoupled_cavity_reflects_everything():
     grid1 = ContinuumGrid(n_q=N_Q, delta_max=DMAX, gamma=GAMMA1)
     grid2 = ContinuumGrid(n_q=N_Q, delta_max=DMAX, gamma=1e-12)
     spec = ReservoirSpec(f=4, eps_max=2e-3, coupling=1e-30)
-    t_final = simulation_window(pulse, GAMMA1)
+    t_final = simulation_window(pulse, gamma1=GAMMA1)
     p0 = project_pulse(grid1, pulse)
     traj = evolve_full(grid1, grid2, spec, p0, t_final)
     assert traj.port1[-1] == pytest.approx(1.0, abs=1e-8)
@@ -229,19 +229,19 @@ def test_markov_zero_input_gives_zero_output():
 def test_markov_impedance_matched_cancellation():
     # slowly varying input: residual reflection ~ d(phi)/dt / gamma
     pulse = gaussian_pulse(t0=150.0, duration=50.0)
-    mk = evolve_markov(GAMMA, GAMMA, GAMMA2, pulse, simulation_window(pulse, GAMMA), dt=0.02)
+    mk = evolve_markov(GAMMA, GAMMA, GAMMA2, pulse, simulation_window(pulse, gamma=GAMMA), dt=0.02)
     assert np.max(np.abs(mk.phi_out1)) <= 0.05 * np.max(np.abs(mk.phi_in))
 
 
 def test_markov_factorized_yield_in_fast_loss_regime():
     pulse = gaussian_pulse(t0=3 * T, duration=T)
-    mk = evolve_markov(GAMMA, GAMMA1, GAMMA2, pulse, simulation_window(pulse, GAMMA), dt=0.01)
+    mk = evolve_markov(GAMMA, GAMMA1, GAMMA2, pulse, simulation_window(pulse, gamma=GAMMA), dt=0.01)
     assert mk.yield_convolved == pytest.approx(mk.yield_factorized, rel=0.05)
 
 
 def test_markov_energy_balance():
     pulse = gaussian_pulse(t0=3 * T, duration=T)
-    mk = evolve_markov(GAMMA, GAMMA1, GAMMA2, pulse, simulation_window(pulse, GAMMA), dt=0.01)
+    mk = evolve_markov(GAMMA, GAMMA1, GAMMA2, pulse, simulation_window(pulse, gamma=GAMMA), dt=0.01)
     assert mk.leakage + mk.yield_convolved == pytest.approx(1.0, abs=1e-4)
 
 
@@ -254,7 +254,7 @@ def test_reflection_unit_norm_and_delay():
     gamma2 = 4.0
     pulse = gaussian_pulse(t0=36.0, duration=12.0)
     grid = ContinuumGrid(n_q=700, delta_max=20.0, gamma=gamma2)
-    ref = reflect_port2(grid, project_pulse(grid, pulse), simulation_window(pulse, gamma2))
+    ref = reflect_port2(grid, project_pulse(grid, pulse), simulation_window(pulse, gamma2=gamma2))
     assert ref.out_norm == pytest.approx(1.0, abs=1e-8)
     predicted = (4.0 / gamma2) * (1.0 - gamma2 / (np.pi * grid.delta_max))
     assert ref.delay == pytest.approx(predicted, rel=0.03)
@@ -328,7 +328,7 @@ def test_decomposition_empty_without_coupling():
     grid1 = ContinuumGrid(n_q=N_Q, delta_max=DMAX, gamma=GAMMA1)
     grid2 = ContinuumGrid(n_q=N_Q, delta_max=DMAX, gamma=GAMMA2)
     spec = ReservoirSpec(f=4, eps_max=2e-3, coupling=1e-30)
-    t_final = simulation_window(pulse, GAMMA1, GAMMA2)
+    t_final = simulation_window(pulse, gamma1=GAMMA1, gamma2=GAMMA2)
     traj = evolve_full(grid1, grid2, spec, project_pulse(grid1, pulse), t_final)
     dec = port2_output_decomposition(traj)
     assert np.max(np.abs(dec.channel_fields)) <= 1e-12
@@ -339,7 +339,7 @@ def test_decomposition_empty_without_coupling():
 
 def test_impedance_scan_minimum_at_matching():
     pulse = gaussian_pulse(t0=3 * T, duration=T)
-    t_final = simulation_window(pulse, GAMMA)
+    t_final = simulation_window(pulse, gamma=GAMMA)
     rows = impedance_scan(GAMMA, GAMMA2, pulse, [0.25, 0.5, 1.0, 2.0, 4.0], t_final, dt=0.01)
     leakages = [r[1] for r in rows]
     assert np.argmin(leakages) == 2
@@ -348,7 +348,7 @@ def test_impedance_scan_minimum_at_matching():
 
 def test_impedance_small_coupling_reflects_everything():
     pulse = gaussian_pulse(t0=3 * T, duration=T)
-    t_final = simulation_window(pulse, GAMMA)
+    t_final = simulation_window(pulse, gamma=GAMMA)
     rows = impedance_scan(GAMMA, GAMMA2, pulse, [1e-4], t_final, dt=0.01)
     assert rows[0][1] >= 0.99
 
@@ -357,14 +357,15 @@ def test_impedance_matching_needs_long_pulses():
     long_pulse = gaussian_pulse(t0=3 * T, duration=T)
     short_pulse = gaussian_pulse(t0=6.0, duration=2.0)
     long_rows = impedance_scan(
-        GAMMA, GAMMA2, long_pulse, [1.0], simulation_window(long_pulse, GAMMA), dt=0.01
+        GAMMA, GAMMA2, long_pulse, [1.0], simulation_window(long_pulse, gamma=GAMMA), dt=0.01
     )
     short_rows = impedance_scan(
-        GAMMA, GAMMA2, short_pulse, [1.0], simulation_window(short_pulse, GAMMA), dt=0.005
+        GAMMA, GAMMA2, short_pulse, [1.0], simulation_window(short_pulse, gamma=GAMMA), dt=0.005
     )
     assert short_rows[0][1] >= 5.0 * long_rows[0][1]
 
 
 def test_simulation_window_formula():
     pulse = gaussian_pulse(t0=150.0, duration=50.0)
-    assert simulation_window(pulse, 1.0, 1.0, 20.0) == pytest.approx(150 + 250 + 10.0)
+    window = simulation_window(pulse, gamma=1.0, gamma1=1.0, gamma2=20.0)
+    assert window == pytest.approx(150 + 250 + 10.0)

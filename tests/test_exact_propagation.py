@@ -81,9 +81,10 @@ from photonflow.lindblad import _phi, _superoperator, state_fidelity
 from photonflow.reservoir import _default_dt, _ExactPropagator
 from photonflow.scenario import (RunOutcome, _master_report, parse_scenario, parse_scenario_text,
                                  validate_scenario)
-from reference import (classes_per_block, exp_sum_blocked, exp_sum_per_block,
-                       interference_own_propagator, linear_filter_recurrence, modes_per_block,
-                       number, reconstruct_field, reflect_port2_mirrored, taylor_evolve)
+from reference import (cauchy_long_double, classes_per_block, exp_sum_blocked,
+                       exp_sum_per_block, interference_own_propagator, linear_filter_recurrence,
+                       modes_per_block, number, reconstruct_field, reflect_port2_mirrored,
+                       taylor_evolve)
 
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -254,8 +255,43 @@ def test_cauchy_kernel_matches_per_block_division(omegas):
     eig = _ExactPropagator(omegas, 0.3).eig
     bright = rng.normal(size=eig.poles.size) + 1j * rng.normal(size=eig.poles.size)
     coef = eig.coefficients(0.2 - 0.1j, bright)
-    assert np.array_equal(coef, modes_per_block(eig, 0.2 - 0.1j, bright))
-    assert np.array_equal(eig.lower_at(coef, 3.7), classes_per_block(eig, coef, 3.7))
+    out = eig.lower_at(coef, 3.7)
+    if eig.cauchy is None:  # off a comb: the bits of the per-block division
+        assert np.array_equal(coef, modes_per_block(eig, 0.2 - 0.1j, bright))
+        assert np.array_equal(out, classes_per_block(eig, coef, 3.7))
+    else:  # on a comb the far field goes through FFTs: sums in long double bound it
+        assert_cauchy_products_match_long_double(eig, 0.2 - 0.1j, bright, coef, 3.7, out)
+
+
+def assert_cauchy_products_match_long_double(eig, c0, bright, coef, tau, out):
+    for got, ref in zip((coef, out), cauchy_long_double(eig, c0, bright, coef, tau)):
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_q", [1, 5, 100, 160, 400, 2400, 8800])
+def test_comb_cauchy_products_match_long_double_sums(n_q):
+    # n_q = 1 and 5 lie wholly in the near field; at 100 to 400 the outer roots lie past
+    # half a spacing from their origin and are summed directly; 2400 is the router's C2
+    # and 8800 the shipped reflection's
+    eig = ContinuumGrid(n_q=n_q, delta_max=0.005 * n_q + 2.0, gamma=20.0).cavity
+    cauchy = eig.cauchy
+    assert cauchy is not None and cauchy.size == fft_size(2 * n_q - 1)
+    if n_q in (100, 160, 400):
+        assert cauchy.direct.size > 0
+    rng = np.random.default_rng(n_q)
+    bright = rng.normal(size=n_q) + 1j * rng.normal(size=n_q)
+    coef = eig.coefficients(0.3 + 0.5j, bright)
+    assert_cauchy_products_match_long_double(eig, 0.3 + 0.5j, bright, coef, 2.9,
+                                             eig.lower_at(coef, 2.9))
+
+
+def test_excited_state_builds_no_cauchy_product():
+    # an empty reservoir skips the sums: the coefficients keep their bits, and the
+    # comb's node spectra are never built
+    prop = ReservoirSpec(f=400, eps_max=50.0, coupling=0.3).propagator
+    coef, _ = prop.modes(1.0, np.zeros(400))
+    assert np.array_equal(coef, modes_per_block(prop.eig, 1.0, np.zeros(prop.eig.poles.size)))
+    assert "cauchy" not in vars(prop.eig)
 
 
 @pytest.mark.parametrize("eig", [
@@ -419,7 +455,7 @@ def test_decay_builds_its_final_classes_when_read():
 def test_markov_integrals_match_rk4_at_tenth_step(gamma1, gamma2, duration):
     gamma, dt = 1.0, 0.02
     pulse = gaussian_pulse(t0=3 * duration, duration=duration)
-    t_final = simulation_window(pulse, gamma, gamma1, gamma2)
+    t_final = simulation_window(pulse, gamma=gamma, gamma1=gamma1, gamma2=gamma2)
     mk = evolve_markov(gamma, gamma1, gamma2, pulse, t_final, dt)
     leakage, convolved, factorized = markov_rk4(gamma, gamma1, gamma2, pulse, t_final, dt / 10)
     assert mk.leakage == pytest.approx(leakage, abs=1e-6)
@@ -430,7 +466,8 @@ def test_markov_integrals_match_rk4_at_tenth_step(gamma1, gamma2, duration):
 def test_markov_is_stable_beyond_the_rk4_limit():
     # gamma2 * dt = 4 exceeds the RK4 stability limit of about 2.79
     pulse = gaussian_pulse(t0=30.0, duration=10.0)
-    mk = evolve_markov(1.0, 1.0, 200.0, pulse, simulation_window(pulse, 1.0, 200.0), dt=0.02)
+    t_final = simulation_window(pulse, gamma=1.0, gamma2=200.0)
+    mk = evolve_markov(1.0, 1.0, 200.0, pulse, t_final, dt=0.02)
     assert np.all(np.isfinite(mk.rho_out))
     assert mk.leakage + mk.yield_convolved == pytest.approx(1.0, abs=1e-4)
 
@@ -768,7 +805,7 @@ def test_router_matches_rk4():
                          coupling=coupling_for_diode_rate(6, 0.05, gamma2, gamma))
     grid1 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma1)
     grid2 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma2)
-    t_final = simulation_window(pulse, gamma, gamma1, gamma2)
+    t_final = simulation_window(pulse, gamma=gamma, gamma1=gamma1, gamma2=gamma2)
     p0 = project_pulse(grid1, pulse)
     traj = evolve_full(grid1, grid2, spec, p0, t_final)
     pops, p, q, r, s = router_rk4(grid1, grid2, spec, p0, t_final, 0.02, substeps=4)
@@ -854,7 +891,7 @@ def test_router_matches_taylor(t0, dt, t_final):
     grid1 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma1)
     grid2 = ContinuumGrid(n_q=32, delta_max=3.0, gamma=gamma2)
     if t_final is None:
-        t_final = simulation_window(pulse, gamma, gamma1, gamma2)
+        t_final = simulation_window(pulse, gamma=gamma, gamma1=gamma1, gamma2=gamma2)
     p0 = project_pulse(grid1, pulse)
     traj = evolve_full(grid1, grid2, spec, p0, t_final, dt)
     pops, p, q, r, s = router_taylor(grid1, grid2, spec, p0, t_final, dt)
@@ -1109,17 +1146,25 @@ t_final = 86.0
 """
 
 
-def test_router_memory_stays_below_its_reflection():
+def test_router_memory_stays_below_its_reflection(monkeypatch):
     # evolve_full keeps one table of return-function samples, (8, n + 7), and the arrays
     # of one bath channel at a time.  The yardstick is the reflection with a secular solve
-    # of its own (the mirrored path); on C2 the reflection takes no more, solve included
+    # of its own (the mirrored path) and its Cauchy products divided 32 roots at a time,
+    # the path that poles off a comb take; on C2 the reflection takes no more, solve and
+    # node spectra included
     router = validate_scenario(parse_scenario_text(ROUTER_BENCHMARK))
     reflection = validate_scenario(parse_scenario_text(ROUTER_REFLECTION))
     grid2, s0, t_final = reflection.grid2, reflection.s0, reflection.t_final
+
+    def mirrored_per_block():
+        with monkeypatch.context() as patch:
+            patch.setattr(_integrate._Eigensystem, "cauchy", None)
+            return reflect_port2_mirrored(grid2, s0, t_final)
+
     peaks = []
     for call in (lambda: evolve_full(router.grid1, router.grid2, router.spec, router.p0,
                                      router.t_final, router.dt),
-                 lambda: reflect_port2_mirrored(grid2, s0, t_final),
+                 mirrored_per_block,
                  lambda: reflect_port2(dataclasses.replace(grid2), s0, t_final)):
         call()  # a first call fills the caches that they keep
         tracemalloc.start()
@@ -1178,7 +1223,7 @@ def router_without_coupling():
     grid2 = ContinuumGrid(n_q=160, delta_max=4.0, gamma=20.0)
     spec = ReservoirSpec(f=4, eps_max=2e-3, coupling=1e-30)
     return evolve_full(grid1, grid2, spec, project_pulse(grid1, pulse),
-                       simulation_window(pulse, 1.0, 20.0))
+                       simulation_window(pulse, gamma=1.0, gamma2=20.0))
 
 
 @functools.cache
@@ -1312,7 +1357,7 @@ def reflection_rk4(grid, s0, t_final, dt):
 def test_reflection_matches_rk4(n_q, delta_max, gamma2, duration):
     pulse = gaussian_pulse(t0=3 * duration, duration=duration)
     grid = ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=gamma2)
-    t_final = simulation_window(pulse, gamma2)
+    t_final = simulation_window(pulse, gamma2=gamma2)
     s0 = project_pulse(grid, pulse)
     ref = reflect_port2(grid, s0, t_final)
     s_rk4 = reflection_rk4(grid, s0, t_final, 0.005)
@@ -1334,7 +1379,7 @@ def test_reflection_on_c2_equals_the_mirrored_solve(n_q, delta_max, gamma2, dura
     grid = ContinuumGrid(n_q=n_q, delta_max=delta_max, gamma=gamma2)
     pulse = gaussian_pulse(t0=t0, duration=duration)
     s0 = project_pulse(grid, pulse)
-    t_final = t_final or simulation_window(pulse, gamma2)
+    t_final = t_final or simulation_window(pulse, gamma2=gamma2)
     ref = reflect_port2_mirrored(grid, s0, t_final)
     got = reflect_port2(grid, s0, t_final)
     assert np.array_equal(got.out_field, ref.out_field)

@@ -889,7 +889,12 @@ def test_cli_fits_decay_on_a_1e_300_window(tmp_path, name, section, key):
     ("zeno_scan", "zeno", "n_measurements", "1" + "0" * 400, 2, "zeno.n_measurements"),
     ("zeno_scan", "zeno", "taus", "1e308", 2, "zeno.taus"),  # 60 periods overflow
     ("impedance_scan", "scan", "ratios", "0", 2, "scan.ratios"),
+    ("impedance_scan", "scan", "ratios", "1 0", 2, "scan.ratios"),
     ("impedance_scan", "diode", "gamma2", "-1", 2, "diode.gamma2"),
+    # the rates that simulation_window checks, each under its own key
+    ("diode_full", "diode", "gamma1", "-1", 2, "diode.gamma1"),
+    ("diode_full", "diode", "gamma2", "0", 2, "diode.gamma2"),
+    ("port2_reflection", "diode", "gamma2", "-1", 2, "diode.gamma2"),
 ])
 def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, value, code, named):
     # a configuration error names a key at validate; a run that cannot hold
@@ -905,6 +910,15 @@ def test_cli_single_key_edit_exits_2_or_3(tmp_path, capsys, name, section, key, 
     else:
         (manifest,) = (tmp_path / "out").rglob("manifest.ini")
         assert f"failures = {named}\n" in manifest.read_text()
+
+
+@pytest.mark.parametrize("ratios, shown", [("-1", "-1.0"), ("0", "0.0"), ("1 0", "0.0")])
+def test_impedance_scan_error_shows_the_ratio(tmp_path, capsys, ratios, shown):
+    # the ratio is checked before it scales gamma into gamma1
+    path = write(tmp_path, "r.ini", shipped_with("impedance_scan", "scan", "ratios", ratios))
+    assert main(["validate", path]) == 2
+    assert f"error: scan.ratios: ratios must be positive and finite, got {shown}\n" in (
+        capsys.readouterr().err)
 
 
 def test_purification_work_does_not_follow_the_rate(tmp_path):
