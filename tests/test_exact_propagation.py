@@ -7,7 +7,8 @@ router's co-rotating Taylor propagation that its memory-kernel solve replaced, p
 numpy.linalg.eigh, closed forms, the dense phase matrices that the
 exponential sums replaced, the blocked direct exponential sum that their nonuniform FFT
 replaced and its one-block-per-pass form, long-double direct sums at every caller's size,
-per-block Cauchy sums that the batched kernels replaced, the general secular solve
+per-block Cauchy sums that the batched kernels replaced (off a comb) and long-double
+Cauchy sums for the comb's interpolated far field, the general secular solve
 that the closed form for uniform combs bypasses, scipy.special's digamma and
 trigamma, the scipy.sparse.kron construction of the master-equation generator,
 the propagation of all d^2 density-matrix entries that the reachable support replaced,
@@ -271,8 +272,8 @@ def assert_cauchy_products_match_long_double(eig, c0, bright, coef, tau, out):
 @pytest.mark.parametrize("n_q", [1, 5, 100, 160, 400, 2400, 8800])
 def test_comb_cauchy_products_match_long_double_sums(n_q):
     # n_q = 1 and 5 lie wholly in the near field; at 100 to 400 the outer roots lie past
-    # half a spacing from their origin and are summed directly; 2400 is the router's C2
-    # and 8800 the shipped reflection's
+    # half a spacing from their origin, and at 100 and 160 the midpoint root on it, and
+    # those are summed directly; 2400 is the router's C2 and 8800 the shipped reflection's
     eig = ContinuumGrid(n_q=n_q, delta_max=0.005 * n_q + 2.0, gamma=20.0).cavity
     cauchy = eig.cauchy
     assert cauchy is not None and cauchy.size == fft_size(2 * n_q - 1)
