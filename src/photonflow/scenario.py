@@ -30,9 +30,11 @@ message names the offending ``section.key``.
 
 Each run writes ``timeseries.csv`` and/or ``summary.csv`` plus a
 ``manifest.ini`` that echoes the scenario, lists derived quantities,
-results, and the outcome of the physical invariant checks.  Outputs are
-deterministic: fixed summation orders, CSV cells all floats printed with
-17 significant digits, so identical inputs give byte-identical CSVs.
+results, and the outcome of the physical invariant checks; a scan adds
+``scan_summary.csv`` and ``scan_manifest.ini``, the status, seconds and
+worker of each point.  Outputs are deterministic: fixed summation
+orders, CSV cells all floats printed with 17 significant digits, so
+identical inputs give byte-identical CSVs; timings stay in the manifests.
 
 Every kind is one ``_Kind`` record in ``_KINDS``: a build that reads its
 keys into typed inputs, derives what needs only the file (projected
@@ -52,8 +54,12 @@ not fail its run on a range.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -86,6 +92,8 @@ class Scenario:
     kind: str
     sections: dict  # section -> {key -> raw string}
     looked_up: set = field(default_factory=set, compare=False, repr=False)  # (section, key)
+    # the build of the scenario this one overrides; a grid equal to its grid is shared
+    template: Optional[SimpleNamespace] = field(default=None, compare=False, repr=False)
     # the kind's build of these sections, made with the record; a run runs it
     inputs: SimpleNamespace = field(init=False, compare=False, repr=False)
 
@@ -99,7 +107,7 @@ class Scenario:
     def with_override(self, section: str, key: str, value: str) -> "Scenario":
         new = {s: dict(kv) for s, kv in self.sections.items()}
         new.setdefault(section, {})[key] = value
-        return Scenario(self.name, self.kind, new)
+        return Scenario(self.name, self.kind, new, template=self.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +432,9 @@ def _build_grid(
     n_q = _get(sc, f"{section}.n_q", _as_int)
     delta_max = _get(sc, f"{section}.delta_max", _as_float)
     grid = _guard(section, dio.ContinuumGrid, n_q=n_q, delta_max=delta_max, gamma=gamma)
+    # a scan point keeps its template's grid, and with it the cavity solved there
+    if grid == getattr(sc.template, section, None):
+        grid = getattr(sc.template, section)
     _guard(section, dio._check_bandwidth, grid, pulse)
     _guard(section, dio._check_window, grid, t_final, port)
     return grid
@@ -839,12 +850,20 @@ def _write_csv(path: Path, table: dict) -> None:
         fh.writelines(line % row for row in zip(*table.values(), strict=True))
 
 
-def _write_manifest(path: Path, sc: Scenario, outcome: RunOutcome, wall: float, files) -> None:
+def _write_ini(path: Path, blocks: dict) -> None:
     """One ``[section]`` per block, one ``key = value`` line per entry, blank lines between."""
+    path.write_text("\n".join(f"[{name}]\n" + "".join(f"{k} = {_fmt(v)}\n" for k, v in kv.items())
+                              for name, kv in blocks.items()))
+
+
+def _status(failed) -> str:
+    return "invariant-failure" if failed else "completed"
+
+
+def _write_manifest(path: Path, sc: Scenario, outcome: RunOutcome, wall: float, files) -> None:
     failures = outcome.invariant_failures
-    blocks = {
-        "manifest": {"name": sc.name, "kind": sc.kind,
-                     "status": "invariant-failure" if failures else "completed",
+    _write_ini(path, {
+        "manifest": {"name": sc.name, "kind": sc.kind, "status": _status(failures),
                      "wall_seconds": wall},
         "scenario": {f"{s}.{k}": v for s, kv in sc.sections.items() for k, v in kv.items()},
         "derived": outcome.derived,
@@ -852,9 +871,7 @@ def _write_manifest(path: Path, sc: Scenario, outcome: RunOutcome, wall: float, 
         "invariants": {**outcome.invariants, "failures": " ".join(failures) or "none",
                        "all_ok": not failures},
         "outputs": {"files": " ".join(files)},
-    }
-    path.write_text("\n".join(f"[{name}]\n" + "".join(f"{k} = {_fmt(v)}\n" for k, v in kv.items())
-                              for name, kv in blocks.items()))
+    })
 
 
 def run_scenario(sc: Scenario, outdir) -> RunOutcome:
@@ -880,12 +897,83 @@ def run_scenario(sc: Scenario, outdir) -> RunOutcome:
     return outcome
 
 
-def _scan_point(args):
-    value, sc, outdir = args
+def _scan_point(task):
+    """``(value, results, failure, seconds)`` of one scan point's run."""
+    value, sc, outdir = task
+    start = time.perf_counter()
     try:
-        return value, run_scenario(sc, outdir).results, None
+        results, failure = run_scenario(sc, outdir).results, None
     except InvariantViolation as exc:
-        return value, exc.results, f"{Path(outdir).name} ({exc})"
+        results, failure = exc.results, f"{Path(outdir).name} ({exc})"
+    return value, results, failure, time.perf_counter() - start
+
+
+def _worker(tasks: list, wfd: int) -> None:
+    """A forked worker: run ``tasks`` and write their rows, or the exception that
+    stopped them, as one pickle to ``wfd``.  It never returns into its caller's stack."""
+    status = 1
+    try:
+        try:
+            message = [_scan_point(t) for t in tasks]
+        except Exception as exc:  # raised again in the parent, with its type
+            message = exc
+        with open(wfd, "wb") as pipe:
+            pickle.dump(message, pipe)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_points(tasks: list, jobs: int) -> list:
+    """The ``_scan_point`` rows of ``tasks``, in order, run by ``jobs`` forked workers.
+
+    Worker ``w`` inherits the built points and runs tasks ``w, w + jobs, ...``.  The
+    parent reads each worker's pipe to its end, reaps the worker and raises a worker's
+    exception; a worker that ends without a complete message ends the scan too.  When
+    the parent raises, the workers still running are killed, and every worker is reaped
+    before the call ends.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    gc.freeze()  # a worker's collections then leave the pages of what it inherits shared
+    pids, readers = {}, []  # worker -> pid until reaped; the read end of each pipe
+    try:
+        for w in range(jobs):
+            r, wfd = os.pipe()
+            readers.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(tasks[w::jobs], wfd)
+                pids[w] = pid
+            finally:
+                os.close(wfd)
+        rows = [None] * len(tasks)
+        for w, r in enumerate(readers):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pids[w], 0)[1]
+            del pids[w]
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                points = " ".join(Path(t[2]).name for t in tasks[w::jobs])
+                raise RuntimeError(f"scan worker {w} ({points}) ended without its results: "
+                                   + (f"signal {-code}" if code < 0 else f"exit code {code}"))
+            message = pickle.loads(data)  # written by _worker
+            if isinstance(message, Exception):
+                raise message
+            rows[w::jobs] = message
+        return rows
+    finally:
+        gc.unfreeze()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+        for r in readers:
+            os.close(r)
 
 
 def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
@@ -894,10 +982,15 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     ``axis`` is ``section.key`` and must name a numeric scalar in the
     scenario.  At least one value is needed, and every point is built
     before any point runs, so a configuration error leaves nothing
-    written; each worker runs the build it is sent.  ``scan_summary.csv``
-    has the axis and the first point's result names as its header; rows
-    appear in the order of ``values`` regardless of execution order, and
-    each row is identical to an independent run of the modified scenario.
+    written.  With ``jobs`` above 1 (capped at the points and the CPUs),
+    that many workers are then forked once, and worker ``w`` runs points
+    ``w, w + jobs, ...`` from the builds it inherited; an error other than
+    an invariant failure in a worker, or a worker that dies, ends the scan,
+    and no worker outlives the call.  ``scan_summary.csv`` has the axis and
+    the first point's result names as its header; rows appear in the order
+    of ``values``, and each row is identical to an independent run of the
+    modified scenario.  ``scan_manifest.ini`` records the axis, the workers
+    and, per point, its status, the seconds of its run and its worker.
     Every point runs; the scan then raises InvariantViolation naming those that failed.
     """
     if "." not in axis:
@@ -922,21 +1015,20 @@ def scan_scenario(sc: Scenario, axis: str, values, outdir, jobs: int = 1):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(v, p, out / f"point_{i:03d}") for i, (v, p) in enumerate(zip(values, points))]
-    # the default fork start method forks every worker up front
     jobs = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_scan_point, tasks))
-    else:
-        points = [_scan_point(t) for t in tasks]
+    points = _fork_points(tasks, jobs) if jobs > 1 else [_scan_point(t) for t in tasks]
     # the points differ only in one number, so they share the kind, the
     # spectrum and with them the result names
-    rows = [(value, res) for value, res, _ in points]
+    rows = [(value, res) for value, res, *_ in points]
     _write_csv(out / "scan_summary.csv",
                {axis: values, **{name: [res[name] for _, res in rows] for name in rows[0][1]}})
-    failed = "; ".join(failure for _, _, failure in points if failure)
+    _write_ini(out / "scan_manifest.ini", {
+        "scan": {"axis": axis, "jobs": jobs},
+        **{f"point_{i:03d}": {"value": value, "status": _status(failure), "seconds": seconds,
+                              "worker": i % jobs}
+           for i, (value, _, failure, seconds) in enumerate(points)},
+    })
+    failed = "; ".join(failure for _, _, failure, *_ in points if failure)
     if failed:
         raise InvariantViolation(f"scan over {axis}: {failed}; summary in "
                                  f"{out / 'scan_summary.csv'}")

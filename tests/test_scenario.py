@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -391,12 +392,75 @@ def test_scan_rejects_non_numeric_axis(tmp_path):
 
 
 def test_scan_parallel_matches_serial(tmp_path):
+    # three points on two workers: worker 0 runs point_000 and point_002, worker 1 point_001
     sc = parse_scenario_text(MICRO_SCENARIO.format(coupling=micro_coupling()))
-    scan_scenario(sc, "reservoir.f", [60, 120], tmp_path / "serial", jobs=1)
-    scan_scenario(sc, "reservoir.f", [60, 120], tmp_path / "par", jobs=2)
-    a = (tmp_path / "serial" / "scan_summary.csv").read_bytes()
-    b = (tmp_path / "par" / "scan_summary.csv").read_bytes()
-    assert a == b
+    scan_scenario(sc, "reservoir.f", [60, 120, 180], tmp_path / "serial", jobs=1)
+    scan_scenario(sc, "reservoir.f", [60, 120, 180], tmp_path / "par", jobs=2)
+    csvs = sorted(p.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("*.csv"))
+    assert len(csvs) == 4  # the summary and each point's timeseries
+    for csv in csvs:
+        assert (tmp_path / "serial" / csv).read_bytes() == (tmp_path / "par" / csv).read_bytes()
+
+
+def _scan_manifest(scan: Path) -> configparser.ConfigParser:
+    manifest = configparser.ConfigParser()
+    manifest.read(scan / "scan_manifest.ini")
+    return manifest
+
+
+def _failing_point(monkeypatch, kind_name: str, fail):
+    """Make ``kind_name``'s runner call ``fail(inputs)`` before running."""
+    from photonflow import scenario as sc_mod
+
+    kind = sc_mod._KINDS[kind_name]
+    run = kind.run
+
+    def failing_run(inputs):
+        fail(inputs)
+        return run(inputs)
+
+    monkeypatch.setattr(kind, "run", failing_run)
+
+
+def test_scan_raises_a_worker_error_with_its_type_and_kills_the_other_worker(tmp_path, capsys,
+                                                                           monkeypatch):
+    from photonflow.errors import ConfigurationError
+
+    def fail(inputs):
+        if inputs.gamma == 0.5:  # point_000, on worker 0
+            raise ConfigurationError("model.gamma: refused at run time")
+        if inputs.gamma == 1.0:  # point_001, on worker 1, would hold the scan
+            time.sleep(600)
+
+    _failing_point(monkeypatch, "LindbladTransfer", fail)
+    sc = parse_scenario_text(LINDBLAD_SCENARIO)
+    with time_limit(), pytest.raises(ConfigurationError, match="refused at run time"):
+        scan_scenario(sc, "model.gamma", [0.5, 1.0, 2.0], tmp_path / "scan", jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    path = write(tmp_path, "sc.ini", LINDBLAD_SCENARIO)
+    with time_limit():
+        rc = main(["scan", path, "--axis", "model.gamma", "--values", "0.5,2",
+                   "--out", str(tmp_path / "cli"), "--jobs", "2"])
+    assert rc == 2
+    assert "error: model.gamma: refused at run time" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_names_the_points_of_a_worker_that_dies(tmp_path, monkeypatch):
+    def fail(inputs):
+        if inputs.gamma == 1.0:  # point_001, on worker 1 with point_003
+            os._exit(1)
+
+    _failing_point(monkeypatch, "LindbladTransfer", fail)
+    sc = parse_scenario_text(LINDBLAD_SCENARIO)
+    with time_limit(), pytest.raises(
+            RuntimeError, match=r"scan worker 1 \(point_001 point_003\) .*: exit code 1$"):
+        scan_scenario(sc, "model.gamma", [0.5, 1.0, 2.0, 3.0], tmp_path / "scan", jobs=2)
+    assert not (tmp_path / "scan" / "scan_summary.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -626,33 +690,33 @@ def test_scan_runs_every_point_past_an_invariant_failure(tmp_path, capsys, jobs)
     assert len(lines) == 4
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 1e-300, 1.1]
     assert "nan" in lines[2].split(",")
+    # status, time and worker per point, outside the summary
+    manifest = _scan_manifest(scan)
+    assert dict(manifest["scan"]) == {"axis": "reservoir.target_gamma", "jobs": str(jobs)}
+    for i, status in enumerate(["completed", "invariant-failure", "completed"]):
+        point = manifest[f"point_{i:03d}"]
+        assert float(point["value"]) == [1.0, 1e-300, 1.1][i]
+        assert point["status"] == status
+        assert float(point["seconds"]) > 0.0
+        assert point["worker"] == str(i % jobs)
 
 
 @pytest.mark.parametrize("n_points, cpus", [(2, 64), (3, 2)])
 def test_scan_clamps_worker_count(tmp_path, monkeypatch, n_points, cpus):
-    import concurrent.futures
+    forks = []
+    fork = os.fork
 
-    started = []
+    def counted_fork():
+        forks.append(True)
+        return fork()
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.fork", counted_fork)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     sc = parse_scenario_text(MICRO_SCENARIO.format(coupling=micro_coupling()))
     values = [60, 120, 180][:n_points]
     rows = scan_scenario(sc, "reservoir.f", values, tmp_path / "scan", jobs=5000)
-    assert started == [2]
+    assert len(forks) == 2
+    assert _scan_manifest(tmp_path / "scan")["scan"]["jobs"] == "2"
     assert [r[0] for r in rows] == values
 
 
@@ -761,7 +825,8 @@ CALL_LIMIT_S = 30.0  # no call of the exit-code tests takes a second; a hang fai
 @contextlib.contextmanager
 def time_limit():
     """Raise TimeoutError in the block once it has run ``CALL_LIMIT_S`` (SIGALRM: a
-    forked scan worker inherits no timer, and the pool stops with the call)."""
+    forked scan worker inherits no timer, and when the call raises, the scan kills and
+    reaps its workers)."""
     def expire(signum, frame):
         raise TimeoutError(f"call still running after {CALL_LIMIT_S:g} s")
 
@@ -1115,8 +1180,9 @@ def test_diode_full_run_solves_cavity2_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_point_runs_the_cavity2_its_build_solved(tmp_path, monkeypatch, jobs):
-    # each point's build solves C2 on its grid2 and its run, also in a --jobs worker,
-    # uses that solve; the count is kept in a file, so forked workers count too
+    # a point's build solves C2 on a grid2 other than the template's (the 160 point shares
+    # the template's), and its run, also in a --jobs worker, uses that solve; the count is
+    # kept in a file, so forked workers count too
     from photonflow import scenario as sc_mod
 
     log = tmp_path / "solves.log"
@@ -1143,7 +1209,28 @@ def test_scan_point_runs_the_cavity2_its_build_solved(tmp_path, monkeypatch, job
     log.write_text("")
     rows = scan_scenario(sc, "grid2.n_q", [160, 170], tmp_path / "scan", jobs=jobs)
     assert [value for value, _ in rows] == [160, 170]
-    assert log.read_text().splitlines() == ["build 160", "build 170"]
+    assert log.read_text().splitlines() == ["build 170"]
+
+
+def test_diode_full_scan_off_grid2_solves_cavity2_once(tmp_path, monkeypatch):
+    # every point keeps the template's grid2, and with it the C2 its build solved
+    calls = []
+    solve = diode._arrowhead_eigensystem
+
+    def counted_solve(poles, z):
+        calls.append(poles.size)
+        return solve(poles, z)
+
+    monkeypatch.setattr(diode, "_arrowhead_eigensystem", counted_solve)
+    sc = parse_scenario_text(ROUTER_SCENARIO)
+    scan_scenario(sc, "reservoir.target_gamma", [0.9, 1.0, 1.1], tmp_path / "scan")
+    assert calls == [160]
+    # the CSVs of a point that solved its own C2
+    single = run_scenario(parse_scenario_text(
+        ROUTER_SCENARIO.replace("target_gamma = 1.0", "target_gamma = 1.1")), tmp_path / "solo")
+    assert calls == [160, 160] and single.tables
+    for csv in (tmp_path / "solo").glob("*.csv"):
+        assert csv.read_bytes() == (tmp_path / "scan" / "point_002" / csv.name).read_bytes()
 
 
 def test_diode_full_build_inverts_target_gamma_on_its_own_spec(monkeypatch):
